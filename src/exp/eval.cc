@@ -1,5 +1,6 @@
 #include "exp/eval.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <memory>
@@ -20,6 +21,7 @@
 #include "obs/trace.hh"
 #include "rmb/dual_ring.hh"
 #include "rmb/engine.hh"
+#include "rmb/grid.hh"
 #include "rmb/network.hh"
 #include "rmb/torus.hh"
 #include "sim/random.hh"
@@ -60,13 +62,18 @@ failPoint(const PointConfig &pt, std::string why)
     return r;
 }
 
+} // namespace
+
 core::RmbConfig
-rmbConfig(const PointConfig &pt, std::uint64_t net_seed)
+rmbConfig(const PointConfig &pt, std::uint64_t net_seed,
+          core::VerifyLevel verify)
 {
     core::RmbConfig cfg;
     cfg.numNodes = pt.nodes;
     cfg.numBuses = pt.buses;
     cfg.seed = net_seed;
+    cfg.engine = pt.engine == "kernel" ? core::EngineKind::Kernel
+                                       : core::EngineKind::Event;
     cfg.enableCompaction = pt.compaction;
     cfg.sendPorts = pt.sendPorts;
     cfg.receivePorts = pt.receivePorts;
@@ -82,15 +89,17 @@ rmbConfig(const PointConfig &pt, std::uint64_t net_seed)
     }
     cfg.watchdogTimeout = pt.watchdog;
     cfg.maxRetries = pt.maxRetries;
+    // Copied for every topology so validate() refuses global_buses
+    // under topology=flat instead of it being silently ignored.
+    cfg.globalBuses = pt.globalBuses;
     if (pt.topology == "hier") {
         cfg.topology = core::TopologyKind::Hier;
         cfg.localRings = pt.localRings;
-        cfg.globalBuses = pt.globalBuses;
         cfg.bridgeLatency = pt.bridgeLatency;
         cfg.bridgeBuffer = pt.bridgeBuffer;
         cfg.shardJobs = pt.shardJobs;
     }
-    cfg.verify = core::VerifyLevel::Off;
+    cfg.verify = verify;
     cfg.headerPolicy = pt.header == "straight"
                            ? core::HeaderPolicy::PreferStraight
                            : core::HeaderPolicy::PreferLowest;
@@ -105,47 +114,54 @@ rmbConfig(const PointConfig &pt, std::uint64_t net_seed)
     return cfg;
 }
 
-/**
- * Build the point's network, or return nullptr with @p error set.
- * Mirrors rmbsim's factory, but reports problems instead of calling
- * fatal() so one bad point cannot take down the sweep.
- */
 std::unique_ptr<net::Network>
-makeNetwork(const PointConfig &pt, sim::Simulator &simulator,
-            std::uint64_t net_seed, std::string &error)
+makeNetwork(const PointConfig &pt, const core::RmbConfig &rmb_cfg,
+            sim::Simulator &simulator, std::string &error)
 {
-    const bool torus_like =
-        pt.network == "torus" || pt.network == "mesh";
-    const std::uint32_t nodes =
-        torus_like ? pt.width * pt.height : pt.nodes;
-    if (nodes < 2) {
-        error = "network needs at least 2 nodes, got " +
-                std::to_string(nodes);
+    // Grid extents, already checked by the field table (each >= 2).
+    std::vector<std::uint32_t> dims;
+    std::uint64_t nodes = pt.nodes;
+    if (pt.network == "grid") {
+        nodes = 1;
+        for (std::size_t pos = 0; pos <= pt.dims.size();) {
+            const auto x = std::min(pt.dims.find('x', pos),
+                                    pt.dims.size());
+            dims.push_back(static_cast<std::uint32_t>(
+                std::stoul(pt.dims.substr(pos, x - pos))));
+            if (nodes <= UINT32_MAX) // never overflows 64 bits
+                nodes *= dims.back();
+            pos = x + 1;
+        }
+    } else if (pt.network == "torus" || pt.network == "mesh") {
+        nodes = std::uint64_t{pt.width} * pt.height;
+    }
+    if (nodes < 2 || nodes > UINT32_MAX) {
+        error = "network needs 2 to 2^32-1 nodes, got " +
+                (nodes < 2 ? std::to_string(nodes) : "more");
         return nullptr;
     }
 
-    if (pt.topology == "hier" && pt.network != "rmb") {
-        error = "topology=hier is only supported with network=rmb"
-                " ('" + pt.network +
-                "' has its own fixed topology)";
+    // Hier and the kernel engine exist only behind core::makeEngine;
+    // every other network would silently ignore them.
+    if (pt.network != "rmb" &&
+        (pt.topology != "flat" || pt.engine != "event")) {
+        error = (pt.topology != "flat" ? "topology=" + pt.topology
+                                       : "engine=" + pt.engine) +
+                " is only supported with network=rmb; '" +
+                pt.network +
+                "' would silently ignore it (drop it, or use"
+                " network=rmb)";
         return nullptr;
     }
 
     if (pt.network == "rmb" || pt.network == "dualring" ||
-        pt.network == "torus") {
-        core::RmbConfig cfg = rmbConfig(pt, net_seed);
-        if (pt.network == "rmb") {
-            cfg.engine = pt.engine == "kernel"
-                             ? core::EngineKind::Kernel
-                             : core::EngineKind::Event;
-        } else if (pt.engine != "event") {
-            error = "network '" + pt.network +
-                    "' only supports engine=event (the cycle"
-                    " kernel backs the plain rmb ring)";
-            return nullptr;
-        }
+        pt.network == "torus" || pt.network == "grid") {
+        core::RmbConfig cfg = rmb_cfg;
+        // Per-ring size for validation; the composite ctors reset it.
         if (pt.network == "torus")
-            cfg.numNodes = pt.width; // per-ring size; ctor resets it
+            cfg.numNodes = pt.width;
+        else if (pt.network == "grid")
+            cfg.numNodes = dims.front();
         const auto problems = cfg.validate();
         if (!problems.empty()) {
             error = problems.front();
@@ -158,47 +174,47 @@ makeNetwork(const PointConfig &pt, sim::Simulator &simulator,
         if (pt.network == "dualring")
             return std::make_unique<core::DualRingRmbNetwork>(
                 simulator, cfg);
+        if (pt.network == "grid")
+            return std::make_unique<core::RmbGridNetwork>(
+                simulator, dims, cfg);
         return std::make_unique<core::RmbTorusNetwork>(
             simulator, pt.width, pt.height, cfg);
     }
 
+    const auto n = static_cast<std::uint32_t>(nodes);
     baseline::CircuitConfig circuit;
-    circuit.seed = net_seed;
+    circuit.seed = rmb_cfg.seed;
     if (pt.network == "ring")
         return std::make_unique<baseline::IdealRingNetwork>(
-            simulator, nodes, pt.buses, circuit);
+            simulator, n, pt.buses, circuit);
     if (pt.network == "mesh")
         return std::make_unique<baseline::MeshNetwork>(
             simulator, pt.width, pt.height, circuit);
     if (pt.network == "hypercube" || pt.network == "ehc") {
-        if (!isPowerOfTwo(nodes)) {
+        if (!isPowerOfTwo(n)) {
             error = "network '" + pt.network +
-                    "' needs nodes = 2^n, got " +
-                    std::to_string(nodes);
+                    "' needs nodes = 2^n, got " + std::to_string(n);
             return nullptr;
         }
         return std::make_unique<baseline::HypercubeNetwork>(
-            simulator, log2Floor(nodes), circuit,
-            pt.network == "ehc");
+            simulator, log2Floor(n), circuit, pt.network == "ehc");
     }
     if (pt.network == "fattree")
         return std::make_unique<baseline::FatTreeNetwork>(
-            simulator, nodes, pt.buses, circuit);
+            simulator, n, pt.buses, circuit);
     if (pt.network == "multibus")
         return std::make_unique<baseline::MultiBusNetwork>(
-            simulator, nodes, pt.buses, circuit);
+            simulator, n, pt.buses, circuit);
     if (pt.network == "wormhole") {
         baseline::WormholeConfig cfg;
         cfg.vcsPerClass = pt.buses / 2 ? pt.buses / 2 : 1;
         return std::make_unique<baseline::WormholeRingNetwork>(
-            simulator, nodes, cfg);
+            simulator, n, cfg);
     }
     error = "unknown network '" + pt.network + "'";
     return nullptr;
 }
 
-/** Batch pairs for permutation-style workloads; empty if the
- *  workload is stochastic.  Sets @p error for shape problems. */
 workload::PairList
 batchPairs(const PointConfig &pt, net::NodeId n, sim::Random &rng,
            std::string &error)
@@ -231,7 +247,7 @@ batchPairs(const PointConfig &pt, net::NodeId n, sim::Random &rng,
     if (w.rfind("rot:", 0) == 0)
         return workload::toPairs(workload::rotation(
             n, static_cast<net::NodeId>(
-                   std::stoul(w.substr(4)) % n)));
+                   std::stoull(w.substr(4)) % n)));
     if (w.rfind("hrel:", 0) == 0)
         return workload::randomHRelation(
             n, static_cast<std::uint32_t>(std::stoul(w.substr(5))),
@@ -240,19 +256,29 @@ batchPairs(const PointConfig &pt, net::NodeId n, sim::Random &rng,
 }
 
 std::unique_ptr<workload::TrafficPattern>
-stochasticPattern(const PointConfig &pt, net::NodeId n)
+stochasticPattern(const PointConfig &pt, net::NodeId n,
+                  std::string &error)
 {
     const std::string &w = pt.workload;
     if (w == "uniform")
         return std::make_unique<workload::UniformTraffic>(n);
-    if (w.rfind("local:", 0) == 0)
-        return std::make_unique<workload::LocalRingTraffic>(
-            n, static_cast<net::NodeId>(std::stoul(w.substr(6))));
+    if (w.rfind("local:", 0) == 0) {
+        const std::uint64_t d = std::stoull(w.substr(6));
+        if (d >= 1 && d < n)
+            return std::make_unique<workload::LocalRingTraffic>(
+                n, static_cast<net::NodeId>(d));
+        error = "workload '" + w + "' needs a distance in [1, " +
+                std::to_string(n) + ")";
+        return nullptr;
+    }
     if (w.rfind("hotspot:", 0) == 0)
         return std::make_unique<workload::HotSpotTraffic>(
             n, 0, std::stod(w.substr(8)));
+    error = "workload '" + w + "' generated no traffic";
     return nullptr;
 }
+
+namespace {
 
 void
 appendNetworkMetrics(PointResult &r, const net::Network &network)
@@ -368,7 +394,9 @@ runPoint(const PointConfig &pt)
         std::string error;
         // Declared before the network so the sink outlives it.
         obs::CountingSink trace_counts;
-        auto network = makeNetwork(pt, simulator, net_seed, error);
+        auto network = makeNetwork(
+            pt, rmbConfig(pt, net_seed, core::VerifyLevel::Off),
+            simulator, error);
         if (!network)
             return failPoint(pt, error);
         network->setTraceSink(&trace_counts);
@@ -441,10 +469,10 @@ runPoint(const PointConfig &pt)
             return r;
         }
 
-        auto pattern = stochasticPattern(pt, network->numNodes());
+        auto pattern =
+            stochasticPattern(pt, network->numNodes(), error);
         if (!pattern)
-            return failPoint(pt, "unknown workload '" + pt.workload +
-                                     "'");
+            return failPoint(pt, error);
         const auto o = workload::runOpenLoop(
             *network, *pattern, pt.rate, pt.payload, pt.duration,
             wl_rng, pt.duration / 5, pt.timeout);

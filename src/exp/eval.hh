@@ -9,6 +9,10 @@
  * configuration, simulated-tick timeout, runtime exception) are
  * captured in the PointResult instead of killing the sweep.
  *
+ * The point builders - rmbConfig(), makeNetwork(), batchPairs() and
+ * stochasticPattern() - are the one network/workload factory behind
+ * both sweeps and rmbsim; callers choose the seeds and VerifyLevel.
+ *
  * runSweep() fans a spec's points across a Runner and aggregate()
  * merges the results into one obs::RunReport whose point array is in
  * grid order regardless of completion order, so the artifact is
@@ -17,19 +21,57 @@
 
 #pragma once
 
+#include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include <cstdint>
-#include <functional>
-
 #include "common/parallel.hh"
 #include "exp/spec.hh"
+#include "netbase/network.hh"
 #include "obs/run_report.hh"
+#include "rmb/config.hh"
+#include "sim/random.hh"
+#include "workload/permutation.hh"
+#include "workload/traffic.hh"
 
 namespace rmb {
 namespace exp {
+
+/**
+ * The RmbConfig @p pt describes, its randomness seeded by
+ * @p net_seed and checked at @p verify.  Callers may adjust it
+ * before makeNetwork() (rmbsim arms fault recovery for a fault plan).
+ */
+core::RmbConfig rmbConfig(const PointConfig &pt,
+                          std::uint64_t net_seed,
+                          core::VerifyLevel verify);
+
+/**
+ * Build @p pt's network over @p cfg (from rmbConfig(); its seed also
+ * seeds the baselines), or return nullptr with @p error set to one
+ * actionable message.  Refuses every combination a backend would
+ * silently ignore: topology=hier and engine=kernel exist only for
+ * network=rmb.
+ */
+std::unique_ptr<net::Network> makeNetwork(const PointConfig &pt,
+                                          const core::RmbConfig &cfg,
+                                          sim::Simulator &simulator,
+                                          std::string &error);
+
+/** Batch pairs for permutation-style workloads over @p n nodes;
+ *  empty if the workload is open loop.  Sets @p error for shape
+ *  problems (e.g. bitrev on a non-power-of-two). */
+workload::PairList batchPairs(const PointConfig &pt, net::NodeId n,
+                              sim::Random &rng, std::string &error);
+
+/** The open-loop traffic pattern of @p pt over @p n nodes, or
+ *  nullptr with @p error set. */
+std::unique_ptr<workload::TrafficPattern>
+stochasticPattern(const PointConfig &pt, net::NodeId n,
+                  std::string &error);
 
 /** One completed point, as seen by a progress observer. */
 struct Progress

@@ -1,9 +1,15 @@
 #include "exp/spec.hh"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
+#include <variant>
 
 #include "obs/json.hh"
 #include "sim/random.hh"
@@ -13,31 +19,175 @@ namespace exp {
 
 namespace {
 
-/** Workload name prefixes that carry a parameter suffix. */
-bool
-hasPrefix(const std::string &s, const char *prefix)
+/** How a field's values are checked. */
+enum class Check
 {
-    return s.rfind(prefix, 0) == 0;
+    Uint,   //!< exact non-negative integer token that fits the member
+    Rate,   //!< number in (0, 1]
+    Prob,   //!< probability in [0, 1]
+    Bool,
+    Choice, //!< one of the row's '|'-separated syntax words
+    Dims,   //!< AxBxC: one or more integer extents, each >= 2
+};
+
+/** When the canonical echo carries a field.  WhenSet fields appear
+ *  only off their default, so specs predating them keep their
+ *  baseline bytes; Never marks result-neutral execution hints. */
+enum class Echo { Always, WhenSet, Never };
+
+/** Extra command-line spelling: --<alias> V sets the field (Same),
+ *  --<alias> A,B sets it and the next row (Pair), or a bare
+ *  --<alias> sets the boolean false (Negate). */
+enum class Alias { None, Same, Pair, Negate };
+
+using Slot = std::variant<std::uint32_t PointConfig::*,
+                          std::uint64_t PointConfig::*,
+                          double PointConfig::*, bool PointConfig::*,
+                          std::string PointConfig::*>;
+
+/** One row of the run recipe. */
+struct Field
+{
+    const char *name;
+    Slot slot;
+    /** Value syntax for --help and docs; for Choice the allowed
+     *  words, where "prefix:<f>" takes a number in [0, 1] and any
+     *  other "prefix:<x>" a non-negative integer. */
+    const char *syntax;
+    const char *doc;
+    Check check = Check::Uint;
+    Echo echo = Echo::Always;
+    Alias alias = Alias::None;
+    const char *aliasName = nullptr;
+    /** Non-null: rmbsim refuses the field, for this reason (it
+     *  cannot mean there what it means in a sweep). */
+    const char *sweepOnly = nullptr;
+};
+
+using P = PointConfig;
+using C = Check;
+
+// The run recipe, one row per field, in canonical echo order.
+const Field kFields[] = {
+    {"network", &P::network,
+     "rmb|dualring|torus|grid|ring|mesh|hypercube|ehc|fattree|multibus|"
+     "wormhole",
+     "network under test", C::Choice},
+    {"nodes", &P::nodes, "N", "node count (not torus, mesh or grid)"},
+    {"buses", &P::buses, "K", "buses per ring (RMB bus levels)"},
+    {"width", &P::width, "W", "torus / mesh: columns"},
+    {"height", &P::height, "H", "torus / mesh: rows"},
+    {"dims", &P::dims, "AxBxC", "grid: extent per dimension", C::Dims,
+     Echo::WhenSet},
+    {"workload", &P::workload,
+     "randperm|bitrev|shuffle|transpose|tornado|rot:<s>|hrel:<h>|"
+     "uniform|local:<d>|hotspot:<f>",
+     "traffic; uniform, local and hotspot run open loop, the rest as"
+     " one batch",
+     C::Choice},
+    {"rate", &P::rate, "R", "open loop: messages per node per tick",
+     C::Rate},
+    {"payload", &P::payload, "FLITS", "data flits per message"},
+    {"duration", &P::duration, "T", "open loop: generation window"},
+    {"timeout", &P::timeout, "T",
+     "simulated-tick budget: batch abort and open-loop drain bound",
+     C::Uint, Echo::Always, Alias::None, nullptr,
+     "rmbsim drains open-loop runs for a fixed 1M ticks; run a sweep"
+     " for a tick budget"},
+    {"compaction", &P::compaction, "true|false",
+     "dynamic compaction onto lower bus levels", C::Bool, Echo::Always,
+     Alias::Negate, "no-compaction"},
+    {"engine", &P::engine, "event|kernel", "RMB backend (network=rmb)",
+     C::Choice},
+    {"topology", &P::topology, "flat|hier",
+     "one ring, or rings behind bridges (network=rmb)", C::Choice},
+    {"local_rings", &P::localRings, "M", "hier: local ring count"},
+    {"global_buses", &P::globalBuses, "K",
+     "hier: global ring levels, 0 = same as buses"},
+    {"bridge_latency", &P::bridgeLatency, "T",
+     "hier: ticks per bridge hop"},
+    {"bridge_buffer", &P::bridgeBuffer, "B", "hier: slots per bridge"},
+    {"shard_jobs", &P::shardJobs, "N",
+     "hier: shard threads, 0 = auto; result-neutral", C::Uint,
+     Echo::Never, Alias::Same, "jobs"},
+    {"blocking", &P::blocking, "nack|wait|wait:<t>",
+     "blocked header: NACK and retry, or wait (up to t ticks)",
+     C::Choice},
+    {"header", &P::header, "lowest|straight",
+     "header bus: lowest free level, or straight on", C::Choice},
+    {"send_ports", &P::sendPorts, "S", "send ports per node", C::Uint,
+     Echo::Always, Alias::Pair, "ports"},
+    {"receive_ports", &P::receivePorts, "R", "receive ports per node"},
+    {"detailed_flits", &P::detailedFlits, "true|false",
+     "simulate every data flit", C::Bool},
+    {"fault_mtbf", &P::faultMtbf, "T",
+     "transient faults: mean ticks between faults, 0 = off"},
+    {"fault_mttr_min", &P::faultMttrMin, "MIN", "shortest repair delay",
+     C::Uint, Echo::Always, Alias::Pair, "fault-mttr"},
+    {"fault_mttr_max", &P::faultMttrMax, "MAX", "longest repair delay"},
+    {"fault_permanent_prob", &P::faultPermanentProb, "P",
+     "chance a fault never repairs", C::Prob, Echo::WhenSet},
+    {"fault_node_prob", &P::faultNodeProb, "P",
+     "chance a fault takes out every level at its gap", C::Prob,
+     Echo::WhenSet},
+    {"fault_bridge_prob", &P::faultBridgeProb, "P",
+     "hier: chance a fault lands on a bridge", C::Prob, Echo::WhenSet},
+    {"watchdog", &P::watchdog, "T", "source watchdog timeout, 0 = off"},
+    {"max_retries", &P::maxRetries, "N", "retry cap, 0 = unlimited"},
+    {"timeline_period", &P::timelinePeriod, "T",
+     "per-point timeline sample period, 0 = off", C::Uint,
+     Echo::WhenSet, Alias::None, nullptr,
+     "rmbsim samples its report timeline with --timeline T"
+     " (0 = duration/100)"},
+};
+
+/** Parse all of @p s as a T; allocation-free. */
+template <class T>
+bool
+parseAll(std::string_view s, T &out)
+{
+    const char *end = s.data() + s.size();
+    const auto [stop, ec] = std::from_chars(s.data(), end, out);
+    return ec == std::errc() && stop == end;
 }
 
 bool
-knownNetwork(const std::string &n)
+parseFraction(std::string_view s)
 {
-    static const std::set<std::string> names = {
-        "rmb",  "dualring",  "torus", "multibus", "ring",
-        "mesh", "hypercube", "ehc",   "fattree",  "wormhole"};
-    return names.count(n) != 0;
+    double f = 0.0;
+    return parseAll(s, f) && f >= 0.0 && f <= 1.0;
+}
+
+/** The '|'-separated word @p v selects, or empty; a "prefix:<x>"
+ *  word matches on its prefix alone. */
+std::string_view
+matchWord(std::string_view words, std::string_view v)
+{
+    while (!words.empty()) {
+        const auto bar = std::min(words.find('|'), words.size());
+        const std::string_view word = words.substr(0, bar);
+        words.remove_prefix(std::min(bar + 1, words.size()));
+        const auto lt = word.find('<');
+        if (lt == word.npos ? v == word
+                            : v.substr(0, lt) == word.substr(0, lt))
+            return word;
+    }
+    return {};
 }
 
 bool
-knownWorkload(const std::string &w)
+validDims(std::string_view s)
 {
-    static const std::set<std::string> names = {
-        "randperm", "bitrev",  "shuffle", "transpose",
-        "tornado",  "uniform"};
-    return names.count(w) != 0 || hasPrefix(w, "rot:") ||
-           hasPrefix(w, "hrel:") || hasPrefix(w, "local:") ||
-           hasPrefix(w, "hotspot:");
+    for (;;) {
+        const auto x = s.find('x');
+        std::uint64_t extent = 0;
+        if (!parseAll(s.substr(0, x), extent) || extent < 2 ||
+            extent > UINT32_MAX)
+            return false;
+        if (x == s.npos)
+            return true;
+        s.remove_prefix(x + 1);
+    }
 }
 
 std::string
@@ -48,14 +198,105 @@ typeError(const std::string &field, const char *want,
            got.kindName() + " " + got.serialize();
 }
 
-bool
-getU32(const obs::JsonValue &v, std::uint32_t &out)
+/** Empty if @p v is a valid value of string row @p f, else why not.
+ *  Allocation-free on success: set() runs per sweep point. */
+std::string
+stringError(const Field &f, const std::string &v)
 {
-    std::uint64_t wide = 0;
-    if (!v.asUint64(wide) || wide > UINT32_MAX)
-        return false;
-    out = static_cast<std::uint32_t>(wide);
-    return true;
+    std::string why;
+    if (f.check == Check::Dims) {
+        if (validDims(v))
+            return why;
+        why = " (every extent an integer >= 2)";
+    } else if (const auto word = matchWord(f.syntax, v);
+               !word.empty()) {
+        const auto lt = word.find('<');
+        if (lt == word.npos)
+            return why;
+        const std::string_view param = std::string_view(v).substr(lt);
+        const bool fraction = word.substr(lt) == "<f>";
+        std::uint64_t n = 0;
+        if (fraction ? parseFraction(param) : parseAll(param, n))
+            return why;
+        why = " (" + std::string(word.substr(lt)) + " must be " +
+              (fraction ? "a number in [0, 1])"
+                        : "a non-negative integer)");
+    }
+    return "field '" + std::string(f.name) + "' expects " + f.syntax +
+           ", got '" + v + "'" + why;
+}
+
+/** Check @p v against row @p f and store it in @p slot; @return the
+ *  actionable error, or empty. */
+template <class T>
+std::string
+assign(const Field &f, T &slot, const obs::JsonValue &v)
+{
+    if constexpr (std::is_same_v<T, std::string>) {
+        if (!v.isString())
+            return typeError(f.name, "a string", v);
+        std::string error = stringError(f, v.string());
+        if (error.empty())
+            slot = v.string();
+        return error;
+    } else if constexpr (std::is_same_v<T, bool>) {
+        if (!v.isBool())
+            return typeError(f.name, "a boolean", v);
+        slot = v.boolean();
+    } else if constexpr (std::is_same_v<T, double>) {
+        // NaN compares false against every bound, so both range tests
+        // are written to fail on it rather than silently admit it.
+        const double x = v.isNumber() ? v.number() : std::nan("");
+        const bool rate = f.check == Check::Rate;
+        if (!(rate ? x > 0.0 && x <= 1.0 : x >= 0.0 && x <= 1.0)) {
+            return typeError(f.name,
+                             rate ? "a number in (0, 1]"
+                                  : "a probability in [0, 1]",
+                             v);
+        }
+        slot = x;
+    } else {
+        // asUint64 only accepts an exact non-negative integer token,
+        // so NaN, negatives and fractions are all rejected here.
+        std::uint64_t wide = 0;
+        if (!v.asUint64(wide) || wide > std::numeric_limits<T>::max())
+            return typeError(f.name, "a non-negative integer", v);
+        slot = static_cast<T>(wide);
+    }
+    return "";
+}
+
+/** set() from command-line text: JSON for numbers and booleans, the
+ *  raw text for strings. */
+std::string
+setText(PointConfig &pt, const Field &f, const std::string &text)
+{
+    obs::JsonValue v = obs::JsonValue::makeString(text);
+    obs::JsonValue parsed;
+    std::string ignored;
+    if (!std::holds_alternative<std::string PointConfig::*>(f.slot) &&
+        obs::jsonParse(text, parsed, ignored))
+        v = std::move(parsed);
+    return pt.set(f.name, v);
+}
+
+/** Does command-line @p flag (no leading "--") spell @p field? */
+bool
+flagSpells(std::string_view flag, std::string_view field)
+{
+    return std::equal(
+        flag.begin(), flag.end(), field.begin(), field.end(),
+        [](char a, char b) { return a == (b == '_' ? '-' : b); });
+}
+
+/** One --help line, the doc aligned at column 30. */
+void
+helpLine(std::string &out, const std::string &flag, const char *doc)
+{
+    out += "  " + flag +
+           (flag.size() < 28 ? std::string(28 - flag.size(), ' ')
+                             : "\n" + std::string(30, ' ')) +
+           doc + "\n";
 }
 
 } // namespace
@@ -63,193 +304,136 @@ getU32(const obs::JsonValue &v, std::uint32_t &out)
 std::string
 PointConfig::set(const std::string &field, const obs::JsonValue &value)
 {
-    auto u32 = [&](std::uint32_t &slot) -> std::string {
-        if (!getU32(value, slot))
-            return typeError(field, "a non-negative integer", value);
-        return "";
-    };
-    auto u64 = [&](std::uint64_t &slot) -> std::string {
-        if (!value.asUint64(slot))
-            return typeError(field, "a non-negative integer", value);
-        return "";
-    };
-    auto str = [&](std::string &slot) -> std::string {
-        if (!value.isString())
-            return typeError(field, "a string", value);
-        slot = value.string();
-        return "";
-    };
-    auto boolean = [&](bool &slot) -> std::string {
-        if (!value.isBool())
-            return typeError(field, "a boolean", value);
-        slot = value.boolean();
-        return "";
-    };
-    // Probabilities get their own gate: NaN compares false against
-    // every bound, so a plain range check would silently admit it.
-    auto prob = [&](double &slot) -> std::string {
-        if (!value.isNumber() || std::isnan(value.number()) ||
-            value.number() < 0.0 || value.number() > 1.0) {
-            return typeError(field, "a probability in [0, 1]",
-                             value);
+    for (const Field &f : kFields) {
+        if (field == f.name) {
+            return std::visit(
+                [&](auto member) {
+                    return assign(f, this->*member, value);
+                },
+                f.slot);
         }
-        slot = value.number();
-        return "";
-    };
-
-    if (field == "network") {
-        const std::string err = str(network);
-        if (!err.empty())
-            return err;
-        if (!knownNetwork(network)) {
-            return "unknown network '" + network +
-                   "' (try rmb, dualring, torus, multibus, ring,"
-                   " mesh, hypercube, ehc, fattree or wormhole)";
-        }
-        return "";
     }
-    if (field == "workload") {
-        const std::string err = str(workload);
-        if (!err.empty())
-            return err;
-        if (!knownWorkload(workload)) {
-            return "unknown workload '" + workload +
-                   "' (try randperm, bitrev, shuffle, transpose,"
-                   " tornado, rot:<s>, hrel:<h>, uniform, local:<d>"
-                   " or hotspot:<f>)";
-        }
-        return "";
-    }
-    if (field == "nodes")
-        return u32(nodes);
-    if (field == "buses")
-        return u32(buses);
-    if (field == "width")
-        return u32(width);
-    if (field == "height")
-        return u32(height);
-    if (field == "rate") {
-        if (!value.isNumber() || std::isnan(value.number()) ||
-            value.number() <= 0.0 || value.number() > 1.0) {
-            return typeError(field, "a number in (0, 1]", value);
-        }
-        rate = value.number();
-        return "";
-    }
-    if (field == "payload")
-        return u32(payload);
-    if (field == "duration")
-        return u64(duration);
-    if (field == "timeout")
-        return u64(timeout);
-    if (field == "compaction")
-        return boolean(compaction);
-    if (field == "engine") {
-        const std::string err = str(engine);
-        if (!err.empty())
-            return err;
-        if (engine != "event" && engine != "kernel") {
-            return "field 'engine' expects event or kernel, got '" +
-                   engine + "'";
-        }
-        return "";
-    }
-    if (field == "topology") {
-        const std::string err = str(topology);
-        if (!err.empty())
-            return err;
-        if (topology != "flat" && topology != "hier") {
-            return "field 'topology' expects flat or hier, got '" +
-                   topology + "'";
-        }
-        return "";
-    }
-    if (field == "local_rings")
-        return u32(localRings);
-    if (field == "global_buses")
-        return u32(globalBuses);
-    if (field == "bridge_latency")
-        return u64(bridgeLatency);
-    if (field == "bridge_buffer")
-        return u32(bridgeBuffer);
-    if (field == "shard_jobs")
-        return u32(shardJobs);
-    if (field == "blocking") {
-        const std::string err = str(blocking);
-        if (!err.empty())
-            return err;
-        if (blocking != "nack" && blocking != "wait" &&
-            !hasPrefix(blocking, "wait:")) {
-            return "field 'blocking' expects nack, wait or"
-                   " wait:<timeout>, got '" +
-                   blocking + "'";
-        }
-        return "";
-    }
-    if (field == "header") {
-        const std::string err = str(header);
-        if (!err.empty())
-            return err;
-        if (header != "lowest" && header != "straight") {
-            return "field 'header' expects lowest or straight,"
-                   " got '" +
-                   header + "'";
-        }
-        return "";
-    }
-    if (field == "send_ports")
-        return u32(sendPorts);
-    if (field == "receive_ports")
-        return u32(receivePorts);
-    if (field == "detailed_flits")
-        return boolean(detailedFlits);
-    if (field == "fault_mtbf")
-        return u64(faultMtbf);
-    if (field == "fault_mttr_min")
-        return u64(faultMttrMin);
-    if (field == "fault_mttr_max")
-        return u64(faultMttrMax);
-    if (field == "fault_permanent_prob")
-        return prob(faultPermanentProb);
-    if (field == "fault_node_prob")
-        return prob(faultNodeProb);
-    if (field == "fault_bridge_prob")
-        return prob(faultBridgeProb);
-    if (field == "watchdog")
-        return u64(watchdog);
-    if (field == "max_retries")
-        return u32(maxRetries);
-    // Same hardening as the fault ticks: asUint64 only accepts an
-    // exact non-negative integer token, so NaN, negatives and
-    // fractions are rejected with the actionable message below.
-    if (field == "timeline_period")
-        return u64(timelinePeriod);
-
     std::string known;
-    for (const auto &f : knownFields())
-        known += (known.empty() ? "" : ", ") + f;
+    for (const auto &name : knownFields())
+        known += (known.empty() ? "" : ", ") + name;
     return "unknown field '" + field + "' (known fields: " + known +
            ")";
+}
+
+int
+PointConfig::applyFlag(const std::string &arg, const char *next,
+                       std::string &error)
+{
+    if (arg.rfind("--", 0) != 0)
+        return -1;
+    const std::string_view flag = std::string_view(arg).substr(2);
+    for (const Field &f : kFields) {
+        const bool alias =
+            f.aliasName != nullptr && flag == f.aliasName;
+        if (!alias && !flagSpells(flag, f.name))
+            continue;
+        if (f.sweepOnly != nullptr) {
+            error = arg + " is a sweep field: " + f.sweepOnly;
+            return 0;
+        }
+        if (alias && f.alias == Alias::Negate) {
+            error = set(f.name, obs::JsonValue::makeBool(false));
+            return 0;
+        }
+        if (next == nullptr) {
+            error = arg + " needs a value (" + f.syntax + ")";
+            return 0;
+        }
+        const std::string text = next;
+        if (alias && f.alias == Alias::Pair) {
+            const Field &second = (&f)[1]; // a Pair row is never last
+            const auto comma = text.find(',');
+            error = comma == std::string::npos
+                        ? "expects " + std::string(f.syntax) + "," +
+                              second.syntax
+                        : setText(*this, f, text.substr(0, comma));
+            if (error.empty())
+                error = setText(*this, second, text.substr(comma + 1));
+        } else {
+            error = setText(*this, f, text);
+        }
+        if (!error.empty())
+            error = arg + " " + text + ": " + error;
+        return 1;
+    }
+    return -1;
+}
+
+std::string
+PointConfig::flagHelp()
+{
+    std::string out;
+    for (const Field &f : kFields) {
+        if (f.sweepOnly != nullptr)
+            continue;
+        std::string flag = "--" + std::string(f.name);
+        std::replace(flag.begin(), flag.end(), '_', '-');
+        flag += std::string(" ") + f.syntax;
+        const std::string alias =
+            "--" + std::string(f.aliasName ? f.aliasName : "");
+        if (f.alias == Alias::Same)
+            flag += ", " + alias + " " + f.syntax;
+        if (f.alias == Alias::Negate)
+            flag += ", " + alias;
+        if (f.alias == Alias::Pair)
+            helpLine(out, alias + " " + f.syntax + "," + (&f)[1].syntax,
+                     "sets the next two together");
+        helpLine(out, flag, f.doc);
+    }
+    return out;
 }
 
 const std::vector<std::string> &
 PointConfig::knownFields()
 {
-    static const std::vector<std::string> fields = {
-        "network",    "nodes",         "buses",
-        "width",      "height",        "workload",
-        "rate",       "payload",       "duration",
-        "timeout",    "compaction",    "engine",
-        "topology",   "local_rings",   "global_buses",
-        "bridge_latency", "bridge_buffer", "shard_jobs",
-        "blocking",
-        "header",     "send_ports",    "receive_ports",
-        "detailed_flits",
-        "fault_mtbf", "fault_mttr_min", "fault_mttr_max",
-        "fault_permanent_prob", "fault_node_prob",
-        "fault_bridge_prob",
-        "watchdog",   "max_retries",   "timeline_period"};
+    static const std::vector<std::string> fields = [] {
+        std::vector<std::string> names;
+        for (const Field &f : kFields)
+            names.emplace_back(f.name);
+        return names;
+    }();
     return fields;
+}
+
+std::string
+PointConfig::canonicalJson() const
+{
+    static const PointConfig defaults;
+    obs::JsonWriter json;
+    json.beginObject();
+    for (const Field &f : kFields) {
+        std::visit(
+            [&](auto member) {
+                const auto &v = this->*member;
+                if (f.echo == Echo::Never ||
+                    (f.echo == Echo::WhenSet && v == defaults.*member))
+                    return;
+                if constexpr (std::is_same_v<std::decay_t<decltype(v)>,
+                                             std::uint32_t>)
+                    json.field(f.name, std::uint64_t{v});
+                else
+                    json.field(f.name, v);
+            },
+            f.slot);
+    }
+    json.endObject();
+    return json.str();
+}
+
+std::string
+PointConfig::digest(const std::string &extra) const
+{
+    std::uint64_t h = 1469598103934665603ull;
+    for (const char c : canonicalJson() + '|' + extra)
+        h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
+    std::ostringstream hex;
+    hex << std::hex << h;
+    return hex.str();
 }
 
 bool
@@ -455,53 +639,7 @@ SweepSpec::canonicalJson() const
                            ? std::string("zip")
                            : std::string("cartesian"));
     json.field("seed", masterSeed_);
-    json.beginObject("base");
-    json.field("network", base_.network);
-    json.field("nodes", std::uint64_t{base_.nodes});
-    json.field("buses", std::uint64_t{base_.buses});
-    json.field("width", std::uint64_t{base_.width});
-    json.field("height", std::uint64_t{base_.height});
-    json.field("workload", base_.workload);
-    json.field("rate", base_.rate);
-    json.field("payload", std::uint64_t{base_.payload});
-    json.field("duration", std::uint64_t{base_.duration});
-    json.field("timeout", std::uint64_t{base_.timeout});
-    json.field("compaction", base_.compaction);
-    json.field("engine", base_.engine);
-    json.field("topology", base_.topology);
-    json.field("local_rings", std::uint64_t{base_.localRings});
-    json.field("global_buses", std::uint64_t{base_.globalBuses});
-    json.field("bridge_latency",
-               std::uint64_t{base_.bridgeLatency});
-    json.field("bridge_buffer", std::uint64_t{base_.bridgeBuffer});
-    // shard_jobs is deliberately omitted: it is an execution
-    // strategy, not part of the experiment's identity, and reports
-    // must stay byte-identical across job counts.
-    json.field("blocking", base_.blocking);
-    json.field("header", base_.header);
-    json.field("send_ports", std::uint64_t{base_.sendPorts});
-    json.field("receive_ports", std::uint64_t{base_.receivePorts});
-    json.field("detailed_flits", base_.detailedFlits);
-    json.field("fault_mtbf", std::uint64_t{base_.faultMtbf});
-    json.field("fault_mttr_min", std::uint64_t{base_.faultMttrMin});
-    json.field("fault_mttr_max", std::uint64_t{base_.faultMttrMax});
-    // Permanent/node/bridge fault knobs appear only when set, so
-    // specs predating them canonicalise byte-identically to their
-    // checked-in baselines.
-    if (base_.faultPermanentProb > 0.0)
-        json.field("fault_permanent_prob", base_.faultPermanentProb);
-    if (base_.faultNodeProb > 0.0)
-        json.field("fault_node_prob", base_.faultNodeProb);
-    if (base_.faultBridgeProb > 0.0)
-        json.field("fault_bridge_prob", base_.faultBridgeProb);
-    json.field("watchdog", std::uint64_t{base_.watchdog});
-    json.field("max_retries", std::uint64_t{base_.maxRetries});
-    // Like the fault knobs above: emitted only when set, so specs
-    // predating the field canonicalise byte-identically.
-    if (base_.timelinePeriod > 0)
-        json.field("timeline_period",
-                   std::uint64_t{base_.timelinePeriod});
-    json.endObject();
+    json.raw("base", base_.canonicalJson());
     json.beginArray("axes");
     for (const Axis &axis : axes_) {
         json.beginObject();

@@ -10,6 +10,12 @@
  * schema) and validate with one actionable message per problem, in
  * the style of RmbConfig::validate().
  *
+ * Every run-recipe field is one row of a static table in spec.cc:
+ * name, PointConfig member, value kind and range, doc line and echo
+ * rule.  set(), knownFields(), the canonical echo, the recipe digest
+ * and rmbsim's flags and --help are all derived from it, so adding a
+ * field is one row.
+ *
  * Each materialised PointConfig carries its own seed, derived from
  * the spec's master seed with sim::Random::split(index), so any
  * subset of points can be re-run in any order - or on any number of
@@ -30,7 +36,7 @@ namespace exp {
 
 /**
  * One grid point: a complete, self-contained simulation recipe.
- * Defaults mirror rmbsim's.
+ * rmbsim parses its command line into one of these too.
  */
 struct PointConfig
 {
@@ -48,6 +54,7 @@ struct PointConfig
     std::uint32_t buses = 4;
     std::uint32_t width = 4;  //!< torus / mesh only
     std::uint32_t height = 4; //!< torus / mesh only
+    std::string dims = "4x4x4";   //!< grid only
 
     std::string workload = "randperm";
     double rate = 0.001;          //!< stochastic workloads
@@ -114,8 +121,35 @@ struct PointConfig
     std::string set(const std::string &field,
                     const obs::JsonValue &value);
 
+    /**
+     * Command-line spelling of the field table: `--` + field name
+     * with `_` -> `-`, plus the table's aliases (`--jobs`,
+     * `--ports S,R`, `--fault-mttr MIN,MAX`, `--no-compaction`).
+     * If @p arg is a recipe flag, apply it with its value taken from
+     * @p next (nullptr at the end of argv) and @return how many
+     * arguments after @p arg it consumed (0 or 1); a bad or missing
+     * value sets @p error.  @return -1 if @p arg is not a recipe flag.
+     */
+    int applyFlag(const std::string &arg, const char *next,
+                  std::string &error);
+
+    /** `--help` lines for every recipe flag, from the table. */
+    static std::string flagHelp();
+
     /** All settable field names, for error messages and docs. */
     static const std::vector<std::string> &knownFields();
+
+    /** Compact canonical JSON object of the recipe fields - the
+     *  spec's "base" echo.  Omits shard_jobs (result-neutral) and
+     *  the opt-in fields still at their defaults. */
+    std::string canonicalJson() const;
+
+    /**
+     * FNV-1a digest (hex) of canonicalJson(), then '|' and
+     * @p extra: identifies a run recipe in report provenance.
+     * shard_jobs never changes it.
+     */
+    std::string digest(const std::string &extra = "") const;
 };
 
 /** One swept dimension: a field name and its candidate values. */

@@ -5,8 +5,11 @@
  * execution, report aggregation, and the baseline regression gate.
  */
 
+#include <algorithm>
 #include <atomic>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -218,6 +221,30 @@ TEST(SweepSpec, WrongValueTypeIsActionable)
         spec, errors));
     EXPECT_NE(joined(errors).find("nodes"), std::string::npos)
         << joined(errors);
+
+    // Parameterised values are checked past their prefix when set()
+    // runs, not left to fail late inside every point.
+    const std::pair<const char *, const char *> bad[] = {
+        {"workload", "rot:x"},      {"workload", "hrel:"},
+        {"workload", "local:abc"},  {"workload", "hotspot:1.5"},
+        {"workload", "hotspot:nan"}, {"blocking", "wait:abc"},
+        {"blocking", "wait:-5"},    {"dims", "4x"},
+        {"dims", "4x1x2"},          {"network", "token-ring"},
+    };
+    for (const auto &[field, value] : bad) {
+        exp::SweepSpec bad_spec;
+        std::vector<std::string> bad_errors;
+        EXPECT_FALSE(exp::SweepSpec::fromJson(
+            std::string(R"({ "base": { ")") + field + R"(": ")" +
+                value + R"(" } })",
+            bad_spec, bad_errors))
+            << field << "=" << value;
+        const std::string all = joined(bad_errors);
+        EXPECT_NE(all.find(field), std::string::npos) << all;
+        EXPECT_NE(all.find(std::string("'") + value + "'"),
+                  std::string::npos)
+            << all;
+    }
 }
 
 TEST(SweepSpec, DuplicateAxisFieldRejected)
@@ -325,6 +352,89 @@ TEST(SweepSpec, FaultProbabilitiesCarryIntoPoints)
 }
 
 // ---------------------------------------------------------------
+// The run-recipe field table
+// ---------------------------------------------------------------
+
+exp::PointConfig
+withField(const char *field, const char *json)
+{
+    exp::PointConfig pt;
+    obs::JsonValue v;
+    std::string error;
+    EXPECT_TRUE(obs::jsonParse(json, v, error)) << error;
+    EXPECT_EQ(pt.set(field, v), "") << field;
+    return pt;
+}
+
+TEST(PointConfig, DigestCoversEveryValueKind)
+{
+    const std::string base = exp::PointConfig().digest("1||");
+    // One row of each value kind, including the rows the canonical
+    // echo omits while they hold their defaults.
+    const std::pair<const char *, const char *> changes[] = {
+        {"nodes", "32"},               // 32-bit count
+        {"duration", "999"},           // ticks
+        {"rate", "0.5"},               // rate in (0, 1]
+        {"fault_node_prob", "0.25"},   // probability, echoed when set
+        {"compaction", "false"},       // boolean
+        {"workload", R"("rot:3")"},    // choice with a parameter
+        {"dims", R"("2x2")"},          // grid extents, echoed when set
+        {"timeline_period", "100"},    // ticks, echoed when set
+    };
+    for (const auto &[field, json] : changes)
+        EXPECT_NE(withField(field, json).digest("1||"), base) << field;
+    // shard_jobs is result-neutral, so it never changes the digest;
+    // the caller's extra identity (seed, plan, replay) does.
+    EXPECT_EQ(withField("shard_jobs", "8").digest("1||"), base);
+    EXPECT_NE(exp::PointConfig().digest("2||"), base);
+}
+
+TEST(PointConfig, FlagsAreDerivedFromTheTable)
+{
+    exp::PointConfig pt;
+    std::string error;
+    EXPECT_EQ(pt.applyFlag("--bridge-buffer", "7", error), 1);
+    EXPECT_EQ(error, "");
+    EXPECT_EQ(pt.bridgeBuffer, 7u);
+    EXPECT_EQ(pt.applyFlag("--ports", "2,3", error), 1);
+    EXPECT_EQ(pt.sendPorts, 2u);
+    EXPECT_EQ(pt.receivePorts, 3u);
+    EXPECT_EQ(pt.applyFlag("--fault-mttr", "10,20", error), 1);
+    EXPECT_EQ(pt.faultMttrMin, 10u);
+    EXPECT_EQ(pt.faultMttrMax, 20u);
+    EXPECT_EQ(pt.applyFlag("--jobs", "3", error), 1);
+    EXPECT_EQ(pt.shardJobs, 3u);
+    EXPECT_EQ(pt.applyFlag("--no-compaction", nullptr, error), 0);
+    EXPECT_FALSE(pt.compaction);
+    EXPECT_EQ(error, "");
+    EXPECT_EQ(pt.applyFlag("--seed", "3", error), -1);
+    EXPECT_EQ(pt.applyFlag("--ports", "2", error), 1);
+    EXPECT_NE(error.find("S,R"), std::string::npos) << error;
+
+    // Every field has a flag: without a value it is refused, never
+    // mistaken for an unknown option.
+    for (std::string field : exp::PointConfig::knownFields()) {
+        std::replace(field.begin(), field.end(), '_', '-');
+        error.clear();
+        EXPECT_EQ(pt.applyFlag("--" + field, nullptr, error), 0)
+            << field;
+        EXPECT_FALSE(error.empty()) << field;
+    }
+}
+
+TEST(PointConfig, EveryFieldIsInTheSweepDocs)
+{
+    std::ifstream in(RMB_SOURCE_DIR "/docs/SWEEPS.md");
+    ASSERT_TRUE(in);
+    std::ostringstream text;
+    text << in.rdbuf();
+    for (const auto &field : exp::PointConfig::knownFields())
+        EXPECT_NE(text.str().find("`" + field + "`"),
+                  std::string::npos)
+            << field << " is missing from docs/SWEEPS.md";
+}
+
+// ---------------------------------------------------------------
 // Runner
 // ---------------------------------------------------------------
 
@@ -411,6 +521,28 @@ TEST(Sweep, BadPointIsCapturedNotFatal)
     EXPECT_NE(outcome.results[1].error.find("bus"),
               std::string::npos)
         << outcome.results[1].error;
+
+    // One refusal rule for network x engine x topology: the kernel
+    // engine and the hier topology exist only for network=rmb, and
+    // every other network refuses them instead of ignoring them.
+    exp::SweepSpec engines;
+    ASSERT_TRUE(exp::SweepSpec::fromJson(R"({
+      "base": { "nodes": 8, "payload": 4, "engine": "kernel" },
+      "axes": [ { "field": "network",
+                  "values": ["rmb", "multibus", "grid", "dualring"] } ]
+    })",
+                                         engines, errors))
+        << joined(errors);
+    const auto refused = exp::runSweep(engines, 2);
+    ASSERT_EQ(refused.results.size(), 4u);
+    EXPECT_TRUE(refused.results[0].ok) << refused.results[0].error;
+    for (std::size_t i = 1; i < 4; ++i) {
+        EXPECT_FALSE(refused.results[i].ok);
+        EXPECT_NE(refused.results[i].error.find(
+                      "engine=kernel is only supported with network=rmb"),
+                  std::string::npos)
+            << refused.results[i].error;
+    }
 }
 
 TEST(Sweep, RunPointIsDeterministic)

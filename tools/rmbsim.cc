@@ -19,8 +19,8 @@
  *          --replay /tmp/u.trace
  */
 
+#include <charconv>
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -29,32 +29,22 @@
 #include <string>
 #include <vector>
 
-#include "baselines/fattree.hh"
-#include "baselines/hypercube.hh"
-#include "baselines/mesh.hh"
-#include "baselines/multibus.hh"
-#include "baselines/wormhole_ring.hh"
-#include "common/bitutils.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
+#include "exp/eval.hh"
+#include "exp/spec.hh"
 #include "obs/json.hh"
 #include "obs/prof.hh"
 #include "obs/run_report.hh"
 #include "obs/sinks.hh"
 #include "obs/timeline.hh"
-#include "rmb/dual_ring.hh"
 #include "rmb/engine.hh"
 #include "rmb/fault_plan.hh"
-#include "rmb/grid.hh"
 #include "rmb/hier/hier_network.hh"
-#include "rmb/network.hh"
 #include "report/report.hh"
-#include "rmb/torus.hh"
 #include "sim/simulator.hh"
 #include "workload/driver.hh"
-#include "workload/permutation.hh"
 #include "workload/trace.hh"
-#include "workload/traffic.hh"
 
 namespace {
 
@@ -62,50 +52,12 @@ using namespace rmb;
 
 struct Options
 {
-    std::string network = "rmb";
-    /** --engine: RMB backend (event | kernel). */
-    std::string engine = "event";
-    /** --topology: flat single ring or hier multi-ring (rmb only). */
-    std::string topology = "flat";
-    std::uint32_t localRings = 4;
-    std::uint32_t globalBuses = 0;
-    sim::Tick bridgeLatency = 8;
-    std::uint32_t bridgeBuffer = 4;
-    /** --jobs: shard threads for hier runs (0 = auto).  Result
-     *  neutral: any value produces byte-identical reports. */
-    std::uint32_t jobs = 1;
-    std::uint32_t nodes = 16;
-    std::uint32_t buses = 4;
-    std::uint32_t width = 4;
-    std::uint32_t height = 4;
-    std::string dims = "4x4x4";
-    std::string workload = "randperm";
-    double rate = 0.001;
-    std::uint32_t payload = 32;
-    sim::Tick duration = 50'000;
-    std::uint64_t seed = 1;
-    std::string blocking = "nack";
-    std::string header = "lowest";
-    std::uint32_t sendPorts = 1;
-    std::uint32_t receivePorts = 1;
-    bool compaction = true;
-    /** --fault-mtbf: 0 keeps the transient-fault process off. */
-    sim::Tick faultMtbf = 0;
-    sim::Tick faultMttrMin = 500;
-    sim::Tick faultMttrMax = 2'000;
-    /** --fault-permanent-prob: chance a scheduled fault never
-     *  repairs (permanent segment loss). */
-    double faultPermanentProb = 0.0;
-    /** --fault-node-prob: chance a scheduled fault takes out every
-     *  level at its gap (whole-node failure domain). */
-    double faultNodeProb = 0.0;
-    /** --fault-bridge-prob: chance a scheduled fault lands on a hier
-     *  bridge instead of a segment (topology=hier only). */
-    double faultBridgeProb = 0.0;
+    /** Every result-affecting setting, parsed through the exp field
+     *  table; recipe.seed is --seed, which seeds both the network
+     *  and the workload. */
+    exp::PointConfig recipe;
     /** --fault-plan FILE: replayable JSON fault campaign. */
     std::string faultPlanPath;
-    sim::Tick watchdog = 0;
-    std::uint32_t maxRetries = 0;
     std::string record;
     std::string replay;
     bool csv = false;
@@ -136,61 +88,44 @@ usage(int code = 2)
 {
     (code == 0 ? std::cout : std::cerr)
         << "usage: rmbsim [options]\n"
-           "  --network   rmb|dualring|torus|grid|ring|mesh|"
-           "hypercube|ehc|fattree|multibus|wormhole\n"
-           "  --engine    event|kernel    (rmb backend)\n"
-           "  --topology  flat|hier       (rmb only)\n"
-           "  --local-rings M            (hier: local ring count)\n"
-           "  --global-buses K           (hier: global ring levels,\n"
-           "                              0 = same as --buses)\n"
-           "  --bridge-latency T         (hier: ticks per bridge hop)\n"
-           "  --bridge-buffer B          (hier: slots per bridge)\n"
-           "  --jobs N                   (hier: shard threads,\n"
-           "                              0 = auto; result-neutral)\n"
-           "  --nodes N --buses K        (ring-like networks)\n"
-           "  --width W --height H       (torus / mesh)\n"
-           "  --dims AxBxC                (grid)\n"
-           "  --workload  randperm|bitrev|shuffle|transpose|"
-           "tornado|rot:<s>|uniform|local:<d>|hotspot:<f>\n"
-           "  --rate R --duration T      (stochastic workloads)\n"
-           "  --payload FLITS --seed S\n"
-           "  --blocking  nack|wait|wait:<timeout>\n"
-           "  --header    lowest|straight\n"
-           "  --ports S,R                (send,receive ports/PE)\n"
-           "  --no-compaction\n"
-           "  --fault-mtbf T             (transient faults, mean\n"
-           "                              ticks between faults)\n"
-           "  --fault-mttr MIN,MAX       (repair delay range)\n"
-           "  --fault-permanent-prob P   (chance a fault never\n"
-           "                              repairs)\n"
-           "  --fault-node-prob P        (chance a fault kills a\n"
-           "                              whole node's levels)\n"
-           "  --fault-bridge-prob P      (hier: chance a fault hits\n"
-           "                              a bridge)\n"
-           "  --fault-plan FILE          (replayable JSON fault\n"
-           "                              campaign, see docs/FAULTS"
-           ".md)\n"
-           "  --watchdog T               (source watchdog timeout)\n"
-           "  --max-retries N            (0 = unlimited)\n"
+           "run recipe (the sweep spec fields, docs/SWEEPS.md):\n"
+        << exp::PointConfig::flagHelp()
+        << "run control:\n"
+           "  --seed S                    network and workload seed\n"
+           "  --fault-plan FILE           replayable JSON fault"
+           " campaign (docs/FAULTS.md)\n"
            "  --record FILE | --replay FILE\n"
            "  --csv | --json [FILE] | --heatmap\n"
-           "  --trace FILE               (JSONL protocol events)\n"
-           "  --timeline T               (report sample period,\n"
-           "                              default duration/100;\n"
-           "                              explicit T adds per-shard\n"
-           "                              series on hier runs)\n"
-           "  --profile                  (host-time self-profiler:\n"
-           "                              stdout phase table plus a\n"
-           "                              \"profile\" report section)\n"
-           "  --help | -h\n"
-           "\n"
-           "topology/engine support matrix:\n"
-           "  network=rmb        topology=flat|hier, engine=event|"
-           "kernel\n"
-           "  network=dualring/torus/grid  topology=flat, "
-           "engine=event\n"
-           "  other networks     no --topology / --engine\n";
+           "  --trace FILE                JSONL protocol events\n"
+           "  --timeline T                report sample period,"
+           " 0 = duration/100; an explicit\n"
+           "                              T adds per-shard series on"
+           " hier runs\n"
+           "  --profile                   host-time phase table plus a"
+           " \"profile\" report section\n"
+           "  --help | -h\n";
     std::exit(code);
+}
+
+/** A malformed command line: the message, then exit 2. */
+[[noreturn]] void
+refuse(const std::string &why)
+{
+    std::cerr << "rmbsim: " << why << "\n";
+    std::exit(2);
+}
+
+/** Strict unsigned parse for the non-recipe numeric flags. */
+std::uint64_t
+flagUint(const std::string &flag, const std::string &text)
+{
+    std::uint64_t v = 0;
+    const auto [end, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), v);
+    if (ec != std::errc() || end != text.data() + text.size())
+        refuse(flag + " expects a non-negative integer, got '" + text +
+               "'");
+    return v;
 }
 
 Options
@@ -204,88 +139,17 @@ parse(int argc, char **argv)
     };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--network") {
-            o.network = need(i);
-        } else if (arg == "--engine") {
-            o.engine = need(i);
-        } else if (arg == "--topology") {
-            o.topology = need(i);
-        } else if (arg == "--local-rings") {
-            o.localRings = static_cast<std::uint32_t>(
-                std::stoul(need(i)));
-        } else if (arg == "--global-buses") {
-            o.globalBuses = static_cast<std::uint32_t>(
-                std::stoul(need(i)));
-        } else if (arg == "--bridge-latency") {
-            o.bridgeLatency = std::stoull(need(i));
-        } else if (arg == "--bridge-buffer") {
-            o.bridgeBuffer = static_cast<std::uint32_t>(
-                std::stoul(need(i)));
-        } else if (arg == "--jobs") {
-            o.jobs = static_cast<std::uint32_t>(
-                std::stoul(need(i)));
-        } else if (arg == "--nodes") {
-            o.nodes = static_cast<std::uint32_t>(
-                std::stoul(need(i)));
-        } else if (arg == "--buses") {
-            o.buses = static_cast<std::uint32_t>(
-                std::stoul(need(i)));
-        } else if (arg == "--width") {
-            o.width = static_cast<std::uint32_t>(
-                std::stoul(need(i)));
-        } else if (arg == "--height") {
-            o.height = static_cast<std::uint32_t>(
-                std::stoul(need(i)));
-        } else if (arg == "--dims") {
-            o.dims = need(i);
-        } else if (arg == "--workload") {
-            o.workload = need(i);
-        } else if (arg == "--rate") {
-            o.rate = std::stod(need(i));
-        } else if (arg == "--payload") {
-            o.payload = static_cast<std::uint32_t>(
-                std::stoul(need(i)));
-        } else if (arg == "--duration") {
-            o.duration = std::stoull(need(i));
+        std::string error;
+        const int used = o.recipe.applyFlag(
+            arg, i + 1 < argc ? argv[i + 1] : nullptr, error);
+        if (!error.empty())
+            refuse(error);
+        if (used >= 0) {
+            i += used;
         } else if (arg == "--seed") {
-            o.seed = std::stoull(need(i));
-        } else if (arg == "--blocking") {
-            o.blocking = need(i);
-        } else if (arg == "--header") {
-            o.header = need(i);
-        } else if (arg == "--ports") {
-            const std::string v = need(i);
-            const auto comma = v.find(',');
-            if (comma == std::string::npos)
-                usage();
-            o.sendPorts = static_cast<std::uint32_t>(
-                std::stoul(v.substr(0, comma)));
-            o.receivePorts = static_cast<std::uint32_t>(
-                std::stoul(v.substr(comma + 1)));
-        } else if (arg == "--no-compaction") {
-            o.compaction = false;
-        } else if (arg == "--fault-mtbf") {
-            o.faultMtbf = std::stoull(need(i));
-        } else if (arg == "--fault-mttr") {
-            const std::string v = need(i);
-            const auto comma = v.find(',');
-            if (comma == std::string::npos)
-                usage();
-            o.faultMttrMin = std::stoull(v.substr(0, comma));
-            o.faultMttrMax = std::stoull(v.substr(comma + 1));
-        } else if (arg == "--fault-permanent-prob") {
-            o.faultPermanentProb = std::stod(need(i));
-        } else if (arg == "--fault-node-prob") {
-            o.faultNodeProb = std::stod(need(i));
-        } else if (arg == "--fault-bridge-prob") {
-            o.faultBridgeProb = std::stod(need(i));
+            o.recipe.seed = flagUint(arg, need(i));
         } else if (arg == "--fault-plan") {
             o.faultPlanPath = need(i);
-        } else if (arg == "--watchdog") {
-            o.watchdog = std::stoull(need(i));
-        } else if (arg == "--max-retries") {
-            o.maxRetries = static_cast<std::uint32_t>(
-                std::stoul(need(i)));
         } else if (arg == "--record") {
             o.record = need(i);
         } else if (arg == "--replay") {
@@ -301,7 +165,7 @@ parse(int argc, char **argv)
         } else if (arg == "--trace") {
             o.tracePath = need(i);
         } else if (arg == "--timeline") {
-            o.timeline = std::stoull(need(i));
+            o.timeline = flagUint(arg, need(i));
         } else if (arg == "--heatmap") {
             o.heatmap = true;
         } else if (arg == "--profile") {
@@ -316,235 +180,29 @@ parse(int argc, char **argv)
     return o;
 }
 
-core::RmbConfig
-rmbConfig(const Options &o)
-{
-    core::RmbConfig cfg;
-    if (o.engine == "kernel")
-        cfg.engine = core::EngineKind::Kernel;
-    else if (o.engine != "event")
-        fatal("unknown engine '", o.engine, "' (event | kernel)");
-    if (o.topology == "hier") {
-        cfg.topology = core::TopologyKind::Hier;
-        cfg.localRings = o.localRings;
-        cfg.globalBuses = o.globalBuses;
-        cfg.bridgeLatency = o.bridgeLatency;
-        cfg.bridgeBuffer = o.bridgeBuffer;
-        cfg.shardJobs = o.jobs;
-    } else if (o.topology != "flat") {
-        fatal("unknown topology '", o.topology,
-              "' (flat | hier)");
-    }
-    cfg.numNodes = o.nodes;
-    cfg.numBuses = o.buses;
-    cfg.seed = o.seed;
-    cfg.enableCompaction = o.compaction;
-    if (o.faultMtbf > 0) {
-        cfg.transientFaults = true;
-        cfg.faultMtbf = o.faultMtbf;
-        cfg.faultMttrMin = o.faultMttrMin;
-        cfg.faultMttrMax = o.faultMttrMax;
-        cfg.faultPermanentProb = o.faultPermanentProb;
-        cfg.faultNodeProb = o.faultNodeProb;
-        cfg.faultBridgeProb = o.faultBridgeProb;
-    }
-    // A scripted fault plan hits occupied segments too, so it needs
-    // the same recovery machinery as the stochastic schedule.
-    if (!o.faultPlanPath.empty())
-        cfg.transientFaults = true;
-    cfg.watchdogTimeout = o.watchdog;
-    cfg.maxRetries = o.maxRetries;
-    cfg.sendPorts = o.sendPorts;
-    cfg.receivePorts = o.receivePorts;
-    cfg.headerPolicy = o.header == "straight"
-                           ? core::HeaderPolicy::PreferStraight
-                           : core::HeaderPolicy::PreferLowest;
-    if (o.blocking == "wait") {
-        cfg.blocking = core::BlockingPolicy::Wait;
-    } else if (o.blocking.rfind("wait:", 0) == 0) {
-        cfg.blocking = core::BlockingPolicy::Wait;
-        cfg.headerTimeout = std::stoull(o.blocking.substr(5));
-    } else if (o.blocking == "nack") {
-        cfg.blocking = core::BlockingPolicy::NackRetry;
-    } else {
-        fatal("unknown blocking policy '", o.blocking, "'");
-    }
-    return cfg;
-}
-
-std::unique_ptr<net::Network>
-makeNetwork(const Options &o, sim::Simulator &simulator)
-{
-    baseline::CircuitConfig circuit;
-    circuit.seed = o.seed;
-    // Fail combinations the backends would silently ignore: the
-    // hier topology and the kernel engine exist only behind the
-    // core::Engine factory, i.e. --network rmb.
-    if (o.topology == "hier" && o.network != "rmb") {
-        fatal("--topology hier is only supported with --network "
-              "rmb; '", o.network,
-              "' has its own fixed topology (drop --topology, or "
-              "use --network rmb)");
-    }
-    if (o.engine == "kernel" && o.network != "rmb") {
-        fatal("--engine kernel is only supported with --network "
-              "rmb; '", o.network,
-              "' would silently ignore it (drop --engine, or use "
-              "--network rmb)");
-    }
-    if (o.network == "rmb") {
-        // Backend selection (--engine) happens inside makeEngine;
-        // everything downstream sees only the core::Engine contract.
-        return core::makeEngine(simulator, rmbConfig(o));
-    }
-    if (o.network == "dualring") {
-        return std::make_unique<core::DualRingRmbNetwork>(
-            simulator, rmbConfig(o));
-    }
-    if (o.network == "torus") {
-        core::RmbConfig cfg = rmbConfig(o);
-        return std::make_unique<core::RmbTorusNetwork>(
-            simulator, o.width, o.height, cfg);
-    }
-    if (o.network == "grid") {
-        std::vector<std::uint32_t> dims;
-        std::size_t pos = 0;
-        while (pos < o.dims.size()) {
-            const auto x = o.dims.find('x', pos);
-            const auto part = o.dims.substr(
-                pos, x == std::string::npos ? std::string::npos
-                                            : x - pos);
-            if (part.empty())
-                fatal("bad --dims '", o.dims, "'");
-            dims.push_back(static_cast<std::uint32_t>(
-                std::stoul(part)));
-            pos = x == std::string::npos ? o.dims.size() : x + 1;
-        }
-        return std::make_unique<core::RmbGridNetwork>(
-            simulator, dims, rmbConfig(o));
-    }
-    if (o.network == "ring") {
-        return std::make_unique<baseline::IdealRingNetwork>(
-            simulator, o.nodes, o.buses, circuit);
-    }
-    if (o.network == "mesh") {
-        return std::make_unique<baseline::MeshNetwork>(
-            simulator, o.width, o.height, circuit);
-    }
-    if (o.network == "hypercube" || o.network == "ehc") {
-        if (!isPowerOfTwo(o.nodes))
-            fatal("hypercube needs --nodes = 2^n");
-        return std::make_unique<baseline::HypercubeNetwork>(
-            simulator, log2Floor(o.nodes), circuit,
-            o.network == "ehc");
-    }
-    if (o.network == "fattree") {
-        return std::make_unique<baseline::FatTreeNetwork>(
-            simulator, o.nodes, o.buses, circuit);
-    }
-    if (o.network == "multibus") {
-        return std::make_unique<baseline::MultiBusNetwork>(
-            simulator, o.nodes, o.buses, circuit);
-    }
-    if (o.network == "wormhole") {
-        baseline::WormholeConfig cfg;
-        cfg.vcsPerClass = o.buses / 2 ? o.buses / 2 : 1;
-        return std::make_unique<baseline::WormholeRingNetwork>(
-            simulator, o.nodes, cfg);
-    }
-    fatal("unknown network '", o.network, "'");
-}
-
-/** Batch (permutation) workloads return a pair list; stochastic
- *  ones return empty and use rate/duration. */
-workload::PairList
-batchWorkload(const Options &o, net::NodeId n, sim::Random &rng)
-{
-    const std::string &w = o.workload;
-    if (w == "randperm")
-        return workload::toPairs(
-            workload::randomFullTraffic(n, rng));
-    if (w == "bitrev")
-        return workload::toPairs(workload::bitReversal(n));
-    if (w == "shuffle")
-        return workload::toPairs(workload::perfectShuffle(n));
-    if (w == "transpose")
-        return workload::toPairs(workload::transpose(n));
-    if (w == "tornado")
-        return workload::toPairs(workload::rotation(n, n / 2));
-    if (w.rfind("rot:", 0) == 0) {
-        return workload::toPairs(workload::rotation(
-            n, static_cast<net::NodeId>(
-                   std::stoul(w.substr(4)) % n)));
-    }
-    return {};
-}
-
-std::unique_ptr<workload::TrafficPattern>
-stochasticWorkload(const Options &o, net::NodeId n)
-{
-    const std::string &w = o.workload;
-    if (w == "uniform")
-        return std::make_unique<workload::UniformTraffic>(n);
-    if (w.rfind("local:", 0) == 0) {
-        return std::make_unique<workload::LocalRingTraffic>(
-            n, static_cast<net::NodeId>(std::stoul(w.substr(6))));
-    }
-    if (w.rfind("hotspot:", 0) == 0) {
-        return std::make_unique<workload::HotSpotTraffic>(
-            n, 0, std::stod(w.substr(8)));
-    }
-    return nullptr;
-}
-
 /**
- * FNV-1a digest of every result-affecting option, hex-encoded.
- *
- * Deliberately excludes `jobs`: shard parallelism is result-neutral
- * (reports are byte-compared across --jobs values), so two runs that
- * differ only in thread count must share a digest.  Output paths
- * (--json/--trace/--record) are excluded for the same reason.
+ * Seed / config / build identity for reproducing any artifact.  The
+ * digest covers the recipe (never shard_jobs: reports are
+ * byte-compared across --jobs values), the seed, the fault plan and
+ * the replayed trace; output paths are excluded.
  */
-std::string
-configDigest(const Options &o)
-{
-    std::ostringstream joined;
-    joined << o.network << '|' << o.engine << '|' << o.topology
-           << '|' << o.localRings << '|' << o.globalBuses << '|'
-           << o.bridgeLatency << '|' << o.bridgeBuffer << '|'
-           << o.nodes << '|' << o.buses << '|' << o.width << '|'
-           << o.height << '|' << o.dims << '|' << o.workload << '|'
-           << o.rate << '|' << o.payload << '|' << o.duration << '|'
-           << o.seed << '|' << o.blocking << '|' << o.header << '|'
-           << o.sendPorts << ',' << o.receivePorts << '|'
-           << o.compaction << '|' << o.faultMtbf << '|'
-           << o.faultMttrMin << ',' << o.faultMttrMax << '|'
-           << o.faultPermanentProb << '|' << o.faultNodeProb << '|'
-           << o.faultBridgeProb << '|' << o.faultPlanPath << '|'
-           << o.watchdog << '|' << o.maxRetries << '|' << o.replay;
-    std::uint64_t h = 1469598103934665603ull;
-    for (const char c : joined.str())
-        h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
-    std::ostringstream hex;
-    hex << std::hex << h;
-    return hex.str();
-}
-
-/** Seed / config / build identity for reproducing any artifact. */
 std::string
 provenanceJson(const Options &o)
 {
+    const exp::PointConfig &pt = o.recipe;
     obs::JsonWriter json;
     json.beginObject();
-    json.field("seed", o.seed);
-    json.field("config_digest", configDigest(o));
+    json.field("seed", pt.seed);
+    json.field("config_digest",
+               pt.digest(std::to_string(pt.seed) + '|' +
+                         o.faultPlanPath + '|' + o.replay));
 #ifdef NDEBUG
     json.field("build_type", "release");
 #else
     json.field("build_type", "debug");
 #endif
-    json.field("engine", o.engine);
-    json.field("topology", o.topology);
+    json.field("engine", pt.engine);
+    json.field("topology", pt.topology);
     json.endObject();
     return json.str();
 }
@@ -572,13 +230,14 @@ writeReport(const Options &o, const net::Network &network,
             const obs::TimelineSampler *timeline)
 {
     obs::RunReport report("rmbsim");
-    report.set("network", o.network);
-    if (o.topology != "flat")
-        report.set("topology", o.topology);
-    report.set("workload", o.workload);
+    const exp::PointConfig &pt = o.recipe;
+    report.set("network", pt.network);
+    if (pt.topology != "flat")
+        report.set("topology", pt.topology);
+    report.set("workload", pt.workload);
     report.set("nodes", std::uint64_t{network.numNodes()});
-    report.set("payload", std::uint64_t{o.payload});
-    report.set("seed", o.seed);
+    report.set("payload", std::uint64_t{pt.payload});
+    report.set("seed", pt.seed);
     report.set("ticks", static_cast<std::uint64_t>(now));
     report.setRaw("provenance", provenanceJson(o));
     report.setRaw("stats", report::statsToJson(network, now));
@@ -691,18 +350,28 @@ int
 main(int argc, char **argv)
 {
     const Options o = parse(argc, argv);
+    const exp::PointConfig &pt = o.recipe;
     // Enabled before any network work so construction phases are
     // captured too; when off, every scope is a single branch.
     obs::prof::setEnabled(o.profile);
 
     sim::Simulator simulator;
-    auto network = makeNetwork(o, simulator);
+    core::RmbConfig cfg =
+        exp::rmbConfig(pt, pt.seed, core::VerifyLevel::Cheap);
+    // A scripted fault plan hits occupied segments too, so it needs
+    // the same recovery machinery as the stochastic schedule.
+    if (!o.faultPlanPath.empty())
+        cfg.transientFaults = true;
+    std::string error;
+    auto network = exp::makeNetwork(pt, cfg, simulator, error);
+    if (!network)
+        fatal(error);
 
     if (!o.faultPlanPath.empty()) {
         auto *eng = dynamic_cast<core::Engine *>(network.get());
         if (eng == nullptr) {
             fatal("--fault-plan needs an RMB engine network "
-                  "(--network rmb); '", o.network,
+                  "(--network rmb); '", pt.network,
                   "' has no fault domain");
         }
         std::ifstream in(o.faultPlanPath);
@@ -753,7 +422,7 @@ main(int argc, char **argv)
             return;
         sim::Tick period = o.timeline;
         if (period == 0)
-            period = o.duration / 100 ? o.duration / 100 : 1;
+            period = pt.duration / 100 ? pt.duration / 100 : 1;
         timeline = std::make_unique<obs::TimelineSampler>(simulator,
                                                           period);
         net::Network *net = network.get();
@@ -825,7 +494,7 @@ main(int argc, char **argv)
         });
         timeline->start();
     };
-    sim::Random rng(o.seed);
+    sim::Random rng(pt.seed);
 
     if (!o.replay.empty()) {
         std::ifstream in(o.replay);
@@ -843,11 +512,14 @@ main(int argc, char **argv)
         return 0;
     }
 
-    const auto pairs = batchWorkload(o, network->numNodes(), rng);
+    const auto pairs =
+        exp::batchPairs(pt, network->numNodes(), rng, error);
+    if (!error.empty())
+        fatal(error);
     if (!pairs.empty()) {
         startTimeline(0);
         const auto r =
-            workload::runBatch(*network, pairs, o.payload);
+            workload::runBatch(*network, pairs, pt.payload);
         std::cout << (r.completed ? "batch completed"
                                   : "batch TIMED OUT")
                   << ": makespan " << r.makespan << "\n";
@@ -855,7 +527,7 @@ main(int argc, char **argv)
             workload::Trace trace;
             for (const auto &[src, dst] : pairs)
                 trace.push_back(
-                    workload::TraceEvent{0, src, dst, o.payload});
+                    workload::TraceEvent{0, src, dst, pt.payload});
             std::ofstream out(o.record);
             workload::writeTrace(out, trace);
         }
@@ -864,12 +536,13 @@ main(int argc, char **argv)
         return 0;
     }
 
-    auto pattern = stochasticWorkload(o, network->numNodes());
+    auto pattern =
+        exp::stochasticPattern(pt, network->numNodes(), error);
     if (!pattern)
-        fatal("unknown workload '", o.workload, "'");
+        fatal(error);
     if (!o.record.empty()) {
         const auto trace = workload::generateTrace(
-            *pattern, o.rate, o.payload, o.duration, rng);
+            *pattern, pt.rate, pt.payload, pt.duration, rng);
         {
             std::ofstream out(o.record);
             if (!out)
@@ -885,10 +558,10 @@ main(int argc, char **argv)
                    timeline.get());
         return 0;
     }
-    startTimeline(o.duration);
+    startTimeline(pt.duration);
     const auto r = workload::runOpenLoop(
-        *network, *pattern, o.rate, o.payload, o.duration, rng,
-        o.duration / 10);
+        *network, *pattern, pt.rate, pt.payload, pt.duration, rng,
+        pt.duration / 10);
     std::cout << "open loop: offered " << r.offeredLoad
               << " msgs/node/tick, throughput " << r.throughput
               << ", mean latency " << r.meanLatency << "\n";
