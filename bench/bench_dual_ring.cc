@@ -14,8 +14,8 @@
 
 #include "bench/bench_util.hh"
 #include "common/table.hh"
-#include "rmb/dual_ring.hh"
 #include "rmb/network.hh"
+#include "rmb/ring_graph.hh"
 #include "sim/simulator.hh"
 #include "workload/driver.hh"
 #include "workload/permutation.hh"
@@ -52,8 +52,8 @@ runDual(std::uint32_t n, std::uint32_t k,
     cfg.numBuses = k;
     cfg.seed = seed;
     cfg.verify = core::VerifyLevel::Off;
-    core::DualRingRmbNetwork net(s, cfg);
-    const auto r = workload::runBatch(net, pairs, payload,
+    const auto net = core::makeDualRing(s, cfg);
+    const auto r = workload::runBatch(*net, pairs, payload,
                                       20'000'000);
     return r.completed ? static_cast<double>(r.makespan) : -1.0;
 }

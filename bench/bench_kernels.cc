@@ -16,8 +16,8 @@
 #include "bench/bench_util.hh"
 #include "common/table.hh"
 #include "offline/schedule.hh"
-#include "rmb/dual_ring.hh"
 #include "rmb/network.hh"
+#include "rmb/ring_graph.hh"
 #include "sim/simulator.hh"
 #include "workload/kernels.hh"
 
@@ -43,7 +43,7 @@ make(int which, sim::Simulator &s, std::uint32_t n,
         cfg.numNodes = n;
         cfg.numBuses = k;
         cfg.verify = core::VerifyLevel::Off;
-        return std::make_unique<core::DualRingRmbNetwork>(s, cfg);
+        return core::makeDualRing(s, cfg);
       }
       case 2:
         // 4-ary 2-cube for N = 16, 4-ary 3-cube for N = 64.

@@ -19,11 +19,9 @@
 #include "obs/sinks.hh"
 #include "obs/timeline.hh"
 #include "obs/trace.hh"
-#include "rmb/dual_ring.hh"
 #include "rmb/engine.hh"
-#include "rmb/grid.hh"
 #include "rmb/network.hh"
-#include "rmb/torus.hh"
+#include "rmb/ring_graph.hh"
 #include "sim/random.hh"
 #include "sim/simulator.hh"
 #include "workload/driver.hh"
@@ -141,27 +139,28 @@ makeNetwork(const PointConfig &pt, const core::RmbConfig &rmb_cfg,
         return nullptr;
     }
 
-    // Hier and the kernel engine exist only behind core::makeEngine;
-    // every other network would silently ignore them.
-    if (pt.network != "rmb" &&
-        (pt.topology != "flat" || pt.engine != "event")) {
-        error = (pt.topology != "flat" ? "topology=" + pt.topology
-                                       : "engine=" + pt.engine) +
-                " is only supported with network=rmb; '" +
-                pt.network +
+    // The hierarchy exists only behind core::makeEngine and the
+    // kernel engine only on RMB rings; every other network would
+    // silently ignore them.
+    const bool rings = pt.network == "rmb" || pt.network == "dualring" ||
+                       pt.network == "torus" || pt.network == "grid";
+    if ((pt.network != "rmb" && pt.topology != "flat") ||
+        (!rings && pt.engine != "event")) {
+        error = (pt.topology != "flat"
+                     ? "topology=" + pt.topology +
+                           " is only supported with network=rmb"
+                     : "engine=" + pt.engine +
+                           " is only supported with network=rmb,"
+                           " dualring, torus or grid") +
+                "; '" + pt.network +
                 "' would silently ignore it (drop it, or use"
                 " network=rmb)";
         return nullptr;
     }
 
-    if (pt.network == "rmb" || pt.network == "dualring" ||
-        pt.network == "torus" || pt.network == "grid") {
+    if (rings) {
         core::RmbConfig cfg = rmb_cfg;
-        // Per-ring size for validation; the composite ctors reset it.
-        if (pt.network == "torus")
-            cfg.numNodes = pt.width;
-        else if (pt.network == "grid")
-            cfg.numNodes = dims.front();
+        cfg.numNodes = static_cast<std::uint32_t>(nodes);
         const auto problems = cfg.validate();
         if (!problems.empty()) {
             error = problems.front();
@@ -172,13 +171,10 @@ makeNetwork(const PointConfig &pt, const core::RmbConfig &rmb_cfg,
         if (pt.network == "rmb")
             return core::makeEngine(simulator, cfg);
         if (pt.network == "dualring")
-            return std::make_unique<core::DualRingRmbNetwork>(
-                simulator, cfg);
+            return core::makeDualRing(simulator, cfg);
         if (pt.network == "grid")
-            return std::make_unique<core::RmbGridNetwork>(
-                simulator, dims, cfg);
-        return std::make_unique<core::RmbTorusNetwork>(
-            simulator, pt.width, pt.height, cfg);
+            return core::makeGrid(simulator, dims, cfg);
+        return core::makeTorus(simulator, pt.width, pt.height, cfg);
     }
 
     const auto n = static_cast<std::uint32_t>(nodes);

@@ -53,8 +53,9 @@ core::RmbConfig rmbConfig(const PointConfig &pt,
  * Build @p pt's network over @p cfg (from rmbConfig(); its seed also
  * seeds the baselines), or return nullptr with @p error set to one
  * actionable message.  Refuses every combination a backend would
- * silently ignore: topology=hier and engine=kernel exist only for
- * network=rmb.
+ * silently ignore: topology=hier exists only for network=rmb, and
+ * engine=kernel only for the RMB ring networks (rmb, dualring, torus,
+ * grid).
  */
 std::unique_ptr<net::Network> makeNetwork(const PointConfig &pt,
                                           const core::RmbConfig &cfg,

@@ -97,7 +97,8 @@ const Field kFields[] = {
     {"compaction", &P::compaction, "true|false",
      "dynamic compaction onto lower bus levels", C::Bool, Echo::Always,
      Alias::Negate, "no-compaction"},
-    {"engine", &P::engine, "event|kernel", "RMB backend (network=rmb)",
+    {"engine", &P::engine, "event|kernel",
+     "RMB backend of every ring (rmb, dualring, torus, grid)",
      C::Choice},
     {"topology", &P::topology, "flat|hier",
      "one ring, or rings behind bridges (network=rmb)", C::Choice},

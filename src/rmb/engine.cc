@@ -4,9 +4,9 @@
 #include <sstream>
 
 #include "common/logging.hh"
-#include "rmb/hier/hier_network.hh"
 #include "rmb/kernel/kernel_engine.hh"
 #include "rmb/network.hh"
+#include "rmb/ring_graph.hh"
 #include "rmb/supervisor.hh"
 
 namespace rmb {
@@ -284,7 +284,7 @@ makeEngine(sim::Simulator &simulator, const RmbConfig &config)
     // Topology outranks the engine switch: the hierarchy is a
     // composition whose constituent rings each run config.engine.
     if (config.topology == TopologyKind::Hier)
-        return std::make_unique<hier::HierNetwork>(simulator, config);
+        return makeHier(simulator, config);
     switch (config.engine) {
     case EngineKind::Event:
         return std::make_unique<RmbNetwork>(simulator, config);

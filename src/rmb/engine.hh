@@ -84,7 +84,7 @@ struct RmbStats
     obs::Counter &faultsPermanent;
     /** Whole-node fault events (all healthy levels of one gap). */
     obs::Counter &nodeFaults;
-    /** Whole-bridge fault events (topology=hier only). */
+    /** Whole-bridge fault events (shapes with bridges only). */
     obs::Counter &bridgeFaults;
 
     /**
@@ -196,10 +196,10 @@ class Engine : public net::Network
 
     /**
      * Number of gap coordinates failSegment accepts.  The flat ring's
-     * domain is its N gaps; composed topologies (the hier backend)
+     * domain is its N gaps; composed topologies (core::RingGraph)
      * extend the coordinate space so the fault schedule can hit every
-     * constituent segment, including global-ring/bridge segments
-     * (docs/HIERARCHY.md documents the hier numbering).
+     * constituent ring's segments, the hierarchy's global ring
+     * included (docs/HIERARCHY.md documents the numbering).
      */
     virtual GapId faultDomainGaps() const { return config().numNodes; }
 
@@ -291,7 +291,8 @@ class Engine : public net::Network
     // every open message with progressStamp() and, when a stamp sits
     // unchanged for config().watchdogTimeout ticks, asks the engine to
     // rescueStalled() it.  The hooks are generic so the supervisor
-    // works identically on the event, kernel and hier backends.
+    // works identically on the event and kernel backends and on
+    // every composed shape.
 
     /**
      * Progress fingerprint of open message @p id.  Any value, with

@@ -114,7 +114,7 @@ enum class TopologyKind : std::uint8_t
     /**
      * localRings local rings of numNodes/localRings nodes each, plus
      * one global ring of localRings nodes, joined by bridge INCs
-     * (`HierNetwork`, src/rmb/hier/).  Each constituent ring is a
+     * (`makeHier`, src/rmb/ring_graph.hh).  Each constituent ring is a
      * complete RMB instance; bridges store-and-forward between
      * levels with bounded buffering and Nack-style deflection.
      */

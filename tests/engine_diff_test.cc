@@ -23,6 +23,7 @@
  * the equality sweep against the mutated kernel.
  */
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -33,6 +34,7 @@
 #include "rmb/engine.hh"
 #include "rmb/kernel/kernel_engine.hh"
 #include "rmb/network.hh"
+#include "rmb/ring_graph.hh"
 #include "sim/random.hh"
 #include "sim/simulator.hh"
 
@@ -79,16 +81,22 @@ mutateViaEnv()
     return common::mutationHook("RMB_KERNEL_MUTATE");
 }
 
+/** Builds the network under test (the flat factory by default). */
+using Build = std::function<std::unique_ptr<core::Engine>(
+    sim::Simulator &, const core::RmbConfig &)>;
+
 /**
  * Run @p cfg under both engines in lockstep chunks, auditing both
  * every chunk, until both reach full delivery (or a generous cap).
- * Returns the two outcome digests.
+ * Returns the two outcome digests.  The kernel mutation applies to
+ * flat rings only.
  */
 std::pair<std::string, std::string>
 runBoth(const core::RmbConfig &cfg, std::uint64_t messages,
         sim::Tick horizon,
         core::CycleKernelEngine::TestMutation mutation =
-            core::CycleKernelEngine::TestMutation::None)
+            core::CycleKernelEngine::TestMutation::None,
+        const Build &build = core::makeEngine)
 {
     core::RmbConfig event_cfg = cfg;
     event_cfg.engine = core::EngineKind::Event;
@@ -97,18 +105,19 @@ runBoth(const core::RmbConfig &cfg, std::uint64_t messages,
 
     sim::Simulator event_sim;
     sim::Simulator kernel_sim;
-    auto event_net = core::makeEngine(event_sim, event_cfg);
-    auto kernel_net = core::makeEngine(kernel_sim, kernel_cfg);
-    auto *kernel = dynamic_cast<core::CycleKernelEngine *>(
-        kernel_net.get());
-    if (kernel == nullptr) {
-        ADD_FAILURE() << "factory returned the wrong type";
+    auto event_net = build(event_sim, event_cfg);
+    auto kernel_net = build(kernel_sim, kernel_cfg);
+    if (auto *kernel = dynamic_cast<core::CycleKernelEngine *>(
+            kernel_net.get())) {
+        if (mutateViaEnv())
+            mutation = core::CycleKernelEngine::TestMutation::
+                ShortCircuit;
+        kernel->setTestMutation(mutation);
+    } else if (mutation !=
+               core::CycleKernelEngine::TestMutation::None) {
+        ADD_FAILURE() << "a kernel mutation needs a flat kernel ring";
         return {};
     }
-    if (mutateViaEnv())
-        mutation = core::CycleKernelEngine::TestMutation::
-            ShortCircuit;
-    kernel->setTestMutation(mutation);
 
     const auto sends = makeWorkload(cfg, messages, horizon);
     for (net::Network *net : {static_cast<net::Network *>(
@@ -164,7 +173,8 @@ baseConfig(std::uint32_t nodes, std::uint32_t buses,
     return cfg;
 }
 
-/** The tentpole sweep: N x k x load x seed, fault-free. */
+/** The tentpole sweep: N x k x load x seed, fault-free, on the flat
+ *  ring and on every composed shape. */
 TEST(EngineDiff, OutcomesMatchAcrossTopologiesAndLoads)
 {
     for (const std::uint32_t nodes : {4u, 8u, 16u, 33u}) {
@@ -181,6 +191,39 @@ TEST(EngineDiff, OutcomesMatchAcrossTopologiesAndLoads)
                         runBoth(cfg, load, 20'000);
                     EXPECT_EQ(ev, kn);
                 }
+            }
+        }
+    }
+
+    // The composed shapes run the chosen engine in every ring.
+    const std::vector<std::pair<const char *, Build>> shapes = {
+        {"dual ring 16",
+         [](sim::Simulator &s, const core::RmbConfig &c)
+             -> std::unique_ptr<core::Engine> {
+             return core::makeDualRing(s, c);
+         }},
+        {"torus 4x4",
+         [](sim::Simulator &s, const core::RmbConfig &c)
+             -> std::unique_ptr<core::Engine> {
+             return core::makeTorus(s, 4, 4, c);
+         }},
+        {"grid 4x2x2",
+         [](sim::Simulator &s, const core::RmbConfig &c)
+             -> std::unique_ptr<core::Engine> {
+             return core::makeGrid(s, {4, 2, 2}, c);
+         }},
+    };
+    for (const auto &[name, build] : shapes) {
+        for (const std::uint64_t load : {40ull, 200ull}) {
+            for (const std::uint64_t seed : {1ull, 99ull}) {
+                SCOPED_TRACE(std::string(name) +
+                             " msgs=" + std::to_string(load) +
+                             " seed=" + std::to_string(seed));
+                const auto [ev, kn] = runBoth(
+                    baseConfig(16, 2, seed), load, 20'000,
+                    core::CycleKernelEngine::TestMutation::None,
+                    build);
+                EXPECT_EQ(ev, kn);
             }
         }
     }

@@ -523,26 +523,43 @@ TEST(Sweep, BadPointIsCapturedNotFatal)
         << outcome.results[1].error;
 
     // One refusal rule for network x engine x topology: the kernel
-    // engine and the hier topology exist only for network=rmb, and
-    // every other network refuses them instead of ignoring them.
+    // engine runs on every RMB ring network, the hier topology only
+    // on network=rmb, and every other network refuses them instead
+    // of ignoring them.
     exp::SweepSpec engines;
     ASSERT_TRUE(exp::SweepSpec::fromJson(R"({
-      "base": { "nodes": 8, "payload": 4, "engine": "kernel" },
+      "base": { "nodes": 8, "payload": 4, "engine": "kernel",
+                "dims": "4x2" },
       "axes": [ { "field": "network",
                   "values": ["rmb", "multibus", "grid", "dualring"] } ]
     })",
                                          engines, errors))
         << joined(errors);
-    const auto refused = exp::runSweep(engines, 2);
-    ASSERT_EQ(refused.results.size(), 4u);
-    EXPECT_TRUE(refused.results[0].ok) << refused.results[0].error;
-    for (std::size_t i = 1; i < 4; ++i) {
-        EXPECT_FALSE(refused.results[i].ok);
-        EXPECT_NE(refused.results[i].error.find(
-                      "engine=kernel is only supported with network=rmb"),
-                  std::string::npos)
-            << refused.results[i].error;
-    }
+    const auto kernel = exp::runSweep(engines, 2);
+    ASSERT_EQ(kernel.results.size(), 4u);
+    for (const std::size_t i : {0u, 2u, 3u})
+        EXPECT_TRUE(kernel.results[i].ok) << kernel.results[i].error;
+    EXPECT_FALSE(kernel.results[1].ok);
+    EXPECT_NE(kernel.results[1].error.find(
+                  "engine=kernel is only supported with network=rmb"),
+              std::string::npos)
+        << kernel.results[1].error;
+
+    exp::SweepSpec topologies;
+    ASSERT_TRUE(exp::SweepSpec::fromJson(R"({
+      "base": { "network": "torus", "payload": 4 },
+      "axes": [ { "field": "topology", "values": ["flat", "hier"] } ]
+    })",
+                                         topologies, errors))
+        << joined(errors);
+    const auto hier = exp::runSweep(topologies, 2);
+    ASSERT_EQ(hier.results.size(), 2u);
+    EXPECT_TRUE(hier.results[0].ok) << hier.results[0].error;
+    EXPECT_FALSE(hier.results[1].ok);
+    EXPECT_NE(hier.results[1].error.find(
+                  "topology=hier is only supported with network=rmb"),
+              std::string::npos)
+        << hier.results[1].error;
 }
 
 TEST(Sweep, RunPointIsDeterministic)

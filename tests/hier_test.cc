@@ -1,7 +1,7 @@
 /**
  * @file
  * Correctness tests of the hierarchical multi-ring engine
- * (src/rmb/hier/, docs/HIERARCHY.md).
+ * (makeHier in src/rmb/ring_graph.hh, docs/HIERARCHY.md).
  *
  * The load-bearing equivalences:
  *
@@ -25,7 +25,7 @@
 
 #include "common/env.hh"
 #include "rmb/engine.hh"
-#include "rmb/hier/hier_network.hh"
+#include "rmb/ring_graph.hh"
 #include "sim/random.hh"
 #include "sim/simulator.hh"
 
@@ -133,7 +133,7 @@ TEST(HierNetwork, SingleRingMatchesFlatRing)
         flat.verify = core::VerifyLevel::Cheap;
         // The shard's seed, not the parent's: sub-ring seeds are a
         // documented pure function of (parent seed, ring index).
-        flat.seed = hier::HierNetwork::localRingSeed(hier, 0);
+        flat.seed = core::localRingSeed(hier, 0);
         // The *workload* must still derive from the parent seed.
         core::RmbConfig flat_wl = flat;
         flat_wl.seed = seed;
@@ -232,7 +232,7 @@ TEST(HierNetwork, GlobalBridgeSegmentFaultsRecover)
     core::RmbConfig cfg = hierConfig(32, 4, 17);
     sim::Simulator sim;
     auto net = core::makeEngine(sim, cfg);
-    auto *hier = dynamic_cast<hier::HierNetwork *>(net.get());
+    auto *hier = dynamic_cast<core::RingGraph *>(net.get());
     ASSERT_NE(hier, nullptr);
     EXPECT_EQ(hier->faultDomainGaps(), 32u + 4u);
     EXPECT_EQ(hier->faultDomainLevels(0), 4);

@@ -40,7 +40,7 @@
 #include "obs/timeline.hh"
 #include "rmb/engine.hh"
 #include "rmb/fault_plan.hh"
-#include "rmb/hier/hier_network.hh"
+#include "rmb/ring_graph.hh"
 #include "report/report.hh"
 #include "sim/simulator.hh"
 #include "workload/driver.hh"
@@ -370,8 +370,9 @@ main(int argc, char **argv)
     if (!o.faultPlanPath.empty()) {
         auto *eng = dynamic_cast<core::Engine *>(network.get());
         if (eng == nullptr) {
-            fatal("--fault-plan needs an RMB engine network "
-                  "(--network rmb); '", pt.network,
+            fatal("--fault-plan needs an RMB ring network "
+                  "(--network rmb, dualring, torus or grid); '",
+                  pt.network,
                   "' has no fault domain");
         }
         std::ifstream in(o.faultPlanPath);
@@ -457,11 +458,11 @@ main(int argc, char **argv)
                 return rmb->rmbStats().deadLettered.value();
             });
         }
-        if (auto *hier =
-                dynamic_cast<rmb::hier::HierNetwork *>(net)) {
+        auto *graph = dynamic_cast<core::RingGraph *>(net);
+        if (graph != nullptr && graph->faultDomainBridges() > 0) {
             timeline->addCounterSeries(
-                "bridge_deflections", [hier] {
-                    return hier->metrics()
+                "bridge_deflections", [graph] {
+                    return graph->metrics()
                         .counter("hier.bridge.deflections")
                         .value();
                 });
@@ -473,11 +474,10 @@ main(int argc, char **argv)
             if (o.timeline > 0) {
                 // Shards 0..M-1 are the local rings, shard M the
                 // global ring.
-                for (std::uint32_t s = 0; s <= hier->numRings();
-                     ++s) {
+                for (std::uint32_t s = 0; s < graph->numRings(); ++s) {
                     std::ostringstream prefix;
                     prefix << "shard" << s << '.';
-                    const core::Engine &eng = hier->ringEngine(s);
+                    const core::Engine &eng = graph->ringEngine(s);
                     timeline->addCounterSeries(
                         prefix.str() + "injected", [&eng] {
                             return eng.stats().injected.value();
