@@ -136,8 +136,8 @@ enum class MoveRuleVariant : std::uint8_t
  *
  * Templated on the bus type so every backend shares the one rule:
  * @p BusT needs `.state`, and `.hops` indexable to Hop-shaped
- * elements (RmbNetwork's deque-backed VirtualBus, the cycle kernel's
- * vector-backed pool slot, and the model checker's bus all qualify).
+ * elements (RmbNetwork's VirtualBus, the cycle kernel's pool slot
+ * and the model checker's bus all qualify).
  */
 template <typename BusT, typename IsFree>
 bool

@@ -1,9 +1,11 @@
 #include "rmb/engine.hh"
 
+#include <algorithm>
 #include <bitset>
 #include <sstream>
 
 #include "common/logging.hh"
+#include "rmb/fault.hh"
 #include "rmb/kernel/kernel_engine.hh"
 #include "rmb/network.hh"
 #include "rmb/ring_graph.hh"
@@ -71,8 +73,10 @@ RmbStats::noteDeadLetter(obs::DeadLetterReason reason)
 }
 
 Engine::Engine(sim::Simulator &simulator, std::string name,
-               net::NodeId num_nodes)
-    : net::Network(simulator, std::move(name), num_nodes)
+               const RmbConfig &config)
+    : net::Network(simulator, std::move(name),
+                   validatedEngineConfig(config).numNodes),
+      config_(config), rmbStats_(metrics())
 {
 }
 
@@ -246,10 +250,20 @@ Engine::superviseActivity()
 }
 
 void
-Engine::deadLetterMessage(net::Message &m, RmbStats &stats,
+Engine::startFaultSchedule()
+{
+    if (config_.faultMtbf == 0)
+        return;
+    faults_ = std::make_unique<FaultSchedule>(
+        *this, sim::Random(config_.seed).split(kFaultStream));
+    faults_->start();
+}
+
+void
+Engine::deadLetterMessage(net::Message &m,
                           obs::DeadLetterReason reason)
 {
-    stats.noteDeadLetter(reason);
+    rmbStats_.noteDeadLetter(reason);
     if (tracing()) {
         obs::TraceEvent event;
         event.kind = obs::EventKind::DeadLetter;
@@ -260,6 +274,21 @@ Engine::deadLetterMessage(net::Message &m, RmbStats &stats,
         emitTrace(event);
     }
     noteFailed(m);
+}
+
+sim::Tick
+retryBackoff(const RmbConfig &config, sim::Random &rng,
+             std::uint32_t attempts)
+{
+    const sim::Tick backoff =
+        rng.uniformRange(config.retryBackoffMin, config.retryBackoffMax);
+    if (!config.exponentialBackoff)
+        return backoff;
+    const std::uint32_t shift = std::min(attempts, 16u);
+    if ((backoff << shift) < config.retryBackoffCap)
+        return backoff << shift;
+    return rng.uniformRange(config.retryBackoffCap / 2,
+                            config.retryBackoffCap);
 }
 
 const RmbConfig &

@@ -4,7 +4,9 @@
  *
  * Everything outside `src/rmb` that drives an RMB simulation -
  * benches, sweeps, fault injection, trace sinks, reports - depends
- * only on this interface.  Two backends implement it:
+ * only on this interface.  Two flat backends implement it, on the
+ * source-side protocol they share through `RingEngine`
+ * (ring_engine.hh):
  *
  *  - `RmbNetwork` (network.hh): the reference discrete-event engine;
  *    every header hop, INC cycle tick and teardown step is a
@@ -31,6 +33,7 @@
 #include "obs/trace.hh"
 #include "rmb/config.hh"
 #include "rmb/types.hh"
+#include "sim/random.hh"
 #include "sim/stats.hh"
 
 namespace rmb {
@@ -119,6 +122,18 @@ struct RmbStats
 };
 
 class DeliverySupervisor;
+class FaultSchedule;
+
+/**
+ * The jittered exponential retry backoff: a uniform draw from
+ * [retryBackoffMin, retryBackoffMax] from @p rng, shifted left by
+ * @p attempts (at most 16) when exponentialBackoff is set.  A shifted
+ * value at or past retryBackoffCap is redrawn from
+ * [cap / 2, cap] rather than clamped: a deterministic capped backoff
+ * phase-locks colliding senders into permanent livelock.
+ */
+sim::Tick retryBackoff(const RmbConfig &config, sim::Random &rng,
+                       std::uint32_t attempts);
 
 /**
  * Abstract RMB simulation backend.
@@ -133,23 +148,30 @@ class DeliverySupervisor;
  *  - auditInvariants() panics on any structural violation and may be
  *    called at any quiescent or non-quiescent instant.
  *
- * Scheduling internals - retry backoff (`scheduleRetry`), watchdog
- * arming, INC clocks or timing wheels - are deliberately *absent*:
- * they are implementation details that moved behind this interface.
+ * Scheduling internals - watchdog arming, INC clocks or timing
+ * wheels - are deliberately *absent*: they are implementation details
+ * behind this interface.  The two flat backends share their
+ * source-side protocol through core::RingEngine (ring_engine.hh).
  */
 class Engine : public net::Network
 {
   public:
+    /** Fatals unless @p config validates (validatedEngineConfig). */
     Engine(sim::Simulator &simulator, std::string name,
-           net::NodeId num_nodes);
+           const RmbConfig &config);
 
     ~Engine() override;
 
     /** The validated configuration this engine was built from. */
-    virtual const RmbConfig &config() const = 0;
+    const RmbConfig &config() const { return config_; }
 
     /** RMB-specific counters (same registry names on all backends). */
-    virtual const RmbStats &rmbStats() const = 0;
+    const RmbStats &
+    rmbStats() const
+    {
+        foldStats();
+        return rmbStats_;
+    }
 
     /**
      * Fault injection: disable the physical segment at
@@ -316,6 +338,17 @@ class Engine : public net::Network
     }
 
   protected:
+    /** Refresh counters rmbStats() derives from elsewhere (a
+     *  composition folds its rings' counters in). */
+    virtual void foldStats() const {}
+
+    /**
+     * Start the MTBF/MTTR fault process when config().faultMtbf > 0.
+     * It draws from its own split substream, so enabling it never
+     * perturbs protocol randomness for a given seed.
+     */
+    void startFaultSchedule();
+
     /**
      * Arm the delivery supervisor (lazily constructed on first call;
      * no-op when config().watchdogTimeout == 0).  Engines call this
@@ -329,8 +362,11 @@ class Engine : public net::Network
      * settle their own bookkeeping (ports, queues, sever accounting)
      * before calling.
      */
-    void deadLetterMessage(net::Message &m, RmbStats &stats,
+    void deadLetterMessage(net::Message &m,
                            obs::DeadLetterReason reason);
+
+    RmbConfig config_;
+    RmbStats rmbStats_;
 
   private:
     void ensurePermanentMask() const;
@@ -339,6 +375,7 @@ class Engine : public net::Network
     mutable std::vector<std::uint64_t> permanentMask_;
     std::uint32_t permanentCount_ = 0;
     std::unique_ptr<DeliverySupervisor> supervisor_;
+    std::unique_ptr<FaultSchedule> faults_;
 };
 
 /**

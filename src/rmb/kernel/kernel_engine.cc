@@ -6,8 +6,6 @@
 #include "common/logging.hh"
 #include "obs/prof.hh"
 #include "rmb/compaction_rules.hh"
-#include "rmb/fault.hh"
-#include "rmb/status_register.hh"
 #include "sim/simulator.hh"
 
 namespace rmb {
@@ -21,10 +19,9 @@ namespace {
  * regardless of what its engine field said.
  */
 RmbConfig
-kernelValidated(RmbConfig config)
+kernelConfig(RmbConfig config)
 {
     config.engine = EngineKind::Kernel;
-    validatedEngineConfig(config);
     return config;
 }
 
@@ -41,11 +38,9 @@ nextPow2(sim::Tick v)
 
 CycleKernelEngine::CycleKernelEngine(sim::Simulator &simulator,
                                      const RmbConfig &config)
-    : Engine(simulator, "RMB(kernel)",
-             kernelValidated(config).numNodes),
-      config_(kernelValidated(config)), rng_(config.seed),
-      planes_(config.numNodes, config.numBuses),
-      pes_(config.numNodes), rmbStats_(metrics())
+    : RingEngine(simulator, "RMB(kernel)", kernelConfig(config),
+                 nullptr),
+      planes_(config.numNodes, config.numBuses)
 {
     // One fixed global compaction period, drawn from the same range
     // the event engine draws each INC's period from.  The kernel's
@@ -80,11 +75,7 @@ CycleKernelEngine::CycleKernelEngine(sim::Simulator &simulator,
              " the protocol correct regardless");
     }
 
-    if (config_.faultMtbf > 0) {
-        faults_ = std::make_unique<FaultSchedule>(
-            *this, sim::Random(config_.seed).split(kFaultStream));
-        faults_->start();
-    }
+    startFaultSchedule();
 }
 
 CycleKernelEngine::~CycleKernelEngine() = default;
@@ -242,7 +233,11 @@ CycleKernelEngine::processTick(sim::Tick now)
         makeStep(now);
 
     processing_ = kNever;
-    checkAfterMutation();
+    // Full verification audits once per processed tick (the kernel's
+    // observable unit), not per mutation like the event engine - the
+    // intermediate states inside a tick are the same ones the event
+    // engine reaches between events.
+    auditIfFull();
 }
 
 void
@@ -286,7 +281,8 @@ CycleKernelEngine::allocSlot()
         return slot;
     }
     pool_.emplace_back();
-    return static_cast<std::uint32_t>(pool_.size() - 1);
+    pool_.back().slot = static_cast<std::uint32_t>(pool_.size() - 1);
+    return pool_.back().slot;
 }
 
 void
@@ -318,12 +314,6 @@ CycleKernelEngine::pathLength(const KBus &bus) const
     return (effectiveDst(bus) + n - bus.src) % n;
 }
 
-bool
-CycleKernelEngine::isFree(GapId gap, Level level) const
-{
-    return planes_.isFree(gap, level);
-}
-
 std::size_t
 CycleKernelEngine::hopIndexAt(const KBus &bus, GapId gap) const
 {
@@ -331,111 +321,112 @@ CycleKernelEngine::hopIndexAt(const KBus &bus, GapId gap) const
         (gap + config_.numNodes - bus.srcGap()) % config_.numNodes);
 }
 
-obs::TraceEvent
-CycleKernelEngine::busEvent(obs::EventKind kind, const KBus &bus,
-                            net::NodeId node, GapId gap,
-                            Level level) const
+// ----------------------------------------------------------------
+// RingEngine hooks
+// ----------------------------------------------------------------
+
+void
+CycleKernelEngine::scheduleInject(net::NodeId node, sim::Tick delay)
 {
-    obs::TraceEvent e;
-    e.kind = kind;
-    e.at = simulator().now();
-    e.message = bus.message;
-    e.bus = bus.id;
-    e.node = node;
-    e.gap = gap;
-    e.level = level;
-    return e;
+    scheduleAction(delay, Action::TryInject, node, 0);
 }
 
 void
-CycleKernelEngine::checkAfterMutation() const
+CycleKernelEngine::scheduleTeardownStep(BusKey key, bool started)
 {
-    // Full verification audits once per processed tick (the kernel's
-    // observable unit), not per mutation like the event engine - the
-    // intermediate states inside a tick are the same ones the event
-    // engine reaches between events.
-    if (config_.verify == VerifyLevel::Full)
-        auditInvariants();
-}
-
-// ----------------------------------------------------------------
-// Protocol steps
-// ----------------------------------------------------------------
-
-net::MessageId
-CycleKernelEngine::send(net::NodeId src, net::NodeId dst,
-                        std::uint32_t payload_flits)
-{
-    net::Message &m = createMessage(src, dst, payload_flits);
-    pes_[src].sendQueue.push_back(m.id);
-    const net::MessageId id = m.id;
-    scheduleAction(0, Action::TryInject, src, 0);
-    superviseActivity();
-    return id;
+    KBus &bus = pool_[key];
+    // A fresh teardown invalidates every in-flight header/Hack/FF
+    // action of this life; the walk runs on the new generation.
+    if (started)
+        ++bus.gen;
+    scheduleAction(config_.ackHopDelay, Action::TeardownStep, bus.slot,
+                   bus.gen);
 }
 
 void
-CycleKernelEngine::tryInject(net::NodeId node)
+CycleKernelEngine::launchHeader(VirtualBus &bus)
 {
-    Pe &pe = pes_[node];
-    // Write off queued traffic that permanent damage has made
-    // undeliverable - the identical sweep, at the identical point,
-    // as the event engine's tryInject, so the two backends
-    // dead-letter deterministically.
-    while (!pe.sendQueue.empty()) {
-        net::Message &m = messageRef(pe.sendQueue.front());
-        if (!routeDead(m.src, m.dst))
-            break;
-        pe.sendQueue.pop_front();
-        writeOff(m, obs::kDeadUnreachable);
-    }
-    if (!pe.sendPortFree(config_.sendPorts) ||
-        pe.sendQueue.empty()) {
-        return;
-    }
-    if (simulator().now() < pe.backoffUntil)
-        return; // the retry's TryInject action is already armed
-
-    const Level top = static_cast<Level>(config_.numBuses) - 1;
-    const GapId gap = node;
-    if (!isFree(gap, top))
-        return;
-
-    const net::MessageId mid = pe.sendQueue.front();
-    pe.sendQueue.pop_front();
-    pe.activeSends.push_back(mid);
-
-    net::Message &m = messageRef(mid);
-    if (m.state == net::MessageState::Queued)
-        noteFirstAttempt(m);
-    else
-        noteRetry(m);
-
-    const std::uint32_t slot = allocSlot();
-    KBus &bus = pool_[slot];
-    bus.id = nextBusId_++;
-    bus.message = mid;
-    bus.src = m.src;
-    bus.dst = m.dst;
-    bus.state = BusState::Advancing;
-    bus.headNode = (node + 1) % config_.numNodes;
-    bus.injectedAt = simulator().now();
-    bus.hopsFreed = 0;
-    bus.topReleased = false;
-    bus.live = true;
-
-    planes_.occupy(gap, top, slot, simulator().now());
-    bus.hops.push_back(Hop{gap, top, kNoLevel, 0});
-    ++liveBuses_;
-    rmbStats_.liveBuses.adjust(simulator().now(), +1);
-    if (tracing())
-        emitTrace(busEvent(obs::EventKind::HeaderHop, bus, node,
-                           gap, top));
-
-    scheduleAction(config_.headerHopDelay, Action::HeaderArrive,
-                   slot, bus.gen);
+    const KBus &kb = static_cast<const KBus &>(bus);
+    scheduleAction(config_.headerHopDelay, Action::HeaderArrive, kb.slot,
+                   kb.gen);
     armCycle();
 }
+
+VirtualBus &
+CycleKernelEngine::openBus(VirtualBusId)
+{
+    KBus &bus = pool_[allocSlot()];
+    bus.live = true;
+    ++liveBuses_;
+    return bus;
+}
+
+void
+CycleKernelEngine::retireBus(BusKey key)
+{
+    --liveBuses_;
+    retireSlot(static_cast<std::uint32_t>(key));
+}
+
+const VirtualBus &
+CycleKernelEngine::busRecord(BusKey key) const
+{
+    rmb_assert(key < pool_.size() && pool_[key].live,
+               "no live bus in slot ", key);
+    return pool_[key];
+}
+
+VirtualBus *
+CycleKernelEngine::carrierOf(net::MessageId id)
+{
+    for (KBus &b : pool_) {
+        if (b.live && b.message == id)
+            return &b;
+    }
+    return nullptr;
+}
+
+RingEngine::BusKey
+CycleKernelEngine::occupantKey(GapId gap, Level level) const
+{
+    const std::uint32_t slot = planes_.ownerSlot(gap, level);
+    return slot == kernel::kNoSlot ? kNoKey : slot;
+}
+
+void
+CycleKernelEngine::claimSegment(GapId gap, Level level, BusKey key)
+{
+    planes_.occupy(gap, level, static_cast<std::uint32_t>(key),
+                   simulator().now());
+}
+
+void
+CycleKernelEngine::freeSegment(GapId gap, Level level, BusKey key)
+{
+    planes_.release(gap, level, static_cast<std::uint32_t>(key),
+                    simulator().now());
+}
+
+void
+CycleKernelEngine::setSegmentFault(GapId gap, Level level, bool faulty)
+{
+    if (faulty)
+        planes_.markFaulty(gap, level, simulator().now());
+    else
+        planes_.clearFault(gap, level, simulator().now());
+}
+
+void
+CycleKernelEngine::afterFaultChange()
+{
+    if (cycleQuiet_)
+        exitQuietCycles(simulator().now());
+    auditIfFull();
+}
+
+// ----------------------------------------------------------------
+// Header and stream steps
+// ----------------------------------------------------------------
 
 void
 CycleKernelEngine::headerArrive(std::uint32_t slot)
@@ -445,9 +436,15 @@ CycleKernelEngine::headerArrive(std::uint32_t slot)
                "header arrival on a non-advancing bus");
     const net::NodeId here = bus.headNode;
     if (here == effectiveDst(bus)) {
-        Pe &pe = pes_[bus.dst];
-        if (pe.receivePortFree(config_.receivePorts)) {
-            acceptAtDestination(bus);
+        if (pes_[bus.dst].receivePortFree(config_.receivePorts)) {
+            const sim::Tick hack =
+                acceptAtDestination(bus, pathLength(bus));
+            // Leaving Advancing frees the head hop to move (Figure 7
+            // pins an advancing head); this is the one movability
+            // change with no plane mutation, so note it for the
+            // no-move make-skip.
+            planes_.bumpEpoch();
+            scheduleAction(hack, Action::HackArrive, slot, bus.gen);
         } else {
             noteNack(messageRef(bus.message));
             startTeardown(bus, BusState::NackTeardown);
@@ -466,44 +463,8 @@ CycleKernelEngine::tryAdvance(std::uint32_t slot)
                static_cast<int>(bus.state));
     const net::NodeId here = bus.headNode;
     const GapId gap = here;
-
-    // Fault lookahead, mirroring the event engine: skip output
-    // levels from which every onward level of the next gap is
-    // faulted, unless only dead ends are free.
-    const GapId next_gap = (here + 1) % config_.numNodes;
-    const bool lookahead = planes_.faultyCount() > 0 &&
-                           next_gap != effectiveDst(bus);
-    const auto dead_end = [&](Level lin) {
-        for (Level lout : {lin - 1, lin, lin + 1}) {
-            if (lout < 0 ||
-                lout >= static_cast<Level>(config_.numBuses))
-                continue;
-            if (!planes_.faulted(next_gap, lout))
-                return false;
-        }
-        return true;
-    };
-
-    Level reachable[3];
-    const int count = reachableOutputLevelsInto(
-        bus.hops.back(), static_cast<Level>(config_.numBuses),
-        config_.headerPolicy, reachable);
-    Level chosen = kNoLevel;
-    Level fallback = kNoLevel;
-    for (int i = 0; i < count; ++i) {
-        const Level l = reachable[i];
-        if (!isFree(gap, l))
-            continue;
-        if (fallback == kNoLevel)
-            fallback = l;
-        if (lookahead && dead_end(l))
-            continue;
-        chosen = l;
-        break;
-    }
-    if (chosen == kNoLevel)
-        chosen = fallback;
-
+    const Level chosen =
+        chooseOutputLevel(bus.hops.back(), gap, effectiveDst(bus));
     if (chosen != kNoLevel) {
         planes_.occupy(gap, chosen, slot, simulator().now());
         bus.hops.push_back(Hop{gap, chosen, kNoLevel, 0});
@@ -529,47 +490,15 @@ CycleKernelEngine::tryAdvance(std::uint32_t slot)
 }
 
 void
-CycleKernelEngine::acceptAtDestination(KBus &bus)
-{
-    Pe &pe = pes_[bus.dst];
-    pe.activeReceives.push_back(bus.message);
-    bus.state = BusState::AwaitHack;
-    // Leaving Advancing frees the head hop to move (Figure 7 pins
-    // an advancing head); this is the one movability change with no
-    // plane mutation, so note it for the no-move make-skip.
-    planes_.bumpEpoch();
-    const auto path = static_cast<sim::Tick>(bus.hops.size());
-    rmb_assert(bus.hops.size() == pathLength(bus),
-               "accepted bus spans ", bus.hops.size(),
-               " gaps, expected ", pathLength(bus));
-    const auto slot =
-        planes_.ownerSlot(bus.srcGap(), bus.hops.front().level);
-    scheduleAction(path * config_.ackHopDelay, Action::HackArrive,
-                   slot, bus.gen);
-}
-
-void
 CycleKernelEngine::hackArriveAtSource(std::uint32_t slot)
 {
     KBus &bus = pool_[slot];
     rmb_assert(bus.state == BusState::AwaitHack,
                "Hack arrived on a bus in state ",
                static_cast<int>(bus.state));
-    bus.state = BusState::Streaming;
-    noteEstablished(messageRef(bus.message));
-    noteCircuit(+1);
-
-    // Closed-form pipelined streaming (detailedFlits is refused by
-    // validate() for this engine): the source emits payload+FF
-    // flits one flitDelay apart, and the final flit drains through
-    // hops.size() stages.
-    const net::Message &m = message(bus.message);
-    const auto path = static_cast<sim::Tick>(bus.hops.size());
-    const sim::Tick duration =
-        (static_cast<sim::Tick>(m.payloadFlits) + 1) *
-            config_.flitDelay +
-        path * config_.flitDelay;
-    scheduleAction(duration, Action::FinalFlit, slot, bus.gen);
+    // Closed-form streaming only: validate() refuses detailedFlits
+    // for this engine.
+    scheduleAction(establish(bus), Action::FinalFlit, slot, bus.gen);
 }
 
 void
@@ -578,199 +507,7 @@ CycleKernelEngine::finalFlitArrive(std::uint32_t slot)
     KBus &bus = pool_[slot];
     rmb_assert(bus.state == BusState::Streaming,
                "FF arrived on a non-streaming bus");
-    noteDelivered(messageRef(bus.message),
-                  static_cast<std::uint32_t>(bus.hops.size()));
-    noteCircuit(-1);
-    pes_[bus.dst].releaseReceive(bus.message);
-
-    auto sev = severedAt_.find(bus.message);
-    if (sev != severedAt_.end()) {
-        ++rmbStats_.messagesRecovered;
-        rmbStats_.recoveryLatency.add(
-            static_cast<double>(simulator().now() - sev->second));
-        rmbStats_.recoveryLatencyHist.add(simulator().now() -
-                                          sev->second);
-        if (tracing()) {
-            obs::TraceEvent e = busEvent(
-                obs::EventKind::MessageRecovered, bus, bus.dst);
-            e.a = simulator().now() - sev->second;
-            emitTrace(e);
-        }
-        severedAt_.erase(sev);
-    }
-    startTeardown(bus, BusState::FackTeardown);
-}
-
-void
-CycleKernelEngine::startTeardown(KBus &bus, BusState kind)
-{
-    rmb_assert(isTeardown(kind), "bad teardown kind");
-    bus.state = kind;
-    // Invalidate every in-flight header/Hack/FF action of this
-    // life; the teardown walk runs on the new generation.
-    ++bus.gen;
-    if (tracing()) {
-        obs::TraceEvent e = busEvent(obs::EventKind::Teardown, bus,
-                                     bus.headNode);
-        e.a = kind == BusState::FackTeardown   ? obs::kTeardownFack
-              : kind == BusState::NackTeardown ? obs::kTeardownNack
-                                               : obs::kTeardownFault;
-        emitTrace(e);
-    }
-    const auto slot = planes_.ownerSlot(bus.srcGap(),
-                                        bus.hops.front().level);
-    scheduleAction(config_.ackHopDelay, Action::TeardownStep, slot,
-                   bus.gen);
-}
-
-void
-CycleKernelEngine::teardownStep(std::uint32_t slot)
-{
-    KBus &bus = pool_[slot];
-    rmb_assert(isTeardown(bus.state),
-               "teardown step on a live bus");
-    rmb_assert(!bus.hops.empty(), "teardown of an empty bus");
-
-    const Hop hop = bus.hops.back();
-    bus.hops.pop_back();
-    ++bus.hopsFreed;
-
-    if (!bus.hops.empty()) {
-        if (hop.inMove())
-            releaseSegment(bus, hop.gap, hop.dualLevel,
-                           obs::kFreeTeardown);
-        releaseSegment(bus, hop.gap, hop.level,
-                       obs::kFreeTeardown);
-        scheduleAction(config_.ackHopDelay, Action::TeardownStep,
-                       slot, bus.gen);
-        return;
-    }
-    busFinished(slot, hop);
-}
-
-void
-CycleKernelEngine::busFinished(std::uint32_t slot,
-                               const Hop &last_hop)
-{
-    // Retire the bus *before* releasing its final (source-gap)
-    // segments, mirroring the event engine: release wakeups must
-    // never observe a live bus with no hops.
-    KBus &bus = pool_[slot];
-    const net::NodeId src = bus.src;
-    const net::MessageId mid = bus.message;
-    const VirtualBusId bid = bus.id;
-    const BusState kind = bus.state;
-    const sim::Tick injected_at = bus.injectedAt;
-    const bool top_released = bus.topReleased;
-    const sim::Tick now = simulator().now();
-    rmb_assert(last_hop.gap == bus.srcGap(),
-               "teardown must end at the source gap");
-    --liveBuses_;
-    rmbStats_.liveBuses.adjust(now, -1);
-    retireSlot(slot);
-
-    Pe &pe = pes_[src];
-    pe.releaseSend(mid);
-
-    if (kind == BusState::NackTeardown ||
-        kind == BusState::FaultTeardown) {
-        net::Message &m = messageRef(mid);
-        if (config_.maxRetries > 0 &&
-            m.retries >= config_.maxRetries) {
-            writeOff(m, obs::kDeadRetriesExhausted);
-        } else {
-            pe.sendQueue.push_front(mid);
-            scheduleRetry(src, mid);
-        }
-    }
-
-    const Level top = static_cast<Level>(config_.numBuses) - 1;
-    if (!top_released && last_hop.level == top) {
-        rmbStats_.topReleaseLatency.add(
-            static_cast<double>(now - injected_at));
-    }
-    const auto lastFree = [&](GapId gap, Level level) {
-        planes_.release(gap, level, slot, now);
-        if (tracing()) {
-            obs::TraceEvent e;
-            e.kind = obs::EventKind::SegmentFree;
-            e.at = now;
-            e.message = mid;
-            e.bus = bid;
-            e.node = gap;
-            e.gap = gap;
-            e.level = level;
-            e.a = obs::kFreeTeardown;
-            emitTrace(e);
-        }
-        if (!planes_.faulted(gap, level))
-            segmentFreed(gap, level);
-    };
-    if (last_hop.inMove())
-        lastFree(last_hop.gap, last_hop.dualLevel);
-    lastFree(last_hop.gap, last_hop.level);
-    tryInject(src);
-}
-
-void
-CycleKernelEngine::scheduleRetry(net::NodeId node,
-                                 net::MessageId msg)
-{
-    sim::Tick backoff = rng_.uniformRange(config_.retryBackoffMin,
-                                          config_.retryBackoffMax);
-    if (config_.exponentialBackoff) {
-        const std::uint32_t shift =
-            std::min(message(msg).retries, 16u);
-        if ((backoff << shift) >= config_.retryBackoffCap) {
-            backoff = rng_.uniformRange(config_.retryBackoffCap / 2,
-                                        config_.retryBackoffCap);
-        } else {
-            backoff <<= shift;
-        }
-    }
-    Pe &pe = pes_[node];
-    pe.backoffUntil = simulator().now() + backoff;
-    if (tracing()) {
-        obs::TraceEvent e;
-        e.kind = obs::EventKind::Backoff;
-        e.at = simulator().now();
-        e.message = msg;
-        e.node = node;
-        e.a = backoff;
-        emitTrace(e);
-    }
-    scheduleAction(backoff, Action::TryInject, node, 0);
-}
-
-void
-CycleKernelEngine::releaseSegment(KBus &bus, GapId gap, Level level,
-                                  std::uint64_t reason)
-{
-    const auto slot = planes_.ownerSlot(gap, level);
-    planes_.release(gap, level, slot, simulator().now());
-    if (tracing()) {
-        obs::TraceEvent e = busEvent(obs::EventKind::SegmentFree,
-                                     bus, gap, gap, level);
-        e.a = reason;
-        emitTrace(e);
-    }
-    if (!bus.topReleased && gap == bus.srcGap() &&
-        level == static_cast<Level>(config_.numBuses) - 1) {
-        bus.topReleased = true;
-        rmbStats_.topReleaseLatency.add(static_cast<double>(
-            simulator().now() - bus.injectedAt));
-    }
-    if (!planes_.faulted(gap, level))
-        segmentFreed(gap, level);
-}
-
-void
-CycleKernelEngine::segmentFreed(GapId gap, Level level)
-{
-    // No Wait-mode waiter lists in this engine; the only wakeup is
-    // a freed top segment letting the local PE inject.
-    if (level == static_cast<Level>(config_.numBuses) - 1)
-        tryInject(gap);
+    deliver(bus);
 }
 
 // ----------------------------------------------------------------
@@ -877,7 +614,7 @@ CycleKernelEngine::makeStep(sim::Tick now)
                     continue; // l is a mid-move dual target
                 if (!hopMovableRule(bus, idx,
                                     [this](GapId gg, Level ll) {
-                                        return isFree(gg, ll);
+                                        return planes_.isFree(gg, ll);
                                     })) {
                     continue;
                 }
@@ -959,160 +696,6 @@ CycleKernelEngine::breakStep(sim::Tick)
     nextBreakAt_ = kNever;
 }
 
-// ----------------------------------------------------------------
-// Fault injection and recovery
-// ----------------------------------------------------------------
-
-void
-CycleKernelEngine::failSegment(GapId gap, Level level)
-{
-    const std::uint32_t occupant = planes_.ownerSlot(gap, level);
-    if (occupant != kernel::kNoSlot && !config_.transientFaults) {
-        panic("failSegment(", gap, ",", level, "): can only fault a"
-              " free segment while transient faults are disabled,"
-              " and level ", level, " of gap ", gap,
-              " is held by virtual bus ", pool_[occupant].id,
-              "; set RmbConfig::transientFaults to sever live"
-              " buses");
-    }
-    planes_.markFaulty(gap, level, simulator().now());
-    ++rmbStats_.faultsInjected;
-    if (tracing()) {
-        obs::TraceEvent e;
-        e.kind = obs::EventKind::SegmentFail;
-        e.at = simulator().now();
-        e.node = gap;
-        e.gap = gap;
-        e.level = level;
-        e.a = occupant == kernel::kNoSlot ? 0
-                                          : pool_[occupant].id;
-        emitTrace(e);
-    }
-    if (occupant != kernel::kNoSlot)
-        severOccupant(gap, level, occupant);
-    if (cycleQuiet_)
-        exitQuietCycles(simulator().now());
-    checkAfterMutation();
-}
-
-void
-CycleKernelEngine::repairSegment(GapId gap, Level level)
-{
-    planes_.clearFault(gap, level, simulator().now());
-    ++rmbStats_.faultsRepaired;
-    if (tracing()) {
-        obs::TraceEvent e;
-        e.kind = obs::EventKind::SegmentRepair;
-        e.at = simulator().now();
-        e.node = gap;
-        e.gap = gap;
-        e.level = level;
-        emitTrace(e);
-    }
-    // A severed occupant may still be walking its teardown across
-    // this segment; then the wakeups happen at its release instead.
-    if (planes_.ownerSlot(gap, level) == kernel::kNoSlot)
-        segmentFreed(gap, level);
-    if (cycleQuiet_)
-        exitQuietCycles(simulator().now());
-    checkAfterMutation();
-}
-
-void
-CycleKernelEngine::severOccupant(GapId gap, Level level,
-                                 std::uint32_t slot)
-{
-    KBus &bus = pool_[slot];
-    if (isTeardown(bus.state))
-        return; // the walking Fack/Nack will release it anyway
-
-    const std::size_t idx = hopIndexAt(bus, gap);
-    rmb_assert(idx < bus.hops.size(),
-               "faulted segment held by a hop out of range");
-    Hop &hop = bus.hops[idx];
-    rmb_assert(hop.gap == gap, "hop/gap bookkeeping mismatch");
-
-    if (hop.inMove() && level == hop.dualLevel) {
-        // Fault hit the make-before-break *target*: cancel the move
-        // and stay on the (live) old level; the pending break
-        // record goes stale via inMove().
-        planes_.release(gap, level, slot, simulator().now());
-        if (tracing()) {
-            obs::TraceEvent e =
-                busEvent(obs::EventKind::SegmentFree, bus, gap,
-                         gap, level);
-            e.a = obs::kFreeMoveCancel;
-            emitTrace(e);
-        }
-        hop.dualLevel = kNoLevel;
-        return;
-    }
-    if (hop.inMove() && level == hop.level) {
-        // Fault hit the *old* level mid-move: the lower segment
-        // already carries the signal, so complete the move early.
-        planes_.release(gap, level, slot, simulator().now());
-        if (tracing()) {
-            obs::TraceEvent e =
-                busEvent(obs::EventKind::SegmentFree, bus, gap,
-                         gap, level);
-            e.a = obs::kFreeMoveCancel;
-            emitTrace(e);
-        }
-        hop.level = hop.dualLevel;
-        hop.dualLevel = kNoLevel;
-        ++rmbStats_.compactionMoves;
-        return;
-    }
-    rmb_assert(level == hop.level,
-               "faulted segment not part of its occupant's hop");
-    severBus(bus, obs::kSeverFault);
-}
-
-void
-CycleKernelEngine::severBus(KBus &bus, std::uint64_t reason)
-{
-    rmb_assert(!isTeardown(bus.state),
-               "sever of a bus already tearing down");
-    const sim::Tick now = simulator().now();
-
-    switch (bus.state) {
-    case BusState::AwaitHack:
-        pes_[bus.dst].releaseReceive(bus.message);
-        break;
-    case BusState::Streaming:
-        pes_[bus.dst].releaseReceive(bus.message);
-        noteCircuit(-1);
-        // The re-injected header starts a fresh circuit; in-flight
-        // FF actions die against the generation bump.
-        messageRef(bus.message).state = net::MessageState::Setup;
-        break;
-    default:
-        break; // Advancing: the in-flight header action goes stale
-    }
-
-    ++rmbStats_.busesSevered;
-    severedAt_.emplace(bus.message, now); // keeps the first sever
-    if (tracing()) {
-        obs::TraceEvent e = busEvent(obs::EventKind::BusSevered,
-                                     bus, bus.headNode);
-        e.a = reason;
-        emitTrace(e);
-    }
-    startTeardown(bus, BusState::FaultTeardown);
-}
-
-void
-CycleKernelEngine::writeOff(net::Message &m,
-                            obs::DeadLetterReason reason)
-{
-    auto sev = severedAt_.find(m.id);
-    if (sev != severedAt_.end()) {
-        ++rmbStats_.messagesLost;
-        severedAt_.erase(sev);
-    }
-    deadLetterMessage(m, rmbStats_, reason);
-}
-
 std::uint64_t
 CycleKernelEngine::progressStamp(net::MessageId id) const
 {
@@ -1132,45 +715,6 @@ CycleKernelEngine::progressStamp(net::MessageId id) const
     return h;
 }
 
-bool
-CycleKernelEngine::rescueStalled(net::MessageId id)
-{
-    net::Message &m = messageRef(id);
-    if (m.state == net::MessageState::Delivered ||
-        m.state == net::MessageState::Failed) {
-        return false;
-    }
-    for (const KBus &b : pool_) {
-        if (b.live && b.message == id) {
-            // Bus-carried messages always progress on their own: the
-            // timing wheel cannot lose actions and closed-form
-            // streaming is one pre-scheduled action.
-            return false;
-        }
-    }
-    // Queued (or between teardown and retry): the only unrecoverable
-    // silence is a route that permanent damage has cut.
-    if (!routeDead(m.src, m.dst))
-        return false;
-    Pe &pe = pes_[m.src];
-    auto it =
-        std::find(pe.sendQueue.begin(), pe.sendQueue.end(), id);
-    if (it == pe.sendQueue.end())
-        return false; // requeue still pending; look again
-    pe.sendQueue.erase(it);
-    ++rmbStats_.watchdogFires;
-    if (tracing()) {
-        obs::TraceEvent e;
-        e.kind = obs::EventKind::WatchdogFire;
-        e.at = simulator().now();
-        e.message = id;
-        e.node = m.src;
-        emitTrace(e);
-    }
-    writeOff(m, obs::kDeadUnreachable);
-    return true;
-}
-
 // ----------------------------------------------------------------
 // Invariant auditing
 // ----------------------------------------------------------------
@@ -1178,117 +722,28 @@ CycleKernelEngine::rescueStalled(net::MessageId id)
 void
 CycleKernelEngine::auditInvariants() const
 {
-    const std::uint32_t n = config_.numNodes;
-    const auto k = static_cast<Level>(config_.numBuses);
-
     std::uint64_t claimed = 0;
     std::uint64_t live_seen = 0;
-    for (std::uint32_t slot = 0; slot < pool_.size(); ++slot) {
-        const KBus &bus = pool_[slot];
+    for (const KBus &bus : pool_) {
         if (!bus.live)
             continue;
         ++live_seen;
-        rmb_assert(!bus.hops.empty(), "live bus ", bus.id,
-                   " with no hops");
-        rmb_assert(bus.hops.size() + bus.hopsFreed <=
-                       pathLength(bus),
-                   "bus ", bus.id, " longer than its path");
-        for (std::size_t i = 0; i < bus.hops.size(); ++i) {
-            const Hop &hop = bus.hops[i];
-            rmb_assert(hop.gap == (bus.srcGap() + i) % n, "bus ",
-                       bus.id, " hop ", i, " at wrong gap");
-            rmb_assert(hop.level >= 0 && hop.level < k, "bus ",
-                       bus.id, " level out of range");
-            rmb_assert(planes_.ownerSlot(hop.gap, hop.level) ==
-                           slot,
-                       "grid does not record bus ", bus.id,
-                       " at (", hop.gap, ",", hop.level, ")");
-            ++claimed;
-            if (hop.inMove()) {
-                rmb_assert(hop.dualLevel == hop.level - 1,
-                           "moves must go exactly one level down");
-                rmb_assert(planes_.ownerSlot(hop.gap,
-                                             hop.dualLevel) ==
-                               slot,
-                           "dual segment not recorded");
-                ++claimed;
-            }
-            if (i > 0) {
-                const Hop &prev = bus.hops[i - 1];
-                rmb_assert(!(prev.inMove() && hop.inMove()),
-                           "adjacent hops of bus ", bus.id,
-                           " moving concurrently");
-                for (Level a : {prev.level, prev.dualLevel}) {
-                    if (a == kNoLevel)
-                        continue;
-                    for (Level b : {hop.level, hop.dualLevel}) {
-                        if (b == kNoLevel)
-                            continue;
-                        rmb_assert(a - b <= 1 && b - a <= 1,
-                                   "bus ", bus.id,
-                                   " kinked at gap ", hop.gap,
-                                   ": levels ", a, " -> ", b);
-                    }
-                }
-                // Table-1 legality of the derived status code:
-                // sourceDirOf panics unless the live input levels
-                // are adjacent to this output level.
-                StatusRegister reg;
-                if (prev.inMove()) {
-                    reg.connect(
-                        sourceDirOf(prev.level, hop.level));
-                    reg.connect(
-                        sourceDirOf(prev.dualLevel, hop.level));
-                } else {
-                    reg.connect(
-                        sourceDirOf(prev.level, hop.level));
-                }
-            }
-        }
-        if (bus.state == BusState::AwaitHack ||
-            bus.state == BusState::Streaming) {
-            rmb_assert(bus.hops.size() == pathLength(bus),
-                       "established bus ", bus.id,
-                       " does not span its path");
-        }
+        claimed += auditHops(bus, pathLength(bus));
         rmb_assert(bus.state != BusState::Blocked,
                    "kernel engine cannot produce Blocked buses");
     }
     rmb_assert(live_seen == liveBuses_, "pool shows ", live_seen,
                " live buses but the census counts ", liveBuses_);
-    rmb_assert(claimed == planes_.occupiedCount(), "grid claims ",
-               planes_.occupiedCount(), " segments but buses own ",
-               claimed, " (plus ", planes_.faultyCount(),
-               " faulted)");
-
-    std::uint32_t faulted_seen = 0;
-    for (GapId g = 0; g < n; ++g) {
-        for (Level l = 0; l < k; ++l) {
-            const std::uint32_t slot = planes_.ownerSlot(g, l);
+    for (GapId g = 0; g < config_.numNodes; ++g) {
+        for (Level l = 0; l < static_cast<Level>(config_.numBuses);
+             ++l) {
             rmb_assert(planes_.occupied(g, l) ==
-                           (slot != kernel::kNoSlot),
+                           (planes_.ownerSlot(g, l) != kernel::kNoSlot),
                        "occupancy plane out of sync with the owner"
                        " grid at (", g, ",", l, ")");
-            if (!planes_.faulted(g, l))
-                continue;
-            ++faulted_seen;
-            rmb_assert(!planes_.isFree(g, l), "faulted segment (",
-                       g, ",", l, ") reads as free");
-            if (slot == kernel::kNoSlot)
-                continue;
-            const KBus &owner = pool_[slot];
-            rmb_assert(owner.live, "faulted segment (", g, ",", l,
-                       ") held by dead slot ", slot);
-            rmb_assert(isTeardown(owner.state), "bus ", owner.id,
-                       " holds faulted segment (", g, ",", l,
-                       ") but is not tearing down (state ",
-                       static_cast<int>(owner.state), ")");
         }
     }
-    rmb_assert(faulted_seen == planes_.faultyCount(),
-               "fault plane shows ", faulted_seen,
-               " faulted segments but the census counts ",
-               planes_.faultyCount());
+    auditSegments(claimed);
 }
 
 } // namespace core

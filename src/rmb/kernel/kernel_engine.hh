@@ -2,10 +2,10 @@
  * @file
  * CycleKernelEngine: the time-stepped structure-of-arrays backend.
  *
- * Same protocol as RmbNetwork (top-bus injection, header propagation
- * with Hack/Nack, closed-form pipelined streaming, Fack teardown,
- * make-before-break compaction, transient-fault sever/recovery), a
- * different execution model:
+ * Same protocol as RmbNetwork (header propagation with Hack/Nack,
+ * closed-form pipelined streaming, make-before-break compaction), and
+ * the same source side through RingEngine (top-bus injection, retry,
+ * teardown, fault sever/recovery), on a different execution model:
  *
  *  - Segment occupancy and fault state are uint64_t bitplanes
  *    (kernel/bitplane.hh); the compaction make step filters its
@@ -39,47 +39,25 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/trace.hh"
 #include "rmb/config.hh"
-#include "rmb/engine.hh"
 #include "rmb/kernel/bitplane.hh"
-#include "rmb/pe.hh"
+#include "rmb/ring_engine.hh"
 #include "rmb/types.hh"
 #include "rmb/virtual_bus.hh"
-#include "sim/random.hh"
 
 namespace rmb {
 namespace core {
 
-class FaultSchedule;
-
-class CycleKernelEngine : public Engine
+class CycleKernelEngine : public RingEngine
 {
   public:
     CycleKernelEngine(sim::Simulator &simulator,
                       const RmbConfig &config);
     ~CycleKernelEngine() override;
 
-    net::MessageId send(net::NodeId src, net::NodeId dst,
-                        std::uint32_t payload_flits) override;
-
-    const RmbConfig &
-    config() const override
-    {
-        return config_;
-    }
-    const RmbStats &
-    rmbStats() const override
-    {
-        return rmbStats_;
-    }
-
-    void failSegment(GapId gap, Level level) override;
-    void repairSegment(GapId gap, Level level) override;
     void auditInvariants() const override;
 
     bool
@@ -123,13 +101,6 @@ class CycleKernelEngine : public Engine
     std::uint64_t progressStamp(net::MessageId id) const override;
 
     /**
-     * Bus-carried messages are exempt (the wheel cannot lose
-     * actions); a queued message whose route permanent damage has
-     * cut is dead-lettered.
-     */
-    bool rescueStalled(net::MessageId id) override;
-
-    /**
      * Testing-only seeded divergence (tests/engine_diff_test.cc's
      * WILL_FAIL probe): ShortCircuit delivers every message one node
      * early, which the outcome digest must catch via pathHops.
@@ -143,25 +114,14 @@ class CycleKernelEngine : public Engine
     void setTestMutation(TestMutation m) { mutation_ = m; }
 
   private:
-    /** One pooled virtual bus; satisfies hopMovableRule's BusT. */
-    struct KBus
+    /** One pooled virtual bus: the shared record plus its slot. */
+    struct KBus : VirtualBus
     {
-        VirtualBusId id = kNoBus;
-        net::MessageId message = net::kNoMessage;
-        net::NodeId src = 0;
-        net::NodeId dst = 0;
-        BusState state = BusState::Advancing;
-        net::NodeId headNode = 0;
-        sim::Tick injectedAt = 0;
-        std::uint32_t hopsFreed = 0;
-        bool topReleased = false;
+        std::uint32_t slot = 0;
         bool live = false;
         /** Bumped on teardown start and retirement; stale wheel
          *  actions compare and drop. */
         std::uint32_t gen = 0;
-        std::vector<Hop> hops;
-
-        GapId srcGap() const { return src; }
     };
 
     /** One deferred protocol step on the timing wheel. */
@@ -205,24 +165,39 @@ class CycleKernelEngine : public Engine
     sim::Tick nextDue() const;
     void rearm();
 
-    // --- protocol steps (mirrors of the event engine's) ---
-    void tryInject(net::NodeId node);
+    // --- header and stream steps (the rest is RingEngine's) ---
     void headerArrive(std::uint32_t slot);
     void tryAdvance(std::uint32_t slot);
-    void acceptAtDestination(KBus &bus);
     void hackArriveAtSource(std::uint32_t slot);
     void finalFlitArrive(std::uint32_t slot);
-    void startTeardown(KBus &bus, BusState kind);
-    void teardownStep(std::uint32_t slot);
-    void busFinished(std::uint32_t slot, const Hop &last_hop);
-    void scheduleRetry(net::NodeId node, net::MessageId msg);
-    void severOccupant(GapId gap, Level level, std::uint32_t slot);
-    void severBus(KBus &bus, std::uint64_t reason);
-    /** Dead-letter @p m (severedAt_ lost accounting included). */
-    void writeOff(net::Message &m, obs::DeadLetterReason reason);
-    void releaseSegment(KBus &bus, GapId gap, Level level,
-                        std::uint64_t reason);
-    void segmentFreed(GapId gap, Level level);
+
+    // --- RingEngine hooks ---
+    void scheduleInject(net::NodeId node, sim::Tick delay) override;
+    void scheduleTeardownStep(BusKey key, bool started) override;
+    void launchHeader(VirtualBus &bus) override;
+    VirtualBus &openBus(VirtualBusId id) override;
+    void retireBus(BusKey key) override;
+    const VirtualBus &busRecord(BusKey key) const override;
+    BusKey
+    keyOf(const VirtualBus &bus) const override
+    {
+        return static_cast<const KBus &>(bus).slot;
+    }
+    VirtualBus *carrierOf(net::MessageId id) override;
+    /** The wheel cannot lose actions and closed-form streaming is
+     *  one pre-scheduled action: no bus ever goes silent. */
+    bool canStall(const VirtualBus &) const override { return false; }
+    bool
+    segmentFree(GapId gap, Level level) const override
+    {
+        return planes_.isFree(gap, level);
+    }
+    BusKey occupantKey(GapId gap, Level level) const override;
+    void claimSegment(GapId gap, Level level, BusKey key) override;
+    void freeSegment(GapId gap, Level level, BusKey key) override;
+    void setSegmentFault(GapId gap, Level level, bool faulty) override;
+    /** A fault change may wake the sleeping cycle clock. */
+    void afterFaultChange() override;
 
     // --- compaction cycle ---
     void armCycle();
@@ -235,21 +210,12 @@ class CycleKernelEngine : public Engine
     void retireSlot(std::uint32_t slot);
     net::NodeId effectiveDst(const KBus &bus) const;
     std::uint32_t pathLength(const KBus &bus) const;
-    bool isFree(GapId gap, Level level) const;
     std::size_t hopIndexAt(const KBus &bus, GapId gap) const;
-    obs::TraceEvent busEvent(obs::EventKind kind, const KBus &bus,
-                             net::NodeId node, GapId gap = 0,
-                             Level level = kNoLevel) const;
-    void checkAfterMutation() const;
 
-    RmbConfig config_;
-    sim::Random rng_;
     kernel::SegmentPlanes planes_;
-    std::vector<Pe> pes_;
 
     std::vector<KBus> pool_;
     std::vector<std::uint32_t> freeSlots_;
-    VirtualBusId nextBusId_ = 1;
     std::uint64_t liveBuses_ = 0;
 
     // Timing wheel: power-of-two buckets over absolute tick & mask;
@@ -286,11 +252,7 @@ class CycleKernelEngine : public Engine
     bool cycleQuiet_ = false;
     std::uint64_t quietEpoch_ = 0;
 
-    std::unordered_map<net::MessageId, sim::Tick> severedAt_;
-    std::unique_ptr<FaultSchedule> faults_;
     TestMutation mutation_ = TestMutation::None;
-
-    RmbStats rmbStats_;
 };
 
 } // namespace core

@@ -5,29 +5,15 @@
 #include "common/logging.hh"
 #include "obs/prof.hh"
 #include "rmb/compaction_rules.hh"
-#include "rmb/fault.hh"
 
 namespace rmb {
 namespace core {
 
-namespace {
-
-/** User-input validation; must run before any member construction. */
-const RmbConfig &
-validated(const RmbConfig &config)
-{
-    return validatedEngineConfig(config);
-}
-
-} // namespace
-
 RmbNetwork::RmbNetwork(sim::Simulator &simulator,
                        const RmbConfig &config)
-    : Engine(simulator, "RMB(ring)", validated(config).numNodes),
-      config_(config), rng_(config.seed),
+    : RingEngine(simulator, "RMB(ring)", config, "event.inject"),
       segments_(config.numNodes, config.numBuses),
-      pes_(config.numNodes), waiters_(config.numNodes),
-      rmbStats_(metrics())
+      waiters_(config.numNodes)
 {
     if (config_.numNodes % 2 != 0) {
         warn("odd node count: the odd/even INC marking of section"
@@ -44,15 +30,7 @@ RmbNetwork::RmbNetwork(sim::Simulator &simulator,
     }
     for (auto &inc : incs_)
         inc->start(*this);
-
-    if (config_.faultMtbf > 0) {
-        // The fault process draws from its own split substream so
-        // enabling it never perturbs protocol randomness (INC
-        // phases above, backoff jitter) for a given seed.
-        faults_ = std::make_unique<FaultSchedule>(
-            *this, sim::Random(config_.seed).split(kFaultStream));
-        faults_->start();
-    }
+    startFaultSchedule();
 }
 
 RmbNetwork::~RmbNetwork() = default;
@@ -92,40 +70,132 @@ RmbNetwork::liveBusIds() const
     return ids;
 }
 
-VirtualBus &
-RmbNetwork::busRef(VirtualBusId id)
+// ----------------------------------------------------------------
+// RingEngine hooks
+// ----------------------------------------------------------------
+
+void
+RmbNetwork::scheduleInject(net::NodeId node, sim::Tick delay)
 {
-    auto it = buses_.find(id);
-    rmb_assert(it != buses_.end(), "no live bus with id ", id);
+    simulator().schedule(delay, [this, node] { tryInject(node); });
+}
+
+void
+RmbNetwork::scheduleTeardownStep(BusKey key, bool started)
+{
+    (void)started; // stale steps die against their bus's state
+    simulator().schedule(config_.ackHopDelay,
+                         [this, key] { teardownStep(key); });
+}
+
+void
+RmbNetwork::launchHeader(VirtualBus &bus)
+{
+    const VirtualBusId bid = bus.id;
+    simulator().schedule(config_.headerHopDelay,
+                         [this, bid] { headerArrive(bid); });
+}
+
+VirtualBus &
+RmbNetwork::openBus(VirtualBusId id)
+{
+    return buses_[id];
+}
+
+void
+RmbNetwork::retireBus(BusKey key)
+{
+    buses_.erase(key);
+}
+
+const VirtualBus &
+RmbNetwork::busRecord(BusKey key) const
+{
+    auto it = buses_.find(key);
+    rmb_assert(it != buses_.end(), "no live bus with id ", key);
     return it->second;
 }
 
-obs::TraceEvent
-RmbNetwork::busEvent(obs::EventKind kind, const VirtualBus &bus,
-                     net::NodeId node, GapId gap, Level level) const
+VirtualBus *
+RmbNetwork::carrierOf(net::MessageId id)
 {
-    obs::TraceEvent e;
-    e.kind = kind;
-    e.at = simulator().now();
-    e.message = bus.message;
-    e.bus = bus.id;
-    e.node = node;
-    e.gap = gap;
-    e.level = level;
-    return e;
+    // rmblint:allow(determinism-hazard): unique-match search - at most
+    // one bus carries the message, order-insensitive.
+    for (auto &kv : buses_) {
+        if (kv.second.message == id)
+            return &kv.second;
+    }
+    return nullptr;
 }
 
-net::MessageId
-RmbNetwork::send(net::NodeId src, net::NodeId dst,
-                 std::uint32_t payload_flits)
+bool
+RmbNetwork::canStall(const VirtualBus &bus) const
 {
-    net::Message &m = createMessage(src, dst, payload_flits);
-    pes_[src].sendQueue.push_back(m.id);
-    const net::MessageId id = m.id;
-    simulator().schedule(0, [this, src] { tryInject(src); });
-    superviseActivity();
-    return id;
+    return !isTeardown(bus.state) &&
+           !(bus.state == BusState::Streaming && !config_.detailedFlits);
 }
+
+RingEngine::BusKey
+RmbNetwork::occupantKey(GapId gap, Level level) const
+{
+    const VirtualBusId bid = segments_.occupant(gap, level);
+    return bid == kNoBus ? kNoKey : bid;
+}
+
+void
+RmbNetwork::claimSegment(GapId gap, Level level, BusKey key)
+{
+    segments_.occupy(gap, level, key, simulator().now());
+}
+
+void
+RmbNetwork::freeSegment(GapId gap, Level level, BusKey key)
+{
+    segments_.release(gap, level, key, simulator().now());
+}
+
+void
+RmbNetwork::setSegmentFault(GapId gap, Level level, bool faulty)
+{
+    if (faulty)
+        segments_.markFaulty(gap, level, simulator().now());
+    else
+        segments_.clearFault(gap, level, simulator().now());
+}
+
+void
+RmbNetwork::unblock(VirtualBus &bus)
+{
+    rmbStats_.blockedTime.add(
+        static_cast<double>(simulator().now() - bus.blockedSince));
+    auto &q = waiters_[bus.headNode];
+    q.erase(std::remove(q.begin(), q.end(), bus.id), q.end());
+}
+
+void
+RmbNetwork::wakeBlocked(GapId gap, Level level)
+{
+    // Wake blocked headers waiting at this gap (FIFO order).  A
+    // snapshot is used because tryAdvance edits the deque.
+    if (waiters_[gap].empty())
+        return;
+    std::vector<VirtualBusId> snapshot(waiters_[gap].begin(),
+                                       waiters_[gap].end());
+    for (VirtualBusId bid : snapshot) {
+        auto it = buses_.find(bid);
+        if (it == buses_.end())
+            continue;
+        if (it->second.state != BusState::Blocked)
+            continue;
+        if (!segments_.isFree(gap, level))
+            break; // the freed segment was taken
+        tryAdvance(bid);
+    }
+}
+
+// ----------------------------------------------------------------
+// Protocol steps
+// ----------------------------------------------------------------
 
 MulticastId
 RmbNetwork::multicast(net::NodeId src,
@@ -207,68 +277,6 @@ RmbNetwork::finishMulticast(net::MessageId carrier)
 }
 
 void
-RmbNetwork::tryInject(net::NodeId node)
-{
-    RMB_PROF_SCOPE_SAMPLED("event.inject");
-    Pe &pe = pes_[node];
-    // Write off queued traffic that permanent damage has made
-    // undeliverable before spending ports or backoff on it.  The
-    // kernel engine performs the identical sweep at the identical
-    // point, so the two backends dead-letter deterministically.
-    while (!pe.sendQueue.empty()) {
-        net::Message &m = messageRef(pe.sendQueue.front());
-        if (!routeDead(m.src, m.dst))
-            break;
-        pe.sendQueue.pop_front();
-        writeOff(m, obs::kDeadUnreachable);
-    }
-    if (!pe.sendPortFree(config_.sendPorts) ||
-        pe.sendQueue.empty()) {
-        return;
-    }
-    if (simulator().now() < pe.backoffUntil)
-        return;
-
-    // Section 2.3: a new request may only be inserted at the top
-    // output port; if it is busy the header flit stays buffered.
-    const Level top = static_cast<Level>(config_.numBuses) - 1;
-    const GapId gap = node;
-    if (!segments_.isFree(gap, top))
-        return;
-
-    const net::MessageId mid = pe.sendQueue.front();
-    pe.sendQueue.pop_front();
-    pe.activeSends.push_back(mid);
-
-    net::Message &m = messageRef(mid);
-    if (m.state == net::MessageState::Queued)
-        noteFirstAttempt(m);
-    else
-        noteRetry(m);
-
-    const VirtualBusId bid = nextBusId_++;
-    VirtualBus &bus = buses_[bid];
-    bus.id = bid;
-    bus.message = mid;
-    bus.src = m.src;
-    bus.dst = m.dst;
-    bus.state = BusState::Advancing;
-    bus.injectedAt = simulator().now();
-    bus.headNode = (node + 1) % config_.numNodes;
-
-    segments_.occupy(gap, top, bid, simulator().now());
-    bus.hops.push_back(Hop{gap, top, kNoLevel, 0});
-    rmbStats_.liveBuses.adjust(simulator().now(), +1);
-    if (tracing())
-        emitTrace(busEvent(obs::EventKind::HeaderHop, bus, node,
-                           gap, top));
-
-    simulator().schedule(config_.headerHopDelay,
-                         [this, bid] { headerArrive(bid); });
-    checkAfterMutation();
-}
-
-void
 RmbNetwork::headerArrive(VirtualBusId bus_id)
 {
     // A fault or watchdog sever may beat an in-flight header event:
@@ -286,7 +294,10 @@ RmbNetwork::headerArrive(VirtualBusId bus_id)
     if (here == bus.dst) {
         Pe &pe = pes_[here];
         if (pe.receivePortFree(config_.receivePorts)) {
-            acceptAtDestination(bus);
+            const sim::Tick hack = acceptAtDestination(
+                bus, bus.pathLength(config_.numNodes));
+            simulator().schedule(
+                hack, [this, bus_id] { hackArriveAtSource(bus_id); });
         } else {
             // Destination busy: Nack travels back tearing the
             // virtual bus down; the source retries later.
@@ -298,19 +309,11 @@ RmbNetwork::headerArrive(VirtualBusId bus_id)
     tryAdvance(bus_id);
 }
 
-std::vector<Level>
-RmbNetwork::reachableLevels(const VirtualBus &bus) const
-{
-    return reachableOutputLevels(bus.hops.back(),
-                                 static_cast<Level>(config_.numBuses),
-                                 config_.headerPolicy);
-}
-
 void
 RmbNetwork::tryAdvance(VirtualBusId bus_id)
 {
     RMB_PROF_SCOPE_SAMPLED("event.advance");
-    VirtualBus &bus = busRef(bus_id);
+    VirtualBus &bus = busAt(bus_id);
     rmb_assert(bus.state == BusState::Advancing ||
                    bus.state == BusState::Blocked,
                "tryAdvance on a bus in state ",
@@ -318,49 +321,11 @@ RmbNetwork::tryAdvance(VirtualBusId bus_id)
     const net::NodeId here = bus.headNode;
     const GapId gap = here;
 
-    // Fault lookahead: prefer output levels from which the *next*
-    // gap still has a live onward level.  Without this, eager
-    // descent walks straight into a gap whose low levels are all
-    // faulted - a deterministic trap (the level-0 header can only
-    // reach the dead {0, 1}).  When every free level is a dead end,
-    // fall back to the plain choice and let the blocking/abort
-    // machinery handle it.
-    const GapId next_gap = (here + 1) % config_.numNodes;
-    const bool lookahead =
-        segments_.faultyCount() > 0 && next_gap != bus.dst;
-    const auto dead_end = [&](Level lin) {
-        for (Level lout : {lin - 1, lin, lin + 1}) {
-            if (lout < 0 ||
-                lout >= static_cast<Level>(config_.numBuses))
-                continue;
-            if (!segments_.isFaulty(next_gap, lout))
-                return false;
-        }
-        return true;
-    };
-
-    Level chosen = kNoLevel;
-    Level fallback = kNoLevel;
-    for (Level l : reachableLevels(bus)) {
-        if (!segments_.isFree(gap, l))
-            continue;
-        if (fallback == kNoLevel)
-            fallback = l;
-        if (lookahead && dead_end(l))
-            continue;
-        chosen = l;
-        break;
-    }
-    if (chosen == kNoLevel)
-        chosen = fallback;
-
+    const Level chosen =
+        chooseOutputLevel(bus.hops.back(), gap, bus.dst);
     if (chosen != kNoLevel) {
         if (bus.state == BusState::Blocked) {
-            rmbStats_.blockedTime.add(static_cast<double>(
-                simulator().now() - bus.blockedSince));
-            auto &q = waiters_[gap];
-            q.erase(std::remove(q.begin(), q.end(), bus_id),
-                    q.end());
+            unblock(bus);
             bus.state = BusState::Advancing;
             if (tracing())
                 emitTrace(busEvent(obs::EventKind::Unblock, bus,
@@ -376,7 +341,7 @@ RmbNetwork::tryAdvance(VirtualBusId bus_id)
         simulator().schedule(
             config_.headerHopDelay,
             [this, bus_id] { headerArrive(bus_id); });
-        checkAfterMutation();
+        auditIfFull();
         return;
     }
 
@@ -408,7 +373,7 @@ RmbNetwork::tryAdvance(VirtualBusId bus_id)
                     onHeaderTimeout(bus_id, since);
                 });
         }
-        checkAfterMutation();
+        auditIfFull();
     }
 }
 
@@ -422,10 +387,7 @@ RmbNetwork::onHeaderTimeout(VirtualBusId bus_id, sim::Tick since)
     if (bus.state != BusState::Blocked || bus.blockedSince != since)
         return;
     ++rmbStats_.timeoutAborts;
-    rmbStats_.blockedTime.add(
-        static_cast<double>(simulator().now() - bus.blockedSince));
-    auto &q = waiters_[bus.headNode];
-    q.erase(std::remove(q.begin(), q.end(), bus_id), q.end());
+    unblock(bus);
     if (tracing()) {
         obs::TraceEvent e = busEvent(obs::EventKind::Nack, bus,
                                      bus.headNode, bus.headNode);
@@ -433,25 +395,6 @@ RmbNetwork::onHeaderTimeout(VirtualBusId bus_id, sim::Tick since)
         emitTrace(e);
     }
     startTeardown(bus, BusState::NackTeardown);
-}
-
-void
-RmbNetwork::acceptAtDestination(VirtualBus &bus)
-{
-    Pe &pe = pes_[bus.dst];
-    pe.activeReceives.push_back(bus.message);
-    bus.state = BusState::AwaitHack;
-    ++bus.epoch;
-    const auto path =
-        static_cast<sim::Tick>(bus.hops.size());
-    rmb_assert(bus.hops.size() ==
-                   bus.pathLength(config_.numNodes),
-               "accepted bus spans ", bus.hops.size(),
-               " gaps, expected ",
-               bus.pathLength(config_.numNodes));
-    const VirtualBusId bid = bus.id;
-    simulator().schedule(path * config_.ackHopDelay,
-                         [this, bid] { hackArriveAtSource(bid); });
 }
 
 void
@@ -466,11 +409,7 @@ RmbNetwork::hackArriveAtSource(VirtualBusId bus_id)
     rmb_assert(bus.state == BusState::AwaitHack,
                "Hack arrived on a bus in state ",
                static_cast<int>(bus.state));
-    bus.state = BusState::Streaming;
-    ++bus.epoch;
-    noteEstablished(messageRef(bus.message));
-    noteCircuit(+1);
-
+    const sim::Tick stream = establish(bus);
     if (config_.detailedFlits) {
         // Flit-by-flit with Dack window flow control; the first
         // flit leaves one flitDelay after the Hack.
@@ -480,16 +419,7 @@ RmbNetwork::hackArriveAtSource(VirtualBusId bus_id)
         return;
     }
 
-    // Closed-form pipelined streaming: the source emits payload+FF
-    // flits one flitDelay apart; the last (final) flit drains
-    // through hops.size() stages.
-    const net::Message &m = message(bus.message);
-    const auto path = static_cast<sim::Tick>(bus.hops.size());
-    const sim::Tick duration =
-        (static_cast<sim::Tick>(m.payloadFlits) + 1) *
-            config_.flitDelay +
-        path * config_.flitDelay;
-    simulator().schedule(duration,
+    simulator().schedule(stream,
                          [this, bus_id] { finalFlitArrive(bus_id); });
 }
 
@@ -623,231 +553,9 @@ RmbNetwork::finalFlitArrive(VirtualBusId bus_id)
     VirtualBus &bus = it->second;
     rmb_assert(bus.state == BusState::Streaming,
                "FF arrived on a non-streaming bus");
-    noteDelivered(messageRef(bus.message),
-                  static_cast<std::uint32_t>(bus.hops.size()));
-    noteCircuit(-1);
-    pes_[bus.dst].releaseReceive(bus.message);
-    finishMulticast(bus.message);
-
-    // Delivered despite at least one earlier sever: the recovery
-    // path (teardown -> requeue -> retry) closed the loop.
-    auto sev = severedAt_.find(bus.message);
-    if (sev != severedAt_.end()) {
-        ++rmbStats_.messagesRecovered;
-        rmbStats_.recoveryLatency.add(
-            static_cast<double>(simulator().now() - sev->second));
-        rmbStats_.recoveryLatencyHist.add(
-            simulator().now() - sev->second);
-        if (tracing()) {
-            obs::TraceEvent e = busEvent(
-                obs::EventKind::MessageRecovered, bus, bus.dst);
-            e.a = simulator().now() - sev->second;
-            emitTrace(e);
-        }
-        severedAt_.erase(sev);
-    }
-    startTeardown(bus, BusState::FackTeardown);
-}
-
-void
-RmbNetwork::startTeardown(VirtualBus &bus, BusState kind)
-{
-    rmb_assert(isTeardown(kind), "bad teardown kind");
-    bus.state = kind;
-    ++bus.epoch;
-    if (tracing()) {
-        obs::TraceEvent e = busEvent(obs::EventKind::Teardown, bus,
-                                     bus.headNode);
-        e.a = kind == BusState::FackTeardown   ? obs::kTeardownFack
-              : kind == BusState::NackTeardown ? obs::kTeardownNack
-                                               : obs::kTeardownFault;
-        emitTrace(e);
-    }
-    const VirtualBusId bid = bus.id;
-    simulator().schedule(config_.ackHopDelay,
-                         [this, bid] { teardownStep(bid); });
-}
-
-void
-RmbNetwork::teardownStep(VirtualBusId bus_id)
-{
-    VirtualBus &bus = busRef(bus_id);
-    rmb_assert(isTeardown(bus.state), "teardown step on a live bus");
-    rmb_assert(!bus.hops.empty(), "teardown of an empty bus");
-
-    // The Fack/Nack just crossed the head-most remaining hop; the
-    // INCs on both sides free its port(s).
-    Hop hop = bus.hops.back();
-    bus.hops.pop_back();
-    ++bus.hopsFreed;
-    ++bus.epoch;
-
-    if (!bus.hops.empty()) {
-        if (hop.inMove())
-            releaseSegment(bus, hop.gap, hop.dualLevel,
-                           obs::kFreeTeardown);
-        releaseSegment(bus, hop.gap, hop.level, obs::kFreeTeardown);
-        simulator().schedule(config_.ackHopDelay, [this, bus_id] {
-            teardownStep(bus_id);
-        });
-        checkAfterMutation();
-        return;
-    }
-    busFinished(bus_id, hop);
-}
-
-void
-RmbNetwork::busFinished(VirtualBusId bus_id, const Hop &last_hop)
-{
-    // Retire the bus *before* releasing its final (source-gap)
-    // segments: the release wakeups (blocked headers, pending
-    // injections) must never observe a live bus with no hops.
-    VirtualBus &bus = busRef(bus_id);
-    const net::NodeId src = bus.src;
-    const net::MessageId mid = bus.message;
-    const BusState kind = bus.state;
-    const sim::Tick injected_at = bus.injectedAt;
-    const bool top_released = bus.topReleased;
-    const sim::Tick now = simulator().now();
-    rmb_assert(last_hop.gap == bus.srcGap(),
-               "teardown must end at the source gap");
-    rmbStats_.liveBuses.adjust(now, -1);
-    buses_.erase(bus_id);
-
-    Pe &pe = pes_[src];
-    pe.releaseSend(mid);
-
-    // Retry bookkeeping precedes the wakeups so the backoff window
-    // is in place when segmentFreed pokes the source PE.  A
-    // fault-severed bus rides the same requeue path as a Nacked one.
-    if (kind == BusState::NackTeardown ||
-        kind == BusState::FaultTeardown) {
-        net::Message &m = messageRef(mid);
-        if (config_.maxRetries > 0 &&
-            m.retries >= config_.maxRetries) {
-            writeOff(m, obs::kDeadRetriesExhausted);
-        } else {
-            pe.sendQueue.push_front(mid);
-            scheduleRetry(src, mid);
-        }
-    }
-
-    const Level top = static_cast<Level>(config_.numBuses) - 1;
-    if (!top_released && last_hop.level == top) {
-        rmbStats_.topReleaseLatency.add(
-            static_cast<double>(now - injected_at));
-    }
-    // The bus record is already gone, so the SegmentFree events are
-    // assembled from the captured ids rather than via busEvent().
-    const auto lastFree = [&](GapId gap, Level level) {
-        segments_.release(gap, level, bus_id, now);
-        if (tracing()) {
-            obs::TraceEvent e;
-            e.kind = obs::EventKind::SegmentFree;
-            e.at = now;
-            e.message = mid;
-            e.bus = bus_id;
-            e.node = gap;
-            e.gap = gap;
-            e.level = level;
-            e.a = obs::kFreeTeardown;
-            emitTrace(e);
-        }
-        if (!segments_.isFaulty(gap, level))
-            segmentFreed(gap, level);
-    };
-    if (last_hop.inMove())
-        lastFree(last_hop.gap, last_hop.dualLevel);
-    lastFree(last_hop.gap, last_hop.level);
-    tryInject(src);
-    checkAfterMutation();
-}
-
-void
-RmbNetwork::scheduleRetry(net::NodeId node, net::MessageId msg)
-{
-    sim::Tick backoff = rng_.uniformRange(
-        config_.retryBackoffMin, config_.retryBackoffMax);
-    if (config_.exponentialBackoff) {
-        const std::uint32_t shift =
-            std::min(message(msg).retries, 16u);
-        if ((backoff << shift) >= config_.retryBackoffCap) {
-            // Keep the jitter when capping: a deterministic capped
-            // backoff phase-locks colliding senders into permanent
-            // livelock.
-            backoff = rng_.uniformRange(config_.retryBackoffCap / 2,
-                                        config_.retryBackoffCap);
-        } else {
-            backoff <<= shift;
-        }
-    }
-    Pe &pe = pes_[node];
-    pe.backoffUntil = simulator().now() + backoff;
-    if (tracing()) {
-        obs::TraceEvent e;
-        e.kind = obs::EventKind::Backoff;
-        e.at = simulator().now();
-        e.message = msg;
-        e.node = node;
-        e.a = backoff;
-        emitTrace(e);
-    }
-    simulator().schedule(backoff, [this, node] { tryInject(node); });
-}
-
-void
-RmbNetwork::noteSegmentFree(const VirtualBus &bus, GapId gap,
-                            Level level,
-                            obs::SegmentFreeReason reason)
-{
-    if (!tracing())
-        return;
-    obs::TraceEvent e = busEvent(obs::EventKind::SegmentFree, bus,
-                                 gap, gap, level);
-    e.a = reason;
-    emitTrace(e);
-}
-
-void
-RmbNetwork::releaseSegment(VirtualBus &bus, GapId gap, Level level,
-                           obs::SegmentFreeReason reason)
-{
-    segments_.release(gap, level, bus.id, simulator().now());
-    noteSegmentFree(bus, gap, level, reason);
-    if (!bus.topReleased && gap == bus.srcGap() &&
-        level == static_cast<Level>(config_.numBuses) - 1) {
-        bus.topReleased = true;
-        rmbStats_.topReleaseLatency.add(
-            static_cast<double>(simulator().now() - bus.injectedAt));
-    }
-    // A faulted segment is released (the severed owner lets go of
-    // it) but not *freed*: nobody may claim it until repair.
-    if (!segments_.isFaulty(gap, level))
-        segmentFreed(gap, level);
-}
-
-void
-RmbNetwork::segmentFreed(GapId gap, Level level)
-{
-    // Wake blocked headers waiting at this gap (FIFO order).  A
-    // snapshot is used because tryAdvance edits the deque.
-    if (!waiters_[gap].empty()) {
-        std::vector<VirtualBusId> snapshot(waiters_[gap].begin(),
-                                           waiters_[gap].end());
-        for (VirtualBusId bid : snapshot) {
-            auto it = buses_.find(bid);
-            if (it == buses_.end())
-                continue;
-            if (it->second.state != BusState::Blocked)
-                continue;
-            if (!segments_.isFree(gap, level))
-                break; // the freed segment was taken
-            tryAdvance(bid);
-        }
-    }
-    // A freed top segment lets the local PE inject a queued request.
-    if (level == static_cast<Level>(config_.numBuses) - 1)
-        tryInject(gap);
+    const net::MessageId carrier = bus.message;
+    deliver(bus);
+    finishMulticast(carrier);
 }
 
 // ----------------------------------------------------------------
@@ -909,7 +617,7 @@ RmbNetwork::makeEligibleMoves(GapId gap, int parity)
         out.push_back(MoveRecord{bid, gap, l, l - 1});
     }
     if (!out.empty())
-        checkAfterMutation();
+        auditIfFull();
     return out;
 }
 
@@ -961,148 +669,7 @@ RmbNetwork::breakMoves(const std::vector<MoveRecord> &records)
             tryAdvance(r.bus);
         }
     }
-    checkAfterMutation();
-}
-
-void
-RmbNetwork::failSegment(GapId gap, Level level)
-{
-    const VirtualBusId occupant = segments_.occupant(gap, level);
-    if (occupant != kNoBus && !config_.transientFaults) {
-        panic("failSegment(", gap, ",", level, "): can only fault a"
-              " free segment while transient faults are disabled,"
-              " and level ", level, " of gap ", gap,
-              " is held by virtual bus ", occupant,
-              "; set RmbConfig::transientFaults to sever live"
-              " buses");
-    }
-    segments_.markFaulty(gap, level, simulator().now());
-    ++rmbStats_.faultsInjected;
-    if (tracing()) {
-        obs::TraceEvent e;
-        e.kind = obs::EventKind::SegmentFail;
-        e.at = simulator().now();
-        e.node = gap;
-        e.gap = gap;
-        e.level = level;
-        e.a = occupant;
-        emitTrace(e);
-    }
-    if (occupant != kNoBus)
-        severOccupant(gap, level, occupant);
-    checkAfterMutation();
-}
-
-void
-RmbNetwork::repairSegment(GapId gap, Level level)
-{
-    segments_.clearFault(gap, level, simulator().now());
-    ++rmbStats_.faultsRepaired;
-    if (tracing()) {
-        obs::TraceEvent e;
-        e.kind = obs::EventKind::SegmentRepair;
-        e.at = simulator().now();
-        e.node = gap;
-        e.gap = gap;
-        e.level = level;
-        emitTrace(e);
-    }
-    // A severed occupant may still be walking its teardown across
-    // this segment; then the wakeups happen at its release instead.
-    if (segments_.isFree(gap, level))
-        segmentFreed(gap, level);
-    checkAfterMutation();
-}
-
-void
-RmbNetwork::severOccupant(GapId gap, Level level,
-                          VirtualBusId bus_id)
-{
-    VirtualBus &bus = busRef(bus_id);
-    if (isTeardown(bus.state))
-        return; // the walking Fack/Nack will release it anyway
-
-    const auto idx = static_cast<std::size_t>(
-        (gap + config_.numNodes - bus.srcGap()) % config_.numNodes);
-    rmb_assert(idx < bus.hops.size(),
-               "faulted segment held by a hop out of range");
-    Hop &hop = bus.hops[idx];
-    rmb_assert(hop.gap == gap, "hop/gap bookkeeping mismatch");
-
-    if (hop.inMove() && level == hop.dualLevel) {
-        // The fault hit the make-before-break *target* before the
-        // break step: cancel the move and stay on the (live) old
-        // level.  The pending break record goes stale via inMove().
-        segments_.release(gap, level, bus_id, simulator().now());
-        noteSegmentFree(bus, gap, level, obs::kFreeMoveCancel);
-        hop.dualLevel = kNoLevel;
-        return;
-    }
-    if (hop.inMove() && level == hop.level) {
-        // The fault hit the *old* level mid-move: make-before-break
-        // means the lower segment already carries the signal, so
-        // complete the move early instead of severing.
-        segments_.release(gap, level, bus_id, simulator().now());
-        noteSegmentFree(bus, gap, level, obs::kFreeMoveCancel);
-        hop.level = hop.dualLevel;
-        hop.dualLevel = kNoLevel;
-        ++rmbStats_.compactionMoves;
-        return;
-    }
-    rmb_assert(level == hop.level,
-               "faulted segment not part of its occupant's hop");
-    severBus(bus, obs::kSeverFault);
-}
-
-void
-RmbNetwork::severBus(VirtualBus &bus, std::uint64_t reason)
-{
-    rmb_assert(!isTeardown(bus.state),
-               "sever of a bus already tearing down");
-    const sim::Tick now = simulator().now();
-
-    switch (bus.state) {
-      case BusState::Blocked: {
-        rmbStats_.blockedTime.add(
-            static_cast<double>(now - bus.blockedSince));
-        auto &q = waiters_[bus.headNode];
-        q.erase(std::remove(q.begin(), q.end(), bus.id), q.end());
-        break;
-      }
-      case BusState::AwaitHack:
-        pes_[bus.dst].releaseReceive(bus.message);
-        break;
-      case BusState::Streaming:
-        pes_[bus.dst].releaseReceive(bus.message);
-        noteCircuit(-1);
-        // The re-injected header starts a fresh circuit; in-flight
-        // flit/Dack events die against the FaultTeardown guards.
-        messageRef(bus.message).state = net::MessageState::Setup;
-        break;
-      default:
-        break; // Advancing: the in-flight header event goes stale
-    }
-
-    ++rmbStats_.busesSevered;
-    severedAt_.emplace(bus.message, now); // keeps the first sever
-    if (tracing()) {
-        obs::TraceEvent e = busEvent(obs::EventKind::BusSevered,
-                                     bus, bus.headNode);
-        e.a = reason;
-        emitTrace(e);
-    }
-    startTeardown(bus, BusState::FaultTeardown);
-}
-
-void
-RmbNetwork::writeOff(net::Message &m, obs::DeadLetterReason reason)
-{
-    auto sev = severedAt_.find(m.id);
-    if (sev != severedAt_.end()) {
-        ++rmbStats_.messagesLost;
-        severedAt_.erase(sev);
-    }
-    deadLetterMessage(m, rmbStats_, reason);
+    auditIfFull();
 }
 
 std::uint64_t
@@ -1126,71 +693,6 @@ RmbNetwork::progressStamp(net::MessageId id) const
         mix(b.hops.size());
     }
     return h;
-}
-
-bool
-RmbNetwork::rescueStalled(net::MessageId id)
-{
-    net::Message &m = messageRef(id);
-    if (m.state == net::MessageState::Delivered ||
-        m.state == net::MessageState::Failed) {
-        return false;
-    }
-
-    VirtualBus *carrier = nullptr;
-    // rmblint:allow(determinism-hazard): unique-match search - at most
-    // one bus carries the message, order-insensitive.
-    for (auto &kv : buses_) {
-        if (kv.second.message == id) {
-            carrier = &kv.second;
-            break;
-        }
-    }
-    if (carrier) {
-        // Teardowns are self-driving, and closed-form streaming is
-        // one pre-scheduled event that cannot be lost - neither
-        // counts as "silent".
-        if (isTeardown(carrier->state))
-            return false;
-        if (carrier->state == BusState::Streaming &&
-            !config_.detailedFlits) {
-            return false;
-        }
-        ++rmbStats_.watchdogFires;
-        if (tracing()) {
-            obs::TraceEvent e = busEvent(
-                obs::EventKind::WatchdogFire, *carrier,
-                carrier->src);
-            e.a = carrier->epoch;
-            emitTrace(e);
-        }
-        severBus(*carrier, obs::kSeverWatchdog);
-        checkAfterMutation();
-        return true;
-    }
-
-    // No bus: the message waits in its source queue (or its backoff).
-    // A live queue is not a stall - the only unrecoverable silence
-    // is a route that permanent damage has cut.
-    if (!routeDead(m.src, m.dst))
-        return false;
-    Pe &pe = pes_[m.src];
-    auto it = std::find(pe.sendQueue.begin(), pe.sendQueue.end(), id);
-    if (it == pe.sendQueue.end())
-        return false; // between teardown and requeue; look again
-    pe.sendQueue.erase(it);
-    ++rmbStats_.watchdogFires;
-    if (tracing()) {
-        obs::TraceEvent e;
-        e.kind = obs::EventKind::WatchdogFire;
-        e.at = simulator().now();
-        e.message = id;
-        e.node = m.src;
-        emitTrace(e);
-    }
-    writeOff(m, obs::kDeadUnreachable);
-    checkAfterMutation();
-    return true;
 }
 
 void
@@ -1262,75 +764,14 @@ RmbNetwork::outputStatus(net::NodeId node, Level level,
 }
 
 void
-RmbNetwork::checkAfterMutation() const
-{
-    if (config_.verify == VerifyLevel::Full)
-        auditInvariants();
-}
-
-void
 RmbNetwork::auditInvariants() const
 {
-    const auto n = config_.numNodes;
-    const auto k = static_cast<Level>(config_.numBuses);
-
     // Every hop's claim must match the grid, and vice versa.
     std::uint64_t claimed = 0;
     // rmblint:allow(determinism-hazard): order-insensitive audit; the
     // loop only accumulates counts and fires asserts.
     for (const auto &[id, bus] : buses_) {
-        rmb_assert(!bus.hops.empty(), "live bus ", id,
-                   " with no hops");
-        rmb_assert(bus.hops.size() + bus.hopsFreed <=
-                       bus.pathLength(n),
-                   "bus ", id, " longer than its path");
-        for (std::size_t i = 0; i < bus.hops.size(); ++i) {
-            const Hop &hop = bus.hops[i];
-            rmb_assert(hop.gap ==
-                           (bus.srcGap() + i) % n,
-                       "bus ", id, " hop ", i, " at wrong gap");
-            rmb_assert(hop.level >= 0 && hop.level < k,
-                       "bus ", id, " level out of range");
-            rmb_assert(segments_.occupant(hop.gap, hop.level) == id,
-                       "grid does not record bus ", id, " at (",
-                       hop.gap, ",", hop.level, ")");
-            ++claimed;
-            if (hop.inMove()) {
-                rmb_assert(hop.dualLevel == hop.level - 1,
-                           "moves must go exactly one level down");
-                rmb_assert(segments_.occupant(hop.gap,
-                                              hop.dualLevel) == id,
-                           "dual segment not recorded");
-                ++claimed;
-            }
-            if (i > 0) {
-                const Hop &prev = bus.hops[i - 1];
-                rmb_assert(!(prev.inMove() && hop.inMove()),
-                           "adjacent hops of bus ", id,
-                           " moving concurrently");
-                // Electrical connectivity: every live level pair of
-                // adjacent hops must be within one level.
-                for (Level a : {prev.level, prev.dualLevel}) {
-                    if (a == kNoLevel)
-                        continue;
-                    for (Level b : {hop.level, hop.dualLevel}) {
-                        if (b == kNoLevel)
-                            continue;
-                        rmb_assert(a - b <= 1 && b - a <= 1,
-                                   "bus ", id, " kinked at gap ",
-                                   hop.gap, ": levels ", a, " -> ",
-                                   b);
-                    }
-                }
-            }
-        }
-        // Circuit-complete states must span the whole path.
-        if (bus.state == BusState::AwaitHack ||
-            bus.state == BusState::Streaming) {
-            rmb_assert(bus.hops.size() == bus.pathLength(n),
-                       "established bus ", id,
-                       " does not span its path");
-        }
+        claimed += auditHops(bus, bus.pathLength(config_.numNodes));
         if (bus.state == BusState::Blocked) {
             const auto &q = waiters_[bus.headNode];
             rmb_assert(std::find(q.begin(), q.end(), id) != q.end(),
@@ -1338,49 +779,7 @@ RmbNetwork::auditInvariants() const
                        " list");
         }
     }
-    // occupiedCount() counts bus-owned cells only; faulted cells
-    // are tracked separately by faultyCount().
-    rmb_assert(claimed == segments_.occupiedCount(),
-               "grid claims ", segments_.occupiedCount(),
-               " segments but buses own ", claimed, " (plus ",
-               segments_.faultyCount(), " faulted)");
-
-    // Fault/occupancy consistency: the fault-mask count adds up, a
-    // faulted segment never reads as free, and any bus still holding
-    // one must be tearing down (failSegment severs the occupant
-    // synchronously; only the walking teardown may linger).
-    std::uint32_t faulted_seen = 0;
-    for (GapId g = 0; g < n; ++g) {
-        for (Level l = 0; l < k; ++l) {
-            if (!segments_.isFaulty(g, l))
-                continue;
-            ++faulted_seen;
-            rmb_assert(!segments_.isFree(g, l),
-                       "faulted segment (", g, ",", l,
-                       ") reads as free");
-            const VirtualBusId bid = segments_.occupant(g, l);
-            if (bid == kNoBus)
-                continue;
-            auto owner = buses_.find(bid);
-            rmb_assert(owner != buses_.end(),
-                       "faulted segment (", g, ",", l,
-                       ") held by dead bus ", bid);
-            rmb_assert(isTeardown(owner->second.state),
-                       "bus ", bid, " holds faulted segment (", g,
-                       ",", l, ") but is not tearing down (state ",
-                       static_cast<int>(owner->second.state), ")");
-        }
-    }
-    rmb_assert(faulted_seen == segments_.faultyCount(),
-               "fault mask shows ", faulted_seen,
-               " faulted segments but the table counts ",
-               segments_.faultyCount());
-
-    // Derived Table-1 codes must all be legal (outputStatus panics
-    // internally if not).
-    for (net::NodeId node = 0; node < n; ++node)
-        for (Level l = 0; l < k; ++l)
-            (void)outputStatus(node, l);
+    auditSegments(claimed);
 }
 
 } // namespace core

@@ -22,9 +22,9 @@
 #include "netbase/network.hh"
 #include "obs/metrics.hh"
 #include "rmb/config.hh"
-#include "rmb/engine.hh"
 #include "rmb/inc.hh"
 #include "rmb/pe.hh"
+#include "rmb/ring_engine.hh"
 #include "rmb/segment_table.hh"
 #include "rmb/status_register.hh"
 #include "rmb/types.hh"
@@ -34,8 +34,6 @@
 
 namespace rmb {
 namespace core {
-
-class FaultSchedule;
 
 /** Id of a multicast/broadcast group (1-based, per network). */
 using MulticastId = std::uint64_t;
@@ -62,18 +60,16 @@ struct MulticastRecord
 
 /**
  * The RMB network: the reference discrete-event engine.  See
- * RmbConfig for tunables, core::Engine for the backend contract
- * shared with the cycle kernel, and net::Network for the send/stats
- * interface shared with the baselines.
+ * RmbConfig for tunables, core::RingEngine for the source side it
+ * shares with the cycle kernel, core::Engine for the backend
+ * contract, and net::Network for the send/stats interface shared
+ * with the baselines.
  */
-class RmbNetwork : public Engine
+class RmbNetwork : public RingEngine
 {
   public:
     RmbNetwork(sim::Simulator &simulator, const RmbConfig &config);
     ~RmbNetwork() override;
-
-    net::MessageId send(net::NodeId src, net::NodeId dst,
-                        std::uint32_t payload_flits) override;
 
     /**
      * Deliver @p payload_flits to every node in @p members over one
@@ -95,16 +91,6 @@ class RmbNetwork : public Engine
      */
     const MulticastRecord &multicastRecord(MulticastId id) const;
 
-    const RmbConfig &
-    config() const override
-    {
-        return config_;
-    }
-    const RmbStats &
-    rmbStats() const override
-    {
-        return rmbStats_;
-    }
     const SegmentTable &segments() const { return segments_; }
 
     // --- Engine segment census (delegates to the SegmentTable) ---
@@ -170,42 +156,11 @@ class RmbNetwork : public Engine
     std::uint8_t outputStatus(net::NodeId node, Level level,
                               bool *pe_driven = nullptr) const;
 
-    /**
-     * Fault injection: disable the physical segment at
-     * (@p gap, @p level).  With RmbConfig::transientFaults the
-     * segment may be *occupied*: the owning virtual bus is severed
-     * and torn down hop by hop, and its message retried from the
-     * source (docs/FAULTS.md).  Without it, faulting an occupied
-     * segment is a hard error (the historical static-fault model).
-     * The protocol routes and compacts around faulted segments; note
-     * that faulting a gap's *top* segment disables injection at
-     * that node, and faulting all k levels of a gap partitions the
-     * (one-way) ring.
-     */
-    void failSegment(GapId gap, Level level) override;
-
-    /**
-     * Repair a faulted segment: the inverse of failSegment.  The
-     * segment becomes claimable again once any severed occupant has
-     * finished releasing it; blocked headers and pending injections
-     * are woken exactly as on a normal release.
-     */
-    void repairSegment(GapId gap, Level level) override;
-
     /** Run every structural invariant check now (any VerifyLevel). */
     void auditInvariants() const override;
 
-    // --- delivery supervisor hooks (docs/ENGINE.md) ---
-
     /** Base stamp + the carrying bus's id/state/epoch/extent. */
     std::uint64_t progressStamp(net::MessageId id) const override;
-
-    /**
-     * Sever the silent bus carrying @p id (teardowns and closed-form
-     * streaming are exempt), or dead-letter a queued message whose
-     * route permanent damage has cut.
-     */
-    bool rescueStalled(net::MessageId id) override;
 
   private:
     // ------------------------------------------------------------
@@ -244,62 +199,49 @@ class RmbNetwork : public Engine
     /** RNG stream (backoff jitter, INC clock phase). */
     sim::Random &rng() { return rng_; }
     // --- protocol steps (all take the bus id; the bus may die) ---
-    void tryInject(net::NodeId node);
     void headerArrive(VirtualBusId bus_id);
     void tryAdvance(VirtualBusId bus_id);
-    void acceptAtDestination(VirtualBus &bus);
     void hackArriveAtSource(VirtualBusId bus_id);
     void finalFlitArrive(VirtualBusId bus_id);
     // Detailed flit-level streaming (Dack flow control).
     void departFlit(VirtualBusId bus_id, std::uint32_t seq);
     void flitArriveAtDst(VirtualBusId bus_id, std::uint32_t seq);
     void dackArriveAtSource(VirtualBusId bus_id);
-    void startTeardown(VirtualBus &bus, BusState kind);
-    void teardownStep(VirtualBusId bus_id);
-    // --- transient-fault recovery (docs/FAULTS.md) ---
-    void severOccupant(GapId gap, Level level, VirtualBusId bus_id);
-    void severBus(VirtualBus &bus, std::uint64_t reason);
-    /** Dead-letter @p m (severedAt_ lost accounting included). */
-    void writeOff(net::Message &m, obs::DeadLetterReason reason);
     void finishMulticast(net::MessageId carrier);
-    void busFinished(VirtualBusId bus_id, const Hop &last_hop);
-    void scheduleRetry(net::NodeId node, net::MessageId msg);
     void onHeaderTimeout(VirtualBusId bus_id, sim::Tick since);
-
-    /** Free one segment and dispatch wakeups. */
-    void releaseSegment(VirtualBus &bus, GapId gap, Level level,
-                        obs::SegmentFreeReason reason);
-    void segmentFreed(GapId gap, Level level);
-
-    /** Emit a SegmentFree trace event (no-op when not tracing). */
-    void noteSegmentFree(const VirtualBus &bus, GapId gap,
-                         Level level,
-                         obs::SegmentFreeReason reason);
-
-    /** Output levels reachable from the head hop of @p bus. */
-    std::vector<Level> reachableLevels(const VirtualBus &bus) const;
 
     /** Eligibility of one hop for a downward move (Figure 7). */
     bool hopMovable(const VirtualBus &bus, std::size_t hop_index)
         const;
 
-    VirtualBus &busRef(VirtualBusId id);
+    // --- RingEngine hooks ---
+    void scheduleInject(net::NodeId node, sim::Tick delay) override;
+    void scheduleTeardownStep(BusKey key, bool started) override;
+    void launchHeader(VirtualBus &bus) override;
+    VirtualBus &openBus(VirtualBusId id) override;
+    void retireBus(BusKey key) override;
+    const VirtualBus &busRecord(BusKey key) const override;
+    BusKey keyOf(const VirtualBus &bus) const override { return bus.id; }
+    VirtualBus *carrierOf(net::MessageId id) override;
+    /** Teardowns are self-driving and closed-form streaming is one
+     *  pre-scheduled event: neither can go silent. */
+    bool canStall(const VirtualBus &bus) const override;
+    bool
+    segmentFree(GapId gap, Level level) const override
+    {
+        return segments_.isFree(gap, level);
+    }
+    BusKey occupantKey(GapId gap, Level level) const override;
+    void claimSegment(GapId gap, Level level, BusKey key) override;
+    void freeSegment(GapId gap, Level level, BusKey key) override;
+    void setSegmentFault(GapId gap, Level level, bool faulty) override;
+    void unblock(VirtualBus &bus) override;
+    void wakeBlocked(GapId gap, Level level) override;
+    void afterStep() override { auditIfFull(); }
 
-    /** Assemble a trace event carrying @p bus's identity. */
-    obs::TraceEvent busEvent(obs::EventKind kind,
-                             const VirtualBus &bus,
-                             net::NodeId node, GapId gap = 0,
-                             Level level = kNoLevel) const;
-
-    void checkAfterMutation() const;
-
-    RmbConfig config_;
-    sim::Random rng_;
     SegmentTable segments_;
     std::vector<std::unique_ptr<Inc>> incs_;
-    std::vector<Pe> pes_;
     std::unordered_map<VirtualBusId, VirtualBus> buses_;
-    VirtualBusId nextBusId_ = 1;
 
     /** Blocked buses waiting for a segment per gap, FIFO. */
     std::vector<std::deque<VirtualBusId>> waiters_;
@@ -307,19 +249,6 @@ class RmbNetwork : public Engine
     std::vector<MulticastRecord> multicasts_;
     std::unordered_map<net::MessageId, MulticastId>
         carrierToMulticast_;
-
-    /**
-     * First-sever tick of every message whose virtual bus was cut by
-     * a fault or the watchdog and that has not yet been delivered
-     * (-> messagesRecovered + recoveryLatency) or permanently failed
-     * (-> messagesLost).
-     */
-    std::unordered_map<net::MessageId, sim::Tick> severedAt_;
-
-    /** MTBF/MTTR fail-repair process (RmbConfig::faultMtbf > 0). */
-    std::unique_ptr<FaultSchedule> faults_;
-
-    RmbStats rmbStats_;
 };
 
 } // namespace core

@@ -5,7 +5,6 @@
 #include "common/env.hh"
 #include "common/logging.hh"
 #include "obs/prof.hh"
-#include "rmb/fault.hh"
 
 namespace rmb {
 namespace core {
@@ -49,10 +48,8 @@ RingGraph::BridgeStats::BridgeStats(obs::MetricsRegistry &registry)
 
 RingGraph::RingGraph(sim::Simulator &simulator, const RmbConfig &config,
                      RingShape shape)
-    : Engine(simulator, shape.name,
-             validatedEngineConfig(config).numNodes),
-      config_(config), route_(std::move(shape.route)),
-      rmbStats_(metrics()),
+    : Engine(simulator, shape.name, config),
+      route_(std::move(shape.route)),
       runner_(shape.bridges.empty() ? 1 : config.shardJobs)
 {
     const sim::Random root(config_.seed);
@@ -90,15 +87,10 @@ RingGraph::RingGraph(sim::Simulator &simulator, const RmbConfig &config,
     }
     faultMirror_.assign(segs, 0);
 
-    if (config_.faultMtbf > 0) {
-        // Same substream id as the flat engines: the schedule draws
-        // from its own split so the fault storm never perturbs
-        // protocol randomness, and it runs entirely on the parent
-        // simulator so any shardJobs replays it identically.
-        faults_ = std::make_unique<FaultSchedule>(
-            *this, sim::Random(config_.seed).split(kFaultStream));
-        faults_->start();
-    }
+    // One fault process over the composed domain (segments of every
+    // ring, plus bridges), on the parent simulator, so any shardJobs
+    // replays it identically.
+    startFaultSchedule();
 
     mutateHops_ = common::mutationHook("RMB_HIER_MUTATE");
 }
@@ -128,7 +120,7 @@ RingGraph::send(net::NodeId src, net::NodeId dst,
         // could take: write it off at the source instead of bouncing
         // legs off the wreckage (the flat engines' queue sweep, one
         // composition level up).
-        deadLetterMessage(m, rmbStats_, obs::kDeadUnreachable);
+        deadLetterMessage(m, obs::kDeadUnreachable);
         return m.id;
     }
 
@@ -220,7 +212,7 @@ RingGraph::processRecord(std::uint32_t shard, const OutRecord &rec)
         releaseBridge(held, p, rec.at);
     if (rec.failed) {
         // A leg exhausted its bounded retries.
-        deadLetterMessage(m, rmbStats_, obs::kDeadRetriesExhausted);
+        deadLetterMessage(m, obs::kDeadRetriesExhausted);
         return;
     }
 
@@ -243,7 +235,7 @@ RingGraph::offerToBridge(std::uint32_t bridge, Pending pending,
         // The bridge is gone for good: no amount of deflect-and-
         // retry will ever be admitted.  An offer holds no buffer
         // slot, so the write-off is pure accounting.
-        deadLetterMessage(messageRef(pending.ours), rmbStats_,
+        deadLetterMessage(messageRef(pending.ours),
                           obs::kDeadBridgeDead);
         return;
     }
@@ -263,26 +255,17 @@ RingGraph::offerToBridge(std::uint32_t bridge, Pending pending,
 
     // Buffer full (or the bridge transiently out of service):
     // deflect.  The message re-enters the Nack/backoff machinery -
-    // same law as a source retry (network.cc scheduleRetry),
-    // jittered from the bridge's own substream so colliding messages
-    // cannot phase-lock.
+    // the source retry's law (retryBackoff), jittered from the
+    // bridge's own substream so colliding messages cannot
+    // phase-lock.
     ++bridgeStats_->deflections;
     net::Message &m = messageRef(pending.ours);
     ++m.nacks;
     ++stats_.nacks;
     ++m.retries;
     ++stats_.retries;
-    sim::Tick backoff = br.rng.uniformRange(config_.retryBackoffMin,
-                                            config_.retryBackoffMax);
-    if (config_.exponentialBackoff) {
-        const std::uint32_t shift = std::min(pending.deflects, 16u);
-        if ((backoff << shift) >= config_.retryBackoffCap) {
-            backoff = br.rng.uniformRange(config_.retryBackoffCap / 2,
-                                          config_.retryBackoffCap);
-        } else {
-            backoff <<= shift;
-        }
-    }
+    const sim::Tick backoff =
+        retryBackoff(config_, br.rng, pending.deflects);
     ++pending.deflects;
     emitBridgeEvent(obs::EventKind::BridgeDeflect, bridge, pending, at,
                     backoff);
@@ -364,14 +347,14 @@ RingGraph::coordinate()
 {
     const sim::Tick cand = windowCandidate();
     if (cand == sim::kMaxTick) {
-        foldRingStats();
+        foldStats();
         armed_ = false;
         return;
     }
     const sim::Tick until = std::max(cand, simulator().now());
     runWindow(until);
     drainBarrier(until);
-    foldRingStats();
+    foldStats();
     // Re-fire at the window end; a same-tick target means pending
     // parent events at this tick run first (FIFO) and the next
     // firing sees their effects.
@@ -443,15 +426,8 @@ RingGraph::drainBarrier(sim::Tick until)
         sh->outbox.clear();
 }
 
-const RmbStats &
-RingGraph::rmbStats() const
-{
-    foldRingStats();
-    return rmbStats_;
-}
-
 void
-RingGraph::foldRingStats() const
+RingGraph::foldStats() const
 {
     // The counters live in the registry, so a const fold is a cache
     // refresh: the rings' totals are the network's totals.
@@ -775,7 +751,7 @@ RingGraph::rescueStalled(net::MessageId id)
         e.node = p.src;
         emitTrace(e);
     }
-    deadLetterMessage(messageRef(id), rmbStats_, obs::kDeadStalled);
+    deadLetterMessage(messageRef(id), obs::kDeadStalled);
     return true;
 }
 

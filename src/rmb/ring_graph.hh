@@ -52,8 +52,6 @@
 namespace rmb {
 namespace core {
 
-class FaultSchedule;
-
 /** One leg of a route: an ordinary RMB circuit on one ring. */
 struct RingLeg
 {
@@ -114,9 +112,6 @@ class RingGraph : public Engine
                         std::uint32_t payload_flits) override;
 
     // --- core::Engine ---
-    const RmbConfig &config() const override { return config_; }
-    /** Folds the rings' protocol counters in first. */
-    const RmbStats &rmbStats() const override;
     void failSegment(GapId gap, Level level) override;
     void repairSegment(GapId gap, Level level) override;
     void auditInvariants() const override;
@@ -276,7 +271,8 @@ class RingGraph : public Engine
     sim::Tick windowCandidate();
     void runWindow(sim::Tick until);
     void drainBarrier(sim::Tick until);
-    void foldRingStats() const;
+    /** The rings' protocol counters are the network's. */
+    void foldStats() const override;
 
     // Leg plumbing.  With bridges it runs at the barrier
     // (single-threaded, in global time order); without, inline in
@@ -317,10 +313,7 @@ class RingGraph : public Engine
     bool routeDeadFrom(net::NodeId src, net::NodeId dst,
                        std::uint32_t step, bool entered) const;
 
-    RmbConfig config_;
     RingRoute route_;
-
-    RmbStats rmbStats_;
     std::optional<BridgeStats> bridgeStats_;
 
     std::vector<std::unique_ptr<Shard>> shards_;
@@ -333,10 +326,6 @@ class RingGraph : public Engine
     /** Parent-authoritative fault mirror over the whole domain. */
     std::vector<std::uint8_t> faultMirror_;
     std::uint32_t faultyCount_ = 0;
-    /** Stochastic MTBF/MTTR process over the composed fault domain
-     *  (segments of every ring, plus bridges); runs on the parent
-     *  simulator, so it is byte-identical for any shardJobs. */
-    std::unique_ptr<FaultSchedule> faults_;
     /** Bridges currently marked permanently dead (routeDead gate). */
     std::uint32_t permanentDeadBridges_ = 0;
 

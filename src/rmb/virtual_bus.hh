@@ -7,7 +7,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "netbase/message.hh"
 #include "rmb/types.hh"
@@ -64,8 +64,9 @@ isTeardown(BusState s)
 }
 
 /**
- * Bookkeeping for one live virtual bus.  The hop deque is ordered
- * from the source gap to the head gap.
+ * Bookkeeping for one live virtual bus, the record both flat backends
+ * keep (the kernel extends it with its pool fields).  The hops are
+ * ordered from the source gap to the head gap.
  */
 struct VirtualBus
 {
@@ -75,7 +76,7 @@ struct VirtualBus
     net::NodeId dst = 0;
     BusState state = BusState::Advancing;
 
-    std::deque<Hop> hops;
+    std::vector<Hop> hops;
 
     /** Node the header flit currently sits at (or is travelling to). */
     net::NodeId headNode = 0;

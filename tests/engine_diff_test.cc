@@ -444,6 +444,45 @@ TEST(KernelEngine, SingleMessageExactLatency)
     }
 }
 
+/**
+ * A teardown release that wakes an injection.  Bus A (0 -> 2) holds
+ * the top segment of gap 1 while node 1's message waits for it, so
+ * the first step of A's Fack teardown frees that segment and injects
+ * the second bus from inside the step.  On the kernel the injection
+ * grows the slot pool under the step, which must not touch A's
+ * record afterwards (the asan-ubsan preset catches a stale read).
+ */
+TEST(KernelEngine, TeardownWakeupGrowsThePool)
+{
+    core::RmbConfig cfg = baseConfig(4, 2, 1);
+    cfg.headerPolicy = core::HeaderPolicy::PreferStraight;
+    cfg.enableCompaction = false;
+    for (const auto kind :
+         {core::EngineKind::Event, core::EngineKind::Kernel}) {
+        cfg.engine = kind;
+        sim::Simulator sim;
+        auto net = core::makeEngine(sim, cfg);
+        net::MessageId a = 0;
+        net::MessageId b = 0;
+        sim.schedule(0, [&] { a = net->send(0, 2, 4); });
+        // A's header holds gap 1's top segment from this tick on.
+        sim.schedule(cfg.headerHopDelay + 1,
+                     [&] { b = net->send(1, 3, 4); });
+        while (sim.now() < 1000 && !(b != 0 && net->quiescent()))
+            sim.run(64);
+        net->auditInvariants();
+        const net::Message &ma = net->message(a);
+        const net::Message &mb = net->message(b);
+        ASSERT_EQ(ma.state, net::MessageState::Delivered)
+            << core::engineKindName(kind);
+        ASSERT_EQ(mb.state, net::MessageState::Delivered)
+            << core::engineKindName(kind);
+        // B entered when A's first teardown step freed gap 1.
+        EXPECT_EQ(mb.firstAttempt, ma.delivered + cfg.ackHopDelay)
+            << core::engineKindName(kind);
+    }
+}
+
 /** The kernel compacts: a bus parked below a finished one sinks. */
 TEST(KernelEngine, CompactionMovesBusesDown)
 {
