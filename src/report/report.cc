@@ -70,10 +70,6 @@ statsToJson(const net::Network &network, sim::Tick now)
         json.endObject();
     }
 
-    // The full registry, keyed by stable dotted metric names; covers
-    // every counter the typed views above name (and any future ones)
-    // without this function having to keep up.
-    json.raw("metrics", network.metrics().snapshot(now));
     json.endObject();
     return json.str();
 }

@@ -26,7 +26,8 @@ namespace report {
  * Serialize @p network's statistics as a single JSON object.
  * Always includes the common counters; adds a "rmb" sub-object for
  * RMB engines (any core::Engine backend).  NaNs (empty stats) are
- * emitted as null.
+ * emitted as null.  The metrics registry is not repeated here: run
+ * reports carry its snapshot once, under "metrics".
  */
 std::string statsToJson(const net::Network &network, sim::Tick now);
 
