@@ -257,7 +257,7 @@ CircuitNetwork::scheduleRetry(net::NodeId node)
             std::min(message(mid).retries, 16u);
         if ((backoff << shift) >= config_.retryBackoffCap) {
             // Jittered cap: a deterministic backoff phase-locks
-            // colliding senders (see RmbNetwork::scheduleRetry).
+            // colliding senders (see core::retryBackoff).
             backoff = rng_.uniformRange(config_.retryBackoffCap / 2,
                                         config_.retryBackoffCap);
         } else {

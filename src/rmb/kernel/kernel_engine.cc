@@ -261,7 +261,7 @@ CycleKernelEngine::dispatch(const Action &a)
         finalFlitArrive(a.slot);
         break;
     case Action::TeardownStep:
-        teardownStep(a.slot);
+        teardownStep(bus);
         break;
     case Action::TryInject:
         break; // handled above
@@ -281,8 +281,8 @@ CycleKernelEngine::allocSlot()
         return slot;
     }
     pool_.emplace_back();
-    pool_.back().slot = static_cast<std::uint32_t>(pool_.size() - 1);
-    return pool_.back().slot;
+    pool_.back().key = pool_.size() - 1;
+    return static_cast<std::uint32_t>(pool_.back().key);
 }
 
 void
@@ -339,20 +339,20 @@ CycleKernelEngine::scheduleTeardownStep(BusKey key, bool started)
     // action of this life; the walk runs on the new generation.
     if (started)
         ++bus.gen;
-    scheduleAction(config_.ackHopDelay, Action::TeardownStep, bus.slot,
-                   bus.gen);
+    scheduleAction(config_.ackHopDelay, Action::TeardownStep,
+                   static_cast<std::uint32_t>(key), bus.gen);
 }
 
 void
-CycleKernelEngine::launchHeader(VirtualBus &bus)
+CycleKernelEngine::launchHeader(BusRecord &bus)
 {
-    const KBus &kb = static_cast<const KBus &>(bus);
-    scheduleAction(config_.headerHopDelay, Action::HeaderArrive, kb.slot,
-                   kb.gen);
+    scheduleAction(config_.headerHopDelay, Action::HeaderArrive,
+                   static_cast<std::uint32_t>(bus.key),
+                   static_cast<const KBus &>(bus).gen);
     armCycle();
 }
 
-VirtualBus &
+BusRecord &
 CycleKernelEngine::openBus(VirtualBusId)
 {
     KBus &bus = pool_[allocSlot()];
@@ -368,7 +368,7 @@ CycleKernelEngine::retireBus(BusKey key)
     retireSlot(static_cast<std::uint32_t>(key));
 }
 
-const VirtualBus &
+const BusRecord &
 CycleKernelEngine::busRecord(BusKey key) const
 {
     rmb_assert(key < pool_.size() && pool_[key].live,
@@ -376,7 +376,7 @@ CycleKernelEngine::busRecord(BusKey key) const
     return pool_[key];
 }
 
-VirtualBus *
+BusRecord *
 CycleKernelEngine::carrierOf(net::MessageId id)
 {
     for (KBus &b : pool_) {
@@ -400,11 +400,12 @@ CycleKernelEngine::claimSegment(GapId gap, Level level, BusKey key)
                    simulator().now());
 }
 
-void
+bool
 CycleKernelEngine::freeSegment(GapId gap, Level level, BusKey key)
 {
     planes_.release(gap, level, static_cast<std::uint32_t>(key),
                     simulator().now());
+    return !planes_.faulted(gap, level);
 }
 
 void
@@ -463,8 +464,10 @@ CycleKernelEngine::tryAdvance(std::uint32_t slot)
                static_cast<int>(bus.state));
     const net::NodeId here = bus.headNode;
     const GapId gap = here;
-    const Level chosen =
-        chooseOutputLevel(bus.hops.back(), gap, effectiveDst(bus));
+    const Level chosen = chooseOutputLevel(
+        bus.hops.back(), gap, effectiveDst(bus), planes_.faultyCount() > 0,
+        [this](GapId g, Level l) { return planes_.isFree(g, l); },
+        [this](GapId g, Level l) { return planes_.faulted(g, l); });
     if (chosen != kNoLevel) {
         planes_.occupy(gap, chosen, slot, simulator().now());
         bus.hops.push_back(Hop{gap, chosen, kNoLevel, 0});

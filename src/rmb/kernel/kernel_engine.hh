@@ -51,7 +51,7 @@
 namespace rmb {
 namespace core {
 
-class CycleKernelEngine : public RingEngine
+class CycleKernelEngine final : public RingEngine
 {
   public:
     CycleKernelEngine(sim::Simulator &simulator,
@@ -114,10 +114,9 @@ class CycleKernelEngine : public RingEngine
     void setTestMutation(TestMutation m) { mutation_ = m; }
 
   private:
-    /** One pooled virtual bus: the shared record plus its slot. */
-    struct KBus : VirtualBus
+    /** One pooled virtual bus (its key is its slot). */
+    struct KBus : BusRecord
     {
-        std::uint32_t slot = 0;
         bool live = false;
         /** Bumped on teardown start and retirement; stale wheel
          *  actions compare and drop. */
@@ -174,19 +173,14 @@ class CycleKernelEngine : public RingEngine
     // --- RingEngine hooks ---
     void scheduleInject(net::NodeId node, sim::Tick delay) override;
     void scheduleTeardownStep(BusKey key, bool started) override;
-    void launchHeader(VirtualBus &bus) override;
-    VirtualBus &openBus(VirtualBusId id) override;
+    void launchHeader(BusRecord &bus) override;
+    BusRecord &openBus(VirtualBusId id) override;
     void retireBus(BusKey key) override;
-    const VirtualBus &busRecord(BusKey key) const override;
-    BusKey
-    keyOf(const VirtualBus &bus) const override
-    {
-        return static_cast<const KBus &>(bus).slot;
-    }
-    VirtualBus *carrierOf(net::MessageId id) override;
+    const BusRecord &busRecord(BusKey key) const override;
+    BusRecord *carrierOf(net::MessageId id) override;
     /** The wheel cannot lose actions and closed-form streaming is
      *  one pre-scheduled action: no bus ever goes silent. */
-    bool canStall(const VirtualBus &) const override { return false; }
+    bool canStall(const BusRecord &) const override { return false; }
     bool
     segmentFree(GapId gap, Level level) const override
     {
@@ -194,7 +188,7 @@ class CycleKernelEngine : public RingEngine
     }
     BusKey occupantKey(GapId gap, Level level) const override;
     void claimSegment(GapId gap, Level level, BusKey key) override;
-    void freeSegment(GapId gap, Level level, BusKey key) override;
+    bool freeSegment(GapId gap, Level level, BusKey key) override;
     void setSegmentFault(GapId gap, Level level, bool faulty) override;
     /** A fault change may wake the sleeping cycle clock. */
     void afterFaultChange() override;

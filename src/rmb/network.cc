@@ -85,21 +85,23 @@ RmbNetwork::scheduleTeardownStep(BusKey key, bool started)
 {
     (void)started; // stale steps die against their bus's state
     simulator().schedule(config_.ackHopDelay,
-                         [this, key] { teardownStep(key); });
+                         [this, key] { teardownStep(busRef(key)); });
 }
 
 void
-RmbNetwork::launchHeader(VirtualBus &bus)
+RmbNetwork::launchHeader(BusRecord &bus)
 {
     const VirtualBusId bid = bus.id;
     simulator().schedule(config_.headerHopDelay,
                          [this, bid] { headerArrive(bid); });
 }
 
-VirtualBus &
+BusRecord &
 RmbNetwork::openBus(VirtualBusId id)
 {
-    return buses_[id];
+    VirtualBus &bus = buses_[id];
+    bus.key = id;
+    return bus;
 }
 
 void
@@ -108,7 +110,7 @@ RmbNetwork::retireBus(BusKey key)
     buses_.erase(key);
 }
 
-const VirtualBus &
+const BusRecord &
 RmbNetwork::busRecord(BusKey key) const
 {
     auto it = buses_.find(key);
@@ -116,7 +118,13 @@ RmbNetwork::busRecord(BusKey key) const
     return it->second;
 }
 
-VirtualBus *
+VirtualBus &
+RmbNetwork::busRef(VirtualBusId id)
+{
+    return static_cast<VirtualBus &>(busAt(id));
+}
+
+BusRecord *
 RmbNetwork::carrierOf(net::MessageId id)
 {
     // rmblint:allow(determinism-hazard): unique-match search - at most
@@ -129,7 +137,7 @@ RmbNetwork::carrierOf(net::MessageId id)
 }
 
 bool
-RmbNetwork::canStall(const VirtualBus &bus) const
+RmbNetwork::canStall(const BusRecord &bus) const
 {
     return !isTeardown(bus.state) &&
            !(bus.state == BusState::Streaming && !config_.detailedFlits);
@@ -148,10 +156,11 @@ RmbNetwork::claimSegment(GapId gap, Level level, BusKey key)
     segments_.occupy(gap, level, key, simulator().now());
 }
 
-void
+bool
 RmbNetwork::freeSegment(GapId gap, Level level, BusKey key)
 {
     segments_.release(gap, level, key, simulator().now());
+    return !segments_.isFaulty(gap, level);
 }
 
 void
@@ -164,8 +173,9 @@ RmbNetwork::setSegmentFault(GapId gap, Level level, bool faulty)
 }
 
 void
-RmbNetwork::unblock(VirtualBus &bus)
+RmbNetwork::unblock(BusRecord &record)
 {
+    auto &bus = static_cast<VirtualBus &>(record);
     rmbStats_.blockedTime.add(
         static_cast<double>(simulator().now() - bus.blockedSince));
     auto &q = waiters_[bus.headNode];
@@ -313,7 +323,7 @@ void
 RmbNetwork::tryAdvance(VirtualBusId bus_id)
 {
     RMB_PROF_SCOPE_SAMPLED("event.advance");
-    VirtualBus &bus = busAt(bus_id);
+    VirtualBus &bus = busRef(bus_id);
     rmb_assert(bus.state == BusState::Advancing ||
                    bus.state == BusState::Blocked,
                "tryAdvance on a bus in state ",
@@ -321,8 +331,10 @@ RmbNetwork::tryAdvance(VirtualBusId bus_id)
     const net::NodeId here = bus.headNode;
     const GapId gap = here;
 
-    const Level chosen =
-        chooseOutputLevel(bus.hops.back(), gap, bus.dst);
+    const Level chosen = chooseOutputLevel(
+        bus.hops.back(), gap, bus.dst, segments_.faultyCount() > 0,
+        [this](GapId g, Level l) { return segments_.isFree(g, l); },
+        [this](GapId g, Level l) { return segments_.isFaulty(g, l); });
     if (chosen != kNoLevel) {
         if (bus.state == BusState::Blocked) {
             unblock(bus);

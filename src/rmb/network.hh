@@ -65,7 +65,7 @@ struct MulticastRecord
  * contract, and net::Network for the send/stats interface shared
  * with the baselines.
  */
-class RmbNetwork : public RingEngine
+class RmbNetwork final : public RingEngine
 {
   public:
     RmbNetwork(sim::Simulator &simulator, const RmbConfig &config);
@@ -198,6 +198,8 @@ class RmbNetwork : public RingEngine
 
     /** RNG stream (backoff jitter, INC clock phase). */
     sim::Random &rng() { return rng_; }
+    /** The live bus @p id (panics if none). */
+    VirtualBus &busRef(VirtualBusId id);
     // --- protocol steps (all take the bus id; the bus may die) ---
     void headerArrive(VirtualBusId bus_id);
     void tryAdvance(VirtualBusId bus_id);
@@ -217,15 +219,14 @@ class RmbNetwork : public RingEngine
     // --- RingEngine hooks ---
     void scheduleInject(net::NodeId node, sim::Tick delay) override;
     void scheduleTeardownStep(BusKey key, bool started) override;
-    void launchHeader(VirtualBus &bus) override;
-    VirtualBus &openBus(VirtualBusId id) override;
+    void launchHeader(BusRecord &bus) override;
+    BusRecord &openBus(VirtualBusId id) override;
     void retireBus(BusKey key) override;
-    const VirtualBus &busRecord(BusKey key) const override;
-    BusKey keyOf(const VirtualBus &bus) const override { return bus.id; }
-    VirtualBus *carrierOf(net::MessageId id) override;
+    const BusRecord &busRecord(BusKey key) const override;
+    BusRecord *carrierOf(net::MessageId id) override;
     /** Teardowns are self-driving and closed-form streaming is one
      *  pre-scheduled event: neither can go silent. */
-    bool canStall(const VirtualBus &bus) const override;
+    bool canStall(const BusRecord &bus) const override;
     bool
     segmentFree(GapId gap, Level level) const override
     {
@@ -233,9 +234,9 @@ class RmbNetwork : public RingEngine
     }
     BusKey occupantKey(GapId gap, Level level) const override;
     void claimSegment(GapId gap, Level level, BusKey key) override;
-    void freeSegment(GapId gap, Level level, BusKey key) override;
+    bool freeSegment(GapId gap, Level level, BusKey key) override;
     void setSegmentFault(GapId gap, Level level, bool faulty) override;
-    void unblock(VirtualBus &bus) override;
+    void unblock(BusRecord &bus) override;
     void wakeBlocked(GapId gap, Level level) override;
     void afterStep() override { auditIfFull(); }
 

@@ -5,7 +5,6 @@
 
 #include "common/logging.hh"
 #include "obs/prof.hh"
-#include "rmb/compaction_rules.hh"
 #include "rmb/status_register.hh"
 
 namespace rmb {
@@ -18,15 +17,8 @@ RingEngine::RingEngine(sim::Simulator &simulator, std::string name,
 {
 }
 
-void
-RingEngine::auditIfFull() const
-{
-    if (config_.verify == VerifyLevel::Full)
-        auditInvariants();
-}
-
 obs::TraceEvent
-RingEngine::busEvent(obs::EventKind kind, const VirtualBus &bus,
+RingEngine::busEvent(obs::EventKind kind, const BusRecord &bus,
                      net::NodeId node, GapId gap, Level level) const
 {
     obs::TraceEvent e;
@@ -91,7 +83,7 @@ RingEngine::tryInject(net::NodeId node)
         noteRetry(m);
 
     const VirtualBusId bid = nextBusId_++;
-    VirtualBus &bus = openBus(bid);
+    BusRecord &bus = openBus(bid);
     bus.id = bid;
     bus.message = mid;
     bus.src = m.src;
@@ -102,7 +94,7 @@ RingEngine::tryInject(net::NodeId node)
     bus.hopsFreed = 0;
     bus.topReleased = false;
 
-    claimSegment(gap, top, keyOf(bus));
+    claimSegment(gap, top, bus.key);
     bus.hops.push_back(Hop{gap, top, kNoLevel, 0});
     rmbStats_.liveBuses.adjust(simulator().now(), +1);
     if (tracing())
@@ -112,38 +104,8 @@ RingEngine::tryInject(net::NodeId node)
     afterStep();
 }
 
-Level
-RingEngine::chooseOutputLevel(const Hop &in, GapId gap,
-                              net::NodeId dst) const
-{
-    const auto k = static_cast<Level>(config_.numBuses);
-    const GapId next_gap = (gap + 1) % config_.numNodes;
-    const bool lookahead = faultySegments() > 0 && next_gap != dst;
-    const auto dead_end = [&](Level lin) {
-        for (Level lout : {lin - 1, lin, lin + 1}) {
-            if (lout >= 0 && lout < k && !segmentFaulty(next_gap, lout))
-                return false;
-        }
-        return true;
-    };
-    Level reachable[3];
-    const int count =
-        reachableOutputLevelsInto(in, k, config_.headerPolicy, reachable);
-    Level fallback = kNoLevel;
-    for (int i = 0; i < count; ++i) {
-        const Level l = reachable[i];
-        if (!segmentFree(gap, l))
-            continue;
-        if (fallback == kNoLevel)
-            fallback = l;
-        if (!lookahead || !dead_end(l))
-            return l;
-    }
-    return fallback;
-}
-
 sim::Tick
-RingEngine::acceptAtDestination(VirtualBus &bus,
+RingEngine::acceptAtDestination(BusRecord &bus,
                                 std::uint32_t path_length)
 {
     pes_[bus.dst].activeReceives.push_back(bus.message);
@@ -155,7 +117,7 @@ RingEngine::acceptAtDestination(VirtualBus &bus,
 }
 
 sim::Tick
-RingEngine::establish(VirtualBus &bus)
+RingEngine::establish(BusRecord &bus)
 {
     bus.state = BusState::Streaming;
     ++bus.epoch;
@@ -171,7 +133,7 @@ RingEngine::establish(VirtualBus &bus)
 }
 
 void
-RingEngine::deliver(VirtualBus &bus)
+RingEngine::deliver(BusRecord &bus)
 {
     noteDelivered(messageRef(bus.message),
                   static_cast<std::uint32_t>(bus.hops.size()));
@@ -198,7 +160,7 @@ RingEngine::deliver(VirtualBus &bus)
 }
 
 void
-RingEngine::startTeardown(VirtualBus &bus, BusState kind)
+RingEngine::startTeardown(BusRecord &bus, BusState kind)
 {
     rmb_assert(isTeardown(kind), "bad teardown kind");
     bus.state = kind;
@@ -211,13 +173,12 @@ RingEngine::startTeardown(VirtualBus &bus, BusState kind)
                                                : obs::kTeardownFault;
         emitTrace(e);
     }
-    scheduleTeardownStep(keyOf(bus), true);
+    scheduleTeardownStep(bus.key, true);
 }
 
 void
-RingEngine::teardownStep(BusKey key)
+RingEngine::teardownStep(BusRecord &bus)
 {
-    VirtualBus &bus = busAt(key);
     rmb_assert(isTeardown(bus.state), "teardown step on a live bus");
     rmb_assert(!bus.hops.empty(), "teardown of an empty bus");
 
@@ -232,16 +193,21 @@ RingEngine::teardownStep(BusKey key)
         return;
     }
     // A release may wake an injection that moves the backend's bus
-    // records, so look the bus up again after each one.
-    if (hop.inMove())
+    // records, so the bus is named by its key from here on.
+    const BusKey key = bus.key;
+    if (hop.inMove()) {
         releaseSegment(bus, hop.gap, hop.dualLevel, obs::kFreeTeardown);
-    releaseSegment(busAt(key), hop.gap, hop.level, obs::kFreeTeardown);
+        releaseSegment(busAt(key), hop.gap, hop.level,
+                       obs::kFreeTeardown);
+    } else {
+        releaseSegment(bus, hop.gap, hop.level, obs::kFreeTeardown);
+    }
     scheduleTeardownStep(key, false);
     afterStep();
 }
 
 void
-RingEngine::busFinished(VirtualBus &bus, const Hop &last_hop)
+RingEngine::busFinished(BusRecord &bus, const Hop &last_hop)
 {
     // Retire the bus *before* releasing its final (source-gap)
     // segments: the release wakeups (blocked headers, pending
@@ -249,7 +215,7 @@ RingEngine::busFinished(VirtualBus &bus, const Hop &last_hop)
     const net::NodeId src = bus.src;
     const net::MessageId mid = bus.message;
     const VirtualBusId bid = bus.id;
-    const BusKey key = keyOf(bus);
+    const BusKey key = bus.key;
     const BusState kind = bus.state;
     const sim::Tick injected_at = bus.injectedAt;
     const bool top_released = bus.topReleased;
@@ -283,7 +249,7 @@ RingEngine::busFinished(VirtualBus &bus, const Hop &last_hop)
     // The bus record is gone, so the SegmentFree events are assembled
     // from the captured ids rather than via busEvent().
     const auto lastFree = [&](GapId gap, Level level) {
-        freeSegment(gap, level, key);
+        const bool claimable = freeSegment(gap, level, key);
         if (tracing()) {
             obs::TraceEvent e;
             e.kind = obs::EventKind::SegmentFree;
@@ -296,7 +262,7 @@ RingEngine::busFinished(VirtualBus &bus, const Hop &last_hop)
             e.a = obs::kFreeTeardown;
             emitTrace(e);
         }
-        if (!segmentFaulty(gap, level))
+        if (claimable)
             segmentFreed(gap, level);
     };
     if (last_hop.inMove())
@@ -325,11 +291,9 @@ RingEngine::scheduleRetry(net::NodeId node, net::MessageId msg)
 }
 
 void
-RingEngine::noteSegmentFree(const VirtualBus &bus, GapId gap,
-                            Level level, obs::SegmentFreeReason reason)
+RingEngine::traceSegmentFree(const BusRecord &bus, GapId gap,
+                             Level level, obs::SegmentFreeReason reason)
 {
-    if (!tracing())
-        return;
     obs::TraceEvent e =
         busEvent(obs::EventKind::SegmentFree, bus, gap, gap, level);
     e.a = reason;
@@ -337,26 +301,26 @@ RingEngine::noteSegmentFree(const VirtualBus &bus, GapId gap,
 }
 
 void
-RingEngine::releaseSegment(VirtualBus &bus, GapId gap, Level level,
+RingEngine::releaseSegment(BusRecord &bus, GapId gap, Level level,
                            obs::SegmentFreeReason reason)
 {
-    freeSegment(gap, level, keyOf(bus));
+    const bool claimable = freeSegment(gap, level, bus.key);
     noteSegmentFree(bus, gap, level, reason);
     if (!bus.topReleased && gap == bus.srcGap() && level == topLevel()) {
         bus.topReleased = true;
         rmbStats_.topReleaseLatency.add(
             static_cast<double>(simulator().now() - bus.injectedAt));
     }
-    // A faulted segment is released (the severed owner lets go of
-    // it) but not *freed*: nobody may claim it until repair.
-    if (!segmentFaulty(gap, level))
+    if (claimable)
         segmentFreed(gap, level);
 }
 
 void
 RingEngine::segmentFreed(GapId gap, Level level)
 {
-    wakeBlocked(gap, level);
+    // Only Wait mode leaves headers blocked on a segment.
+    if (config_.blocking == BlockingPolicy::Wait)
+        wakeBlocked(gap, level);
     // A freed top segment lets the local PE inject a queued request.
     if (level == topLevel())
         tryInject(gap);
@@ -419,7 +383,7 @@ RingEngine::repairSegment(GapId gap, Level level)
 }
 
 void
-RingEngine::severOccupant(GapId gap, Level level, VirtualBus &bus)
+RingEngine::severOccupant(GapId gap, Level level, BusRecord &bus)
 {
     if (isTeardown(bus.state))
         return; // the walking Fack/Nack will release it anyway
@@ -436,7 +400,7 @@ RingEngine::severOccupant(GapId gap, Level level, VirtualBus &bus)
         // (the pending break record goes stale via inMove()); one on
         // the *old* level completes it early, since the lower segment
         // already carries the signal.  Either way nothing is severed.
-        freeSegment(gap, level, keyOf(bus));
+        freeSegment(gap, level, bus.key);
         noteSegmentFree(bus, gap, level, obs::kFreeMoveCancel);
         if (level == hop.level) {
             hop.level = hop.dualLevel;
@@ -451,7 +415,7 @@ RingEngine::severOccupant(GapId gap, Level level, VirtualBus &bus)
 }
 
 void
-RingEngine::severBus(VirtualBus &bus, std::uint64_t reason)
+RingEngine::severBus(BusRecord &bus, std::uint64_t reason)
 {
     rmb_assert(!isTeardown(bus.state),
                "sever of a bus already tearing down");
@@ -505,7 +469,7 @@ RingEngine::rescueStalled(net::MessageId id)
         return false;
     }
 
-    if (VirtualBus *carrier = carrierOf(id)) {
+    if (BusRecord *carrier = carrierOf(id)) {
         if (!canStall(*carrier))
             return false;
         ++rmbStats_.watchdogFires;
@@ -549,12 +513,12 @@ RingEngine::rescueStalled(net::MessageId id)
 // ----------------------------------------------------------------
 
 std::uint64_t
-RingEngine::auditHops(const VirtualBus &bus,
+RingEngine::auditHops(const BusRecord &bus,
                       std::uint32_t path_length) const
 {
     const std::uint32_t n = config_.numNodes;
     const auto k = static_cast<Level>(config_.numBuses);
-    const BusKey key = keyOf(bus);
+    const BusKey key = bus.key;
     const VirtualBusId id = bus.id;
     rmb_assert(!bus.hops.empty(), "live bus ", id, " with no hops");
     rmb_assert(bus.hops.size() + bus.hopsFreed <= path_length, "bus ",
@@ -634,7 +598,7 @@ RingEngine::auditSegments(std::uint64_t claimed) const
             const BusKey key = occupantKey(g, l);
             if (key == kNoKey)
                 continue;
-            const VirtualBus &owner = busRecord(key);
+            const BusRecord &owner = busRecord(key);
             rmb_assert(isTeardown(owner.state), "bus ", owner.id,
                        " holds faulted segment (", g, ",", l,
                        ") but is not tearing down (state ",

@@ -7,8 +7,8 @@
  * advances.  A header is injected only on the top bus (section 2.3);
  * a Nack or a fault tears the path down hop by hop and the source
  * retries after a jittered backoff; a Fack frees the hops back to the
- * source.  RingEngine defines those steps over the VirtualBus record
- * both backends keep: the PE send queue and its injection gate, the
+ * source.  RingEngine defines those steps over the BusRecord both
+ * backends keep: the PE send queue and its injection gate, the
  * teardown walk and the end of a bus (requeue or write-off), the
  * fault path (sever, make-before-break cancel) and the recovery and
  * dead-letter account.
@@ -28,6 +28,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "rmb/compaction_rules.hh"
 #include "rmb/engine.hh"
 #include "rmb/pe.hh"
 #include "rmb/virtual_bus.hh"
@@ -71,7 +72,12 @@ class RingEngine : public Engine
     }
 
     /** Audit now if VerifyLevel::Full asks for it. */
-    void auditIfFull() const;
+    void
+    auditIfFull() const
+    {
+        if (config_.verify == VerifyLevel::Full)
+            auditInvariants();
+    }
 
     /**
      * Drain @p node's send queue as far as the rules allow: write off
@@ -82,56 +88,92 @@ class RingEngine : public Engine
 
     /**
      * Output level a header entering gap @p gap over hop @p in takes,
-     * or kNoLevel when none is free.  Fault lookahead prefers levels
-     * from which the next gap still has a live onward level (eager
-     * descent otherwise walks into gaps whose low levels are all
-     * faulted); a dead end is taken only when nothing else is free.
+     * or kNoLevel when none is free.  With @p any_faults, fault
+     * lookahead prefers levels from which the next gap still has a
+     * live onward level (eager descent otherwise walks into gaps whose
+     * low levels are all faulted); a dead end is taken only when
+     * nothing else is free.  A per-hop rule, so the backend passes its
+     * store's inline @p is_free / @p is_faulty predicates.
      */
-    Level chooseOutputLevel(const Hop &in, GapId gap,
-                            net::NodeId dst) const;
+    template <typename IsFree, typename IsFaulty>
+    Level
+    chooseOutputLevel(const Hop &in, GapId gap, net::NodeId dst,
+                      bool any_faults, IsFree &&is_free,
+                      IsFaulty &&is_faulty) const
+    {
+        const auto k = static_cast<Level>(config_.numBuses);
+        const GapId next_gap = (gap + 1) % config_.numNodes;
+        const bool lookahead = any_faults && next_gap != dst;
+        const auto dead_end = [&](Level lin) {
+            for (Level lout : {lin - 1, lin, lin + 1}) {
+                if (lout >= 0 && lout < k && !is_faulty(next_gap, lout))
+                    return false;
+            }
+            return true;
+        };
+        Level reachable[3];
+        const int count = reachableOutputLevelsInto(
+            in, k, config_.headerPolicy, reachable);
+        Level fallback = kNoLevel;
+        for (int i = 0; i < count; ++i) {
+            const Level l = reachable[i];
+            if (!is_free(gap, l))
+                continue;
+            if (fallback == kNoLevel)
+                fallback = l;
+            if (!lookahead || !dead_end(l))
+                return l;
+        }
+        return fallback;
+    }
 
     /** The header reached a free receive port: hold it and await the
      *  Hack.  @return the Hack's travel time back to the source. */
-    sim::Tick acceptAtDestination(VirtualBus &bus,
+    sim::Tick acceptAtDestination(BusRecord &bus,
                                   std::uint32_t path_length);
 
     /** The Hack reached the source: the circuit is up.  @return the
      *  closed-form time until the final flit lands. */
-    sim::Tick establish(VirtualBus &bus);
+    sim::Tick establish(BusRecord &bus);
 
     /** The final flit landed: deliver, close any recovery, and start
      *  the Fack teardown. */
-    void deliver(VirtualBus &bus);
+    void deliver(BusRecord &bus);
 
-    void startTeardown(VirtualBus &bus, BusState kind);
+    void startTeardown(BusRecord &bus, BusState kind);
 
     /** One hop of the walking Fack/Nack; the source hop ends the bus
      *  (requeue or write-off on a Nack or fault). */
-    void teardownStep(BusKey key);
+    void teardownStep(BusRecord &bus);
 
     /** Cut @p bus (fault or watchdog); its message retries. */
-    void severBus(VirtualBus &bus, std::uint64_t reason);
+    void severBus(BusRecord &bus, std::uint64_t reason);
 
     /**
      * Free one segment of @p bus and dispatch the wakeups.  A wakeup
      * may inject a new bus, which can move the backend's records:
      * @p bus must not be used after this returns.
      */
-    void releaseSegment(VirtualBus &bus, GapId gap, Level level,
+    void releaseSegment(BusRecord &bus, GapId gap, Level level,
                         obs::SegmentFreeReason reason);
 
     /** Emit a SegmentFree trace event (no-op when not tracing). */
-    void noteSegmentFree(const VirtualBus &bus, GapId gap, Level level,
-                         obs::SegmentFreeReason reason);
+    void
+    noteSegmentFree(const BusRecord &bus, GapId gap, Level level,
+                    obs::SegmentFreeReason reason)
+    {
+        if (tracing())
+            traceSegmentFree(bus, gap, level, reason);
+    }
 
     /** Assemble a trace event carrying @p bus's identity. */
-    obs::TraceEvent busEvent(obs::EventKind kind, const VirtualBus &bus,
+    obs::TraceEvent busEvent(obs::EventKind kind, const BusRecord &bus,
                              net::NodeId node, GapId gap = 0,
                              Level level = kNoLevel) const;
 
     /** Audit one live bus's hops against the segment store; returns
      *  the segments it claims. */
-    std::uint64_t auditHops(const VirtualBus &bus,
+    std::uint64_t auditHops(const BusRecord &bus,
                             std::uint32_t path_length) const;
 
     /** Audit the store: @p claimed cells, and faulted segments held
@@ -139,10 +181,10 @@ class RingEngine : public Engine
     void auditSegments(std::uint64_t claimed) const;
 
     /** The live bus record behind @p key (panics if none). */
-    VirtualBus &
+    BusRecord &
     busAt(BusKey key)
     {
-        return const_cast<VirtualBus &>(busRecord(key));
+        return const_cast<BusRecord &>(busRecord(key));
     }
 
     /** RNG stream (backoff jitter; INC phases or the kernel period). */
@@ -157,32 +199,35 @@ class RingEngine : public Engine
      *  marks a fresh teardown, whose other pending steps are void. */
     virtual void scheduleTeardownStep(BusKey key, bool started) = 0;
     /** Send the just-injected header toward its first INC. */
-    virtual void launchHeader(VirtualBus &bus) = 0;
+    virtual void launchHeader(BusRecord &bus) = 0;
 
     // --- hooks: bus records ---
-    /** A record for new bus @p id; the caller fills it. */
-    virtual VirtualBus &openBus(VirtualBusId id) = 0;
+    /** A record for new bus @p id with its key set; the caller
+     *  fills the rest. */
+    virtual BusRecord &openBus(VirtualBusId id) = 0;
     virtual void retireBus(BusKey key) = 0;
-    virtual const VirtualBus &busRecord(BusKey key) const = 0;
-    virtual BusKey keyOf(const VirtualBus &bus) const = 0;
+    virtual const BusRecord &busRecord(BusKey key) const = 0;
     /** The live bus carrying @p id, or nullptr. */
-    virtual VirtualBus *carrierOf(net::MessageId id) = 0;
+    virtual BusRecord *carrierOf(net::MessageId id) = 0;
     /** Can @p bus lose a step, so the watchdog may sever it? */
-    virtual bool canStall(const VirtualBus &bus) const = 0;
+    virtual bool canStall(const BusRecord &bus) const = 0;
 
     // --- hooks: segment store ---
     virtual bool segmentFree(GapId gap, Level level) const = 0;
     /** The bus holding the segment, or kNoKey. */
     virtual BusKey occupantKey(GapId gap, Level level) const = 0;
     virtual void claimSegment(GapId gap, Level level, BusKey key) = 0;
-    virtual void freeSegment(GapId gap, Level level, BusKey key) = 0;
+    /** Release the cell; returns whether it is claimable again.  A
+     *  faulted cell is released by its severed owner but not freed:
+     *  nobody may claim it until repair. */
+    virtual bool freeSegment(GapId gap, Level level, BusKey key) = 0;
     virtual void setSegmentFault(GapId gap, Level level,
                                  bool faulty) = 0;
 
     // --- hooks with defaults ---
     /** Take a Blocked header off its wait list (Wait mode only). */
-    virtual void unblock(VirtualBus &bus) { (void)bus; }
-    /** A free segment may let a waiting header advance. */
+    virtual void unblock(BusRecord &bus) { (void)bus; }
+    /** A free segment may let a waiting header advance (Wait mode). */
     virtual void
     wakeBlocked(GapId gap, Level level)
     {
@@ -194,10 +239,12 @@ class RingEngine : public Engine
     /** After a fault or repair. */
     virtual void afterFaultChange() { auditIfFull(); }
 
-    void busFinished(VirtualBus &bus, const Hop &last_hop);
+    void traceSegmentFree(const BusRecord &bus, GapId gap, Level level,
+                          obs::SegmentFreeReason reason);
+    void busFinished(BusRecord &bus, const Hop &last_hop);
     void scheduleRetry(net::NodeId node, net::MessageId msg);
     void segmentFreed(GapId gap, Level level);
-    void severOccupant(GapId gap, Level level, VirtualBus &bus);
+    void severOccupant(GapId gap, Level level, BusRecord &bus);
     /** Dead-letter @p m (severedAt_ lost accounting included). */
     void writeOff(net::Message &m, obs::DeadLetterReason reason);
 

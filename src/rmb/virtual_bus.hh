@@ -64,13 +64,16 @@ isTeardown(BusState s)
 }
 
 /**
- * Bookkeeping for one live virtual bus, the record both flat backends
- * keep (the kernel extends it with its pool fields).  The hops are
- * ordered from the source gap to the head gap.
+ * The record of one live virtual bus that both flat backends keep and
+ * core::RingEngine's shared steps work on.  The hops are ordered from
+ * the source gap to the head gap.
  */
-struct VirtualBus
+struct BusRecord
 {
     VirtualBusId id = kNoBus;
+    /** The backend's handle on this record: the bus id (event
+     *  engine) or the pool slot (kernel). */
+    std::uint64_t key = 0;
     net::MessageId message = net::kNoMessage;
     net::NodeId src = 0;
     net::NodeId dst = 0;
@@ -85,8 +88,6 @@ struct VirtualBus
     std::uint32_t hopsFreed = 0;
 
     sim::Tick injectedAt = 0;
-    /** Tick the header became blocked (for the optional timeout). */
-    sim::Tick blockedSince = 0;
     /**
      * Bumped on every protocol step this bus makes (advance, block,
      * ack, flit, teardown step).  The source-side watchdog snapshots
@@ -96,6 +97,24 @@ struct VirtualBus
     std::uint64_t epoch = 0;
     /** True once the (source gap, top) segment released (stats). */
     bool topReleased = false;
+
+    /** The gap the source PE injects on. */
+    GapId srcGap() const { return src; }
+
+    /** Whole clockwise path length in gaps. */
+    std::uint32_t
+    pathLength(net::NodeId n) const
+    {
+        return (dst + n - src) % n;
+    }
+};
+
+/** A virtual bus of the event engine: the shared record plus the
+ *  Wait-mode and detailed-flit state. */
+struct VirtualBus : BusRecord
+{
+    /** Tick the header became blocked (for the optional timeout). */
+    sim::Tick blockedSince = 0;
 
     /**
      * Detailed flit-level streaming state (RmbConfig::detailedFlits).
@@ -108,16 +127,6 @@ struct VirtualBus
     sim::Tick lastFlitDepart = 0;    //!< tick of the last departure
     sim::Tick lastFlitArrive = 0;    //!< tick of the last dst arrival
     bool pumpStalled = false;        //!< window closed, pump paused
-
-    /** The gap the source PE injects on. */
-    GapId srcGap() const { return src; }
-
-    /** Whole clockwise path length in gaps. */
-    std::uint32_t
-    pathLength(net::NodeId n) const
-    {
-        return (dst + n - src) % n;
-    }
 };
 
 } // namespace core
