@@ -195,8 +195,9 @@ class RingEngine : public Engine
   private:
     // --- hooks: scheduling ---
     virtual void scheduleInject(net::NodeId node, sim::Tick delay) = 0;
-    /** Schedule teardownStep(@p key) one ack hop from now; @p started
-     *  marks a fresh teardown, whose other pending steps are void. */
+    /** Schedule bus @p key's next teardownStep one ack hop from now;
+     *  @p started marks a fresh teardown, whose other pending steps
+     *  are void. */
     virtual void scheduleTeardownStep(BusKey key, bool started) = 0;
     /** Send the just-injected header toward its first INC. */
     virtual void launchHeader(BusRecord &bus) = 0;
