@@ -52,9 +52,9 @@ struct NetworkStats
     sim::LevelTracker &activeCircuits;
 
     /** Log-bucketed injection -> established latencies (p50/90/99). */
-    obs::LogHistogram &setupLatencyHist;
+    sim::SampleStat &setupLatencyHist;
     /** Log-bucketed established -> delivered (data-phase) times. */
-    obs::LogHistogram &dataPhaseHist;
+    sim::SampleStat &dataPhaseHist;
 };
 
 /**

@@ -1,12 +1,110 @@
 #include "obs/metrics.hh"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <sstream>
 
 #include "common/logging.hh"
 #include "obs/json.hh"
 
 namespace rmb {
 namespace obs {
+
+namespace {
+
+constexpr std::size_t kNumBuckets = 64;
+
+std::size_t
+bucketIndex(std::uint64_t value)
+{
+    return std::min<std::size_t>(std::bit_width(value), kNumBuckets - 1);
+}
+
+double
+bucketLow(std::size_t index)
+{
+    return index == 0 ? 0.0 : std::ldexp(1.0, static_cast<int>(index) - 1);
+}
+
+/** @p v as an integer, saturating at the top of std::uint64_t. */
+std::uint64_t
+toInteger(double v)
+{
+    rmb_assert(v >= 0.0, "histogram sample ", v, " is negative");
+    return v >= 0x1p64 ? ~std::uint64_t{0} : static_cast<std::uint64_t>(v);
+}
+
+void
+appendMoment(std::ostringstream &out, const char *name, double v)
+{
+    out << '"' << name << "\":";
+    if (std::isnan(v))
+        out << "null";
+    else
+        out << v;
+}
+
+} // namespace
+
+std::string
+histogramJson(const sim::SampleStat &s)
+{
+    std::uint64_t buckets[kNumBuckets] = {};
+    std::uint64_t sum = 0;
+    for (const auto &[value, n] : s.tallies()) {
+        const std::uint64_t v = toInteger(value);
+        buckets[bucketIndex(v)] += n;
+        sum += v * n;
+    }
+    const std::uint64_t count = s.count();
+    std::ostringstream out;
+    out << "{\"count\":" << count << ',';
+    if (count == 0) {
+        out << "\"min\":null,\"max\":null,\"mean\":null,\"p50\":null,"
+               "\"p90\":null,\"p99\":null,\"buckets\":[]}";
+        return out.str();
+    }
+    const std::uint64_t min = toInteger(s.min());
+    const std::uint64_t max = toInteger(s.max());
+    out << "\"min\":" << min << ",\"max\":" << max << ',';
+    appendMoment(out, "mean",
+                 static_cast<double>(sum) / static_cast<double>(count));
+    for (const auto &[name, p] : {std::pair{"p50", 0.50},
+                                  std::pair{"p90", 0.90},
+                                  std::pair{"p99", 0.99}}) {
+        // The smallest bucket holding at least ceil(p * count)
+        // samples at or below it.
+        const std::uint64_t target = std::max<std::uint64_t>(
+            1, std::min(count, static_cast<std::uint64_t>(std::ceil(
+                                   p * static_cast<double>(count)))));
+        std::size_t i = 0;
+        std::uint64_t below = 0;
+        while (below + buckets[i] < target)
+            below += buckets[i++];
+        const double low = bucketLow(i);
+        const double high = i == 0 ? 1.0 : low * 2.0;
+        const double frac = static_cast<double>(target - below) /
+                            static_cast<double>(buckets[i]);
+        double value = low + frac * (high - low);
+        value = std::max(value, static_cast<double>(min));
+        value = std::min(value, static_cast<double>(max));
+        out << ',';
+        appendMoment(out, name, value);
+    }
+    out << ",\"buckets\":[";
+    bool first = true;
+    for (std::size_t i = 0; i < kNumBuckets; ++i) {
+        if (buckets[i] == 0)
+            continue;
+        if (!first)
+            out << ',';
+        first = false;
+        out << '[' << toInteger(bucketLow(i)) << ',' << buckets[i] << ']';
+    }
+    out << "]}";
+    return out.str();
+}
 
 Counter &
 MetricsRegistry::counter(const std::string &name)
@@ -41,13 +139,13 @@ MetricsRegistry::level(const std::string &name)
     return it->second;
 }
 
-LogHistogram &
+sim::SampleStat &
 MetricsRegistry::histogram(const std::string &name)
 {
     auto it = histograms_.find(name);
     if (it == histograms_.end()) {
         checkShape(name, "histogram");
-        it = histograms_.emplace(name, LogHistogram{}).first;
+        it = histograms_.emplace(name, sim::SampleStat{}).first;
     }
     return it->second;
 }
@@ -120,7 +218,7 @@ MetricsRegistry::snapshot(sim::Tick now) const
     if (!histograms_.empty()) {
         json.beginObject("histograms");
         for (const auto &[name, h] : histograms_)
-            json.raw(name, h.toJson());
+            json.raw(name, histogramJson(h));
         json.endObject();
     }
     json.endObject();

@@ -6,9 +6,11 @@
  * under a stable dotted name ("rmb.compaction.moves"), in one of
  * three shapes:
  *
- * - Counter: a monotonic (or max-tracking) integer,
- * - sampler:  a sim::SampleStat distribution,
- * - level:    a sim::LevelTracker time-weighted level.
+ * - Counter:   a monotonic (or max-tracking) integer,
+ * - sampler:   a sim::SampleStat distribution,
+ * - histogram: a sim::SampleStat of non-negative integers, rendered
+ *              as power-of-two buckets (histogramJson()),
+ * - level:     a sim::LevelTracker time-weighted level.
  *
  * The typed stats structs (net::NetworkStats, core::RmbStats) are
  * thin views holding references into the registry, so existing
@@ -23,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/histogram.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -73,6 +74,18 @@ class Counter
 };
 
 /**
+ * Render @p s, whose samples must be non-negative integers, as one
+ * JSON object: {count, min, max, mean, p50, p90, p99, buckets}.
+ * Bucket 0 holds exactly 0 and bucket i >= 1 holds [2^(i-1), 2^i);
+ * the 64th bucket also takes everything above 2^63.  count, min and
+ * max are integers and mean is sum / count.  Each percentile (nearest
+ * rank) is interpolated linearly inside its bucket, then clamped to
+ * [min, max].  "buckets" lists [low, count] for the non-empty
+ * buckets.  An empty @p s renders the moments as null.
+ */
+std::string histogramJson(const sim::SampleStat &s);
+
+/**
  * Owns every metric of one network instance.  Metrics are created on
  * first lookup and live as long as the registry; returned references
  * stay valid across later registrations.
@@ -93,8 +106,8 @@ class MetricsRegistry
     /** Get or create the level tracker named @p name. */
     sim::LevelTracker &level(const std::string &name);
 
-    /** Get or create the log-bucketed histogram named @p name. */
-    LogHistogram &histogram(const std::string &name);
+    /** Get or create the histogram named @p name. */
+    sim::SampleStat &histogram(const std::string &name);
 
     /** True if a metric of any shape is registered under @p name. */
     bool has(const std::string &name) const;
@@ -127,7 +140,7 @@ class MetricsRegistry
     std::map<std::string, Counter> counters_;
     std::map<std::string, sim::SampleStat> samplers_;
     std::map<std::string, sim::LevelTracker> levels_;
-    std::map<std::string, LogHistogram> histograms_;
+    std::map<std::string, sim::SampleStat> histograms_;
 };
 
 } // namespace obs

@@ -108,7 +108,7 @@ struct RmbStats
     /** First sever -> eventual delivery, per recovered message. */
     sim::SampleStat &recoveryLatency;
     /** Log-bucketed recovery latencies (p50/90/99 in reports). */
-    obs::LogHistogram &recoveryLatencyHist;
+    sim::SampleStat &recoveryLatencyHist;
 
     /** Creation -> per-member delivery over all multicast members. */
     sim::SampleStat &multicastMemberLatency;

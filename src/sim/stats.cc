@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 
 #include "common/logging.hh"
@@ -12,34 +13,28 @@ namespace sim {
 void
 SampleStat::add(double v)
 {
+    rmb_assert(!std::isnan(v), "SampleStat::add(NaN)");
     ++count_;
     sum_ += v;
-    if (count_ == 1) {
-        min_ = max_ = v;
-    } else {
-        min_ = std::min(min_, v);
-        max_ = std::max(max_, v);
-    }
+    ++tallies_[v];
     // Welford's online mean/variance update.
     const double delta = v - mean_;
     mean_ += delta / static_cast<double>(count_);
     m2_ += delta * (v - mean_);
-    if (keepSamples_) {
-        samples_.push_back(v);
-        sorted_ = false;
-    }
 }
 
 double
 SampleStat::min() const
 {
-    return count_ ? min_ : std::numeric_limits<double>::quiet_NaN();
+    return count_ ? tallies_.begin()->first
+                  : std::numeric_limits<double>::quiet_NaN();
 }
 
 double
 SampleStat::max() const
 {
-    return count_ ? max_ : std::numeric_limits<double>::quiet_NaN();
+    return count_ ? tallies_.rbegin()->first
+                  : std::numeric_limits<double>::quiet_NaN();
 }
 
 double
@@ -66,30 +61,28 @@ double
 SampleStat::percentile(double p) const
 {
     rmb_assert(p >= 0.0 && p <= 100.0, "percentile(", p, ")");
-    if (!keepSamples_ || samples_.empty())
+    if (count_ == 0)
         return std::numeric_limits<double>::quiet_NaN();
-    if (!sorted_) {
-        std::sort(samples_.begin(), samples_.end());
-        sorted_ = true;
-    }
-    // Nearest-rank with linear interpolation.
-    const double rank = p / 100.0 *
-        static_cast<double>(samples_.size() - 1);
-    const std::size_t lo = static_cast<std::size_t>(rank);
-    const std::size_t hi = std::min(lo + 1, samples_.size() - 1);
+    // Nearest-rank with linear interpolation between sorted positions
+    // lo and lo + 1 (clamped to the last).
+    const double rank = p / 100.0 * static_cast<double>(count_ - 1);
+    const std::uint64_t lo = static_cast<std::uint64_t>(rank);
     const double frac = rank - static_cast<double>(lo);
-    return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
+    auto it = tallies_.begin();
+    std::uint64_t through = it->second; // samples up to and incl. it
+    while (through <= lo)
+        through += (++it)->second;
+    const double low = it->first;
+    const double high =
+        lo + 1 == through && through < count_ ? std::next(it)->first
+                                              : low;
+    return low * (1.0 - frac) + high * frac;
 }
 
 void
 SampleStat::reset()
 {
-    count_ = 0;
-    sum_ = 0.0;
-    min_ = max_ = 0.0;
-    mean_ = m2_ = 0.0;
-    samples_.clear();
-    sorted_ = true;
+    *this = SampleStat();
 }
 
 void

@@ -7,8 +7,6 @@
 
 #include <cstdint>
 #include <map>
-#include <string>
-#include <vector>
 
 #include "sim/types.hh"
 
@@ -16,20 +14,17 @@ namespace rmb {
 namespace sim {
 
 /**
- * Scalar sample accumulator: count / sum / min / max / mean / variance
- * (Welford) plus exact percentiles from retained samples.
+ * Scalar sample distribution: count / sum / min / max / mean /
+ * variance (Welford) plus exact percentiles.
  *
- * Retention can be disabled for very large runs; percentiles then
- * return NaN but the moments remain exact.
+ * Samples are kept as exact value -> count tallies, so memory grows
+ * with the number of distinct values, not with the sample count:
+ * tick latencies and hop counts repeat heavily.
  */
 class SampleStat
 {
   public:
-    explicit SampleStat(bool keep_samples = true)
-        : keepSamples_(keep_samples)
-    {}
-
-    /** Record one sample. */
+    /** Record one sample (not NaN). */
     void add(double v);
 
     std::uint64_t count() const { return count_; }
@@ -42,24 +37,28 @@ class SampleStat
     double stddev() const;
 
     /**
-     * Exact percentile from retained samples; @p p in [0, 100].
-     * Returns NaN if retention is off or no samples were added.
+     * Exact percentile, @p p in [0, 100]: linear interpolation
+     * between the two nearest ranks of the sorted samples.  NaN if
+     * no samples were added.
      */
     double percentile(double p) const;
+
+    /** Distinct sample values, ascending, each with its count. */
+    const std::map<double, std::uint64_t> &
+    tallies() const
+    {
+        return tallies_;
+    }
 
     /** Reset to the empty state. */
     void reset();
 
   private:
-    bool keepSamples_;
     std::uint64_t count_ = 0;
     double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
     double mean_ = 0.0;
     double m2_ = 0.0;
-    mutable std::vector<double> samples_;
-    mutable bool sorted_ = true;
+    std::map<double, std::uint64_t> tallies_;
 };
 
 /**

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests of causal span reconstruction (obs::SpanBuilder), the
- * log-bucketed histogram, the offline causality checker and the
+ * histogram rendering, the offline causality checker and the
  * Chrome-trace exporter - mostly over synthetic event vectors so
  * each edge case (Nack-only messages, severed circuits, spans still
  * open at simulation end) is pinned exactly, plus one integration
@@ -10,13 +10,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <vector>
 
 #include "common/logging.hh"
-#include "obs/histogram.hh"
 #include "obs/json.hh"
+#include "obs/json_value.hh"
+#include "obs/metrics.hh"
 #include "obs/perfetto.hh"
 #include "obs/sinks.hh"
 #include "obs/span.hh"
@@ -219,45 +221,67 @@ TEST(SpanBuilder, InFlightSpansAtFinishAreFlaggedNotDropped)
     EXPECT_EQ(b.spans().size(), n);
 }
 
-TEST(LogHistogram, BucketBoundariesArePowersOfTwo)
+/** histogramJson() of a histogram holding the one sample @p v,
+ *  reduced to its bucket list. */
+std::string
+bucketsOf(double v)
 {
-    EXPECT_EQ(LogHistogram::bucketIndex(0), 0u);
-    EXPECT_EQ(LogHistogram::bucketIndex(1), 1u);
-    EXPECT_EQ(LogHistogram::bucketIndex(2), 2u);
-    EXPECT_EQ(LogHistogram::bucketIndex(3), 2u);
-    EXPECT_EQ(LogHistogram::bucketIndex(4), 3u);
-    EXPECT_EQ(LogHistogram::bucketIndex(7), 3u);
-    EXPECT_EQ(LogHistogram::bucketIndex(8), 4u);
-    EXPECT_EQ(LogHistogram::bucketIndex((1ull << 62)), 63u);
-    EXPECT_EQ(LogHistogram::bucketIndex(~0ull), 63u);
-
-    EXPECT_EQ(LogHistogram::bucketLow(0), 0u);
-    EXPECT_EQ(LogHistogram::bucketLow(1), 1u);
-    EXPECT_EQ(LogHistogram::bucketLow(5), 16u);
-    // Every boundary value lands in the bucket it opens.
-    for (std::size_t i = 1; i < LogHistogram::kNumBuckets; ++i)
-        EXPECT_EQ(LogHistogram::bucketIndex(LogHistogram::bucketLow(i)),
-                  i);
+    sim::SampleStat h;
+    h.add(v);
+    const std::string json = histogramJson(h);
+    return json.substr(json.find("\"buckets\":"));
 }
 
-TEST(LogHistogram, PercentilesInterpolateAndClamp)
+TEST(HistogramJson, BucketBoundariesArePowersOfTwo)
 {
-    LogHistogram h;
-    EXPECT_TRUE(std::isnan(h.percentile(0.5)));
-    EXPECT_TRUE(std::isnan(h.mean()));
+    EXPECT_EQ(bucketsOf(0), "\"buckets\":[[0,1]]}");
+    EXPECT_EQ(bucketsOf(1), "\"buckets\":[[1,1]]}");
+    EXPECT_EQ(bucketsOf(2), "\"buckets\":[[2,1]]}");
+    EXPECT_EQ(bucketsOf(3), "\"buckets\":[[2,1]]}");
+    EXPECT_EQ(bucketsOf(4), "\"buckets\":[[4,1]]}");
+    EXPECT_EQ(bucketsOf(7), "\"buckets\":[[4,1]]}");
+    EXPECT_EQ(bucketsOf(8), "\"buckets\":[[8,1]]}");
+    // 2^62 opens the top bucket, which absorbs everything above it.
+    EXPECT_EQ(bucketsOf(0x1p62),
+              "\"buckets\":[[4611686018427387904,1]]}");
+    EXPECT_EQ(bucketsOf(static_cast<double>(~0ull)),
+              "\"buckets\":[[4611686018427387904,1]]}");
+
+    // Bucket 5 spans [16, 32).
+    EXPECT_EQ(bucketsOf(16), "\"buckets\":[[16,1]]}");
+    EXPECT_EQ(bucketsOf(31), "\"buckets\":[[16,1]]}");
+    // Every boundary value lands in the bucket it opens.
+    for (int i = 0; i < 63; ++i) {
+        const std::uint64_t low = std::uint64_t{1} << i;
+        EXPECT_EQ(bucketsOf(static_cast<double>(low)),
+                  "\"buckets\":[[" + std::to_string(low) + ",1]]}");
+    }
+}
+
+TEST(HistogramJson, PercentilesInterpolateAndClamp)
+{
+    sim::SampleStat h;
+    std::string json = histogramJson(h);
+    EXPECT_NE(json.find("\"p50\":null"), std::string::npos) << json;
+    EXPECT_NE(json.find("\"mean\":null"), std::string::npos) << json;
 
     for (std::uint64_t v : {10u, 20u, 30u, 40u, 1000u})
-        h.add(v);
-    EXPECT_EQ(h.count(), 5u);
-    EXPECT_EQ(h.min(), 10u);
-    EXPECT_EQ(h.max(), 1000u);
-    EXPECT_DOUBLE_EQ(h.mean(), 220.0);
+        h.add(static_cast<double>(v));
+    json = histogramJson(h);
+    EXPECT_TRUE(jsonValid(json)) << json;
+    JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(jsonParse(json, doc, error)) << error;
+    EXPECT_EQ(doc.find("count")->numberToken(), "5");
+    EXPECT_EQ(doc.find("min")->numberToken(), "10");
+    EXPECT_EQ(doc.find("max")->numberToken(), "1000");
+    EXPECT_DOUBLE_EQ(doc.find("mean")->number(), 220.0);
 
     // Percentiles are approximate but must be monotone in p and
     // clamped to the observed range.
-    const double p50 = h.percentile(0.50);
-    const double p90 = h.percentile(0.90);
-    const double p99 = h.percentile(0.99);
+    const double p50 = doc.find("p50")->number();
+    const double p90 = doc.find("p90")->number();
+    const double p99 = doc.find("p99")->number();
     EXPECT_GE(p50, 10.0);
     EXPECT_LE(p99, 1000.0);
     EXPECT_LE(p50, p90);
@@ -265,13 +289,160 @@ TEST(LogHistogram, PercentilesInterpolateAndClamp)
     // p99 of 5 samples sits in the top bucket with the 1000.
     EXPECT_GE(p99, 512.0);
 
-    const std::string json = h.toJson();
-    EXPECT_TRUE(jsonValid(json)) << json;
-    EXPECT_NE(json.find("\"count\":5"), std::string::npos);
-
     h.reset();
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_TRUE(jsonValid(h.toJson()));
+    json = histogramJson(h);
+    EXPECT_NE(json.find("\"count\":0"), std::string::npos) << json;
+    EXPECT_TRUE(jsonValid(json)) << json;
+}
+
+/**
+ * The log-bucketed histogram that histogramJson() replaced, kept
+ * here as the reference its rendering must reproduce byte for byte.
+ */
+class ReferenceLogHistogram
+{
+  public:
+    static constexpr std::size_t kNumBuckets = 64;
+
+    static std::size_t
+    bucketIndex(std::uint64_t value)
+    {
+        if (value == 0)
+            return 0;
+        std::size_t index = 1;
+        while (value > 1) {
+            value >>= 1;
+            ++index;
+        }
+        return std::min(index, kNumBuckets - 1);
+    }
+
+    static std::uint64_t
+    bucketLow(std::size_t index)
+    {
+        return index == 0 ? 0 : std::uint64_t{1} << (index - 1);
+    }
+
+    void
+    add(std::uint64_t value)
+    {
+        ++buckets_[bucketIndex(value)];
+        if (count_ == 0) {
+            min_ = value;
+            max_ = value;
+        } else {
+            min_ = std::min(min_, value);
+            max_ = std::max(max_, value);
+        }
+        ++count_;
+        sum_ += value;
+    }
+
+    double
+    percentile(double p) const
+    {
+        if (count_ == 0)
+            return std::nan("");
+        std::uint64_t target = static_cast<std::uint64_t>(
+            std::ceil(p * static_cast<double>(count_)));
+        target = std::max<std::uint64_t>(1, std::min(target, count_));
+        std::uint64_t below = 0;
+        for (std::size_t i = 0; i < kNumBuckets; ++i) {
+            const std::uint64_t n = buckets_[i];
+            if (n == 0)
+                continue;
+            if (below + n >= target) {
+                double low = static_cast<double>(bucketLow(i));
+                double high = i == 0
+                    ? 1.0
+                    : static_cast<double>(bucketLow(i)) * 2.0;
+                double frac = static_cast<double>(target - below) /
+                              static_cast<double>(n);
+                double value = low + frac * (high - low);
+                value = std::max(value, static_cast<double>(min_));
+                value = std::min(value, static_cast<double>(max_));
+                return value;
+            }
+            below += n;
+        }
+        return static_cast<double>(max_);
+    }
+
+    std::string
+    toJson() const
+    {
+        std::ostringstream out;
+        const auto moment = [&out](const char *name, double v) {
+            out << '"' << name << "\":";
+            if (std::isnan(v))
+                out << "null";
+            else
+                out << v;
+        };
+        out << "{\"count\":" << count_ << ',';
+        if (count_ == 0)
+            out << "\"min\":null,\"max\":null,";
+        else
+            out << "\"min\":" << min_ << ",\"max\":" << max_ << ',';
+        moment("mean", count_ == 0 ? std::nan("")
+                                   : static_cast<double>(sum_) /
+                                         static_cast<double>(count_));
+        out << ',';
+        moment("p50", percentile(0.50));
+        out << ',';
+        moment("p90", percentile(0.90));
+        out << ',';
+        moment("p99", percentile(0.99));
+        out << ",\"buckets\":[";
+        bool first = true;
+        for (std::size_t i = 0; i < kNumBuckets; ++i) {
+            if (buckets_[i] == 0)
+                continue;
+            if (!first)
+                out << ',';
+            first = false;
+            out << '[' << bucketLow(i) << ',' << buckets_[i] << ']';
+        }
+        out << "]}";
+        return out.str();
+    }
+
+  private:
+    std::uint64_t buckets_[kNumBuckets] = {};
+    std::uint64_t count_ = 0;
+    std::uint64_t sum_ = 0;
+    std::uint64_t min_ = 0;
+    std::uint64_t max_ = 0;
+};
+
+TEST(HistogramJson, MatchesTheLogHistogramRendering)
+{
+    EXPECT_EQ(histogramJson(sim::SampleStat{}),
+              ReferenceLogHistogram{}.toJson());
+    sim::Random rng(5);
+    for (std::size_t size : {1u, 2u, 5u, 100u, 5000u}) {
+        for (std::uint64_t spread :
+             {1u, 2u, 40u, 1000u, 1000000u, 1u << 30}) {
+            sim::SampleStat h;
+            ReferenceLogHistogram reference;
+            for (std::size_t i = 0; i < size; ++i) {
+                const std::uint64_t v = rng.uniformInt(spread);
+                h.add(static_cast<double>(v));
+                reference.add(v);
+            }
+            EXPECT_EQ(histogramJson(h), reference.toJson())
+                << "size " << size << " spread " << spread;
+        }
+    }
+    // The top bucket, and a sum past 2^53.
+    sim::SampleStat h;
+    ReferenceLogHistogram reference;
+    for (std::uint64_t v : {std::uint64_t{0}, std::uint64_t{3} << 61,
+                            std::uint64_t{1} << 62, std::uint64_t{7}}) {
+        h.add(static_cast<double>(v));
+        reference.add(v);
+    }
+    EXPECT_EQ(histogramJson(h), reference.toJson());
 }
 
 TEST(CheckTrace, HealthyTracePasses)

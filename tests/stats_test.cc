@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
+#include "sim/random.hh"
 #include "sim/stats.hh"
 
 namespace rmb {
@@ -72,14 +75,54 @@ TEST(SampleStat, PercentileUnsortedInput)
     EXPECT_DOUBLE_EQ(s.percentile(50), 5.0);
 }
 
-TEST(SampleStat, RetentionOffStillExactMoments)
+/** The percentile of the sample-keeping SampleStat: sort every
+ *  sample, interpolate between the nearest ranks. */
+double
+sortedPercentile(std::vector<double> samples, double p)
 {
-    SampleStat s(false);
-    for (int i = 0; i < 1000; ++i)
-        s.add(static_cast<double>(i));
-    EXPECT_EQ(s.count(), 1000u);
-    EXPECT_NEAR(s.mean(), 499.5, 1e-9);
-    EXPECT_TRUE(std::isnan(s.percentile(50)));
+    std::sort(samples.begin(), samples.end());
+    const double rank =
+        p / 100.0 * static_cast<double>(samples.size() - 1);
+    const std::size_t lo = static_cast<std::size_t>(rank);
+    const std::size_t hi = std::min(lo + 1, samples.size() - 1);
+    const double frac = rank - static_cast<double>(lo);
+    return samples[lo] * (1.0 - frac) + samples[hi] * frac;
+}
+
+TEST(SampleStat, PercentilesMatchSortedSamples)
+{
+    Random rng(17);
+    for (std::size_t size : {1u, 2u, 3u, 7u, 64u, 1000u, 25000u}) {
+        for (std::uint64_t spread : {1u, 5u, 300u, 100000u}) {
+            SampleStat s;
+            std::vector<double> samples;
+            for (std::size_t i = 0; i < size; ++i) {
+                // Integer ticks, plus the odd non-integer sample.
+                double v = static_cast<double>(rng.uniformInt(spread));
+                if (rng.bernoulli(0.02))
+                    v += rng.uniformReal();
+                s.add(v);
+                samples.push_back(v);
+            }
+            for (double p : {0.0, 12.5, 50.0, 95.0, 99.0, 100.0})
+                EXPECT_EQ(s.percentile(p), sortedPercentile(samples, p))
+                    << "size " << size << " spread " << spread
+                    << " p" << p;
+            EXPECT_EQ(s.min(), sortedPercentile(samples, 0));
+            EXPECT_EQ(s.max(), sortedPercentile(samples, 100));
+        }
+    }
+}
+
+TEST(SampleStat, MemoryFollowsDistinctValues)
+{
+    SampleStat s;
+    for (std::uint64_t i = 0; i < 1000000; ++i)
+        s.add(static_cast<double>(i % 64));
+    EXPECT_EQ(s.count(), 1000000u);
+    EXPECT_EQ(s.tallies().size(), 64u);
+    EXPECT_EQ(s.tallies().begin()->second, 15625u);
+    EXPECT_EQ(s.percentile(50), 31.5);
 }
 
 TEST(SampleStat, ResetClears)
