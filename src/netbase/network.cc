@@ -18,7 +18,6 @@ NetworkStats::NetworkStats(obs::MetricsRegistry &registry)
       totalLatency(registry.sampler("net.total_latency")),
       pathLength(registry.sampler("net.path_length")),
       activeCircuits(registry.level("net.active_circuits")),
-      setupLatencyHist(registry.histogram("net.hist.setup_latency")),
       dataPhaseHist(registry.histogram("net.hist.data_phase"))
 {}
 
@@ -114,7 +113,6 @@ Network::noteEstablished(Message &m)
     m.state = MessageState::Streaming;
     stats_.setupLatency.add(
         static_cast<double>(m.established - m.firstAttempt));
-    stats_.setupLatencyHist.add(m.established - m.firstAttempt);
     if (tracing()) {
         obs::TraceEvent e;
         e.kind = obs::EventKind::Hack;

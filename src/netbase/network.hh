@@ -51,9 +51,8 @@ struct NetworkStats
     /** Concurrently open circuits (virtual buses). */
     sim::LevelTracker &activeCircuits;
 
-    /** Log-bucketed injection -> established latencies (p50/90/99). */
-    sim::SampleStat &setupLatencyHist;
-    /** Log-bucketed established -> delivered (data-phase) times. */
+    /** Established -> delivered (data-phase) times, rendered as a
+     *  power-of-two histogram. */
     sim::SampleStat &dataPhaseHist;
 };
 

@@ -42,8 +42,6 @@ RmbStats::RmbStats(obs::MetricsRegistry &registry)
           registry.sampler("rmb.top_release_latency")),
       recoveryLatency(
           registry.sampler("rmb.faults.recovery_latency")),
-      recoveryLatencyHist(
-          registry.histogram("rmb.hist.recovery_latency")),
       multicastMemberLatency(
           registry.sampler("rmb.multicast.member_latency")),
       blockedTime(registry.sampler("rmb.blocked.time")),

@@ -107,8 +107,6 @@ struct RmbStats
 
     /** First sever -> eventual delivery, per recovered message. */
     sim::SampleStat &recoveryLatency;
-    /** Log-bucketed recovery latencies (p50/90/99 in reports). */
-    sim::SampleStat &recoveryLatencyHist;
 
     /** Creation -> per-member delivery over all multicast members. */
     sim::SampleStat &multicastMemberLatency;

@@ -147,7 +147,6 @@ RingEngine::deliver(BusRecord &bus)
         const sim::Tick took = simulator().now() - sev->second;
         ++rmbStats_.messagesRecovered;
         rmbStats_.recoveryLatency.add(static_cast<double>(took));
-        rmbStats_.recoveryLatencyHist.add(took);
         if (tracing()) {
             obs::TraceEvent e = busEvent(
                 obs::EventKind::MessageRecovered, bus, bus.dst);
