@@ -248,22 +248,12 @@ CircuitNetwork::finish(std::uint64_t circuit_id, bool requeue)
 void
 CircuitNetwork::scheduleRetry(net::NodeId node)
 {
-    sim::Tick backoff = rng_.uniformRange(
-        config_.retryBackoffMin, config_.retryBackoffMax);
-    if (config_.exponentialBackoff) {
-        // The retrying message sits at the queue front.
-        const net::MessageId mid = nodes_[node].sendQueue.front();
-        const std::uint32_t shift =
-            std::min(message(mid).retries, 16u);
-        if ((backoff << shift) >= config_.retryBackoffCap) {
-            // Jittered cap: a deterministic backoff phase-locks
-            // colliding senders (see core::retryBackoff).
-            backoff = rng_.uniformRange(config_.retryBackoffCap / 2,
-                                        config_.retryBackoffCap);
-        } else {
-            backoff <<= shift;
-        }
-    }
+    // The retrying message sits at the queue front.
+    const net::MessageId mid = nodes_[node].sendQueue.front();
+    const sim::Tick backoff = sim::retryBackoff(
+        rng_, message(mid).retries, config_.retryBackoffMin,
+        config_.retryBackoffMax, config_.retryBackoffCap,
+        config_.exponentialBackoff);
     nodes_[node].backoffUntil = simulator().now() + backoff;
     simulator().schedule(backoff, [this, node] { tryInject(node); });
 }

@@ -274,21 +274,6 @@ Engine::deadLetterMessage(net::Message &m,
     noteFailed(m);
 }
 
-sim::Tick
-retryBackoff(const RmbConfig &config, sim::Random &rng,
-             std::uint32_t attempts)
-{
-    const sim::Tick backoff =
-        rng.uniformRange(config.retryBackoffMin, config.retryBackoffMax);
-    if (!config.exponentialBackoff)
-        return backoff;
-    const std::uint32_t shift = std::min(attempts, 16u);
-    if ((backoff << shift) < config.retryBackoffCap)
-        return backoff << shift;
-    return rng.uniformRange(config.retryBackoffCap / 2,
-                            config.retryBackoffCap);
-}
-
 const RmbConfig &
 validatedEngineConfig(const RmbConfig &config)
 {

@@ -123,17 +123,6 @@ class DeliverySupervisor;
 class FaultSchedule;
 
 /**
- * The jittered exponential retry backoff: a uniform draw from
- * [retryBackoffMin, retryBackoffMax] from @p rng, shifted left by
- * @p attempts (at most 16) when exponentialBackoff is set.  A shifted
- * value at or past retryBackoffCap is redrawn from
- * [cap / 2, cap] rather than clamped: a deterministic capped backoff
- * phase-locks colliding senders into permanent livelock.
- */
-sim::Tick retryBackoff(const RmbConfig &config, sim::Random &rng,
-                       std::uint32_t attempts);
-
-/**
  * Abstract RMB simulation backend.
  *
  * The contract on top of net::Network:

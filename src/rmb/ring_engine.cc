@@ -274,8 +274,10 @@ RingEngine::busFinished(BusRecord &bus, const Hop &last_hop)
 void
 RingEngine::scheduleRetry(net::NodeId node, net::MessageId msg)
 {
-    const sim::Tick backoff =
-        retryBackoff(config_, rng_, message(msg).retries);
+    const sim::Tick backoff = sim::retryBackoff(
+        rng_, message(msg).retries, config_.retryBackoffMin,
+        config_.retryBackoffMax, config_.retryBackoffCap,
+        config_.exponentialBackoff);
     pes_[node].backoffUntil = simulator().now() + backoff;
     if (tracing()) {
         obs::TraceEvent e;

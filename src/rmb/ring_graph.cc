@@ -255,7 +255,7 @@ RingGraph::offerToBridge(std::uint32_t bridge, Pending pending,
 
     // Buffer full (or the bridge transiently out of service):
     // deflect.  The message re-enters the Nack/backoff machinery -
-    // the source retry's law (retryBackoff), jittered from the
+    // the source retry's law (sim::retryBackoff), jittered from the
     // bridge's own substream so colliding messages cannot
     // phase-lock.
     ++bridgeStats_->deflections;
@@ -264,8 +264,10 @@ RingGraph::offerToBridge(std::uint32_t bridge, Pending pending,
     ++stats_.nacks;
     ++m.retries;
     ++stats_.retries;
-    const sim::Tick backoff =
-        retryBackoff(config_, br.rng, pending.deflects);
+    const sim::Tick backoff = sim::retryBackoff(
+        br.rng, pending.deflects, config_.retryBackoffMin,
+        config_.retryBackoffMax, config_.retryBackoffCap,
+        config_.exponentialBackoff);
     ++pending.deflects;
     emitBridgeEvent(obs::EventKind::BridgeDeflect, bridge, pending, at,
                     backoff);

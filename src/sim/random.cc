@@ -1,5 +1,6 @@
 #include "sim/random.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -116,6 +117,19 @@ Random::split(std::uint64_t streamId) const
     const std::uint64_t a = splitMix64(sm);
     const std::uint64_t b = splitMix64(sm);
     return Random(a ^ rotl(b, 32));
+}
+
+Tick
+retryBackoff(Random &rng, std::uint32_t attempts, Tick min, Tick max,
+             Tick cap, bool exponential)
+{
+    const Tick backoff = rng.uniformRange(min, max);
+    if (!exponential)
+        return backoff;
+    const std::uint32_t shift = std::min(attempts, 16u);
+    if ((backoff << shift) < cap)
+        return backoff << shift;
+    return rng.uniformRange(cap / 2, cap);
 }
 
 } // namespace sim

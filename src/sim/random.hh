@@ -14,6 +14,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/types.hh"
+
 namespace rmb {
 namespace sim {
 
@@ -85,6 +87,17 @@ class Random
   private:
     std::array<std::uint64_t, 4> s_;
 };
+
+/**
+ * The jittered exponential retry backoff every retrying network
+ * draws: a uniform draw from [@p min, @p max] from @p rng, shifted
+ * left by @p attempts (at most 16) when @p exponential is set.  A
+ * shifted value at or past @p cap is redrawn from [cap / 2, cap]
+ * rather than clamped: a deterministic capped backoff phase-locks
+ * colliding senders into permanent livelock.
+ */
+Tick retryBackoff(Random &rng, std::uint32_t attempts, Tick min, Tick max,
+                  Tick cap, bool exponential);
 
 } // namespace sim
 } // namespace rmb

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "obs/trace.hh"
@@ -137,6 +138,29 @@ TEST(Backoff, ScheduleIsDeterministicPerSplitStream)
     const auto other = backoffScheduleForSeed(seed_b);
     EXPECT_EQ(run1, run2);
     EXPECT_NE(run1, other);
+}
+
+TEST(Backoff, OneLawForEveryNetwork)
+{
+    // The draw: uniform in [min, max], doubled per attempt, and past
+    // the cap redrawn from [cap / 2, cap] - one uniformRange call
+    // below the cap, two at or above it.
+    sim::Random law(9);
+    sim::Random ref(9);
+    for (std::uint32_t attempts = 0; attempts < 20; ++attempts) {
+        const sim::Tick base = ref.uniformRange(8, 32);
+        const sim::Tick want = (base << std::min(attempts, 16u)) < 512
+            ? base << std::min(attempts, 16u)
+            : ref.uniformRange(256, 512);
+        EXPECT_EQ(sim::retryBackoff(law, attempts, 8, 32, 512, true), want)
+            << "attempt " << attempts;
+    }
+    // Without exponential backoff the attempt count is ignored.
+    for (std::uint32_t attempts : {0u, 5u, 40u}) {
+        const sim::Tick flat = sim::retryBackoff(law, attempts, 8, 32, 512,
+                                                 false);
+        EXPECT_EQ(flat, ref.uniformRange(8, 32));
+    }
 }
 
 } // namespace
