@@ -21,10 +21,10 @@ bucketIndex(std::uint64_t value)
     return std::min<std::size_t>(std::bit_width(value), kNumBuckets - 1);
 }
 
-double
+std::uint64_t
 bucketLow(std::size_t index)
 {
-    return index == 0 ? 0.0 : std::ldexp(1.0, static_cast<int>(index) - 1);
+    return index == 0 ? 0 : std::uint64_t{1} << (index - 1);
 }
 
 /** @p v as an integer, saturating at the top of std::uint64_t. */
@@ -35,21 +35,16 @@ toInteger(double v)
     return v >= 0x1p64 ? ~std::uint64_t{0} : static_cast<std::uint64_t>(v);
 }
 
-void
-appendMoment(std::ostringstream &out, const char *name, double v)
-{
-    out << '"' << name << "\":";
-    if (std::isnan(v))
-        out << "null";
-    else
-        out << v;
-}
-
 } // namespace
 
 std::string
 histogramJson(const sim::SampleStat &s)
 {
+    const std::uint64_t count = s.count();
+    if (count == 0) {
+        return "{\"count\":0,\"min\":null,\"max\":null,\"mean\":null,"
+               "\"p50\":null,\"p90\":null,\"p99\":null,\"buckets\":[]}";
+    }
     std::uint64_t buckets[kNumBuckets] = {};
     std::uint64_t sum = 0;
     for (const auto &[value, n] : s.tallies()) {
@@ -57,19 +52,12 @@ histogramJson(const sim::SampleStat &s)
         buckets[bucketIndex(v)] += n;
         sum += v * n;
     }
-    const std::uint64_t count = s.count();
-    std::ostringstream out;
-    out << "{\"count\":" << count << ',';
-    if (count == 0) {
-        out << "\"min\":null,\"max\":null,\"mean\":null,\"p50\":null,"
-               "\"p90\":null,\"p99\":null,\"buckets\":[]}";
-        return out.str();
-    }
     const std::uint64_t min = toInteger(s.min());
     const std::uint64_t max = toInteger(s.max());
-    out << "\"min\":" << min << ",\"max\":" << max << ',';
-    appendMoment(out, "mean",
-                 static_cast<double>(sum) / static_cast<double>(count));
+    std::ostringstream out;
+    out << "{\"count\":" << count << ",\"min\":" << min
+        << ",\"max\":" << max << ",\"mean\":"
+        << static_cast<double>(sum) / static_cast<double>(count);
     for (const auto &[name, p] : {std::pair{"p50", 0.50},
                                   std::pair{"p90", 0.90},
                                   std::pair{"p99", 0.99}}) {
@@ -82,25 +70,22 @@ histogramJson(const sim::SampleStat &s)
         std::uint64_t below = 0;
         while (below + buckets[i] < target)
             below += buckets[i++];
-        const double low = bucketLow(i);
+        const double low = static_cast<double>(bucketLow(i));
         const double high = i == 0 ? 1.0 : low * 2.0;
         const double frac = static_cast<double>(target - below) /
                             static_cast<double>(buckets[i]);
-        double value = low + frac * (high - low);
-        value = std::max(value, static_cast<double>(min));
-        value = std::min(value, static_cast<double>(max));
-        out << ',';
-        appendMoment(out, name, value);
+        out << ",\"" << name << "\":"
+            << std::clamp(low + frac * (high - low),
+                          static_cast<double>(min),
+                          static_cast<double>(max));
     }
     out << ",\"buckets\":[";
-    bool first = true;
+    const char *sep = "";
     for (std::size_t i = 0; i < kNumBuckets; ++i) {
         if (buckets[i] == 0)
             continue;
-        if (!first)
-            out << ',';
-        first = false;
-        out << '[' << toInteger(bucketLow(i)) << ',' << buckets[i] << ']';
+        out << sep << '[' << bucketLow(i) << ',' << buckets[i] << ']';
+        sep = ",";
     }
     out << "]}";
     return out.str();

@@ -16,7 +16,15 @@ SampleStat::add(double v)
     rmb_assert(!std::isnan(v), "SampleStat::add(NaN)");
     ++count_;
     sum_ += v;
-    ++tallies_[v];
+    // A sorted vector, not a tree: lookups stay in a few cache lines,
+    // and new distinct values are rare once a run warms up.
+    auto it = std::lower_bound(
+        tallies_.begin(), tallies_.end(), v,
+        [](const auto &tally, double x) { return tally.first < x; });
+    if (it != tallies_.end() && it->first == v)
+        ++it->second;
+    else
+        tallies_.insert(it, {v, 1});
     // Welford's online mean/variance update.
     const double delta = v - mean_;
     mean_ += delta / static_cast<double>(count_);
@@ -26,14 +34,14 @@ SampleStat::add(double v)
 double
 SampleStat::min() const
 {
-    return count_ ? tallies_.begin()->first
+    return count_ ? tallies_.front().first
                   : std::numeric_limits<double>::quiet_NaN();
 }
 
 double
 SampleStat::max() const
 {
-    return count_ ? tallies_.rbegin()->first
+    return count_ ? tallies_.back().first
                   : std::numeric_limits<double>::quiet_NaN();
 }
 

@@ -7,6 +7,8 @@
 
 #include <cstdint>
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "sim/types.hh"
 
@@ -44,7 +46,7 @@ class SampleStat
     double percentile(double p) const;
 
     /** Distinct sample values, ascending, each with its count. */
-    const std::map<double, std::uint64_t> &
+    const std::vector<std::pair<double, std::uint64_t>> &
     tallies() const
     {
         return tallies_;
@@ -58,7 +60,7 @@ class SampleStat
     double sum_ = 0.0;
     double mean_ = 0.0;
     double m2_ = 0.0;
-    std::map<double, std::uint64_t> tallies_;
+    std::vector<std::pair<double, std::uint64_t>> tallies_;
 };
 
 /**
