@@ -61,8 +61,8 @@ histogramJson(const sim::SampleStat &s)
     for (const auto &[name, p] : {std::pair{"p50", 0.50},
                                   std::pair{"p90", 0.90},
                                   std::pair{"p99", 0.99}}) {
-        // The smallest bucket holding at least ceil(p * count)
-        // samples at or below it.
+        // Nearest rank: the first bucket whose cumulative count
+        // reaches ceil(p * count), interpolated inside it.
         const std::uint64_t target = std::max<std::uint64_t>(
             1, std::min(count, static_cast<std::uint64_t>(std::ceil(
                                    p * static_cast<double>(count)))));
