@@ -47,11 +47,11 @@ histogramJson(const sim::SampleStat &s)
     }
     std::uint64_t buckets[kNumBuckets] = {};
     std::uint64_t sum = 0;
-    for (const auto &[value, n] : s.tallies()) {
+    s.forEachTally([&](double value, std::uint64_t n) {
         const std::uint64_t v = toInteger(value);
         buckets[bucketIndex(v)] += n;
         sum += v * n;
-    }
+    });
     const std::uint64_t min = toInteger(s.min());
     const std::uint64_t max = toInteger(s.max());
     std::ostringstream out;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
 #include <limits>
 
 #include "common/logging.hh"
@@ -16,15 +15,26 @@ SampleStat::add(double v)
     rmb_assert(!std::isnan(v), "SampleStat::add(NaN)");
     ++count_;
     sum_ += v;
-    // A sorted vector, not a tree: lookups stay in a few cache lines,
-    // and new distinct values are rare once a run warms up.
-    auto it = std::lower_bound(
-        tallies_.begin(), tallies_.end(), v,
-        [](const auto &tally, double x) { return tally.first < x; });
-    if (it != tallies_.end() && it->first == v)
-        ++it->second;
-    else
-        tallies_.insert(it, {v, 1});
+    if (count_ == 1) {
+        min_ = max_ = v;
+    } else {
+        min_ = std::min(min_, v);
+        max_ = std::max(max_, v);
+    }
+    if (v >= 0.0 && v < kSmallLimit && v == std::floor(v)) {
+        const std::size_t i = static_cast<std::size_t>(v);
+        if (i >= small_.size())
+            small_.resize(i + 1);
+        ++small_[i];
+    } else {
+        auto it = std::lower_bound(
+            others_.begin(), others_.end(), v,
+            [](const auto &tally, double x) { return tally.first < x; });
+        if (it != others_.end() && it->first == v)
+            ++it->second;
+        else
+            others_.insert(it, {v, 1});
+    }
     // Welford's online mean/variance update.
     const double delta = v - mean_;
     mean_ += delta / static_cast<double>(count_);
@@ -34,14 +44,14 @@ SampleStat::add(double v)
 double
 SampleStat::min() const
 {
-    return count_ ? tallies_.front().first
+    return count_ ? min_
                   : std::numeric_limits<double>::quiet_NaN();
 }
 
 double
 SampleStat::max() const
 {
-    return count_ ? tallies_.back().first
+    return count_ ? max_
                   : std::numeric_limits<double>::quiet_NaN();
 }
 
@@ -72,18 +82,21 @@ SampleStat::percentile(double p) const
     if (count_ == 0)
         return std::numeric_limits<double>::quiet_NaN();
     // Nearest-rank with linear interpolation between sorted positions
-    // lo and lo + 1 (clamped to the last).
+    // lo and hi = lo + 1 (clamped to the last).
     const double rank = p / 100.0 * static_cast<double>(count_ - 1);
     const std::uint64_t lo = static_cast<std::uint64_t>(rank);
+    const std::uint64_t hi = std::min(lo + 1, count_ - 1);
     const double frac = rank - static_cast<double>(lo);
-    auto it = tallies_.begin();
-    std::uint64_t through = it->second; // samples up to and incl. it
-    while (through <= lo)
-        through += (++it)->second;
-    const double low = it->first;
-    const double high =
-        lo + 1 == through && through < count_ ? std::next(it)->first
-                                              : low;
+    double low = 0.0;
+    double high = 0.0;
+    std::uint64_t below = 0;
+    forEachTally([&](double value, std::uint64_t n) {
+        if (below <= lo && lo < below + n)
+            low = value;
+        if (below <= hi && hi < below + n)
+            high = value;
+        below += n;
+    });
     return low * (1.0 - frac) + high * frac;
 }
 

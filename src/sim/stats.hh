@@ -18,9 +18,11 @@ namespace sim {
  * Scalar sample distribution: count / sum / min / max / mean /
  * variance (Welford) plus exact percentiles.
  *
- * Samples are kept as exact value -> count tallies, so memory grows
- * with the number of distinct values, not with the sample count:
- * tick latencies and hop counts repeat heavily.
+ * Samples are kept as exact value -> count tallies, so memory does
+ * not grow with the sample count.  Tick latencies and hop counts are
+ * small non-negative integers: those are counted in an array indexed
+ * by value (one increment per sample, memory set by the largest such
+ * value); any other value keeps a sorted (value, count) entry.
  */
 class SampleStat
 {
@@ -44,22 +46,43 @@ class SampleStat
      */
     double percentile(double p) const;
 
-    /** Distinct sample values, ascending, each with its count. */
-    const std::vector<std::pair<double, std::uint64_t>> &
-    tallies() const
+    /** Call @p f(value, count) for each distinct sample value, in
+     *  ascending order. */
+    template <typename F>
+    void
+    forEachTally(F &&f) const
     {
-        return tallies_;
+        auto other = others_.begin();
+        for (std::size_t i = 0; i < small_.size(); ++i) {
+            if (small_[i] == 0)
+                continue;
+            for (; other != others_.end() &&
+                   other->first < static_cast<double>(i);
+                 ++other)
+                f(other->first, other->second);
+            f(static_cast<double>(i), small_[i]);
+        }
+        for (; other != others_.end(); ++other)
+            f(other->first, other->second);
     }
 
     /** Reset to the empty state. */
     void reset();
 
   private:
+    /** Integers below this are counted in small_. */
+    static constexpr double kSmallLimit = 65536.0;
+
     std::uint64_t count_ = 0;
     double sum_ = 0.0;
+    double min_ = 0.0;
+    double max_ = 0.0;
     double mean_ = 0.0;
     double m2_ = 0.0;
-    std::vector<std::pair<double, std::uint64_t>> tallies_;
+    /** small_[v]: samples equal to the integer v. */
+    std::vector<std::uint64_t> small_;
+    /** Every other distinct value with its count, ascending. */
+    std::vector<std::pair<double, std::uint64_t>> others_;
 };
 
 /**

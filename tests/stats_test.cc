@@ -93,12 +93,16 @@ TEST(SampleStat, PercentilesMatchSortedSamples)
 {
     Random rng(17);
     for (std::size_t size : {1u, 2u, 3u, 7u, 64u, 1000u, 25000u}) {
-        for (std::uint64_t spread : {1u, 5u, 300u, 100000u}) {
+        // Ranges of integers (some negative, some past the small-value
+        // array), plus the odd non-integer sample.
+        for (const auto &[spread, offset] :
+             {std::pair{1u, 0.0}, std::pair{5u, 0.0},
+              std::pair{300u, -150.0}, std::pair{100000u, 0.0}}) {
             SampleStat s;
             std::vector<double> samples;
             for (std::size_t i = 0; i < size; ++i) {
-                // Integer ticks, plus the odd non-integer sample.
-                double v = static_cast<double>(rng.uniformInt(spread));
+                double v =
+                    static_cast<double>(rng.uniformInt(spread)) + offset;
                 if (rng.bernoulli(0.02))
                     v += rng.uniformReal();
                 s.add(v);
@@ -120,8 +124,13 @@ TEST(SampleStat, MemoryFollowsDistinctValues)
     for (std::uint64_t i = 0; i < 1000000; ++i)
         s.add(static_cast<double>(i % 64));
     EXPECT_EQ(s.count(), 1000000u);
-    EXPECT_EQ(s.tallies().size(), 64u);
-    EXPECT_EQ(s.tallies().begin()->second, 15625u);
+    std::vector<std::pair<double, std::uint64_t>> tallies;
+    s.forEachTally([&](double value, std::uint64_t n) {
+        tallies.emplace_back(value, n);
+    });
+    ASSERT_EQ(tallies.size(), 64u);
+    EXPECT_EQ(tallies.front(), std::make_pair(0.0, std::uint64_t{15625}));
+    EXPECT_EQ(tallies.back(), std::make_pair(63.0, std::uint64_t{15625}));
     EXPECT_EQ(s.percentile(50), 31.5);
 }
 
