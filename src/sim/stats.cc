@@ -27,13 +27,7 @@ SampleStat::add(double v)
             small_.resize(i + 1);
         ++small_[i];
     } else {
-        auto it = std::lower_bound(
-            others_.begin(), others_.end(), v,
-            [](const auto &tally, double x) { return tally.first < x; });
-        if (it != others_.end() && it->first == v)
-            ++it->second;
-        else
-            others_.insert(it, {v, 1});
+        ++others_[v];
     }
     // Welford's online mean/variance update.
     const double delta = v - mean_;

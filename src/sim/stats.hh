@@ -6,7 +6,7 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
+#include <map>
 #include <vector>
 
 #include "sim/types.hh"
@@ -22,7 +22,7 @@ namespace sim {
  * not grow with the sample count.  Tick latencies and hop counts are
  * small non-negative integers: those are counted in an array indexed
  * by value (one increment per sample, memory set by the largest such
- * value); any other value keeps a sorted (value, count) entry.
+ * value); any other value keeps an ordered (value, count) entry.
  */
 class SampleStat
 {
@@ -81,8 +81,8 @@ class SampleStat
     double m2_ = 0.0;
     /** small_[v]: samples equal to the integer v. */
     std::vector<std::uint64_t> small_;
-    /** Every other distinct value with its count, ascending. */
-    std::vector<std::pair<double, std::uint64_t>> others_;
+    /** Every other distinct value with its count. */
+    std::map<double, std::uint64_t> others_;
 };
 
 /**
