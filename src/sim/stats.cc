@@ -38,15 +38,13 @@ SampleStat::add(double v)
 double
 SampleStat::min() const
 {
-    return count_ ? min_
-                  : std::numeric_limits<double>::quiet_NaN();
+    return count_ ? min_ : std::numeric_limits<double>::quiet_NaN();
 }
 
 double
 SampleStat::max() const
 {
-    return count_ ? max_
-                  : std::numeric_limits<double>::quiet_NaN();
+    return count_ ? max_ : std::numeric_limits<double>::quiet_NaN();
 }
 
 double
