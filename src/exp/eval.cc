@@ -66,49 +66,24 @@ core::RmbConfig
 rmbConfig(const PointConfig &pt, std::uint64_t net_seed,
           core::VerifyLevel verify)
 {
-    core::RmbConfig cfg;
+    core::RmbConfig cfg = pt.rmb;
     cfg.numNodes = pt.nodes;
     cfg.numBuses = pt.buses;
     cfg.seed = net_seed;
+    cfg.verify = verify;
     cfg.engine = pt.engine == "kernel" ? core::EngineKind::Kernel
                                        : core::EngineKind::Event;
-    cfg.enableCompaction = pt.compaction;
-    cfg.sendPorts = pt.sendPorts;
-    cfg.receivePorts = pt.receivePorts;
-    cfg.detailedFlits = pt.detailedFlits;
-    if (pt.faultMtbf > 0) {
-        cfg.transientFaults = true;
-        cfg.faultMtbf = pt.faultMtbf;
-        cfg.faultMttrMin = pt.faultMttrMin;
-        cfg.faultMttrMax = pt.faultMttrMax;
-        cfg.faultPermanentProb = pt.faultPermanentProb;
-        cfg.faultNodeProb = pt.faultNodeProb;
-        cfg.faultBridgeProb = pt.faultBridgeProb;
-    }
-    cfg.watchdogTimeout = pt.watchdog;
-    cfg.maxRetries = pt.maxRetries;
-    // Copied for every topology so validate() refuses global_buses
-    // under topology=flat instead of it being silently ignored.
-    cfg.globalBuses = pt.globalBuses;
-    if (pt.topology == "hier") {
-        cfg.topology = core::TopologyKind::Hier;
-        cfg.localRings = pt.localRings;
-        cfg.bridgeLatency = pt.bridgeLatency;
-        cfg.bridgeBuffer = pt.bridgeBuffer;
-        cfg.shardJobs = pt.shardJobs;
-    }
-    cfg.verify = verify;
+    cfg.topology = pt.topology == "hier" ? core::TopologyKind::Hier
+                                         : core::TopologyKind::Flat;
     cfg.headerPolicy = pt.header == "straight"
                            ? core::HeaderPolicy::PreferStraight
                            : core::HeaderPolicy::PreferLowest;
-    if (pt.blocking == "wait") {
-        cfg.blocking = core::BlockingPolicy::Wait;
-    } else if (pt.blocking.rfind("wait:", 0) == 0) {
-        cfg.blocking = core::BlockingPolicy::Wait;
+    cfg.blocking = pt.blocking == "nack"
+                       ? core::BlockingPolicy::NackRetry
+                       : core::BlockingPolicy::Wait;
+    if (pt.blocking.rfind("wait:", 0) == 0)
         cfg.headerTimeout = std::stoull(pt.blocking.substr(5));
-    } else {
-        cfg.blocking = core::BlockingPolicy::NackRetry;
-    }
+    cfg.transientFaults = cfg.faultMtbf > 0;
     return cfg;
 }
 
@@ -211,6 +186,11 @@ makeNetwork(const PointConfig &pt, const core::RmbConfig &rmb_cfg,
     return nullptr;
 }
 
+namespace {
+
+/** Batch pairs for permutation-style workloads over @p n nodes;
+ *  empty if the workload is open loop.  Sets @p error for shape
+ *  problems (e.g. bitrev on a non-power-of-two). */
 workload::PairList
 batchPairs(const PointConfig &pt, net::NodeId n, sim::Random &rng,
            std::string &error)
@@ -251,6 +231,8 @@ batchPairs(const PointConfig &pt, net::NodeId n, sim::Random &rng,
     return {};
 }
 
+} // namespace
+
 std::unique_ptr<workload::TrafficPattern>
 stochasticPattern(const PointConfig &pt, net::NodeId n,
                   std::string &error)
@@ -272,6 +254,104 @@ stochasticPattern(const PointConfig &pt, net::NodeId n,
             n, 0, std::stod(w.substr(8)));
     error = "workload '" + w + "' generated no traffic";
     return nullptr;
+}
+
+std::unique_ptr<obs::TimelineSampler>
+startTimeline(net::Network &network, sim::Tick period,
+              sim::Tick min_end, bool shard_series)
+{
+    if (period == 0)
+        return nullptr;
+    sim::Simulator &simulator = network.simulator();
+    auto timeline =
+        std::make_unique<obs::TimelineSampler>(simulator, period);
+    net::Network *net = &network;
+    // Counter-backed series emit per-window deltas (divide by
+    // `period` for a per-tick rate) so saturation onset is visible
+    // instead of being averaged into a running total.
+    timeline->addCounterSeries("injected", [net] {
+        return net->stats().injected.value();
+    });
+    timeline->addCounterSeries("delivered", [net] {
+        return net->stats().delivered.value();
+    });
+    timeline->addSeries("active_circuits", [net] {
+        return static_cast<double>(
+            net->stats().activeCircuits.current());
+    });
+    if (const auto *rmb = dynamic_cast<const core::Engine *>(net)) {
+        const double segs =
+            static_cast<double>(rmb->config().numNodes) *
+            static_cast<double>(rmb->config().numBuses);
+        timeline->addSeries("live_buses", [rmb] {
+            return static_cast<double>(
+                rmb->rmbStats().liveBuses.current());
+        });
+        timeline->addSeries("segment_occupancy", [rmb, segs] {
+            return static_cast<double>(rmb->occupiedSegments()) /
+                   segs;
+        });
+        timeline->addCounterSeries("dead_letters", [rmb] {
+            return rmb->rmbStats().deadLettered.value();
+        });
+    }
+    auto *graph = dynamic_cast<core::RingGraph *>(net);
+    if (graph != nullptr && graph->faultDomainBridges() > 0) {
+        timeline->addCounterSeries("bridge_deflections", [graph] {
+            return graph->metrics()
+                .counter("hier.bridge.deflections")
+                .value();
+        });
+        // Per-ring attribution scales with the ring count, so it is
+        // opt-in.  Shard clocks are barrier-synced to parent event
+        // times, which keeps every series byte-identical for any
+        // --jobs.  Shards 0..M-1 are the local rings, shard M the
+        // global ring.
+        for (std::uint32_t s = 0; shard_series && s < graph->numRings();
+             ++s) {
+            const std::string prefix = "shard" + std::to_string(s) + '.';
+            const core::Engine &eng = graph->ringEngine(s);
+            timeline->addCounterSeries(prefix + "injected", [&eng] {
+                return eng.stats().injected.value();
+            });
+            timeline->addCounterSeries(prefix + "delivered", [&eng] {
+                return eng.stats().delivered.value();
+            });
+        }
+    }
+    timeline->setStopWhen([net, &simulator, min_end] {
+        return simulator.now() >= min_end && net->quiescent();
+    });
+    timeline->start();
+    return timeline;
+}
+
+WorkloadRun
+runWorkload(const PointConfig &pt, net::Network &network,
+            sim::Random &rng, sim::Tick warmup, sim::Tick drain,
+            sim::Tick timeline_period, bool shard_series)
+{
+    WorkloadRun run;
+    run.pairs = batchPairs(pt, network.numNodes(), rng, run.error);
+    if (!run.error.empty())
+        return run;
+    if (!run.pairs.empty()) {
+        // Everything is in flight from the first tick.
+        run.timeline =
+            startTimeline(network, timeline_period, 0, shard_series);
+        run.batch = workload::runBatch(network, run.pairs, pt.payload,
+                                       pt.timeout);
+        return run;
+    }
+    auto pattern = stochasticPattern(pt, network.numNodes(), run.error);
+    if (!pattern)
+        return run;
+    run.timeline = startTimeline(network, timeline_period, pt.duration,
+                                 shard_series);
+    run.openLoop =
+        workload::runOpenLoop(network, *pattern, pt.rate, pt.payload,
+                              pt.duration, rng, warmup, drain);
+    return run;
 }
 
 namespace {
@@ -397,50 +477,21 @@ runPoint(const PointConfig &pt)
             return failPoint(pt, error);
         network->setTraceSink(&trace_counts);
 
+        // The timeline rides this point's own event queue, so its
+        // series are deterministic too.
+        const WorkloadRun run =
+            runWorkload(pt, *network, wl_rng, pt.duration / 5,
+                        pt.timeout, pt.timelinePeriod, false);
+        if (!run.error.empty())
+            return failPoint(pt, run.error);
+
         PointResult r;
         r.index = pt.index;
-
-        const auto pairs =
-            batchPairs(pt, network->numNodes(), wl_rng, error);
-        if (!error.empty())
-            return failPoint(pt, error);
-
-        // Optional per-point timeline (spec field timeline_period).
-        // Samples ride this point's own event queue and only read
-        // counters, so the series is deterministic; counter series
-        // emit per-window deltas (rates), not running totals.
-        std::unique_ptr<obs::TimelineSampler> timeline;
-        if (pt.timelinePeriod > 0) {
-            timeline = std::make_unique<obs::TimelineSampler>(
-                simulator, pt.timelinePeriod);
-            const net::Network *netp = network.get();
-            timeline->addCounterSeries("injected", [netp] {
-                return netp->stats().injected.value();
-            });
-            timeline->addCounterSeries("delivered", [netp] {
-                return netp->stats().delivered.value();
-            });
-            if (pairs.empty()) {
-                // Stochastic: generation runs for `duration`.
-                const sim::Tick end = pt.duration;
-                timeline->setStopWhen([netp, &simulator, end] {
-                    return simulator.now() >= end &&
-                           netp->quiescent();
-                });
-            } else {
-                // Batch: everything is in flight from tick 0.
-                timeline->setStopWhen(
-                    [netp] { return netp->quiescent(); });
-            }
-            timeline->start();
-        }
-
-        if (!pairs.empty()) {
-            const auto b = workload::runBatch(*network, pairs,
-                                              pt.payload, pt.timeout);
-            r.metrics.emplace_back(
-                "ticks",
-                num(static_cast<std::uint64_t>(simulator.now())));
+        r.metrics.emplace_back(
+            "ticks", num(static_cast<std::uint64_t>(simulator.now())));
+        r.ok = true;
+        if (!run.pairs.empty()) {
+            const workload::BatchResult &b = run.batch;
             r.metrics.emplace_back("completed",
                                    b.completed ? "true" : "false");
             r.metrics.emplace_back(
@@ -451,41 +502,27 @@ runPoint(const PointConfig &pt)
             r.metrics.emplace_back("max_latency", num(b.maxLatency));
             r.metrics.emplace_back("mean_setup",
                                    num(b.meanSetupLatency));
-            appendNetworkMetrics(r, *network);
-            appendTraceMetrics(r, trace_counts);
-            if (timeline)
-                r.timelineJson = timeline->toJson();
             // A timed-out batch is a captured failure, not a crash:
-            // the metrics above still describe how far it got.
+            // the metrics still describe how far it got.
             r.ok = b.completed;
             if (!b.completed)
                 r.error = "batch incomplete after " +
                           std::to_string(pt.timeout) +
                           " simulated ticks (timeout)";
-            return r;
+        } else {
+            const workload::OpenLoopResult &o = run.openLoop;
+            r.metrics.emplace_back("offered_load", num(o.offeredLoad));
+            r.metrics.emplace_back("throughput", num(o.throughput));
+            r.metrics.emplace_back("mean_latency", num(o.meanLatency));
+            r.metrics.emplace_back("p95_latency", num(o.p95Latency));
+            r.metrics.emplace_back("max_latency", num(o.maxLatency));
+            r.metrics.emplace_back("mean_setup",
+                                   num(o.meanSetupLatency));
         }
-
-        auto pattern =
-            stochasticPattern(pt, network->numNodes(), error);
-        if (!pattern)
-            return failPoint(pt, error);
-        const auto o = workload::runOpenLoop(
-            *network, *pattern, pt.rate, pt.payload, pt.duration,
-            wl_rng, pt.duration / 5, pt.timeout);
-        r.metrics.emplace_back(
-            "ticks", num(static_cast<std::uint64_t>(simulator.now())));
-        r.metrics.emplace_back("offered_load", num(o.offeredLoad));
-        r.metrics.emplace_back("throughput", num(o.throughput));
-        r.metrics.emplace_back("mean_latency", num(o.meanLatency));
-        r.metrics.emplace_back("p95_latency", num(o.p95Latency));
-        r.metrics.emplace_back("max_latency", num(o.maxLatency));
-        r.metrics.emplace_back("mean_setup",
-                               num(o.meanSetupLatency));
         appendNetworkMetrics(r, *network);
         appendTraceMetrics(r, trace_counts);
-        if (timeline)
-            r.timelineJson = timeline->toJson();
-        r.ok = true;
+        if (run.timeline)
+            r.timelineJson = run.timeline->toJson();
         return r;
     } catch (const std::exception &e) {
         return failPoint(pt, std::string("exception: ") + e.what());

@@ -9,9 +9,9 @@
  * configuration, simulated-tick timeout, runtime exception) are
  * captured in the PointResult instead of killing the sweep.
  *
- * The point builders - rmbConfig(), makeNetwork(), batchPairs() and
- * stochasticPattern() - are the one network/workload factory behind
- * both sweeps and rmbsim; callers choose the seeds and VerifyLevel.
+ * rmbConfig(), makeNetwork() and runWorkload() are the one network
+ * factory and run loop behind both sweeps and rmbsim; callers choose
+ * the seeds, the VerifyLevel and the RunChoices.
  *
  * runSweep() fans a spec's points across a Runner and aggregate()
  * merges the results into one obs::RunReport whose point array is in
@@ -32,8 +32,10 @@
 #include "exp/spec.hh"
 #include "netbase/network.hh"
 #include "obs/run_report.hh"
+#include "obs/timeline.hh"
 #include "rmb/config.hh"
 #include "sim/random.hh"
+#include "workload/driver.hh"
 #include "workload/permutation.hh"
 #include "workload/traffic.hh"
 
@@ -62,17 +64,49 @@ std::unique_ptr<net::Network> makeNetwork(const PointConfig &pt,
                                           sim::Simulator &simulator,
                                           std::string &error);
 
-/** Batch pairs for permutation-style workloads over @p n nodes;
- *  empty if the workload is open loop.  Sets @p error for shape
- *  problems (e.g. bitrev on a non-power-of-two). */
-workload::PairList batchPairs(const PointConfig &pt, net::NodeId n,
-                              sim::Random &rng, std::string &error);
-
 /** The open-loop traffic pattern of @p pt over @p n nodes, or
  *  nullptr with @p error set. */
 std::unique_ptr<workload::TrafficPattern>
 stochasticPattern(const PointConfig &pt, net::NodeId n,
                   std::string &error);
+
+/**
+ * Sample @p network every @p period ticks until the run has passed
+ * @p min_end and drained; nullptr when @p period is 0.  Series:
+ * injected, delivered (per-window deltas), active_circuits; on RMB
+ * rings also live_buses, segment_occupancy and dead_letters; with
+ * bridges bridge_deflections, and with @p shard_series each ring's
+ * injected and delivered.  Only reads counters, so the run is
+ * unchanged and the series is deterministic for any --jobs.
+ */
+std::unique_ptr<obs::TimelineSampler>
+startTimeline(net::Network &network, sim::Tick period,
+              sim::Tick min_end, bool shard_series);
+
+/** What runWorkload() ran. */
+struct WorkloadRun
+{
+    /** The workload does not fit the network; nothing ran. */
+    std::string error;
+    /** The batch it injected; empty for an open loop. */
+    workload::PairList pairs;
+    workload::BatchResult batch;       //!< when pairs is non-empty
+    workload::OpenLoopResult openLoop; //!< otherwise
+    std::unique_ptr<obs::TimelineSampler> timeline;
+};
+
+/**
+ * Run @p pt's workload on @p network, its randomness drawn from
+ * @p rng: one batch, aborted after pt.timeout ticks, for the
+ * permutation-style workloads, else an open loop over
+ * stochasticPattern() whose statistics start at @p warmup and whose
+ * drain stops after @p drain ticks.  The timeline is
+ * startTimeline(network, @p timeline_period, ..., @p shard_series).
+ */
+WorkloadRun runWorkload(const PointConfig &pt, net::Network &network,
+                        sim::Random &rng, sim::Tick warmup,
+                        sim::Tick drain, sim::Tick timeline_period,
+                        bool shard_series);
 
 /** One completed point, as seen by a progress observer. */
 struct Progress

@@ -42,8 +42,23 @@ enum class Alias { None, Same, Pair, Negate };
 
 using Slot = std::variant<std::uint32_t PointConfig::*,
                           std::uint64_t PointConfig::*,
-                          double PointConfig::*, bool PointConfig::*,
-                          std::string PointConfig::*>;
+                          double PointConfig::*,
+                          std::string PointConfig::*,
+                          std::uint32_t core::RmbConfig::*,
+                          std::uint64_t core::RmbConfig::*,
+                          double core::RmbConfig::*,
+                          bool core::RmbConfig::*>;
+
+/** The member a Slot names in @p pt. */
+template <class Pt, class T, class Owner>
+auto &
+at(Pt &pt, T Owner::*member)
+{
+    if constexpr (std::is_same_v<Owner, PointConfig>)
+        return pt.*member;
+    else
+        return pt.rmb.*member;
+}
 
 /** One row of the run recipe. */
 struct Field
@@ -65,6 +80,7 @@ struct Field
 };
 
 using P = PointConfig;
+using R = core::RmbConfig;
 using C = Check;
 
 // The run recipe, one row per field, in canonical echo order.
@@ -94,7 +110,7 @@ const Field kFields[] = {
      C::Uint, Echo::Always, Alias::None, nullptr,
      "rmbsim drains open-loop runs for a fixed 1M ticks; run a sweep"
      " for a tick budget"},
-    {"compaction", &P::compaction, "true|false",
+    {"compaction", &R::enableCompaction, "true|false",
      "dynamic compaction onto lower bus levels", C::Bool, Echo::Always,
      Alias::Negate, "no-compaction"},
     {"engine", &P::engine, "event|kernel",
@@ -102,13 +118,13 @@ const Field kFields[] = {
      C::Choice},
     {"topology", &P::topology, "flat|hier",
      "one ring, or rings behind bridges (network=rmb)", C::Choice},
-    {"local_rings", &P::localRings, "M", "hier: local ring count"},
-    {"global_buses", &P::globalBuses, "K",
+    {"local_rings", &R::localRings, "M", "hier: local ring count"},
+    {"global_buses", &R::globalBuses, "K",
      "hier: global ring levels, 0 = same as buses"},
-    {"bridge_latency", &P::bridgeLatency, "T",
+    {"bridge_latency", &R::bridgeLatency, "T",
      "hier: ticks per bridge hop"},
-    {"bridge_buffer", &P::bridgeBuffer, "B", "hier: slots per bridge"},
-    {"shard_jobs", &P::shardJobs, "N",
+    {"bridge_buffer", &R::bridgeBuffer, "B", "hier: slots per bridge"},
+    {"shard_jobs", &R::shardJobs, "N",
      "hier: shard threads, 0 = auto; result-neutral", C::Uint,
      Echo::Never, Alias::Same, "jobs"},
     {"blocking", &P::blocking, "nack|wait|wait:<t>",
@@ -116,25 +132,26 @@ const Field kFields[] = {
      C::Choice},
     {"header", &P::header, "lowest|straight",
      "header bus: lowest free level, or straight on", C::Choice},
-    {"send_ports", &P::sendPorts, "S", "send ports per node", C::Uint,
+    {"send_ports", &R::sendPorts, "S", "send ports per node", C::Uint,
      Echo::Always, Alias::Pair, "ports"},
-    {"receive_ports", &P::receivePorts, "R", "receive ports per node"},
-    {"detailed_flits", &P::detailedFlits, "true|false",
+    {"receive_ports", &R::receivePorts, "R", "receive ports per node"},
+    {"detailed_flits", &R::detailedFlits, "true|false",
      "simulate every data flit", C::Bool},
-    {"fault_mtbf", &P::faultMtbf, "T",
+    {"fault_mtbf", &R::faultMtbf, "T",
      "transient faults: mean ticks between faults, 0 = off"},
-    {"fault_mttr_min", &P::faultMttrMin, "MIN", "shortest repair delay",
+    {"fault_mttr_min", &R::faultMttrMin, "MIN", "shortest repair delay",
      C::Uint, Echo::Always, Alias::Pair, "fault-mttr"},
-    {"fault_mttr_max", &P::faultMttrMax, "MAX", "longest repair delay"},
-    {"fault_permanent_prob", &P::faultPermanentProb, "P",
+    {"fault_mttr_max", &R::faultMttrMax, "MAX", "longest repair delay"},
+    {"fault_permanent_prob", &R::faultPermanentProb, "P",
      "chance a fault never repairs", C::Prob, Echo::WhenSet},
-    {"fault_node_prob", &P::faultNodeProb, "P",
+    {"fault_node_prob", &R::faultNodeProb, "P",
      "chance a fault takes out every level at its gap", C::Prob,
      Echo::WhenSet},
-    {"fault_bridge_prob", &P::faultBridgeProb, "P",
+    {"fault_bridge_prob", &R::faultBridgeProb, "P",
      "hier: chance a fault lands on a bridge", C::Prob, Echo::WhenSet},
-    {"watchdog", &P::watchdog, "T", "source watchdog timeout, 0 = off"},
-    {"max_retries", &P::maxRetries, "N", "retry cap, 0 = unlimited"},
+    {"watchdog", &R::watchdogTimeout, "T",
+     "source watchdog timeout, 0 = off"},
+    {"max_retries", &R::maxRetries, "N", "retry cap, 0 = unlimited"},
     {"timeline_period", &P::timelinePeriod, "T",
      "per-point timeline sample period, 0 = off", C::Uint,
      Echo::WhenSet, Alias::None, nullptr,
@@ -309,7 +326,7 @@ PointConfig::set(const std::string &field, const obs::JsonValue &value)
         if (field == f.name) {
             return std::visit(
                 [&](auto member) {
-                    return assign(f, this->*member, value);
+                    return assign(f, at(*this, member), value);
                 },
                 f.slot);
         }
@@ -410,9 +427,10 @@ PointConfig::canonicalJson() const
     for (const Field &f : kFields) {
         std::visit(
             [&](auto member) {
-                const auto &v = this->*member;
+                const auto &v = at(*this, member);
                 if (f.echo == Echo::Never ||
-                    (f.echo == Echo::WhenSet && v == defaults.*member))
+                    (f.echo == Echo::WhenSet &&
+                     v == at(defaults, member)))
                     return;
                 if constexpr (std::is_same_v<std::decay_t<decltype(v)>,
                                              std::uint32_t>)

@@ -11,8 +11,8 @@
  * the style of RmbConfig::validate().
  *
  * Every run-recipe field is one row of a static table in spec.cc:
- * name, PointConfig member, value kind and range, doc line and echo
- * rule.  set(), knownFields(), the canonical echo, the recipe digest
+ * name, member (of PointConfig or of its core::RmbConfig), value kind
+ * and range, doc line and echo rule.  set(), knownFields(), the canonical echo, the recipe digest
  * and rmbsim's flags and --help are all derived from it, so adding a
  * field is one row.
  *
@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "obs/json_value.hh"
+#include "rmb/config.hh"
 #include "sim/types.hh"
 
 namespace rmb {
@@ -61,36 +62,20 @@ struct PointConfig
     std::uint32_t payload = 32;   //!< data flits per message
     sim::Tick duration = 50'000;  //!< stochastic generation window
 
-    bool compaction = true;
     std::string engine = "event";  //!< rmb backend: event | kernel
-
-    /** Hierarchy (network=rmb only): flat single ring or hier
-     *  multi-ring behind bridge INCs (docs/HIERARCHY.md). */
-    std::string topology = "flat"; //!< flat | hier
-    std::uint32_t localRings = 4;  //!< hier: local ring count
-    std::uint32_t globalBuses = 0; //!< hier: 0 = same as buses
-    sim::Tick bridgeLatency = 8;   //!< hier: ticks per bridge hop
-    std::uint32_t bridgeBuffer = 4; //!< hier: slots per bridge
-    std::uint32_t shardJobs = 1;   //!< hier threads; result-neutral
-
+    std::string topology = "flat"; //!< flat | hier (network=rmb only)
     std::string blocking = "nack"; //!< nack | wait | wait:<t>
     std::string header = "lowest"; //!< lowest | straight
-    std::uint32_t sendPorts = 1;
-    std::uint32_t receivePorts = 1;
-    bool detailedFlits = false;
 
-    /** Transient-fault process (rmb-family networks): 0 = off. */
-    sim::Tick faultMtbf = 0;
-    sim::Tick faultMttrMin = 500;
-    sim::Tick faultMttrMax = 2'000;
-    /** Chance a scheduled fault never repairs (docs/FAULTS.md). */
-    double faultPermanentProb = 0.0;
-    /** Chance a fault takes out every level at its gap. */
-    double faultNodeProb = 0.0;
-    /** Chance a fault lands on a hier bridge (topology=hier). */
-    double faultBridgeProb = 0.0;
-    sim::Tick watchdog = 0;       //!< source watchdog, 0 = off
-    std::uint32_t maxRetries = 0; //!< 0 = unlimited
+    /**
+     * Every other RMB setting of the recipe (compaction, hier shape,
+     * ports, flits, faults, watchdog, retry cap): the field table
+     * writes these members directly and rmbConfig() starts from
+     * them.  Its shape fields (numNodes, numBuses, engine, topology,
+     * headerPolicy, blocking), seed and verify level are set there
+     * from the words above and the caller's choices.
+     */
+    core::RmbConfig rmb;
 
     /**
      * Sample a per-point timeline every this many ticks (0 = off).

@@ -336,10 +336,10 @@ TEST(SweepSpec, FaultProbabilitiesCarryIntoPoints)
         << joined(errors);
     const auto points = spec.points();
     ASSERT_EQ(points.size(), 2u);
-    EXPECT_DOUBLE_EQ(points[0].faultPermanentProb, 0.25);
-    EXPECT_DOUBLE_EQ(points[0].faultNodeProb, 0.125);
-    EXPECT_DOUBLE_EQ(points[0].faultBridgeProb, 0.0);
-    EXPECT_DOUBLE_EQ(points[1].faultBridgeProb, 0.5);
+    EXPECT_DOUBLE_EQ(points[0].rmb.faultPermanentProb, 0.25);
+    EXPECT_DOUBLE_EQ(points[0].rmb.faultNodeProb, 0.125);
+    EXPECT_DOUBLE_EQ(points[0].rmb.faultBridgeProb, 0.0);
+    EXPECT_DOUBLE_EQ(points[1].rmb.faultBridgeProb, 0.5);
 
     // Zero-valued probability knobs stay out of the canonical form,
     // so specs predating them keep their baseline digests.
@@ -395,17 +395,17 @@ TEST(PointConfig, FlagsAreDerivedFromTheTable)
     std::string error;
     EXPECT_EQ(pt.applyFlag("--bridge-buffer", "7", error), 1);
     EXPECT_EQ(error, "");
-    EXPECT_EQ(pt.bridgeBuffer, 7u);
+    EXPECT_EQ(pt.rmb.bridgeBuffer, 7u);
     EXPECT_EQ(pt.applyFlag("--ports", "2,3", error), 1);
-    EXPECT_EQ(pt.sendPorts, 2u);
-    EXPECT_EQ(pt.receivePorts, 3u);
+    EXPECT_EQ(pt.rmb.sendPorts, 2u);
+    EXPECT_EQ(pt.rmb.receivePorts, 3u);
     EXPECT_EQ(pt.applyFlag("--fault-mttr", "10,20", error), 1);
-    EXPECT_EQ(pt.faultMttrMin, 10u);
-    EXPECT_EQ(pt.faultMttrMax, 20u);
+    EXPECT_EQ(pt.rmb.faultMttrMin, 10u);
+    EXPECT_EQ(pt.rmb.faultMttrMax, 20u);
     EXPECT_EQ(pt.applyFlag("--jobs", "3", error), 1);
-    EXPECT_EQ(pt.shardJobs, 3u);
+    EXPECT_EQ(pt.rmb.shardJobs, 3u);
     EXPECT_EQ(pt.applyFlag("--no-compaction", nullptr, error), 0);
-    EXPECT_FALSE(pt.compaction);
+    EXPECT_FALSE(pt.rmb.enableCompaction);
     EXPECT_EQ(error, "");
     EXPECT_EQ(pt.applyFlag("--seed", "3", error), -1);
     EXPECT_EQ(pt.applyFlag("--ports", "2", error), 1);

@@ -19,6 +19,7 @@
  *          --replay /tmp/u.trace
  */
 
+#include <algorithm>
 #include <charconv>
 #include <cstdint>
 #include <fstream>
@@ -37,13 +38,10 @@
 #include "obs/prof.hh"
 #include "obs/run_report.hh"
 #include "obs/sinks.hh"
-#include "obs/timeline.hh"
 #include "rmb/engine.hh"
 #include "rmb/fault_plan.hh"
-#include "rmb/ring_graph.hh"
 #include "report/report.hh"
 #include "sim/simulator.hh"
-#include "workload/driver.hh"
 #include "workload/trace.hh"
 
 namespace {
@@ -415,157 +413,75 @@ main(int argc, char **argv)
     if (sink != nullptr)
         network->setTraceSink(sink);
 
-    // Timeline sampling for the report: bus/circuit occupancy every
-    // `period` ticks until the run has passed `minEnd` and drained.
-    std::unique_ptr<obs::TimelineSampler> timeline;
-    const auto startTimeline = [&](sim::Tick minEnd) {
-        if (o.jsonPath.empty())
-            return;
-        sim::Tick period = o.timeline;
-        if (period == 0)
-            period = pt.duration / 100 ? pt.duration / 100 : 1;
-        timeline = std::make_unique<obs::TimelineSampler>(simulator,
-                                                          period);
-        net::Network *net = network.get();
-        // Counter-backed series emit per-window deltas (divide by
-        // `period` for a per-tick rate) so saturation onset is
-        // visible instead of being averaged into a running total.
-        timeline->addCounterSeries("injected", [net] {
-            return net->stats().injected.value();
-        });
-        timeline->addCounterSeries("delivered", [net] {
-            return net->stats().delivered.value();
-        });
-        timeline->addSeries("active_circuits", [net] {
-            return static_cast<double>(
-                net->stats().activeCircuits.current());
-        });
-        if (const auto *rmb =
-                dynamic_cast<const core::Engine *>(net)) {
-            const double segs =
-                static_cast<double>(rmb->config().numNodes) *
-                static_cast<double>(rmb->config().numBuses);
-            timeline->addSeries("live_buses", [rmb] {
-                return static_cast<double>(
-                    rmb->rmbStats().liveBuses.current());
-            });
-            timeline->addSeries("segment_occupancy", [rmb, segs] {
-                return static_cast<double>(
-                           rmb->occupiedSegments()) /
-                       segs;
-            });
-            timeline->addCounterSeries("dead_letters", [rmb] {
-                return rmb->rmbStats().deadLettered.value();
-            });
-        }
-        auto *graph = dynamic_cast<core::RingGraph *>(net);
-        if (graph != nullptr && graph->faultDomainBridges() > 0) {
-            timeline->addCounterSeries(
-                "bridge_deflections", [graph] {
-                    return graph->metrics()
-                        .counter("hier.bridge.deflections")
-                        .value();
-                });
-            // Per-shard attribution scales with the ring count, so
-            // it is opt-in behind an explicit --timeline period.
-            // Shard clocks are barrier-synced to parent event times,
-            // which keeps every series byte-identical for any
-            // --jobs.
-            if (o.timeline > 0) {
-                // Shards 0..M-1 are the local rings, shard M the
-                // global ring.
-                for (std::uint32_t s = 0; s < graph->numRings(); ++s) {
-                    std::ostringstream prefix;
-                    prefix << "shard" << s << '.';
-                    const core::Engine &eng = graph->ringEngine(s);
-                    timeline->addCounterSeries(
-                        prefix.str() + "injected", [&eng] {
-                            return eng.stats().injected.value();
-                        });
-                    timeline->addCounterSeries(
-                        prefix.str() + "delivered", [&eng] {
-                            return eng.stats().delivered.value();
-                        });
-                }
-            }
-        }
-        timeline->setStopWhen([net, &simulator, minEnd] {
-            return simulator.now() >= minEnd && net->quiescent();
-        });
-        timeline->start();
-    };
+    // The report's timeline: every duration/100 ticks unless
+    // --timeline sets the period, which also adds per-shard series.
+    sim::Tick period = 0;
+    if (!o.jsonPath.empty())
+        period = o.timeline ? o.timeline
+                            : std::max<sim::Tick>(pt.duration / 100, 1);
+    const bool shard_series = o.timeline > 0;
     sim::Random rng(pt.seed);
 
+    // --replay, or --record of an open loop: run a trace.
+    workload::Trace trace;
+    std::unique_ptr<workload::TrafficPattern> pattern;
     if (!o.replay.empty()) {
         std::ifstream in(o.replay);
         if (!in)
             fatal("cannot open trace '", o.replay, "'");
-        const auto trace = workload::readTrace(in);
-        startTimeline(trace.empty() ? 0 : trace.back().time);
+        trace = workload::readTrace(in);
+    } else if (!o.record.empty() &&
+               (pattern = exp::stochasticPattern(
+                    pt, network->numNodes(), error))) {
+        trace = workload::generateTrace(*pattern, pt.rate, pt.payload,
+                                        pt.duration, rng);
+        std::ofstream out(o.record);
+        if (!out)
+            fatal("cannot write trace '", o.record, "'");
+        workload::writeTrace(out, trace);
+    }
+    if (!o.replay.empty() || pattern) {
+        const auto timeline = exp::startTimeline(
+            *network, period, trace.empty() ? 0 : trace.back().time,
+            shard_series);
         const auto r = workload::replayTrace(*network, trace);
-        std::cout << "replayed " << r.injected << " events: "
-                  << r.delivered << " delivered, " << r.failed
-                  << " failed, makespan " << r.makespan
-                  << ", mean latency " << r.meanLatency << "\n";
+        if (pattern)
+            std::cout << "recorded " << trace.size() << " events to "
+                      << o.record << "; replayed locally: "
+                      << r.delivered << " delivered\n";
+        else
+            std::cout << "replayed " << r.injected << " events: "
+                      << r.delivered << " delivered, " << r.failed
+                      << " failed, makespan " << r.makespan
+                      << ", mean latency " << r.meanLatency << "\n";
         printStats(o, *network, simulator.now(), counts,
                    timeline.get());
         return 0;
     }
 
-    const auto pairs =
-        exp::batchPairs(pt, network->numNodes(), rng, error);
-    if (!error.empty())
-        fatal(error);
-    if (!pairs.empty()) {
-        startTimeline(0);
-        const auto r =
-            workload::runBatch(*network, pairs, pt.payload);
-        std::cout << (r.completed ? "batch completed"
-                                  : "batch TIMED OUT")
-                  << ": makespan " << r.makespan << "\n";
+    const exp::WorkloadRun run =
+        exp::runWorkload(pt, *network, rng, pt.duration / 10,
+                         1'000'000, period, shard_series);
+    if (!run.error.empty())
+        fatal(run.error);
+    if (!run.pairs.empty()) {
+        std::cout << (run.batch.completed ? "batch completed"
+                                          : "batch TIMED OUT")
+                  << ": makespan " << run.batch.makespan << "\n";
         if (!o.record.empty()) {
-            workload::Trace trace;
-            for (const auto &[src, dst] : pairs)
+            for (const auto &[src, dst] : run.pairs)
                 trace.push_back(
                     workload::TraceEvent{0, src, dst, pt.payload});
             std::ofstream out(o.record);
             workload::writeTrace(out, trace);
         }
-        printStats(o, *network, simulator.now(), counts,
-                   timeline.get());
-        return 0;
+    } else {
+        std::cout << "open loop: offered " << run.openLoop.offeredLoad
+                  << " msgs/node/tick, throughput "
+                  << run.openLoop.throughput << ", mean latency "
+                  << run.openLoop.meanLatency << "\n";
     }
-
-    auto pattern =
-        exp::stochasticPattern(pt, network->numNodes(), error);
-    if (!pattern)
-        fatal(error);
-    if (!o.record.empty()) {
-        const auto trace = workload::generateTrace(
-            *pattern, pt.rate, pt.payload, pt.duration, rng);
-        {
-            std::ofstream out(o.record);
-            if (!out)
-                fatal("cannot write trace '", o.record, "'");
-            workload::writeTrace(out, trace);
-        }
-        startTimeline(trace.empty() ? 0 : trace.back().time);
-        const auto r = workload::replayTrace(*network, trace);
-        std::cout << "recorded " << trace.size() << " events to "
-                  << o.record << "; replayed locally: "
-                  << r.delivered << " delivered\n";
-        printStats(o, *network, simulator.now(), counts,
-                   timeline.get());
-        return 0;
-    }
-    startTimeline(pt.duration);
-    const auto r = workload::runOpenLoop(
-        *network, *pattern, pt.rate, pt.payload, pt.duration, rng,
-        pt.duration / 10);
-    std::cout << "open loop: offered " << r.offeredLoad
-              << " msgs/node/tick, throughput " << r.throughput
-              << ", mean latency " << r.meanLatency << "\n";
     printStats(o, *network, simulator.now(), counts,
-               timeline.get());
+               run.timeline.get());
     return 0;
 }
