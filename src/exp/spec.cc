@@ -232,13 +232,17 @@ stringError(const Field &f, const std::string &v)
         if (lt == word.npos)
             return why;
         const std::string_view param = std::string_view(v).substr(lt);
-        const bool fraction = word.substr(lt) == "<f>";
+        const std::string_view kind = word.substr(lt);
+        // <h> is hrel's per-node message count, a 32-bit value.
         std::uint64_t n = 0;
-        if (fraction ? parseFraction(param) : parseAll(param, n))
+        if (kind == "<f>" ? parseFraction(param)
+                          : parseAll(param, n) &&
+                                (kind != "<h>" || n <= UINT32_MAX))
             return why;
-        why = " (" + std::string(word.substr(lt)) + " must be " +
-              (fraction ? "a number in [0, 1])"
-                        : "a non-negative integer)");
+        why = " (" + std::string(kind) + " must be " +
+              (kind == "<f>"   ? "a number in [0, 1])"
+               : kind == "<h>" ? "an integer in [0, 4294967295])"
+                               : "a non-negative integer)");
     }
     return "field '" + std::string(f.name) + "' expects " + f.syntax +
            ", got '" + v + "'" + why;

@@ -11,6 +11,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -230,6 +231,7 @@ TEST(SweepSpec, WrongValueTypeIsActionable)
         {"workload", "hotspot:nan"}, {"blocking", "wait:abc"},
         {"blocking", "wait:-5"},    {"dims", "4x"},
         {"dims", "4x1x2"},          {"network", "token-ring"},
+        {"workload", "hrel:4294967297"}, // past 2^32-1 per node
     };
     for (const auto &[field, value] : bad) {
         exp::SweepSpec bad_spec;
@@ -387,6 +389,64 @@ TEST(PointConfig, DigestCoversEveryValueKind)
     // the caller's extra identity (seed, plan, replay) does.
     EXPECT_EQ(withField("shard_jobs", "8").digest("1||"), base);
     EXPECT_NE(exp::PointConfig().digest("2||"), base);
+}
+
+TEST(PointConfig, RmbRowsReachTheRmbConfig)
+{
+    // Every RMB row, set off its default, arrives in rmbConfig() -
+    // also with no fault schedule and on a flat ring, where
+    // validate() must see it to refuse what does not apply.
+    using R = core::RmbConfig;
+    using Get = double (*)(const R &);
+    const std::tuple<const char *, const char *, double, Get> rows[] = {
+        {"compaction", "false", 0, [](const R &c) -> double {
+             return c.enableCompaction;
+         }},
+        {"local_rings", "8", 8,
+         [](const R &c) -> double { return c.localRings; }},
+        {"global_buses", "2", 2,
+         [](const R &c) -> double { return c.globalBuses; }},
+        {"bridge_latency", "3", 3,
+         [](const R &c) -> double { return c.bridgeLatency; }},
+        {"bridge_buffer", "7", 7,
+         [](const R &c) -> double { return c.bridgeBuffer; }},
+        {"shard_jobs", "5", 5,
+         [](const R &c) -> double { return c.shardJobs; }},
+        {"send_ports", "2", 2,
+         [](const R &c) -> double { return c.sendPorts; }},
+        {"receive_ports", "3", 3,
+         [](const R &c) -> double { return c.receivePorts; }},
+        {"detailed_flits", "true", 1,
+         [](const R &c) -> double { return c.detailedFlits; }},
+        {"fault_mtbf", "900", 900,
+         [](const R &c) -> double { return c.faultMtbf; }},
+        {"fault_mttr_min", "11", 11,
+         [](const R &c) -> double { return c.faultMttrMin; }},
+        {"fault_mttr_max", "22", 22,
+         [](const R &c) -> double { return c.faultMttrMax; }},
+        {"fault_permanent_prob", "0.25", 0.25,
+         [](const R &c) { return c.faultPermanentProb; }},
+        {"fault_node_prob", "0.5", 0.5,
+         [](const R &c) { return c.faultNodeProb; }},
+        {"fault_bridge_prob", "0.75", 0.75,
+         [](const R &c) { return c.faultBridgeProb; }},
+        {"watchdog", "1234", 1234,
+         [](const R &c) -> double { return c.watchdogTimeout; }},
+        {"max_retries", "9", 9,
+         [](const R &c) -> double { return c.maxRetries; }},
+    };
+    const R defaults =
+        exp::rmbConfig(exp::PointConfig(), 1, core::VerifyLevel::Off);
+    for (const auto &[field, json, want, get] : rows) {
+        const exp::PointConfig pt = withField(field, json);
+        ASSERT_EQ(pt.topology, "flat");
+        const R cfg = exp::rmbConfig(pt, 1, core::VerifyLevel::Off);
+        EXPECT_NE(get(defaults), want) << field;
+        EXPECT_EQ(get(cfg), want) << field;
+        // The schedule, and only the schedule, arms fault recovery.
+        EXPECT_EQ(cfg.transientFaults, cfg.faultMtbf > 0) << field;
+    }
+    EXPECT_EQ(std::size(rows), 17u);
 }
 
 TEST(PointConfig, FlagsAreDerivedFromTheTable)
