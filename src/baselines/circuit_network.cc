@@ -252,8 +252,7 @@ CircuitNetwork::scheduleRetry(net::NodeId node)
     const net::MessageId mid = nodes_[node].sendQueue.front();
     const sim::Tick backoff = sim::retryBackoff(
         rng_, message(mid).retries, config_.retryBackoffMin,
-        config_.retryBackoffMax, config_.retryBackoffCap,
-        config_.exponentialBackoff);
+        config_.retryBackoffMax, config_.retryBackoffCap);
     nodes_[node].backoffUntil = simulator().now() + backoff;
     simulator().schedule(backoff, [this, node] { tryInject(node); });
 }

@@ -39,8 +39,7 @@ struct CircuitConfig
     sim::Tick flitDelay = 1;
     sim::Tick retryBackoffMin = 8;
     sim::Tick retryBackoffMax = 32;
-    /** Doubled per consecutive retry, capped (same as the RMB). */
-    bool exponentialBackoff = true;
+    /** Doubled per consecutive retry up to this cap (as the RMB). */
     sim::Tick retryBackoffCap = 512;
     std::uint32_t maxRetries = 0; //!< 0 = unlimited
     std::uint64_t seed = 1;

@@ -68,11 +68,11 @@ RmbConfig::validate() const
             "retry backoff range [", retryBackoffMin, ", ",
             retryBackoffMax, "] is inverted (min > max)"));
     }
-    if (exponentialBackoff && retryBackoffCap < 2) {
+    if (retryBackoffCap < 2) {
         problems.push_back(msg(
             "retryBackoffCap=", retryBackoffCap,
-            " with exponentialBackoff: the capped backoff is drawn"
-            " from [cap/2, cap], so the cap must be >= 2"));
+            ": a backoff at the cap is redrawn from [cap/2, cap],"
+            " so the cap must be >= 2"));
     }
     if (sendPorts < 1 || receivePorts < 1) {
         problems.push_back(msg(

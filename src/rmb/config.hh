@@ -91,16 +91,14 @@ struct RmbConfig
      */
     sim::Tick headerTimeout = 0;
 
-    /** Source retry backoff after a Nack: uniform in [min, max]. */
+    /**
+     * Source retry backoff after a Nack: uniform in [min, max],
+     * doubled per consecutive retry of a message up to the cap
+     * (sim::retryBackoff); prevents retry livelock when the ring is
+     * heavily oversubscribed.
+     */
     sim::Tick retryBackoffMin = 8;
     sim::Tick retryBackoffMax = 32;
-
-    /**
-     * Double the backoff per consecutive retry of a message (capped
-     * below); prevents retry livelock when the ring is heavily
-     * oversubscribed.
-     */
-    bool exponentialBackoff = true;
     sim::Tick retryBackoffCap = 512;
 
     /** Upper bound on retries per message (0 = unlimited). */
@@ -226,7 +224,7 @@ struct RmbConfig
     /**
      * Buffer slots per bridge INC.  A message arriving at a full
      * bridge is deflected: it re-enters the Nack/backoff machinery
-     * (retryBackoff*, exponentialBackoff) and re-offers itself later.
+     * (retryBackoff*) and re-offers itself later.
      */
     std::uint32_t bridgeBuffer = 4;
 

@@ -276,8 +276,7 @@ RingEngine::scheduleRetry(net::NodeId node, net::MessageId msg)
 {
     const sim::Tick backoff = sim::retryBackoff(
         rng_, message(msg).retries, config_.retryBackoffMin,
-        config_.retryBackoffMax, config_.retryBackoffCap,
-        config_.exponentialBackoff);
+        config_.retryBackoffMax, config_.retryBackoffCap);
     pes_[node].backoffUntil = simulator().now() + backoff;
     if (tracing()) {
         obs::TraceEvent e;

@@ -266,8 +266,7 @@ RingGraph::offerToBridge(std::uint32_t bridge, Pending pending,
     ++stats_.retries;
     const sim::Tick backoff = sim::retryBackoff(
         br.rng, pending.deflects, config_.retryBackoffMin,
-        config_.retryBackoffMax, config_.retryBackoffCap,
-        config_.exponentialBackoff);
+        config_.retryBackoffMax, config_.retryBackoffCap);
     ++pending.deflects;
     emitBridgeEvent(obs::EventKind::BridgeDeflect, bridge, pending, at,
                     backoff);

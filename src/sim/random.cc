@@ -121,11 +121,9 @@ Random::split(std::uint64_t streamId) const
 
 Tick
 retryBackoff(Random &rng, std::uint32_t attempts, Tick min, Tick max,
-             Tick cap, bool exponential)
+             Tick cap)
 {
     const Tick backoff = rng.uniformRange(min, max);
-    if (!exponential)
-        return backoff;
     const std::uint32_t shift = std::min(attempts, 16u);
     if ((backoff << shift) < cap)
         return backoff << shift;

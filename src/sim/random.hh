@@ -91,13 +91,13 @@ class Random
 /**
  * The jittered exponential retry backoff every retrying network
  * draws: a uniform draw from [@p min, @p max] from @p rng, shifted
- * left by @p attempts (at most 16) when @p exponential is set.  A
- * shifted value at or past @p cap is redrawn from [cap / 2, cap]
- * rather than clamped: a deterministic capped backoff phase-locks
- * colliding senders into permanent livelock.
+ * left by @p attempts (at most 16).  A shifted value at or past
+ * @p cap is redrawn from [cap / 2, cap] rather than clamped: a
+ * deterministic capped backoff phase-locks colliding senders into
+ * permanent livelock.
  */
 Tick retryBackoff(Random &rng, std::uint32_t attempts, Tick min, Tick max,
-                  Tick cap, bool exponential);
+                  Tick cap);
 
 } // namespace sim
 } // namespace rmb

@@ -152,14 +152,8 @@ TEST(Backoff, OneLawForEveryNetwork)
         const sim::Tick want = (base << std::min(attempts, 16u)) < 512
             ? base << std::min(attempts, 16u)
             : ref.uniformRange(256, 512);
-        EXPECT_EQ(sim::retryBackoff(law, attempts, 8, 32, 512, true), want)
+        EXPECT_EQ(sim::retryBackoff(law, attempts, 8, 32, 512), want)
             << "attempt " << attempts;
-    }
-    // Without exponential backoff the attempt count is ignored.
-    for (std::uint32_t attempts : {0u, 5u, 40u}) {
-        const sim::Tick flat = sim::retryBackoff(law, attempts, 8, 32, 512,
-                                                 false);
-        EXPECT_EQ(flat, ref.uniformRange(8, 32));
     }
 }
 
