@@ -265,62 +265,51 @@ startTimeline(net::Network &network, sim::Tick period,
     sim::Simulator &simulator = network.simulator();
     auto timeline =
         std::make_unique<obs::TimelineSampler>(simulator, period);
-    net::Network *net = &network;
     // Counter-backed series emit per-window deltas (divide by
     // `period` for a per-tick rate) so saturation onset is visible
     // instead of being averaged into a running total.
-    timeline->addCounterSeries("injected", [net] {
-        return net->stats().injected.value();
+    const auto traffic = [&timeline](const std::string &prefix,
+                                     const net::Network &net) {
+        timeline->addCounterSeries(prefix + "injected", [&net] {
+            return net.stats().injected.value();
+        });
+        timeline->addCounterSeries(prefix + "delivered", [&net] {
+            return net.stats().delivered.value();
+        });
+    };
+    traffic("", network);
+    timeline->addSeries("active_circuits", [&network] {
+        return static_cast<double>(network.stats().activeCircuits.current());
     });
-    timeline->addCounterSeries("delivered", [net] {
-        return net->stats().delivered.value();
-    });
-    timeline->addSeries("active_circuits", [net] {
-        return static_cast<double>(
-            net->stats().activeCircuits.current());
-    });
-    if (const auto *rmb = dynamic_cast<const core::Engine *>(net)) {
-        const double segs =
-            static_cast<double>(rmb->config().numNodes) *
-            static_cast<double>(rmb->config().numBuses);
+    if (const auto *rmb = dynamic_cast<const core::Engine *>(&network)) {
+        const double segs = static_cast<double>(rmb->config().numNodes) *
+                            rmb->config().numBuses;
         timeline->addSeries("live_buses", [rmb] {
-            return static_cast<double>(
-                rmb->rmbStats().liveBuses.current());
+            return static_cast<double>(rmb->rmbStats().liveBuses.current());
         });
         timeline->addSeries("segment_occupancy", [rmb, segs] {
-            return static_cast<double>(rmb->occupiedSegments()) /
-                   segs;
+            return static_cast<double>(rmb->occupiedSegments()) / segs;
         });
         timeline->addCounterSeries("dead_letters", [rmb] {
             return rmb->rmbStats().deadLettered.value();
         });
     }
-    auto *graph = dynamic_cast<core::RingGraph *>(net);
+    const auto *graph = dynamic_cast<const core::RingGraph *>(&network);
     if (graph != nullptr && graph->faultDomainBridges() > 0) {
         timeline->addCounterSeries("bridge_deflections", [graph] {
-            return graph->metrics()
-                .counter("hier.bridge.deflections")
-                .value();
+            return graph->bridgeDeflections();
         });
         // Per-ring attribution scales with the ring count, so it is
         // opt-in.  Shard clocks are barrier-synced to parent event
         // times, which keeps every series byte-identical for any
         // --jobs.  Shards 0..M-1 are the local rings, shard M the
         // global ring.
-        for (std::uint32_t s = 0; shard_series && s < graph->numRings();
-             ++s) {
-            const std::string prefix = "shard" + std::to_string(s) + '.';
-            const core::Engine &eng = graph->ringEngine(s);
-            timeline->addCounterSeries(prefix + "injected", [&eng] {
-                return eng.stats().injected.value();
-            });
-            timeline->addCounterSeries(prefix + "delivered", [&eng] {
-                return eng.stats().delivered.value();
-            });
-        }
+        for (std::uint32_t s = 0; shard_series && s < graph->numRings(); ++s)
+            traffic("shard" + std::to_string(s) + '.',
+                    graph->ringEngine(s));
     }
-    timeline->setStopWhen([net, &simulator, min_end] {
-        return simulator.now() >= min_end && net->quiescent();
+    timeline->setStopWhen([&network, &simulator, min_end] {
+        return simulator.now() >= min_end && network.quiescent();
     });
     timeline->start();
     return timeline;
@@ -333,99 +322,77 @@ runWorkload(const PointConfig &pt, net::Network &network,
 {
     WorkloadRun run;
     run.pairs = batchPairs(pt, network.numNodes(), rng, run.error);
+    std::unique_ptr<workload::TrafficPattern> pattern;
+    if (run.pairs.empty() && run.error.empty())
+        pattern = stochasticPattern(pt, network.numNodes(), run.error);
     if (!run.error.empty())
         return run;
-    if (!run.pairs.empty()) {
-        // Everything is in flight from the first tick.
-        run.timeline =
-            startTimeline(network, timeline_period, 0, shard_series);
+    // A batch is in flight from the first tick; an open loop
+    // generates for pt.duration.
+    run.timeline = startTimeline(network, timeline_period,
+                                 pattern ? pt.duration : 0, shard_series);
+    if (pattern)
+        run.openLoop =
+            workload::runOpenLoop(network, *pattern, pt.rate, pt.payload,
+                                  pt.duration, rng, warmup, drain);
+    else
         run.batch = workload::runBatch(network, run.pairs, pt.payload,
                                        pt.timeout);
-        return run;
-    }
-    auto pattern = stochasticPattern(pt, network.numNodes(), run.error);
-    if (!pattern)
-        return run;
-    run.timeline = startTimeline(network, timeline_period, pt.duration,
-                                 shard_series);
-    run.openLoop =
-        workload::runOpenLoop(network, *pattern, pt.rate, pt.payload,
-                              pt.duration, rng, warmup, drain);
     return run;
 }
 
 namespace {
 
+/** Append metric @p name = @p v to @p r. */
+template <class T>
+void
+put(PointResult &r, const char *name, T v)
+{
+    r.metrics.emplace_back(name, num(v));
+}
+
 void
 appendNetworkMetrics(PointResult &r, const net::Network &network)
 {
     const auto &s = network.stats();
-    r.metrics.emplace_back("injected", num(s.injected.value()));
-    r.metrics.emplace_back("delivered", num(s.delivered.value()));
-    r.metrics.emplace_back("failed", num(s.failed.value()));
-    r.metrics.emplace_back("nacks", num(s.nacks.value()));
-    r.metrics.emplace_back("retries", num(s.retries.value()));
-    r.metrics.emplace_back("mean_hops", num(s.pathLength.mean()));
-    r.metrics.emplace_back(
-        "peak_circuits",
-        num(static_cast<std::uint64_t>(s.activeCircuits.maximum())));
-    if (const auto *rmb =
-            dynamic_cast<const core::Engine *>(&network)) {
-        r.metrics.emplace_back(
-            "compaction_moves",
-            num(rmb->rmbStats().compactionMoves.value()));
-        r.metrics.emplace_back(
-            "max_cycle_skew",
-            num(rmb->rmbStats().maxCycleSkew.value()));
-        const core::RmbStats &rs = rmb->rmbStats();
-        if (rs.faultsInjected.value() > 0 ||
-            rs.watchdogFires.value() > 0) {
-            r.metrics.emplace_back("faults_injected",
-                                   num(rs.faultsInjected.value()));
-            r.metrics.emplace_back("faults_repaired",
-                                   num(rs.faultsRepaired.value()));
-            r.metrics.emplace_back("buses_severed",
-                                   num(rs.busesSevered.value()));
-            r.metrics.emplace_back(
-                "messages_recovered",
-                num(rs.messagesRecovered.value()));
-            r.metrics.emplace_back("messages_lost",
-                                   num(rs.messagesLost.value()));
-            r.metrics.emplace_back("watchdog_fires",
-                                   num(rs.watchdogFires.value()));
-            r.metrics.emplace_back(
-                "mean_recovery_latency",
-                num(rs.recoveryLatency.mean()));
-        }
-        // Graceful-degradation census: only for runs that actually
-        // degraded, so fault-free sweeps stay byte-identical to
-        // their baselines.  The emitted key set is a pure function
-        // of the deterministic run outcome.
-        if (rs.faultsPermanent.value() > 0 ||
-            rs.deadLettered.value() > 0) {
-            r.metrics.emplace_back("faults_permanent",
-                                   num(rs.faultsPermanent.value()));
-            r.metrics.emplace_back("node_faults",
-                                   num(rs.nodeFaults.value()));
-            r.metrics.emplace_back("bridge_faults",
-                                   num(rs.bridgeFaults.value()));
-            r.metrics.emplace_back("dead_lettered",
-                                   num(rs.deadLettered.value()));
-            r.metrics.emplace_back(
-                "dead_retries_exhausted",
-                num(rs.deadRetriesExhausted.value()));
-            r.metrics.emplace_back("dead_unreachable",
-                                   num(rs.deadUnreachable.value()));
-            r.metrics.emplace_back("dead_stalled",
-                                   num(rs.deadStalled.value()));
-            r.metrics.emplace_back("dead_bridge_dead",
-                                   num(rs.deadBridgeDead.value()));
-            r.metrics.emplace_back("effective_buses",
-                                   num(rmb->effectiveBuses()));
-            r.metrics.emplace_back(
-                "residual_bandwidth",
-                num(rmb->residualBandwidth()));
-        }
+    put(r, "injected", s.injected.value());
+    put(r, "delivered", s.delivered.value());
+    put(r, "failed", s.failed.value());
+    put(r, "nacks", s.nacks.value());
+    put(r, "retries", s.retries.value());
+    put(r, "mean_hops", s.pathLength.mean());
+    put(r, "peak_circuits",
+        static_cast<std::uint64_t>(s.activeCircuits.maximum()));
+    const auto *rmb = dynamic_cast<const core::Engine *>(&network);
+    if (rmb == nullptr)
+        return;
+    const core::RmbStats &rs = rmb->rmbStats();
+    put(r, "compaction_moves", rs.compactionMoves.value());
+    put(r, "max_cycle_skew", rs.maxCycleSkew.value());
+    if (rs.faultsInjected.value() > 0 || rs.watchdogFires.value() > 0) {
+        put(r, "faults_injected", rs.faultsInjected.value());
+        put(r, "faults_repaired", rs.faultsRepaired.value());
+        put(r, "buses_severed", rs.busesSevered.value());
+        put(r, "messages_recovered", rs.messagesRecovered.value());
+        put(r, "messages_lost", rs.messagesLost.value());
+        put(r, "watchdog_fires", rs.watchdogFires.value());
+        put(r, "mean_recovery_latency", rs.recoveryLatency.mean());
+    }
+    // Graceful-degradation census: only for runs that actually
+    // degraded, so fault-free sweeps stay byte-identical to their
+    // baselines.  The emitted key set is a pure function of the
+    // deterministic run outcome.
+    if (rs.faultsPermanent.value() > 0 || rs.deadLettered.value() > 0) {
+        put(r, "faults_permanent", rs.faultsPermanent.value());
+        put(r, "node_faults", rs.nodeFaults.value());
+        put(r, "bridge_faults", rs.bridgeFaults.value());
+        put(r, "dead_lettered", rs.deadLettered.value());
+        put(r, "dead_retries_exhausted", rs.deadRetriesExhausted.value());
+        put(r, "dead_unreachable", rs.deadUnreachable.value());
+        put(r, "dead_stalled", rs.deadStalled.value());
+        put(r, "dead_bridge_dead", rs.deadBridgeDead.value());
+        put(r, "effective_buses", rmb->effectiveBuses());
+        put(r, "residual_bandwidth", rmb->residualBandwidth());
     }
 }
 
@@ -487,21 +454,16 @@ runPoint(const PointConfig &pt)
 
         PointResult r;
         r.index = pt.index;
-        r.metrics.emplace_back(
-            "ticks", num(static_cast<std::uint64_t>(simulator.now())));
+        put(r, "ticks", static_cast<std::uint64_t>(simulator.now()));
         r.ok = true;
         if (!run.pairs.empty()) {
             const workload::BatchResult &b = run.batch;
             r.metrics.emplace_back("completed",
                                    b.completed ? "true" : "false");
-            r.metrics.emplace_back(
-                "makespan",
-                num(static_cast<std::uint64_t>(b.makespan)));
-            r.metrics.emplace_back("mean_latency",
-                                   num(b.meanLatency));
-            r.metrics.emplace_back("max_latency", num(b.maxLatency));
-            r.metrics.emplace_back("mean_setup",
-                                   num(b.meanSetupLatency));
+            put(r, "makespan", static_cast<std::uint64_t>(b.makespan));
+            put(r, "mean_latency", b.meanLatency);
+            put(r, "max_latency", b.maxLatency);
+            put(r, "mean_setup", b.meanSetupLatency);
             // A timed-out batch is a captured failure, not a crash:
             // the metrics still describe how far it got.
             r.ok = b.completed;
@@ -511,13 +473,12 @@ runPoint(const PointConfig &pt)
                           " simulated ticks (timeout)";
         } else {
             const workload::OpenLoopResult &o = run.openLoop;
-            r.metrics.emplace_back("offered_load", num(o.offeredLoad));
-            r.metrics.emplace_back("throughput", num(o.throughput));
-            r.metrics.emplace_back("mean_latency", num(o.meanLatency));
-            r.metrics.emplace_back("p95_latency", num(o.p95Latency));
-            r.metrics.emplace_back("max_latency", num(o.maxLatency));
-            r.metrics.emplace_back("mean_setup",
-                                   num(o.meanSetupLatency));
+            put(r, "offered_load", o.offeredLoad);
+            put(r, "throughput", o.throughput);
+            put(r, "mean_latency", o.meanLatency);
+            put(r, "p95_latency", o.p95Latency);
+            put(r, "max_latency", o.maxLatency);
+            put(r, "mean_setup", o.meanSetupLatency);
         }
         appendNetworkMetrics(r, *network);
         appendTraceMetrics(r, trace_counts);

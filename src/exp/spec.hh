@@ -12,9 +12,9 @@
  *
  * Every run-recipe field is one row of a static table in spec.cc:
  * name, member (of PointConfig or of its core::RmbConfig), value kind
- * and range, doc line and echo rule.  set(), knownFields(), the canonical echo, the recipe digest
- * and rmbsim's flags and --help are all derived from it, so adding a
- * field is one row.
+ * and range, doc line and echo rule.  set(), knownFields(), the
+ * canonical echo, the recipe digest and rmbsim's flags and --help are
+ * all derived from it, so adding a field is one row.
  *
  * Each materialised PointConfig carries its own seed, derived from
  * the spec's master seed with sim::Random::split(index), so any

@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 
+#include "common/table.hh"
 #include "obs/json.hh"
 
 namespace rmb {
@@ -239,6 +240,24 @@ reportJson()
     json.endArray();
     json.endObject();
     return json.str();
+}
+
+void
+printTable(std::ostream &os, const PhaseNode &root)
+{
+    TextTable t("host profile (wall-clock)",
+                {"phase", "calls", "incl ms", "excl ms"});
+    const std::function<void(const PhaseNode &, const std::string &)>
+        walk = [&](const PhaseNode &node, const std::string &indent) {
+            t.addRow({indent + node.name, TextTable::num(node.calls),
+                      TextTable::num(node.inclusiveNs / 1e6, 3),
+                      TextTable::num(node.exclusiveNs() / 1e6, 3)});
+            for (const auto &child : node.children)
+                walk(child, indent + "..");
+        };
+    for (const auto &child : root.children)
+        walk(child, "");
+    t.print(os);
 }
 
 } // namespace prof

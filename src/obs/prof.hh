@@ -42,6 +42,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -176,6 +177,10 @@ PhaseNode merged();
  * report sections that digests and baselines exclude.
  */
 std::string reportJson();
+
+/** @p root's phases as a "host profile (wall-clock)" text table, a
+ *  child indented under its parent. */
+void printTable(std::ostream &os, const PhaseNode &root);
 
 /**
  * RAII phase scope.  @p name must outlive the profiler (use string

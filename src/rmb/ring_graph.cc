@@ -104,6 +104,12 @@ RingGraph::ringEngine(std::uint32_t ring) const
     return *shards_[ring]->engine;
 }
 
+std::uint64_t
+RingGraph::bridgeDeflections() const
+{
+    return bridgeStats_ ? bridgeStats_->deflections.value() : 0;
+}
+
 net::MessageId
 RingGraph::send(net::NodeId src, net::NodeId dst,
                 std::uint32_t payload_flits)

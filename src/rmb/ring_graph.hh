@@ -172,6 +172,9 @@ class RingGraph : public Engine
     /** The engine of ring @p ring (tests / census / timelines). */
     const Engine &ringEngine(std::uint32_t ring) const;
 
+    /** Bridge deflections so far (hier.bridge.deflections). */
+    std::uint64_t bridgeDeflections() const;
+
     /** Leg @p step of the route from @p src to @p dst. */
     RingLeg
     routeLeg(net::NodeId src, net::NodeId dst,

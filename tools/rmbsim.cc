@@ -23,7 +23,6 @@
 #include <charconv>
 #include <cstdint>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -224,7 +223,7 @@ traceCountsJson(const obs::CountingSink &counts)
 
 void
 writeReport(const Options &o, const net::Network &network,
-            sim::Tick now, const obs::CountingSink *counts,
+            sim::Tick now, const obs::CountingSink &counts,
             const obs::TimelineSampler *timeline)
 {
     obs::RunReport report("rmbsim");
@@ -240,8 +239,7 @@ writeReport(const Options &o, const net::Network &network,
     report.setRaw("provenance", provenanceJson(o));
     report.setRaw("stats", report::statsToJson(network, now));
     report.setRaw("metrics", network.metrics().snapshot(now));
-    if (counts != nullptr)
-        report.setRaw("trace", traceCountsJson(*counts));
+    report.setRaw("trace", traceCountsJson(counts));
     if (timeline != nullptr)
         report.setRaw("timeline", timeline->toJson());
     // Host wall-clock is nondeterministic by nature, so "profile"
@@ -254,36 +252,11 @@ writeReport(const Options &o, const net::Network &network,
     report.write(o.jsonPath);
 }
 
-/** Stdout rendering of the merged host-time phase tree. */
-void
-printProfile(std::ostream &os)
-{
-    const obs::prof::PhaseNode root = obs::prof::merged();
-    if (root.children.empty())
-        return;
-    TextTable t("host profile (wall-clock)",
-                {"phase", "calls", "incl ms", "excl ms"});
-    const std::function<void(const obs::prof::PhaseNode &,
-                             const std::string &)>
-        walk = [&](const obs::prof::PhaseNode &node,
-                   const std::string &indent) {
-            t.addRow({indent + node.name,
-                      TextTable::num(node.calls),
-                      TextTable::num(node.inclusiveNs / 1e6, 3),
-                      TextTable::num(node.exclusiveNs() / 1e6, 3)});
-            for (const auto &child : node.children)
-                walk(child, indent + "..");
-        };
-    for (const auto &child : root.children)
-        walk(child, "");
-    t.print(os);
-}
-
 void
 printStats(const Options &o, const net::Network &network,
            sim::Tick now,
-           const obs::CountingSink *counts = nullptr,
-           const obs::TimelineSampler *timeline = nullptr)
+           const obs::CountingSink &counts,
+           const obs::TimelineSampler *timeline)
 {
     if (!o.jsonPath.empty())
         writeReport(o, network, now, counts, timeline);
@@ -338,8 +311,11 @@ printStats(const Options &o, const net::Network &network,
         t.print(std::cout);
     // The phase table only joins the human-readable rendering;
     // machine modes (--csv/--json) carry the profile in the report.
-    if (o.profile && !o.csv)
-        printProfile(std::cout);
+    if (o.profile && !o.csv) {
+        const obs::prof::PhaseNode root = obs::prof::merged();
+        if (!root.children.empty())
+            obs::prof::printTable(std::cout, root);
+    }
 }
 
 } // namespace
@@ -391,27 +367,14 @@ main(int argc, char **argv)
     // Sink stack: --trace streams JSONL; a JSON report additionally
     // keeps per-kind counters (the report's "trace" section).  Both
     // are pure observers, so attaching them never perturbs the run.
+    obs::CountingSink counts;
     std::unique_ptr<obs::JsonlFileSink> fileSink;
-    obs::CountingSink counting;
-    std::unique_ptr<obs::TeeSink> tee;
-    obs::TraceSink *sink = nullptr;
-    const obs::CountingSink *counts = nullptr;
-    if (!o.tracePath.empty()) {
+    if (!o.tracePath.empty())
         fileSink = std::make_unique<obs::JsonlFileSink>(o.tracePath);
-        sink = fileSink.get();
-    }
-    if (!o.jsonPath.empty()) {
-        counts = &counting;
-        if (sink != nullptr) {
-            tee = std::make_unique<obs::TeeSink>(&counting,
-                                                 fileSink.get());
-            sink = tee.get();
-        } else {
-            sink = &counting;
-        }
-    }
-    if (sink != nullptr)
-        network->setTraceSink(sink);
+    obs::TeeSink tee(o.jsonPath.empty() ? nullptr : &counts,
+                     fileSink.get());
+    if (!o.jsonPath.empty() || fileSink)
+        network->setTraceSink(&tee);
 
     // The report's timeline: every duration/100 ticks unless
     // --timeline sets the period, which also adds per-shard series.
@@ -440,8 +403,9 @@ main(int argc, char **argv)
             fatal("cannot write trace '", o.record, "'");
         workload::writeTrace(out, trace);
     }
+    std::unique_ptr<obs::TimelineSampler> timeline;
     if (!o.replay.empty() || pattern) {
-        const auto timeline = exp::startTimeline(
+        timeline = exp::startTimeline(
             *network, period, trace.empty() ? 0 : trace.back().time,
             shard_series);
         const auto r = workload::replayTrace(*network, trace);
@@ -454,34 +418,32 @@ main(int argc, char **argv)
                       << r.delivered << " delivered, " << r.failed
                       << " failed, makespan " << r.makespan
                       << ", mean latency " << r.meanLatency << "\n";
-        printStats(o, *network, simulator.now(), counts,
-                   timeline.get());
-        return 0;
-    }
-
-    const exp::WorkloadRun run =
-        exp::runWorkload(pt, *network, rng, pt.duration / 10,
-                         1'000'000, period, shard_series);
-    if (!run.error.empty())
-        fatal(run.error);
-    if (!run.pairs.empty()) {
-        std::cout << (run.batch.completed ? "batch completed"
-                                          : "batch TIMED OUT")
-                  << ": makespan " << run.batch.makespan << "\n";
-        if (!o.record.empty()) {
+    } else {
+        exp::WorkloadRun run =
+            exp::runWorkload(pt, *network, rng, pt.duration / 10,
+                             1'000'000, period, shard_series);
+        if (!run.error.empty())
+            fatal(run.error);
+        if (!run.pairs.empty()) {
+            std::cout << (run.batch.completed ? "batch completed"
+                                              : "batch TIMED OUT")
+                      << ": makespan " << run.batch.makespan << "\n";
+        } else {
+            std::cout << "open loop: offered "
+                      << run.openLoop.offeredLoad
+                      << " msgs/node/tick, throughput "
+                      << run.openLoop.throughput << ", mean latency "
+                      << run.openLoop.meanLatency << "\n";
+        }
+        if (!o.record.empty()) { // a batch: every pair at tick 0
             for (const auto &[src, dst] : run.pairs)
                 trace.push_back(
                     workload::TraceEvent{0, src, dst, pt.payload});
             std::ofstream out(o.record);
             workload::writeTrace(out, trace);
         }
-    } else {
-        std::cout << "open loop: offered " << run.openLoop.offeredLoad
-                  << " msgs/node/tick, throughput "
-                  << run.openLoop.throughput << ", mean latency "
-                  << run.openLoop.meanLatency << "\n";
+        timeline = std::move(run.timeline);
     }
-    printStats(o, *network, simulator.now(), counts,
-               run.timeline.get());
+    printStats(o, *network, simulator.now(), counts, timeline.get());
     return 0;
 }

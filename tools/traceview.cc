@@ -27,7 +27,6 @@
 
 #include <cstdint>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -242,27 +241,6 @@ loadProfile(const std::string &path)
     return root;
 }
 
-void
-printHostProfile(const obs::prof::PhaseNode &root)
-{
-    TextTable t("host profile (wall-clock)",
-                {"phase", "calls", "incl ms", "excl ms"});
-    const std::function<void(const obs::prof::PhaseNode &,
-                             const std::string &)>
-        walk = [&](const obs::prof::PhaseNode &node,
-                   const std::string &indent) {
-            t.addRow({indent + node.name,
-                      TextTable::num(node.calls),
-                      TextTable::num(node.inclusiveNs / 1e6, 3),
-                      TextTable::num(node.exclusiveNs() / 1e6, 3)});
-            for (const auto &child : node.children)
-                walk(child, indent + "..");
-        };
-    for (const auto &child : root.children)
-        walk(child, "");
-    t.print(std::cout);
-}
-
 } // namespace
 
 int
@@ -310,7 +288,7 @@ main(int argc, char **argv)
     // phase table.
     if (path.empty() && !profile_path.empty() && !check &&
         chrome_path.empty()) {
-        printHostProfile(profile);
+        obs::prof::printTable(std::cout, profile);
         return 0;
     }
     if (path.empty())
@@ -364,7 +342,7 @@ main(int argc, char **argv)
     if (phases || (!check && chrome_path.empty()))
         printPhaseTable(builder);
     if (!profile_path.empty())
-        printHostProfile(profile);
+        obs::prof::printTable(std::cout, profile);
 
     if (check) {
         const std::vector<std::string> problems =
