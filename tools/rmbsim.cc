@@ -385,7 +385,7 @@ main(int argc, char **argv)
     const bool shard_series = o.timeline > 0;
     sim::Random rng(pt.seed);
 
-    // --replay, or --record of an open loop: run a trace.
+    // --replay, or --record of an open loop (a batch records below).
     workload::Trace trace;
     std::unique_ptr<workload::TrafficPattern> pattern;
     if (!o.replay.empty()) {
