@@ -1,21 +1,28 @@
 #!/bin/sh
-# Kernel-vs-event throughput gate: run bench_microperf's speedup
-# report (--fast --report) and compare it against the checked-in
-# baseline (tests/data/BENCH_microperf.json) with tools/sweep
-# compare.  Two ways to fail, both load-bearing:
-#   - bench_microperf exits non-zero when the kernel's measured
-#     speedup drops below the hard floor (10x on the default
-#     16-node, 4-bus config);
+# Speedup-floor gate for the benches that time themselves: run a
+# bench's report (--fast --report --min-speedup) and compare it
+# against its checked-in baseline with tools/sweep compare.  Two
+# benches speak that interface:
+#   - bench_microperf (the bench_gate ctest): the kernel engine's
+#     throughput over the event engine, floor 10x on the default
+#     16-node, 4-bus config, plus the profiler-overhead bound;
+#     baseline tests/data/BENCH_microperf.json;
+#   - bench_hierarchy (the hier_gate ctest): the sharded hier
+#     executor's 4-thread self-speedup at 131072 nodes, floor 1.5x
+#     where the process may run on >= 4 CPUs, plus the outcome
+#     digests and their determinism across shard job counts;
+#     baseline tests/data/BENCH_hierarchy.json.
+# Two ways to fail, both load-bearing:
+#   - the bench exits non-zero when its measured speedup drops
+#     below the floor handed to it;
 #   - sweep compare exits non-zero when a gated baseline leaf (the
-#     floor indicators, and bench_microperf's profiler-overhead
-#     bound indicators) is missing or out of tolerance.
+#     floor indicators, digests, delivery counts, bound indicators)
+#     is missing or out of tolerance.
 # Usage: scripts/check_bench.sh [bench sweep baseline.json [min-speedup]]
-# With no arguments, binaries are taken from ./build and the
-# baseline from tests/data (the developer workflow; the bench_gate
-# ctest passes explicit paths).  The same script gates any bench
-# that speaks --fast/--report/--min-speedup (bench_microperf,
-# bench_hierarchy); the optional 4th argument overrides the
-# speedup floor handed to the bench (default 10, bench_microperf's).
+# With no arguments, bench_microperf and sweep are taken from ./build
+# and the baseline from tests/data (the developer workflow; both
+# ctests pass explicit paths).  The optional 4th argument is the
+# floor handed to the bench (default 10, bench_microperf's).
 set -e
 
 min_speedup=10

@@ -21,7 +21,10 @@ cmake --build --preset tsan -j "$jobs"
 # (shard worker threads + fault forwarding across shard queues)
 # while permanent node/bridge faults and the delivery supervisor
 # churn underneath, so cross-shard rescue is raced under TSan too.
+# hier_test runs the sharded executor at 1, 2 and 4 shard threads:
+# each block's thread writes its shards' next-event ticks, counter
+# tallies and outboxes, and the parent's window barrier reads them.
 TSAN_OPTIONS="halt_on_error=1${TSAN_OPTIONS:+ $TSAN_OPTIONS}" \
     ctest --preset tsan -j "$ctest_jobs" \
-        -R 'exp_test|determinism_test|sweep_|fault_sweep_|rmbsim_chaos_|chaos_gate' \
+        -R 'exp_test|determinism_test|hier_test|sweep_|fault_sweep_|rmbsim_chaos_|chaos_gate' \
         "$@"

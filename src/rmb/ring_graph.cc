@@ -37,6 +37,17 @@ subConfig(const RmbConfig &parent, const RingSpec &ring)
     return sub;
 }
 
+/** The ring counters a composition sums into its own; the last,
+ *  maxCycleSkew, is a running maximum instead. */
+std::array<obs::Counter *, 10>
+foldedCounters(const RmbStats &s)
+{
+    return {&s.compactionMoves,   &s.cycleFlips,    &s.blockedHeaders,
+            &s.blockedAborts,     &s.timeoutAborts, &s.dacks,
+            &s.busesSevered,      &s.messagesRecovered,
+            &s.messagesLost,      &s.maxCycleSkew};
+}
+
 } // namespace
 
 RingGraph::BridgeStats::BridgeStats(obs::MetricsRegistry &registry)
@@ -83,9 +94,13 @@ RingGraph::RingGraph(sim::Simulator &simulator, const RmbConfig &config,
         shard->segBase = segs;
         gaps += spec.nodes;
         segs += spec.nodes * spec.levels;
+        if (sharded())
+            nextTick_.push_back(shard->sim->eventQueue().nextTick());
         shards_.push_back(std::move(shard));
     }
     faultMirror_.assign(segs, 0);
+    if (sharded())
+        tallies_.resize(runner_.blocks(shards_.size()));
 
     // One fault process over the composed domain (segments of every
     // ring, plus bridges), on the parent simulator, so any shardJobs
@@ -172,12 +187,14 @@ RingGraph::launchLeg(const RingLeg &leg, sim::Tick at,
     // The conservative window guarantees at >= the shard clock in
     // the steady state; the clamp covers offer-driven legs whose
     // admission time predates the current window (docs/HIERARCHY.md).
+    syncClock(sh);
     const sim::Tick when = std::max(at, sh.sim->now());
     sh.sim->scheduleAt(when, [&sh, leg, flits, pending] {
         const net::MessageId id =
             sh.engine->send(leg.from, leg.to, flits);
         sh.legs.emplace(id, pending);
     });
+    nextTick_[leg.ring] = std::min(nextTick_[leg.ring], when);
 }
 
 void
@@ -333,9 +350,8 @@ RingGraph::ensureArmed()
 sim::Tick
 RingGraph::windowCandidate()
 {
-    sim::Tick tmin = sim::kMaxTick;
-    for (const auto &sh : shards_)
-        tmin = std::min(tmin, sh->sim->eventQueue().nextTick());
+    const sim::Tick tmin =
+        *std::min_element(nextTick_.begin(), nextTick_.end());
     const sim::Tick offer_next =
         offers_.empty() ? sim::kMaxTick : offers_.top().at;
     if (tmin == sim::kMaxTick && offer_next == sim::kMaxTick)
@@ -362,6 +378,7 @@ RingGraph::coordinate()
     runWindow(until);
     drainBarrier(until);
     foldStats();
+    called_.clear();
     // Re-fire at the window end; a same-tick target means pending
     // parent events at this tick run first (FIFO) and the next
     // firing sees their effects.
@@ -372,19 +389,50 @@ void
 RingGraph::runWindow(sim::Tick until)
 {
     // Every shard is an independent simulator advancing to the same
-    // horizon; the Runner spreads them over shardJobs threads.  The
-    // window schedule itself never depends on the job count, which
-    // is what keeps results byte-identical for any --jobs.
+    // horizon; the Runner gives each of its shardJobs threads a fixed
+    // block of shards.  The window schedule itself never depends on
+    // the job count, which is what keeps results byte-identical for
+    // any --jobs.
     RMB_PROF_SCOPE("hier.window");
-    runner_.forEach(shards_.size(), [&](std::size_t s) {
-        // Runs on a Runner worker thread when --jobs > 1; the
-        // profiler accumulates per thread and merges by name, so
-        // shard time shows up whichever thread carried it.
-        RMB_PROF_SCOPE("hier.shard_step");
-        Shard &sh = *shards_[s];
-        if (until > sh.sim->now())
+    if (until <= shardClock_)
+        return; // a same-tick window: no shard clock moves
+    shardClock_ = until;
+    // A shard with nothing due by the window end would only move its
+    // clock; it stays stale instead (see shardClock_).
+    due_.clear();
+    for (std::uint32_t s = 0; s < shards_.size(); ++s)
+        if (nextTick_[s] <= until)
+            due_.push_back(s);
+    if (due_.empty())
+        return;
+    runner_.forEachBlock(shards_.size(), [&](std::size_t block,
+                                             std::size_t begin,
+                                             std::size_t end) {
+        // Runs on a Runner worker thread for every block but the
+        // first; the profiler accumulates per thread and merges by
+        // name, so shard time shows up whichever thread carried it.
+        // The block's thread alone writes its shards' nextTick_ slots
+        // and its tally.
+        BlockTally &tally = tallies_[block];
+        const auto first =
+            std::lower_bound(due_.begin(), due_.end(), begin);
+        const auto last = std::lower_bound(first, due_.end(), end);
+        for (auto it = first; it != last; ++it) {
+            RMB_PROF_SCOPE("hier.shard_step");
+            Shard &sh = *shards_[*it];
             sh.sim->runUntil(until);
+            nextTick_[*it] = sh.sim->eventQueue().nextTick();
+            takeDelta(sh, tally.moved);
+            if (!sh.outbox.empty())
+                tally.mail.push_back(*it);
+        }
     });
+    for (BlockTally &tally : tallies_) {
+        addTally(tally.moved);
+        tally.moved = {};
+        mail_.insert(mail_.end(), tally.mail.begin(), tally.mail.end());
+        tally.mail.clear();
+    }
 }
 
 void
@@ -401,8 +449,15 @@ RingGraph::drainBarrier(sim::Tick until)
         std::uint32_t shard;
         std::uint32_t idx;
     };
+    // Only the window's mail and the shards called into hold records.
+    if (!called_.empty()) {
+        mail_.insert(mail_.end(), called_.begin(), called_.end());
+        std::sort(mail_.begin(), mail_.end());
+        mail_.erase(std::unique(mail_.begin(), mail_.end()),
+                    mail_.end());
+    }
     std::vector<Ref> refs;
-    for (std::uint32_t s = 0; s < shards_.size(); ++s) {
+    for (const std::uint32_t s : mail_) {
         const auto &outbox = shards_[s]->outbox;
         for (std::uint32_t i = 0; i < outbox.size(); ++i)
             refs.push_back(Ref{outbox[i].at, s, i});
@@ -429,44 +484,71 @@ RingGraph::drainBarrier(sim::Tick until)
             offerToBridge(o.bridge, o.pending, o.at);
         }
     }
-    for (auto &sh : shards_)
-        sh->outbox.clear();
+    for (const std::uint32_t s : mail_)
+        shards_[s]->outbox.clear();
+    mail_.clear();
 }
 
 void
 RingGraph::foldStats() const
 {
     // The counters live in the registry, so a const fold is a cache
-    // refresh: the rings' totals are the network's totals.
-    std::uint64_t moves = 0, flips = 0, blocked = 0, aborts = 0,
-                  timeouts = 0, dacks = 0, severed = 0, recovered = 0,
-                  lost = 0, skew = 0;
-    for (const auto &sh : shards_) {
-        const RmbStats &ss = sh->engine->rmbStats();
-        moves += ss.compactionMoves.value();
-        flips += ss.cycleFlips.value();
-        blocked += ss.blockedHeaders.value();
-        aborts += ss.blockedAborts.value();
-        timeouts += ss.timeoutAborts.value();
-        dacks += ss.dacks.value();
-        severed += ss.busesSevered.value();
-        recovered += ss.messagesRecovered.value();
-        lost += ss.messagesLost.value();
-        skew = std::max(skew, ss.maxCycleSkew.value());
+    // refresh: the rings' totals are the network's totals.  Sharded,
+    // runWindow folds what its shards moved and only the rings called
+    // into since can have moved; otherwise every ring runs on the
+    // parent simulator.
+    Tally moved{};
+    if (sharded()) {
+        for (const std::uint32_t s : called_)
+            takeDelta(*shards_[s], moved);
+    } else {
+        for (const auto &sh : shards_)
+            takeDelta(*sh, moved);
     }
-    rmbStats_.compactionMoves = moves;
-    rmbStats_.cycleFlips = flips;
-    rmbStats_.blockedHeaders = blocked;
-    rmbStats_.blockedAborts = aborts;
-    rmbStats_.timeoutAborts = timeouts;
-    rmbStats_.dacks = dacks;
-    rmbStats_.busesSevered = severed;
-    rmbStats_.messagesRecovered = recovered;
-    rmbStats_.messagesLost = lost;
-    rmbStats_.maxCycleSkew = skew;
+    addTally(moved);
     // faultsInjected / faultsRepaired are parent-owned (the mirror
     // increments them at injection time); per-leg samplers stay in
     // the ring registries (docs/HIERARCHY.md).
+}
+
+void
+RingGraph::takeDelta(const Shard &sh, Tally &into)
+{
+    const auto theirs = foldedCounters(sh.engine->rmbStats());
+    for (std::size_t k = 0; k + 1 < theirs.size(); ++k) {
+        const std::uint64_t v = theirs[k]->value();
+        into[k] += v - sh.folded[k];
+        sh.folded[k] = v;
+    }
+    // maxCycleSkew only ever grows.
+    into.back() = std::max(into.back(), theirs.back()->value());
+}
+
+void
+RingGraph::addTally(const Tally &moved) const
+{
+    const auto ours = foldedCounters(rmbStats_);
+    for (std::size_t k = 0; k + 1 < ours.size(); ++k)
+        *ours[k] += moved[k];
+    *ours.back() = std::max(ours.back()->value(), moved.back());
+}
+
+void
+RingGraph::syncClock(Shard &sh)
+{
+    if (!sharded() || sh.sim->now() >= shardClock_)
+        return;
+    const std::uint64_t ran = sh.sim->runUntil(shardClock_);
+    rmb_assert(ran == 0, "a stale shard had events due");
+}
+
+void
+RingGraph::touch(std::uint32_t s)
+{
+    if (!sharded())
+        return;
+    nextTick_[s] = shards_[s]->sim->eventQueue().nextTick();
+    called_.push_back(s);
 }
 
 // --- fault domain ---
@@ -525,7 +607,8 @@ RingGraph::emitSegmentEvent(obs::EventKind kind, GapId gap, Level level)
 void
 RingGraph::forwardSegment(GapId gap, Level level, bool fail)
 {
-    Shard &sh = *shards_[ringOfGap(gap)];
+    const std::uint32_t ring = ringOfGap(gap);
+    Shard &sh = *shards_[ring];
     Engine *eng = sh.engine.get();
     const GapId sub_gap = gap - sh.gapBase;
     if (!sharded()) {
@@ -535,13 +618,15 @@ RingGraph::forwardSegment(GapId gap, Level level, bool fail)
             eng->repairSegment(sub_gap, level);
         return;
     }
-    sh.sim->scheduleAt(std::max(simulator().now(), sh.sim->now()),
-                       [eng, sub_gap, level, fail] {
-                           if (fail)
-                               eng->failSegment(sub_gap, level);
-                           else
-                               eng->repairSegment(sub_gap, level);
-                       });
+    syncClock(sh);
+    const sim::Tick when = std::max(simulator().now(), sh.sim->now());
+    sh.sim->scheduleAt(when, [eng, sub_gap, level, fail] {
+        if (fail)
+            eng->failSegment(sub_gap, level);
+        else
+            eng->repairSegment(sub_gap, level);
+    });
+    nextTick_[ring] = std::min(nextTick_[ring], when);
     ensureArmed();
 }
 
@@ -729,7 +814,10 @@ RingGraph::rescueStalled(net::MessageId id)
 
     // First choice: the ring engine rescues its own leg (the
     // sever-and-retry machinery inside the ring).
-    if (sh.engine->rescueStalled(leg)) {
+    syncClock(sh);
+    const bool rescued = sh.engine->rescueStalled(leg);
+    touch(shard);
+    if (rescued) {
         ++rmbStats_.watchdogFires;
         ensureArmed();
         return true;

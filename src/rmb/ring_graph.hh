@@ -19,12 +19,13 @@
  * The shape decides how rings execute.  With bridges, every ring runs
  * on its own private `sim::Simulator`, advanced in conservative
  * lookahead windows of at most bridgeLatency ticks by a coordinator
- * event on the parent simulator; shards of one window run in
- * parallel on a `common::Runner` pool (RmbConfig::shardJobs) and all
- * cross-ring traffic is exchanged at the single-threaded window
- * barrier in global time order, so results are byte-identical for
- * every job count.  Without bridges, every ring runs on the parent
- * simulator.
+ * event on the parent simulator; the shards with events due in a
+ * window run in parallel on a `common::Runner` pool
+ * (RmbConfig::shardJobs), each thread on its own fixed block of
+ * shards, and all cross-ring traffic is exchanged at the
+ * single-threaded window barrier in global time order, so results
+ * are byte-identical for every job count.  Without bridges, every
+ * ring runs on the parent simulator.
  *
  * The shapes are the builders at the bottom of this file: the
  * hierarchy (topology=hier, built by core::makeEngine), the dual
@@ -34,6 +35,7 @@
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -195,6 +197,10 @@ class RingGraph : public Engine
         std::uint32_t step = 0;     //!< route leg carried or offered
     };
 
+    /** The ring counters summed into the network's, one slot each
+     *  (foldedCounters in ring_graph.cc lists them). */
+    using Tally = std::array<std::uint64_t, 10>;
+
     /** One delivery/failure observed inside a shard window; appended
      *  by the shard's worker thread, drained at the barrier. */
     struct OutRecord
@@ -222,6 +228,17 @@ class RingGraph : public Engine
          *  panicking as unmapped (docs/FAULTS.md). */
         std::unordered_set<net::MessageId> orphans;
         std::vector<OutRecord> outbox;
+        /** The ring's counters as last folded into the network's. */
+        mutable Tally folded{};
+    };
+
+    /** What one runner block gathered while stepping its shards in a
+     *  window, so the barrier never walks them: their counter deltas
+     *  and the shards whose outbox holds records. */
+    struct alignas(64) BlockTally
+    {
+        Tally moved{};
+        std::vector<std::uint32_t> mail;
     };
 
     /** A deferred bridge admission offer (deflection retry or a
@@ -276,6 +293,17 @@ class RingGraph : public Engine
     void drainBarrier(sim::Tick until);
     /** The rings' protocol counters are the network's. */
     void foldStats() const override;
+    /** Add what @p sh's counters moved since its last fold to
+     *  @p into (the running maximum for maxCycleSkew). */
+    static void takeDelta(const Shard &sh, Tally &into);
+    /** Add @p moved, gathered by takeDelta, to the network's. */
+    void addTally(const Tally &moved) const;
+    /** Bring shard @p sh's simulator clock up to shardClock_ before
+     *  the parent schedules into it or calls into its engine. */
+    void syncClock(Shard &sh);
+    /** The parent called into shard @p s's engine between windows:
+     *  refresh its next event tick and queue it for the barrier. */
+    void touch(std::uint32_t s);
 
     // Leg plumbing.  With bridges it runs at the barrier
     // (single-threaded, in global time order); without, inline in
@@ -334,6 +362,28 @@ class RingGraph : public Engine
 
     common::Runner runner_;
     bool armed_ = false;
+
+    /** Every shard's clock as the parent sees it: the end of the
+     *  last window.  A shard a window skips keeps a stale simulator
+     *  clock until its next step or syncClock(), which runs before
+     *  anything is scheduled into it or a mutating call reaches its
+     *  engine; nothing is pending in a stale shard at or before
+     *  shardClock_.  The const queries (census, utilization at an
+     *  explicit tick, audits) read no clock. */
+    sim::Tick shardClock_ = 0;
+    /** Each shard's next pending event tick (kMaxTick when idle),
+     *  kept exact by the stepping worker and by every schedule into
+     *  the shard, so windowCandidate() never reads a shard's queue. */
+    std::vector<sim::Tick> nextTick_;
+    /** The shards the current window steps, ascending. */
+    std::vector<std::uint32_t> due_;
+    /** One per runner block (common::Runner::forEachBlock). */
+    std::vector<BlockTally> tallies_;
+    /** Shards whose outbox the next barrier drains, ascending. */
+    std::vector<std::uint32_t> mail_;
+    /** Shards the parent called into between windows (touch()):
+     *  their outbox and counters may have moved too. */
+    std::vector<std::uint32_t> called_;
 
     /** RMB_HIER_MUTATE seeded bug (tests): drop the bridge hop from
      *  the accumulated path length, so the outcome digest of any

@@ -10,7 +10,9 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -520,6 +522,99 @@ TEST(Runner, PropagatesTheFirstException)
                                             "boom");
                                 }),
                  std::runtime_error);
+}
+
+// The hier shard executor's pattern: one Runner, thousands of calls
+// back to back with only a short serial phase between them.
+TEST(Runner, BackToBackCallsEachCoverEveryIndexOnce)
+{
+    const common::Runner runner(4);
+    std::vector<int> hits(37);
+    for (int call = 1; call <= 3000; ++call) {
+        runner.forEach(hits.size(), [&](std::size_t i) { ++hits[i]; });
+        runner.forEachBlock(hits.size(),
+                            [&](std::size_t, std::size_t begin,
+                                std::size_t end) {
+                                for (std::size_t i = begin; i < end; ++i)
+                                    ++hits[i];
+                            });
+        // Every index is written by one thread per call, and the call
+        // returns only after all of them: plain ints stay exact.
+        for (const int h : hits)
+            ASSERT_EQ(h, 2 * call);
+    }
+}
+
+TEST(Runner, BlocksAreContiguousAndKeepTheirThread)
+{
+    const common::Runner runner(3);
+    const std::size_t count = 10;
+    ASSERT_EQ(runner.blocks(count), 3u);
+    std::vector<std::thread::id> owner(runner.blocks(count));
+    for (int call = 0; call < 200; ++call) {
+        std::vector<std::size_t> block_of(count, 99);
+        runner.forEachBlock(count, [&](std::size_t block,
+                                       std::size_t begin,
+                                       std::size_t end) {
+            for (std::size_t i = begin; i < end; ++i)
+                block_of[i] = block;
+            if (call == 0)
+                owner[block] = std::this_thread::get_id();
+            else
+                EXPECT_EQ(owner[block], std::this_thread::get_id());
+        });
+        // Blocks tile [0, count) in order.
+        EXPECT_TRUE(std::is_sorted(block_of.begin(), block_of.end()));
+        EXPECT_EQ(block_of.front(), 0u);
+        EXPECT_EQ(block_of.back(), 2u);
+    }
+    // Block 0 is the calling thread's share.
+    EXPECT_EQ(owner[0], std::this_thread::get_id());
+}
+
+TEST(Runner, RethrowsAnExceptionFromTheCallersShare)
+{
+    const common::Runner runner(4);
+    const auto caller = std::this_thread::get_id();
+    std::atomic<int> ran{0};
+    EXPECT_THROW(runner.forEachBlock(
+                     8,
+                     [&](std::size_t block, std::size_t, std::size_t) {
+                         ++ran;
+                         if (block == 0) {
+                             EXPECT_EQ(std::this_thread::get_id(),
+                                       caller);
+                             throw std::runtime_error("caller's share");
+                         }
+                     }),
+                 std::runtime_error);
+    // The other blocks still ran, and the pool survives the throw.
+    EXPECT_EQ(ran.load(), 4);
+    std::vector<std::atomic<int>> hits(8);
+    runner.forEach(hits.size(), [&](std::size_t i) { hits[i]++; });
+    for (const auto &h : hits)
+        EXPECT_EQ(h.load(), 1);
+}
+
+TEST(Runner, MoreJobsThanIndices)
+{
+    const common::Runner runner(8);
+    for (std::size_t count : {0u, 1u, 3u}) {
+        std::vector<std::atomic<int>> hits(count);
+        runner.forEach(count, [&](std::size_t i) { hits[i]++; });
+        EXPECT_EQ(runner.blocks(count), count);
+        std::atomic<std::size_t> calls{0};
+        runner.forEachBlock(count, [&](std::size_t, std::size_t begin,
+                                       std::size_t end) {
+            ++calls;
+            EXPECT_LT(begin, end); // no empty blocks
+            for (std::size_t i = begin; i < end; ++i)
+                hits[i]++;
+        });
+        EXPECT_EQ(calls.load(), count);
+        for (const auto &h : hits)
+            EXPECT_EQ(h.load(), 2);
+    }
 }
 
 // ---------------------------------------------------------------
