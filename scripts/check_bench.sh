@@ -18,6 +18,10 @@
 #   - sweep compare exits non-zero when a gated baseline leaf (the
 #     floor indicators, digests, delivery counts, bound indicators)
 #     is missing or out of tolerance.
+# Around the bench the script prints the hypervisor's steal time
+# (the 8th number of /proc/stat's cpu line, in jiffies) where that
+# file is readable: a host-time floor that fails while the VM lost
+# its CPUs says so next to the measured speedup.
 # Usage: scripts/check_bench.sh [bench sweep baseline.json [min-speedup]]
 # With no arguments, bench_microperf and sweep are taken from ./build
 # and the baseline from tests/data (the developer workflow; both
@@ -46,5 +50,18 @@ fi
 fresh="${TMPDIR:-/tmp}/bench_microperf_fresh_$$.json"
 trap 'rm -f "$fresh"' EXIT
 
-"$bench" --fast --report "$fresh" --min-speedup "$min_speedup"
+steal_jiffies() {
+    [ -r /proc/stat ] && awk '$1 == "cpu" { print $9; exit }' /proc/stat
+}
+
+steal_before=$(steal_jiffies || true)
+status=0
+"$bench" --fast --report "$fresh" --min-speedup "$min_speedup" ||
+    status=$?
+steal_after=$(steal_jiffies || true)
+if [ -n "$steal_before" ] && [ -n "$steal_after" ]; then
+    echo "check_bench: hypervisor steal during the bench:" \
+        "$((steal_after - steal_before)) jiffies"
+fi
+[ "$status" -eq 0 ] || exit "$status"
 exec "$sweep" compare "$fresh" "$baseline"

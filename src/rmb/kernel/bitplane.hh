@@ -5,11 +5,23 @@
  * The event engine's SegmentTable is an array-of-cells keyed by
  * (gap, level).  The kernel instead keeps one *bitplane* per level:
  * a row of ceil(N/64) uint64_t words in which bit g is gap g's
- * segment.  Occupancy and fault state are separate plane sets, so
- * per-cycle compaction candidate filtering collapses to a handful of
- * word-parallel AND/OR/NOT ops per level:
+ * segment.  Occupancy, fault and pin state are separate plane sets,
+ * so per-cycle compaction candidate filtering collapses to a handful
+ * of word-parallel AND/OR/NOT ops per level:
  *
- *   candidates(l) = occ(l) & parity(l, c) & ~(occ(l-1) | faulty(l-1))
+ *   candidates(l) = occ(l) & parity(l, c) & ~pinned(l)
+ *                   & ~(occ(l-1) | faulty(l-1))
+ *
+ * A *pinned* cell is held by a bus that is tearing down: the engine
+ * pins every cell of a bus (both levels of a mid-move hop) when its
+ * teardown starts, and release() unpins.  Figure 7 never moves a hop
+ * of a tearing-down bus, and under a closed loop those cells are most
+ * of the occupied grid, so filtering them here spares the per-bit
+ * owner and hop lookups that would reject them one by one.  The
+ * other Figure-7 clauses (a neighbour hop one level up or mid-move,
+ * an advancing head) reject only a few percent of the survivors, so
+ * they stay per-bit checks in hopMovableRule rather than more planes
+ * that every hop change would have to keep in sync.
  *
  * Ownership (which bus holds a claimed segment) cannot be a bitplane
  * - it is a dense level-major array of pool-slot indices consulted
@@ -46,6 +58,8 @@ class SegmentPlanes
           words_((num_gaps + 63) / 64),
           occ_(static_cast<std::size_t>(num_levels) * words_, 0),
           faulty_(static_cast<std::size_t>(num_levels) * words_, 0),
+          pinned_(static_cast<std::size_t>(num_levels) * words_, 0),
+          levelOccupied_(num_levels, 0),
           owner_(static_cast<std::size_t>(num_levels) * num_gaps,
                  kNoSlot),
           busy_(static_cast<std::size_t>(num_levels) * num_gaps),
@@ -63,39 +77,51 @@ class SegmentPlanes
     std::uint32_t numLevels() const { return numLevels_; }
     std::uint32_t wordsPerLevel() const { return words_; }
 
-    /** Word @p w of level @p l's occupancy plane. */
-    std::uint64_t
-    occWord(Level l, std::uint32_t w) const
+    /** Level @p l's row of wordsPerLevel() occupancy words. */
+    const std::uint64_t *
+    occRow(Level l) const
     {
-        return occ_[planeIndex(l, w)];
+        return &occ_[planeIndex(l, 0)];
     }
 
-    /** Word @p w of level @p l's fault plane. */
-    std::uint64_t
-    faultyWord(Level l, std::uint32_t w) const
+    /** Level @p l's row of fault words. */
+    const std::uint64_t *
+    faultyRow(Level l) const
     {
-        return faulty_[planeIndex(l, w)];
+        return &faulty_[planeIndex(l, 0)];
     }
 
-    /** Word @p w of the mask of gaps with parity @p parity. */
-    std::uint64_t
-    parityWord(int parity, std::uint32_t w) const
+    /** Level @p l's row of pin words. */
+    const std::uint64_t *
+    pinnedRow(Level l) const
     {
-        return parity == 0 ? evenGaps_[w] : oddGaps_[w];
+        return &pinned_[planeIndex(l, 0)];
+    }
+
+    /** The row of gaps with parity @p parity. */
+    const std::uint64_t *
+    parityRow(int parity) const
+    {
+        return parity == 0 ? evenGaps_.data() : oddGaps_.data();
     }
 
     bool
     occupied(GapId gap, Level level) const
     {
-        return (occWord(level, gap / 64) >>
-                (gap % 64)) & 1;
+        return testBit(occ_, gap, level);
     }
 
     bool
     faulted(GapId gap, Level level) const
     {
-        return (faultyWord(level, gap / 64) >>
-                (gap % 64)) & 1;
+        return testBit(faulty_, gap, level);
+    }
+
+    /** Held by a tearing-down bus (see the file comment). */
+    bool
+    pinned(GapId gap, Level level) const
+    {
+        return testBit(pinned_, gap, level);
     }
 
     /** Claimable: neither occupied nor faulted (SegmentTable's
@@ -115,6 +141,15 @@ class SegmentPlanes
     }
 
     std::uint64_t occupiedCount() const { return occupied_; }
+
+    /** Cells held at level @p l (a make pass skips an empty
+     *  level's row). */
+    std::uint32_t
+    occupiedAt(Level l) const
+    {
+        return levelOccupied_[static_cast<std::size_t>(l)];
+    }
+
     std::uint32_t faultyCount() const { return faulty_n_; }
 
     /**
@@ -132,14 +167,16 @@ class SegmentPlanes
     {
         rmb_assert(slot != kNoSlot, "occupy by the slot sentinel");
         const std::size_t cell = cellIndex(gap, level);
+        const std::size_t w = planeIndex(level, gap / 64);
         rmb_assert(owner_[cell] == kNoSlot, "segment (", gap, ",",
                    level, ") already held by slot ", owner_[cell]);
-        rmb_assert(!faulted(gap, level), "segment (", gap, ",",
-                   level, ") is faulted; slot ", slot,
+        rmb_assert((faulty_[w] & bit(gap)) == 0, "segment (", gap,
+                   ",", level, ") is faulted; slot ", slot,
                    " tried to claim it");
         owner_[cell] = slot;
-        occ_[planeIndex(level, gap / 64)] |= bit(gap);
+        occ_[w] |= bit(gap);
         ++occupied_;
+        ++levelOccupied_[static_cast<std::size_t>(level)];
         ++epoch_;
         busy_[cell].setBusy(now);
     }
@@ -153,11 +190,24 @@ class SegmentPlanes
                    level, ") held by slot ", owner_[cell],
                    ", not by releasing slot ", slot);
         owner_[cell] = kNoSlot;
-        occ_[planeIndex(level, gap / 64)] &= ~bit(gap);
+        const std::size_t w = planeIndex(level, gap / 64);
+        occ_[w] &= ~bit(gap);
+        pinned_[w] &= ~bit(gap);
         --occupied_;
+        --levelOccupied_[static_cast<std::size_t>(level)];
         ++epoch_;
-        if (!faulted(gap, level))
+        if ((faulty_[w] & bit(gap)) == 0)
             busy_[cell].setFree(now);
+    }
+
+    /** Pin held cell (gap, level): its bus started tearing down.
+     *  Not an epoch change - a pin only takes moves away. */
+    void
+    pin(GapId gap, Level level)
+    {
+        rmb_assert(owner_[cellIndex(gap, level)] != kNoSlot,
+                   "pin of unheld segment (", gap, ",", level, ")");
+        pinned_[planeIndex(level, gap / 64)] |= bit(gap);
     }
 
     void
@@ -208,6 +258,13 @@ class SegmentPlanes
         return std::uint64_t{1} << (gap % 64);
     }
 
+    bool
+    testBit(const std::vector<std::uint64_t> &plane, GapId gap,
+            Level level) const
+    {
+        return (plane[planeIndex(level, gap / 64)] >> (gap % 64)) & 1;
+    }
+
     std::size_t
     planeIndex(Level level, std::uint32_t w) const
     {
@@ -229,6 +286,8 @@ class SegmentPlanes
     std::uint32_t words_;
     std::vector<std::uint64_t> occ_;
     std::vector<std::uint64_t> faulty_;
+    std::vector<std::uint64_t> pinned_;
+    std::vector<std::uint32_t> levelOccupied_;
     std::vector<std::uint32_t> owner_;
     std::vector<sim::BusyTracker> busy_;
     std::vector<std::uint64_t> evenGaps_;

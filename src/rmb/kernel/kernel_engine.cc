@@ -317,8 +317,11 @@ CycleKernelEngine::pathLength(const KBus &bus) const
 std::size_t
 CycleKernelEngine::hopIndexAt(const KBus &bus, GapId gap) const
 {
+    // (gap - srcGap) mod N with both in [0, N): one conditional add
+    // instead of a division on the make pass's per-candidate path.
+    const GapId src = bus.srcGap();
     return static_cast<std::size_t>(
-        (gap + config_.numNodes - bus.srcGap()) % config_.numNodes);
+        gap >= src ? gap - src : gap + config_.numNodes - src);
 }
 
 // ----------------------------------------------------------------
@@ -336,9 +339,17 @@ CycleKernelEngine::scheduleTeardownStep(BusKey key, bool started)
 {
     KBus &bus = pool_[key];
     // A fresh teardown invalidates every in-flight header/Hack/FF
-    // action of this life; the walk runs on the new generation.
-    if (started)
+    // action of this life; the walk runs on the new generation.  It
+    // also pins every cell the bus holds (Figure 7 moves no hop of
+    // a tearing-down bus) until the walk or a break releases it.
+    if (started) {
         ++bus.gen;
+        for (const Hop &hop : bus.hops) {
+            planes_.pin(hop.gap, hop.level);
+            if (hop.inMove())
+                planes_.pin(hop.gap, hop.dualLevel);
+        }
+    }
     scheduleAction(config_.ackHopDelay, Action::TeardownStep,
                    static_cast<std::uint32_t>(key), bus.gen);
 }
@@ -586,18 +597,27 @@ CycleKernelEngine::makeStep(sim::Tick now)
     RMB_PROF_SCOPE_SAMPLED("kernel.make_pass");
     const auto k = static_cast<Level>(config_.numBuses);
     const std::uint32_t words = planes_.wordsPerLevel();
+    const auto is_free = [this](GapId g, Level l) {
+        return planes_.isFree(g, l);
+    };
     for (Level l = 1; l < k; ++l) {
+        if (planes_.occupiedAt(l) == 0)
+            continue; // no cell to move down
         // Gap g considers its levels of parity (g + c) mod 2 this
         // cycle (the per-INC FSM schedule), so level l is in play
         // exactly at gaps of parity (l + c) mod 2.
         const int gap_parity = static_cast<int>(
             (static_cast<std::uint64_t>(l) + c) % 2);
+        // Row pointers stay valid across the moves below: the planes
+        // never resize.
+        const std::uint64_t *occ = planes_.occRow(l);
+        const std::uint64_t *pinned = planes_.pinnedRow(l);
+        const std::uint64_t *parity = planes_.parityRow(gap_parity);
+        const std::uint64_t *occ_below = planes_.occRow(l - 1);
+        const std::uint64_t *faulty_below = planes_.faultyRow(l - 1);
         for (std::uint32_t w = 0; w < words; ++w) {
-            std::uint64_t cand =
-                planes_.occWord(l, w) &
-                planes_.parityWord(gap_parity, w) &
-                ~(planes_.occWord(l - 1, w) |
-                  planes_.faultyWord(l - 1, w));
+            std::uint64_t cand = occ[w] & parity[w] & ~pinned[w] &
+                                 ~(occ_below[w] | faulty_below[w]);
             while (cand != 0) {
                 const int b = std::countr_zero(cand);
                 cand &= cand - 1;
@@ -608,19 +628,15 @@ CycleKernelEngine::makeStep(sim::Tick now)
                            "occupancy bit with no owner");
                 KBus &bus = pool_[slot];
                 const std::size_t idx = hopIndexAt(bus, g);
-                if (idx >= bus.hops.size())
-                    continue; // freed region of a tearing-down bus
+                rmb_assert(idx < bus.hops.size(),
+                           "unpinned cell beyond its bus's hops");
                 Hop &hop = bus.hops[idx];
                 rmb_assert(hop.gap == g,
                            "hop/gap bookkeeping mismatch");
                 if (hop.level != l)
                     continue; // l is a mid-move dual target
-                if (!hopMovableRule(bus, idx,
-                                    [this](GapId gg, Level ll) {
-                                        return planes_.isFree(gg, ll);
-                                    })) {
+                if (!hopMovableRule(bus, idx, is_free))
                     continue;
-                }
                 planes_.occupy(g, l - 1, slot, now);
                 hop.dualLevel = l - 1;
                 ++hop.moveSeq;
@@ -633,7 +649,8 @@ CycleKernelEngine::makeStep(sim::Tick now)
                     emitTrace(e);
                 }
                 moveRecords_.push_back(
-                    MoveRecord{slot, bus.id, g, l, l - 1});
+                    MoveRecord{slot, static_cast<std::uint32_t>(idx),
+                               bus.id, g, l, l - 1});
             }
         }
     }
@@ -672,10 +689,9 @@ CycleKernelEngine::breakStep(sim::Tick)
         KBus &bus = pool_[r.slot];
         if (!bus.live || bus.id != r.bus)
             continue; // fully torn down since the make step
-        const std::size_t idx = hopIndexAt(bus, r.gap);
-        if (idx >= bus.hops.size())
+        if (r.hopIndex >= bus.hops.size())
             continue; // hop already freed by a travelling ack
-        Hop &hop = bus.hops[idx];
+        Hop &hop = bus.hops[r.hopIndex];
         if (!hop.inMove() || hop.dualLevel != r.toLevel ||
             hop.level != r.fromLevel) {
             continue; // stale record (move cancelled by a sever)
@@ -737,14 +753,33 @@ CycleKernelEngine::auditInvariants() const
     }
     rmb_assert(live_seen == liveBuses_, "pool shows ", live_seen,
                " live buses but the census counts ", liveBuses_);
+    const auto k = static_cast<Level>(config_.numBuses);
+    std::vector<std::uint32_t> held_at(config_.numBuses, 0);
     for (GapId g = 0; g < config_.numNodes; ++g) {
-        for (Level l = 0; l < static_cast<Level>(config_.numBuses);
-             ++l) {
-            rmb_assert(planes_.occupied(g, l) ==
-                           (planes_.ownerSlot(g, l) != kernel::kNoSlot),
+        for (Level l = 0; l < k; ++l) {
+            const std::uint32_t slot = planes_.ownerSlot(g, l);
+            const bool held = slot != kernel::kNoSlot;
+            held_at[static_cast<std::size_t>(l)] += held ? 1 : 0;
+            rmb_assert(planes_.occupied(g, l) == held,
                        "occupancy plane out of sync with the owner"
                        " grid at (", g, ",", l, ")");
+            // The make pass skips pinned cells unseen, so a stale pin
+            // would silently drop moves: pinned exactly when held by
+            // a tearing-down bus.
+            const bool tearing_down =
+                held && isTeardown(pool_[slot].state);
+            rmb_assert(planes_.pinned(g, l) == tearing_down,
+                       "pin plane out of sync at (", g, ",", l,
+                       "): pinned ", planes_.pinned(g, l),
+                       ", held by a tearing-down bus ", tearing_down);
         }
+    }
+    for (Level l = 0; l < k; ++l) {
+        rmb_assert(planes_.occupiedAt(l) ==
+                       held_at[static_cast<std::size_t>(l)],
+                   "level ", l, " counts ", planes_.occupiedAt(l),
+                   " held cells but the owner grid shows ",
+                   held_at[static_cast<std::size_t>(l)]);
     }
     auditSegments(claimed);
 }

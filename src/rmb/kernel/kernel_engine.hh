@@ -7,9 +7,10 @@
  * the same source side through RingEngine (top-bus injection, retry,
  * teardown, fault sever/recovery), on a different execution model:
  *
- *  - Segment occupancy and fault state are uint64_t bitplanes
- *    (kernel/bitplane.hh); the compaction make step filters its
- *    candidates word-parallel per level instead of per-INC events.
+ *  - Segment occupancy, fault and pin state are uint64_t
+ *    bitplanes (kernel/bitplane.hh); the compaction make step
+ *    filters its candidates word-parallel per level instead of
+ *    per-INC events.
  *  - Compaction is one synchronous global cycle of fixed period P
  *    (drawn once from [cyclePeriodMin, cyclePeriodMax]): gap g moves
  *    its levels of parity (g + c) mod 2 at cycle c - the same
@@ -92,6 +93,13 @@ class CycleKernelEngine final : public RingEngine
         return planes_.averageUtilization(now);
     }
 
+    /** Held by a tearing-down bus, so no make pass examines it. */
+    bool
+    segmentPinned(GapId gap, Level level) const
+    {
+        return planes_.pinned(gap, level);
+    }
+
     /** Completed global compaction cycles (make steps). */
     std::uint64_t cycles() const { return cycleIndex_; }
 
@@ -142,10 +150,13 @@ class CycleKernelEngine final : public RingEngine
 
     /** One make-step record awaiting its break step.  Matched by
      *  bus *id* (unique per life), exactly like the event engine's
-     *  MoveRecord, so slot recycling cannot confuse a break. */
+     *  MoveRecord, so slot recycling cannot confuse a break.  The
+     *  hop index is fixed for the bus's life (gap minus source
+     *  gap), so the break reuses the make's. */
     struct MoveRecord
     {
         std::uint32_t slot;
+        std::uint32_t hopIndex;
         VirtualBusId bus;
         GapId gap;
         Level fromLevel;

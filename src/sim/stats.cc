@@ -98,25 +98,6 @@ SampleStat::reset()
     *this = SampleStat();
 }
 
-void
-BusyTracker::setBusy(Tick now)
-{
-    if (busy_)
-        return;
-    busy_ = true;
-    since_ = now;
-}
-
-void
-BusyTracker::setFree(Tick now)
-{
-    if (!busy_)
-        return;
-    rmb_assert(now >= since_, "time ran backwards in BusyTracker");
-    accumulated_ += now - since_;
-    busy_ = false;
-}
-
 Tick
 BusyTracker::busyTicks(Tick now) const
 {

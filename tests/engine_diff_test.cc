@@ -37,6 +37,8 @@
 #include "rmb/ring_graph.hh"
 #include "sim/random.hh"
 #include "sim/simulator.hh"
+#include "workload/driver.hh"
+#include "workload/permutation.hh"
 
 namespace {
 
@@ -517,6 +519,187 @@ TEST(KernelEngine, CompactionMovesBusesDown)
     EXPECT_GT(net.cycles(), 0u);
     EXPECT_GT(net.rmbStats().compactionMoves.value(), 0u);
     EXPECT_EQ(net.rmbStats().maxCycleSkew.value(), 0u);
+    net.auditInvariants();
+}
+
+/**
+ * A lone bus 0 -> 3 on 8 nodes x 2 levels with a fixed 16-tick
+ * compaction period: its source hop (gap 0, top level 1) starts its
+ * move down at a make tick before the delivery, whose Fack then
+ * starts mid-move.  The pin plane is checked at each step, and the
+ * Full audit checks it against the bus states every tick.
+ */
+struct MidMoveBus
+{
+    explicit MidMoveBus(bool transient_faults)
+        : cfg(config(transient_faults)), net(sim, cfg)
+    {
+        id = net.send(0, 3, 16);
+        // Step to the make that starts the source hop's move.
+        while (!midMove() && step()) {
+        }
+    }
+
+    static core::RmbConfig
+    config(bool transient_faults)
+    {
+        core::RmbConfig cfg = baseConfig(8, 2, 1);
+        cfg.engine = core::EngineKind::Kernel;
+        cfg.verify = core::VerifyLevel::Full;
+        cfg.cyclePeriodMin = cfg.cyclePeriodMax = 16;
+        cfg.transientFaults = transient_faults;
+        return cfg;
+    }
+
+    /** One tick; false once past any tick the scenario can need. */
+    bool
+    step()
+    {
+        sim.runUntil(sim.now() + 1);
+        return sim.now() < 1000;
+    }
+
+    bool
+    midMove() const
+    {
+        return net.segmentOccupied(0, 1) && net.segmentOccupied(0, 0);
+    }
+
+    bool
+    delivered() const
+    {
+        return net.message(id).state == net::MessageState::Delivered;
+    }
+
+    std::uint64_t
+    pinnedCells() const
+    {
+        std::uint64_t n = 0;
+        for (core::GapId g = 0; g < cfg.numNodes; ++g)
+            for (core::Level l = 0;
+                 l < static_cast<core::Level>(cfg.numBuses); ++l)
+                n += net.segmentPinned(g, l) ? 1 : 0;
+        return n;
+    }
+
+    core::RmbConfig cfg;
+    sim::Simulator sim;
+    core::CycleKernelEngine net;
+    net::MessageId id = 0;
+};
+
+/** A Fack that starts between a make and its break pins both cells
+ *  of the mid-move hop; the break still completes the move, and the
+ *  lower cell stays pinned until the walking Fack frees it. */
+TEST(KernelEngine, TeardownBetweenMakeAndBreakPinsBothLevels)
+{
+    MidMoveBus t(false);
+    ASSERT_TRUE(t.midMove());
+    ASSERT_FALSE(t.delivered());
+    EXPECT_EQ(t.pinnedCells(), 0u);
+
+    while (!t.delivered()) {
+        ASSERT_TRUE(t.midMove()) << "the break ran before the Fack";
+        ASSERT_TRUE(t.step());
+    }
+    // Fack teardown started: every held cell is pinned.
+    ASSERT_TRUE(t.midMove());
+    EXPECT_TRUE(t.net.segmentPinned(0, 1));
+    EXPECT_TRUE(t.net.segmentPinned(0, 0));
+    EXPECT_TRUE(t.net.segmentPinned(1, 0));
+    EXPECT_TRUE(t.net.segmentPinned(2, 0));
+    EXPECT_EQ(t.pinnedCells(), 4u);
+    EXPECT_EQ(t.net.rmbStats().compactionMoves.value(), 0u);
+
+    // The break completes the move on the tearing-down bus and
+    // releases (and unpins) the old level.
+    while (t.net.segmentOccupied(0, 1))
+        ASSERT_TRUE(t.step());
+    EXPECT_EQ(t.net.rmbStats().compactionMoves.value(), 1u);
+    EXPECT_FALSE(t.net.segmentPinned(0, 1));
+    ASSERT_TRUE(t.net.segmentOccupied(0, 0))
+        << "the Fack reached the source before the break";
+    EXPECT_TRUE(t.net.segmentPinned(0, 0));
+
+    while (t.net.segmentOccupied(0, 0))
+        ASSERT_TRUE(t.step());
+    EXPECT_EQ(t.pinnedCells(), 0u);
+    EXPECT_EQ(t.net.occupiedSegments(), 0u);
+    t.net.auditInvariants();
+}
+
+/** A fault on the dual target cancels the move with no sever and no
+ *  pin; a second fault then severs the bus, pinning what it still
+ *  holds (the faulted head cell too), and the stale break record
+ *  moves nothing. */
+TEST(KernelEngine, DualTargetFaultThenSeverPinsWhatTheBusHolds)
+{
+    MidMoveBus t(true);
+    ASSERT_TRUE(t.midMove());
+    ASSERT_FALSE(t.delivered());
+
+    t.net.failSegment(0, 0);
+    EXPECT_FALSE(t.net.segmentOccupied(0, 0));
+    EXPECT_TRUE(t.net.segmentOccupied(0, 1));
+    EXPECT_EQ(t.net.rmbStats().busesSevered.value(), 0u);
+    EXPECT_EQ(t.pinnedCells(), 0u);
+
+    t.net.failSegment(2, 0);
+    EXPECT_EQ(t.net.rmbStats().busesSevered.value(), 1u);
+    EXPECT_TRUE(t.net.segmentPinned(0, 1));
+    EXPECT_TRUE(t.net.segmentPinned(1, 0));
+    EXPECT_TRUE(t.net.segmentPinned(2, 0));
+    EXPECT_FALSE(t.net.segmentPinned(0, 0));
+    EXPECT_EQ(t.pinnedCells(), 3u);
+
+    // Past the break tick: the cancelled move stays cancelled and
+    // the source cell stays pinned until the teardown reaches it.
+    const sim::Tick break_by = t.sim.now() + t.cfg.cyclePeriodMax;
+    while (t.sim.now() < break_by && t.net.segmentOccupied(0, 1)) {
+        EXPECT_TRUE(t.net.segmentPinned(0, 1));
+        ASSERT_TRUE(t.step());
+    }
+    EXPECT_EQ(t.net.rmbStats().compactionMoves.value(), 0u);
+
+    t.net.repairSegment(0, 0);
+    t.net.repairSegment(2, 0);
+    while (!t.net.quiescent() && t.sim.now() < 100'000)
+        t.sim.run(64);
+    EXPECT_TRUE(t.delivered());
+    EXPECT_EQ(t.pinnedCells(), 0u);
+    t.net.auditInvariants();
+}
+
+/**
+ * Exact counters of a closed loop of random k-permutations (the
+ * Theorem 1 workload, small): the pin filter and the make pass's
+ * hoisted scan drop only candidates Figure 7 rejects, so the moves
+ * and the cycle count are the ones the unfiltered pass made.
+ */
+TEST(KernelEngine, ClosedKPermutationLoopCountersArePinned)
+{
+    constexpr net::NodeId kNodes = 256;
+    constexpr std::uint32_t kBuses = 8;
+    core::RmbConfig cfg = baseConfig(kNodes, kBuses, 7);
+    cfg.engine = core::EngineKind::Kernel;
+    sim::Simulator sim;
+    core::CycleKernelEngine net(sim, cfg);
+    sim::Random rng(11);
+    std::uint64_t delivered = 0;
+    for (int batch = 0; batch < 12; ++batch) {
+        workload::PairList pairs;
+        do {
+            pairs = workload::randomPartialPermutation(kNodes, 16, rng);
+        } while (workload::maxRingLoad(kNodes, pairs) > kBuses);
+        const workload::BatchResult r =
+            workload::runBatch(net, pairs, 32);
+        ASSERT_TRUE(r.completed) << "batch " << batch;
+        delivered += r.delivered;
+    }
+    EXPECT_EQ(delivered, 12u * 16u);
+    // The values the kernel printed before the pin plane existed.
+    EXPECT_EQ(net.rmbStats().compactionMoves.value(), 27289u);
+    EXPECT_EQ(net.cycles(), 2981u);
     net.auditInvariants();
 }
 
