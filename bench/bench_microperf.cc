@@ -50,26 +50,6 @@ BM_EventQueueScheduleRun(benchmark::State &state)
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(256)->Arg(4096);
 
 void
-BM_EventQueueCancelHeavy(benchmark::State &state)
-{
-    sim::EventQueue q;
-    for (auto _ : state) {
-        std::vector<sim::EventId> ids;
-        ids.reserve(1024);
-        for (int i = 0; i < 1024; ++i)
-            ids.push_back(q.schedule(static_cast<sim::Tick>(i),
-                                     [] {}));
-        for (std::size_t i = 0; i < ids.size(); i += 2)
-            q.cancel(ids[i]);
-        while (!q.empty())
-            q.runOne();
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) * 1024);
-}
-BENCHMARK(BM_EventQueueCancelHeavy);
-
-void
 BM_RandomNext(benchmark::State &state)
 {
     sim::Random rng(42);

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "common/env.hh"
+#include "common/flags.hh"
 #include "common/table.hh"
 #include "obs/json.hh"
 #include "obs/run_report.hh"
@@ -57,13 +58,14 @@ class Harness
             } else if (arg == "--seed") {
                 if (i + 1 >= argc)
                     usage(argv[0], "--seed needs an integer", 2);
-                seed_ = std::strtoull(argv[++i], nullptr, 10);
+                seed_ = common::flagUint<std::uint64_t>(argv[0], arg,
+                                                        argv[++i]);
                 seedSet_ = true;
             } else if (arg == "--jobs") {
                 if (i + 1 >= argc)
                     usage(argv[0], "--jobs needs an integer", 2);
-                jobs_ = static_cast<unsigned>(
-                    std::strtoul(argv[++i], nullptr, 10));
+                jobs_ = common::flagUint<unsigned>(argv[0], arg,
+                                                   argv[++i]);
             } else if (arg == "--help" || arg == "-h") {
                 usage(argv[0], "", 0);
             } else {

@@ -26,8 +26,10 @@
  * Ownership (which bus holds a claimed segment) cannot be a bitplane
  * - it is a dense level-major array of pool-slot indices consulted
  * only for the bits that survive the filter.  Busy tracking for
- * utilization reports rides along per cell, exactly mirroring
- * SegmentTable's semantics (a faulted segment counts as busy).
+ * utilization reports rides along per cell with SegmentTable's
+ * semantics (a cell is busy while occupied or faulted): the planes
+ * hold that state, and each cell's BusyTracker keeps only the time
+ * of its last busy edge and the ticks accumulated before it.
  */
 
 #pragma once
@@ -237,7 +239,8 @@ class SegmentPlanes
     double
     utilization(GapId gap, Level level, sim::Tick now) const
     {
-        return busy_[cellIndex(gap, level)].utilization(now);
+        return busy_[cellIndex(gap, level)].utilization(
+            now, !isFree(gap, level));
     }
 
     double
@@ -245,9 +248,12 @@ class SegmentPlanes
     {
         if (busy_.empty() || now == 0)
             return 0.0;
+        // Cell-index (level-major) order, the order of busy_.
         double sum = 0.0;
-        for (const auto &b : busy_)
-            sum += b.utilization(now);
+        for (Level l = 0; static_cast<std::uint32_t>(l) < numLevels_;
+             ++l)
+            for (GapId g = 0; g < numGaps_; ++g)
+                sum += utilization(g, l, now);
         return sum / static_cast<double>(busy_.size());
     }
 

@@ -114,7 +114,7 @@ SegmentTable::lowestFree(GapId gap) const
 double
 SegmentTable::utilization(GapId gap, Level level, sim::Tick now) const
 {
-    return busy_[index(gap, level)].utilization(now);
+    return busy_[index(gap, level)].utilization(now, !isFree(gap, level));
 }
 
 double
@@ -122,9 +122,11 @@ SegmentTable::averageUtilization(sim::Tick now) const
 {
     if (now == 0 || busy_.empty())
         return 0.0;
+    // Cell-index (gap-major) order, the order of busy_.
     double total = 0.0;
-    for (const auto &tracker : busy_)
-        total += tracker.utilization(now);
+    for (GapId g = 0; g < numGaps_; ++g)
+        for (Level l = 0; static_cast<std::uint32_t>(l) < numLevels_; ++l)
+            total += utilization(g, l, now);
     return total / static_cast<double>(busy_.size());
 }
 

@@ -5,7 +5,10 @@
  * Pure bookkeeping with checked invariants; the protocol logic in
  * RmbNetwork/Inc decides *what* to occupy or free, this class ensures
  * double-occupancy and double-free are impossible and tracks
- * per-segment utilization for the benches.
+ * per-segment utilization for the benches.  A segment is busy while
+ * it is not free (occupied or faulted); the grid and the fault mask
+ * hold that state, and each mutator feeds the segment's BusyTracker
+ * the exact edges it causes.
  */
 
 #pragma once

@@ -1,5 +1,6 @@
 #include "sim/event_queue.hh"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/logging.hh"
@@ -7,52 +8,23 @@
 namespace rmb {
 namespace sim {
 
-EventId
+void
 EventQueue::schedule(Tick when, Callback cb)
 {
     rmb_assert(cb, "scheduling a null callback");
-    EventId id = nextId_++;
-    heap_.push(Entry{when, nextSeq_++, id, std::move(cb)});
-    pending_.insert(id);
-    return id;
-}
-
-bool
-EventQueue::cancel(EventId id)
-{
-    // Cancellation is lazy: the heap entry stays buried and is skipped
-    // when it surfaces.  An id absent from pending_ already fired or
-    // was already cancelled.
-    return pending_.erase(id) == 1;
-}
-
-void
-EventQueue::skipCancelled()
-{
-    while (!heap_.empty() &&
-           pending_.find(heap_.top().id) == pending_.end()) {
-        heap_.pop();
-    }
-}
-
-Tick
-EventQueue::nextTick() const
-{
-    auto *self = const_cast<EventQueue *>(this);
-    self->skipCancelled();
-    return heap_.empty() ? kMaxTick : heap_.top().when;
+    heap_.push_back(Entry{when, nextSeq_++, std::move(cb)});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 Tick
 EventQueue::runOne()
 {
-    skipCancelled();
     rmb_assert(!heap_.empty(), "runOne() on an empty event queue");
-    // Copy the entry out before popping so the callback can freely
+    // Move the entry out before running it so the callback can freely
     // schedule new events (which may reallocate the heap).
-    Entry top = heap_.top();
-    heap_.pop();
-    pending_.erase(top.id);
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    Entry top = std::move(heap_.back());
+    heap_.pop_back();
     ++numExecuted_;
     top.cb();
     return top.when;

@@ -6,28 +6,21 @@
  * Events are arbitrary callables scheduled at absolute ticks.  Events
  * scheduled for the same tick fire in scheduling order (a stable FIFO
  * within a tick), which keeps simulations deterministic for a given
- * seed.  Events can be cancelled through the handle returned at
- * scheduling time.
+ * seed.  A scheduled event always fires: there is no cancellation, so
+ * a component that may abandon work checks its own state when the
+ * event runs.
  */
 
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/types.hh"
 
 namespace rmb {
 namespace sim {
-
-/** Identifies a scheduled event so it can be cancelled. */
-using EventId = std::uint64_t;
-
-/** An event id that is never allocated. */
-constexpr EventId kInvalidEventId = 0;
 
 /**
  * Time-ordered queue of callbacks.  Not thread safe; the entire
@@ -39,28 +32,24 @@ class EventQueue
     using Callback = std::function<void()>;
 
     /** Schedule @p cb to fire at absolute time @p when. */
-    EventId schedule(Tick when, Callback cb);
+    void schedule(Tick when, Callback cb);
+
+    /** @return true if no events are pending. */
+    bool empty() const { return heap_.empty(); }
+
+    /** Number of pending events. */
+    std::uint64_t size() const { return heap_.size(); }
+
+    /** Tick of the earliest pending event; kMaxTick when empty. */
+    Tick
+    nextTick() const
+    {
+        return heap_.empty() ? kMaxTick : heap_.front().when;
+    }
 
     /**
-     * Cancel a previously scheduled event.
-     * @retval true if the event was pending and is now cancelled.
-     * @retval false if it already fired, was already cancelled, or the
-     *         id is invalid.
-     */
-    bool cancel(EventId id);
-
-    /** @return true if no live (non-cancelled) events remain. */
-    bool empty() const { return pending_.empty(); }
-
-    /** Number of live pending events. */
-    std::uint64_t size() const { return pending_.size(); }
-
-    /** Tick of the earliest live event; kMaxTick when empty. */
-    Tick nextTick() const;
-
-    /**
-     * Pop and run the earliest live event.  Must not be called on an
-     * empty queue.
+     * Pop and run the earliest event.  Must not be called on an empty
+     * queue.
      * @return the tick the event fired at.
      */
     Tick runOne();
@@ -73,10 +62,11 @@ class EventQueue
     {
         Tick when;
         std::uint64_t seq;   //!< tie-break: FIFO within a tick
-        EventId id;
         Callback cb;
     };
 
+    /** Heap order: (when, seq) is a strict total order, so the
+     *  firing order does not depend on the heap's layout. */
     struct Later
     {
         bool
@@ -88,13 +78,9 @@ class EventQueue
         }
     };
 
-    /** Drop cancelled entries sitting at the head of the heap. */
-    void skipCancelled();
-
-    std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-    std::unordered_set<EventId> pending_;
+    /** Binary min-heap under Later (std::push_heap/pop_heap). */
+    std::vector<Entry> heap_;
     std::uint64_t nextSeq_ = 0;
-    EventId nextId_ = 1;
     std::uint64_t numExecuted_ = 0;
 };
 

@@ -5,12 +5,12 @@
 namespace rmb {
 namespace sim {
 
-EventId
+void
 Simulator::scheduleAt(Tick when, EventQueue::Callback cb)
 {
     rmb_assert(when >= now_, "scheduling into the past: when=", when,
                " now=", now_);
-    return events_.schedule(when, std::move(cb));
+    events_.schedule(when, std::move(cb));
 }
 
 std::uint64_t

@@ -20,6 +20,8 @@ namespace sim {
  * Components keep a reference to the Simulator, schedule work with
  * schedule()/scheduleAt(), and read the current time with now().  The
  * owner drives the simulation with run(), runUntil() or runFor().
+ * Scheduled work cannot be withdrawn (see EventQueue): a component
+ * that abandons work leaves a marker its callback checks.
  */
 class Simulator
 {
@@ -33,17 +35,14 @@ class Simulator
     Tick now() const { return now_; }
 
     /** Schedule @p cb to run @p delay ticks from now. */
-    EventId
+    void
     schedule(Tick delay, EventQueue::Callback cb)
     {
-        return events_.schedule(now_ + delay, std::move(cb));
+        events_.schedule(now_ + delay, std::move(cb));
     }
 
     /** Schedule @p cb at absolute time @p when (>= now). */
-    EventId scheduleAt(Tick when, EventQueue::Callback cb);
-
-    /** Cancel a pending event; see EventQueue::cancel. */
-    bool cancel(EventId id) { return events_.cancel(id); }
+    void scheduleAt(Tick when, EventQueue::Callback cb);
 
     /**
      * Run until the event queue drains or @p max_events fire.
@@ -63,7 +62,7 @@ class Simulator
         return runUntil(now_ + duration);
     }
 
-    /** @return true once no live events remain. */
+    /** @return true once no events are pending. */
     bool idle() const { return events_.empty(); }
 
     /**

@@ -99,20 +99,20 @@ SampleStat::reset()
 }
 
 Tick
-BusyTracker::busyTicks(Tick now) const
+BusyTracker::busyTicks(Tick now, bool busy) const
 {
     Tick total = accumulated_;
-    if (busy_ && now > since_)
+    if (busy && now > since_)
         total += now - since_;
     return total;
 }
 
 double
-BusyTracker::utilization(Tick now) const
+BusyTracker::utilization(Tick now, bool busy) const
 {
     if (now == 0)
         return 0.0;
-    return static_cast<double>(busyTicks(now)) /
+    return static_cast<double>(busyTicks(now, busy)) /
            static_cast<double>(now);
 }
 

@@ -88,43 +88,34 @@ class SampleStat
 
 /**
  * Tracks the busy fraction of a binary resource over simulated time
- * (e.g. one physical bus segment).  Feed it setBusy()/setFree() edges
- * and ask for the time-weighted utilization.
+ * (e.g. one physical bus segment).  The tracker does not store whether
+ * the resource is busy: its owner already does (a segment store reads
+ * it from occupancy and fault state), calls setBusy()/setFree() on
+ * exact free->busy and busy->free edges only, and passes the current
+ * state to the readers.
  */
 class BusyTracker
 {
   public:
-    /** Mark the resource busy at time @p now (idempotent). */
-    void
-    setBusy(Tick now)
-    {
-        if (busy_)
-            return;
-        busy_ = true;
-        since_ = now;
-    }
+    /** The resource turned busy at time @p now. */
+    void setBusy(Tick now) { since_ = now; }
 
-    /** Mark the resource free at time @p now (idempotent). */
+    /** The resource turned free at time @p now. */
     void
     setFree(Tick now)
     {
-        if (!busy_)
-            return;
         rmb_assert(now >= since_, "time ran backwards in BusyTracker");
         accumulated_ += now - since_;
-        busy_ = false;
     }
 
-    /** Busy fraction of the window [0, now]. */
-    double utilization(Tick now) const;
+    /** Busy fraction of the window [0, now]; @p busy is the
+     *  resource's current state. */
+    double utilization(Tick now, bool busy) const;
 
     /** Total ticks spent busy up to @p now. */
-    Tick busyTicks(Tick now) const;
-
-    bool busy() const { return busy_; }
+    Tick busyTicks(Tick now, bool busy) const;
 
   private:
-    bool busy_ = false;
     Tick since_ = 0;
     Tick accumulated_ = 0;
 };

@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "common/bitutils.hh"
+#include "common/flags.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
 
@@ -92,6 +93,33 @@ TEST(LoggingDeathTest, FatalExitsWithCode1)
 {
     EXPECT_EXIT(fatal("user error"), ::testing::ExitedWithCode(1),
                 "user error");
+}
+
+TEST(Flags, UintParsesTheWholeRange)
+{
+    using common::flagUint;
+    EXPECT_EQ(flagUint<unsigned>("t", "--jobs", "0"), 0u);
+    EXPECT_EQ(flagUint<unsigned>("t", "--jobs", "4294967295"),
+              4294967295u);
+    EXPECT_EQ(flagUint<std::uint64_t>("t", "--seed",
+                                      "18446744073709551615"),
+              18446744073709551615u);
+}
+
+TEST(FlagsDeathTest, MalformedUintExitsWithCode2)
+{
+    using common::flagUint;
+    const auto refused = ::testing::ExitedWithCode(2);
+    const char *message =
+        "t: --jobs expects an integer in \\[0, 4294967295\\]";
+    for (const char *bad : {"", "abc", "12abc", "x2", "-1", "+1", " 1",
+                            "4294967296"})
+        EXPECT_EXIT(flagUint<unsigned>("t", "--jobs", bad), refused,
+                    message)
+            << "'" << bad << "'";
+    EXPECT_EXIT(flagUint<std::uint64_t>("t", "--seed",
+                                        "18446744073709551616"),
+                refused, "--seed expects");
 }
 
 TEST(TextTable, RendersHeadersAndRows)

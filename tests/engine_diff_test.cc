@@ -32,6 +32,7 @@
 #include "common/env.hh"
 
 #include "rmb/engine.hh"
+#include "rmb/kernel/bitplane.hh"
 #include "rmb/kernel/kernel_engine.hh"
 #include "rmb/network.hh"
 #include "rmb/ring_graph.hh"
@@ -704,6 +705,29 @@ TEST(KernelEngine, ClosedKPermutationLoopCountersArePinned)
 }
 
 /** validate() refuses kernel-incompatible options by name. */
+/** SegmentPlanes reads a cell's busy state from its planes: the walk
+ *  of SegmentTable.FaultedCellStaysBusyAcrossRelease (occupy 8, fault
+ *  16, release while faulted 24, repair 40, fault while free 64,
+ *  repair 80) gives the same exact utilizations. */
+TEST(KernelEngine, SegmentPlanesFaultedCellStaysBusyAcrossRelease)
+{
+    core::kernel::SegmentPlanes p(2, 2);
+    p.occupy(1, 1, 3, 8);
+    p.markFaulty(1, 1, 16);
+    p.release(1, 1, 3, 24);
+    EXPECT_EQ(p.utilization(1, 1, 32), 0.75);
+    EXPECT_EQ(p.averageUtilization(32), 0.1875);
+    p.clearFault(1, 1, 40);
+    EXPECT_EQ(p.utilization(1, 1, 64), 0.5);
+    p.markFaulty(1, 1, 64);
+    EXPECT_EQ(p.utilization(1, 1, 80), 0.6);
+    p.clearFault(1, 1, 80);
+    EXPECT_TRUE(p.isFree(1, 1));
+    EXPECT_EQ(p.utilization(1, 1, 128), 0.375);
+    EXPECT_EQ(p.utilization(0, 1, 128), 0.0);
+    EXPECT_EQ(p.averageUtilization(128), 0.09375);
+}
+
 TEST(KernelEngine, ValidateRefusesUnsupportedOptions)
 {
     core::RmbConfig cfg = baseConfig(8, 2, 1);

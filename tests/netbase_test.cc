@@ -6,9 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unordered_map>
-#include <vector>
-
 #include "netbase/network.hh"
 #include "sim/simulator.hh"
 
@@ -32,32 +29,33 @@ class LoopNetwork : public Network
         Message &m = createMessage(src, dst, flits);
         const MessageId id = m.id;
         noteFirstAttempt(m);
-        events_[id].push_back(
-            simulator().schedule(delay_ / 2, [this, id] {
-                noteEstablished(messageRef(id));
-                noteCircuit(+1);
-            }));
-        events_[id].push_back(
-            simulator().schedule(delay_, [this, id] {
-                noteCircuit(-1);
-                noteDelivered(messageRef(id), 1);
-            }));
+        simulator().schedule(delay_ / 2, [this, id] {
+            if (failed(id))
+                return;
+            noteEstablished(messageRef(id));
+            noteCircuit(+1);
+        });
+        simulator().schedule(delay_, [this, id] {
+            if (failed(id))
+                return;
+            noteCircuit(-1);
+            noteDelivered(messageRef(id), 1);
+        });
         return id;
     }
 
-    /** Fail a message (cancelling its pending lifecycle events). */
-    void
-    fail(MessageId id)
-    {
-        for (const auto event : events_[id])
-            simulator().cancel(event);
-        noteFailed(messageRef(id));
-    }
+    /** Fail a message; its pending lifecycle events then do
+     *  nothing. */
+    void fail(MessageId id) { noteFailed(messageRef(id)); }
 
   private:
+    bool
+    failed(MessageId id)
+    {
+        return messageRef(id).state == MessageState::Failed;
+    }
+
     sim::Tick delay_;
-    std::unordered_map<MessageId, std::vector<sim::EventId>>
-        events_;
 };
 
 TEST(Netbase, MessageIdsAreOneBasedAndDense)
@@ -118,6 +116,10 @@ TEST(Netbase, DeliveryAndFailureCallbacks)
     s.runUntil(4); // before delivery events
     EXPECT_EQ(failed, 1);
     EXPECT_EQ(delivered, 0);
+    s.run();
+    EXPECT_EQ(failed, 1);
+    EXPECT_EQ(delivered, 1);
+    EXPECT_EQ(net.stats().activeCircuits.current(), 0);
 }
 
 TEST(NetbaseDeathTest, Validation)

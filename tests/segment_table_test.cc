@@ -77,6 +77,28 @@ TEST(SegmentTable, UtilizationOfOpenOccupancy)
     EXPECT_DOUBLE_EQ(t.utilization(1, 0, 100), 0.8);
 }
 
+TEST(SegmentTable, FaultedCellStaysBusyAcrossRelease)
+{
+    // One cell: occupy at 8, fault while held at 16, release while
+    // faulted at 24 (still busy), repair at 40 (busy 8..40), fault
+    // while free at 64, repair at 80 (busy 64..80).
+    SegmentTable t(2, 2);
+    t.occupy(1, 0, 3, 8);
+    t.markFaulty(1, 0, 16);
+    t.release(1, 0, 3, 24);
+    EXPECT_EQ(t.utilization(1, 0, 32), 0.75);
+    EXPECT_EQ(t.averageUtilization(32), 0.1875);
+    t.clearFault(1, 0, 40);
+    EXPECT_EQ(t.utilization(1, 0, 64), 0.5);
+    t.markFaulty(1, 0, 64);
+    EXPECT_EQ(t.utilization(1, 0, 80), 0.6);
+    t.clearFault(1, 0, 80);
+    EXPECT_TRUE(t.isFree(1, 0));
+    EXPECT_EQ(t.utilization(1, 0, 128), 0.375);
+    EXPECT_EQ(t.utilization(0, 0, 128), 0.0);
+    EXPECT_EQ(t.averageUtilization(128), 0.09375);
+}
+
 TEST(SegmentTableDeathTest, DoubleOccupyPanics)
 {
     SegmentTable t(4, 2);

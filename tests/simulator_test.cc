@@ -93,16 +93,6 @@ TEST(Simulator, ScheduleAtAbsolute)
     EXPECT_EQ(seen, 25u);
 }
 
-TEST(Simulator, CancelPreventsExecution)
-{
-    Simulator s;
-    bool fired = false;
-    EventId id = s.schedule(5, [&] { fired = true; });
-    EXPECT_TRUE(s.cancel(id));
-    s.run();
-    EXPECT_FALSE(fired);
-}
-
 TEST(Simulator, NumExecutedAccumulatesAcrossRuns)
 {
     Simulator s;

@@ -156,9 +156,8 @@ TEST(SampleStatDeathTest, BadPercentilePanics)
 TEST(BusyTracker, StartsFree)
 {
     BusyTracker t;
-    EXPECT_FALSE(t.busy());
-    EXPECT_EQ(t.busyTicks(100), 0u);
-    EXPECT_EQ(t.utilization(100), 0.0);
+    EXPECT_EQ(t.busyTicks(100, false), 0u);
+    EXPECT_EQ(t.utilization(100, false), 0.0);
 }
 
 TEST(BusyTracker, AccumulatesBusyWindows)
@@ -168,33 +167,25 @@ TEST(BusyTracker, AccumulatesBusyWindows)
     t.setFree(30);
     t.setBusy(50);
     t.setFree(60);
-    EXPECT_EQ(t.busyTicks(100), 30u);
-    EXPECT_DOUBLE_EQ(t.utilization(100), 0.3);
+    EXPECT_EQ(t.busyTicks(100, false), 30u);
+    EXPECT_DOUBLE_EQ(t.utilization(100, false), 0.3);
 }
 
 TEST(BusyTracker, OpenWindowCountsUpToNow)
 {
     BusyTracker t;
     t.setBusy(40);
-    EXPECT_EQ(t.busyTicks(100), 60u);
-    EXPECT_DOUBLE_EQ(t.utilization(100), 0.6);
-    EXPECT_TRUE(t.busy());
-}
-
-TEST(BusyTracker, RedundantEdgesIgnored)
-{
-    BusyTracker t;
-    t.setBusy(10);
-    t.setBusy(20); // no-op
-    t.setFree(30);
-    t.setFree(40); // no-op
-    EXPECT_EQ(t.busyTicks(50), 20u);
+    EXPECT_EQ(t.busyTicks(100, true), 60u);
+    EXPECT_DOUBLE_EQ(t.utilization(100, true), 0.6);
+    // An edge at now itself adds nothing yet.
+    EXPECT_EQ(t.busyTicks(40, true), 0u);
 }
 
 TEST(BusyTracker, ZeroWindowUtilizationIsZero)
 {
     BusyTracker t;
-    EXPECT_EQ(t.utilization(0), 0.0);
+    EXPECT_EQ(t.utilization(0, false), 0.0);
+    EXPECT_EQ(t.utilization(0, true), 0.0);
 }
 
 TEST(LevelTracker, TracksCurrentAndMax)

@@ -16,6 +16,7 @@
 #include <string>
 
 #include "check/runner.hh"
+#include "common/flags.hh"
 
 namespace {
 
@@ -59,6 +60,7 @@ main(int argc, char **argv)
     using rmb::check::CheckConfig;
     using rmb::check::Layers;
     using rmb::check::RunStatus;
+    using rmb::common::flagUint;
 
     CheckConfig cfg;
     Layers layers = Layers::Both;
@@ -77,16 +79,17 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--nodes") {
-            cfg.nodes = static_cast<std::uint32_t>(
-                std::stoul(need_value(i++)));
+            cfg.nodes = flagUint<std::uint32_t>("rmbcheck", arg,
+                                                need_value(i++));
         } else if (arg == "--buses") {
-            cfg.buses = static_cast<std::uint32_t>(
-                std::stoul(need_value(i++)));
+            cfg.buses = flagUint<std::uint32_t>("rmbcheck", arg,
+                                                need_value(i++));
         } else if (arg == "--messages") {
-            cfg.messages = static_cast<std::uint32_t>(
-                std::stoul(need_value(i++)));
+            cfg.messages = flagUint<std::uint32_t>("rmbcheck", arg,
+                                                   need_value(i++));
         } else if (arg == "--max-states") {
-            cfg.maxStates = std::stoul(need_value(i++));
+            cfg.maxStates = flagUint<std::size_t>("rmbcheck", arg,
+                                                  need_value(i++));
         } else if (arg == "--cycle-only") {
             layers = Layers::CycleOnly;
         } else if (arg == "--datapath-only") {

@@ -20,7 +20,6 @@
  */
 
 #include <algorithm>
-#include <charconv>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -29,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "exp/eval.hh"
@@ -112,19 +112,6 @@ refuse(const std::string &why)
     std::exit(2);
 }
 
-/** Strict unsigned parse for the non-recipe numeric flags. */
-std::uint64_t
-flagUint(const std::string &flag, const std::string &text)
-{
-    std::uint64_t v = 0;
-    const auto [end, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), v);
-    if (ec != std::errc() || end != text.data() + text.size())
-        refuse(flag + " expects a non-negative integer, got '" + text +
-               "'");
-    return v;
-}
-
 Options
 parse(int argc, char **argv)
 {
@@ -144,7 +131,8 @@ parse(int argc, char **argv)
         if (used >= 0) {
             i += used;
         } else if (arg == "--seed") {
-            o.recipe.seed = flagUint(arg, need(i));
+            o.recipe.seed =
+                common::flagUint<std::uint64_t>("rmbsim", arg, need(i));
         } else if (arg == "--fault-plan") {
             o.faultPlanPath = need(i);
         } else if (arg == "--record") {
@@ -162,7 +150,8 @@ parse(int argc, char **argv)
         } else if (arg == "--trace") {
             o.tracePath = need(i);
         } else if (arg == "--timeline") {
-            o.timeline = flagUint(arg, need(i));
+            o.timeline =
+                common::flagUint<sim::Tick>("rmbsim", arg, need(i));
         } else if (arg == "--heatmap") {
             o.heatmap = true;
         } else if (arg == "--profile") {

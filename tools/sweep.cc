@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.hh"
 #include "exp/eval.hh"
 #include "exp/gate.hh"
 #include "common/parallel.hh"
@@ -99,13 +100,13 @@ runMode(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--jobs") {
-            jobs = static_cast<unsigned>(std::stoul(need()));
+            jobs = common::flagUint<unsigned>("sweep", arg, need());
             if (jobs == 0)
                 jobs = common::Runner::defaultJobs();
         } else if (arg == "--json") {
             json_path = need();
         } else if (arg == "--seed") {
-            seed = std::stoull(need());
+            seed = common::flagUint<std::uint64_t>("sweep", arg, need());
             seed_set = true;
         } else if (arg == "--quiet") {
             quiet = true;
