@@ -96,14 +96,7 @@ class Harness
     {
         if (jsonPath_.empty())
             return;
-        std::string tables = "[";
-        for (std::size_t i = 0; i < tables_.size(); ++i) {
-            if (i)
-                tables += ',';
-            tables += tables_[i];
-        }
-        tables += ']';
-        report_.setRaw("tables", tables);
+        report_.setRaw("tables", obs::jsonArray(tables_));
         report_.write(jsonPath_);
     }
 
@@ -128,23 +121,7 @@ class Harness
     {
         t.print(std::cout);
         std::cout << '\n';
-        obs::JsonWriter json;
-        json.beginObject();
-        json.field("caption", t.caption());
-        json.beginArray("headers");
-        for (const auto &h : t.headers())
-            json.element(h);
-        json.endArray();
-        json.beginArray("rows");
-        for (const auto &row : t.rows()) {
-            json.beginArray();
-            for (const auto &cell : row)
-                json.element(cell);
-            json.endArray();
-        }
-        json.endArray();
-        json.endObject();
-        tables_.push_back(json.str());
+        tables_.push_back(obs::tableJson(t));
     }
 
     /** Extra per-experiment report fields (parameters, notes). */

@@ -1,6 +1,7 @@
 #include "exp/eval.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <memory>
@@ -528,6 +529,47 @@ runSweep(const SweepSpec &spec, unsigned jobs,
     return outcome;
 }
 
+namespace {
+
+/** One numeric metric over a grid point's completed runs. */
+struct Fold
+{
+    std::string name;
+    double sum, min, max;
+    std::size_t n;
+};
+
+/** Per grid point (replicas() runs each, or 1): its completed runs,
+ *  and each numeric metric folded over them in emission order. */
+using Folded = std::pair<std::size_t, std::vector<Fold>>;
+
+std::vector<Folded>
+foldRuns(const SweepSpec &spec, const SweepOutcome &outcome)
+{
+    const std::size_t stride = std::max<std::uint32_t>(spec.replicas(), 1);
+    std::vector<Folded> grid(outcome.results.size() / stride);
+    for (std::size_t j = 0; j < outcome.results.size(); ++j) {
+        auto &[completed, folds] = grid[j / stride];
+        completed += outcome.results[j].ok;
+        for (const auto &[name, text] : outcome.results[j].metrics) {
+            double v = 0.0;
+            const char *end = text.data() + text.size();
+            const auto [stop, ec] = std::from_chars(text.data(), end, v);
+            if (!outcome.results[j].ok || ec != std::errc() || stop != end)
+                continue; // failed runs, booleans and nulls
+            auto it = std::find_if(folds.begin(), folds.end(),
+                                   [&](auto &f) { return f.name == name; });
+            if (it == folds.end())
+                it = folds.insert(it, Fold{name, 0.0, v, v, 0});
+            *it = {name, it->sum + v, std::min(it->min, v),
+                   std::max(it->max, v), it->n + 1};
+        }
+    }
+    return grid;
+}
+
+} // namespace
+
 obs::RunReport
 aggregate(const SweepSpec &spec, const SweepOutcome &outcome)
 {
@@ -540,29 +582,63 @@ aggregate(const SweepSpec &spec, const SweepOutcome &outcome)
     report.set("points_failed",
                static_cast<std::uint64_t>(outcome.failures));
     report.setRaw("spec", spec.canonicalJson());
-
     std::vector<std::string> docs;
-    docs.reserve(outcome.points.size());
-    for (std::size_t i = 0; i < outcome.points.size(); ++i) {
+    if (!spec.tables().empty()) {
+        for (const TextTable &t : tables(spec, outcome))
+            docs.push_back(obs::tableJson(t));
+        report.setRaw("tables", obs::jsonArray(docs));
+        docs.clear();
+    }
+
+    const std::uint32_t replicas = spec.replicas();
+    const std::vector<Folded> folded =
+        replicas > 0 ? foldRuns(spec, outcome) : std::vector<Folded>();
+    const std::size_t stride = std::max<std::uint32_t>(replicas, 1);
+    for (std::size_t i = 0; i < outcome.points.size(); i += stride) {
         const PointConfig &pt = outcome.points[i];
         const PointResult &r = outcome.results[i];
         obs::JsonWriter json;
         json.beginObject();
         json.field("index", static_cast<std::uint64_t>(pt.index));
         json.field("label", pt.label);
-        json.field("seed", pt.seed);
+        if (replicas == 0)
+            json.field("seed", pt.seed);
         json.beginObject("params");
         for (const auto &[field, value] : pt.params)
             json.raw(field, value);
         json.endObject();
-        json.field("ok", r.ok);
-        json.field("error", r.error);
-        json.beginObject("metrics");
-        for (const auto &[name, value] : r.metrics)
-            json.raw(name, value);
-        json.endObject();
+        if (replicas == 0) {
+            json.field("ok", r.ok);
+            json.field("error", r.error);
+            json.beginObject("metrics");
+            for (const auto &[name, value] : r.metrics)
+                json.raw(name, value);
+            json.endObject();
+        } else {
+            // The replicas: the first failure's reason, and each
+            // metric's mean, min and max over the completed runs.
+            const auto &[completed, folds] = folded[i / stride];
+            std::string error;
+            for (std::size_t j = i; j < i + stride && error.empty(); ++j)
+                if (!outcome.results[j].ok)
+                    error = "replica " + std::to_string(j - i) + ": " +
+                            outcome.results[j].error;
+            json.field("ok", completed == replicas);
+            json.field("error", error);
+            json.field("completed", std::uint64_t{completed});
+            json.beginObject("metrics");
+            for (const Fold &f : folds) {
+                json.beginObject(f.name);
+                json.field("mean", f.sum / static_cast<double>(f.n));
+                json.field("min", f.min);
+                json.field("max", f.max);
+                json.endObject();
+            }
+            json.endObject();
+        }
         // Absent unless the spec set timeline_period, so existing
-        // baselines keep their exact bytes.
+        // baselines keep their exact bytes; with replicas it is
+        // replica 0's.
         if (!r.timelineJson.empty())
             json.raw("timeline", r.timelineJson);
         json.endObject();
@@ -570,6 +646,56 @@ aggregate(const SweepSpec &spec, const SweepOutcome &outcome)
     }
     report.setRaw("points", obs::jsonArray(docs));
     return report;
+}
+
+std::vector<TextTable>
+tables(const SweepSpec &spec, const SweepOutcome &outcome)
+{
+    const std::vector<Folded> folded = foldRuns(spec, outcome);
+    // Metric @p name of grid point @p g: its mean, or the completed
+    // count; false when no completed run reports it.
+    const auto value = [&](std::size_t g, const std::string &name,
+                           double &out) {
+        if (g == std::string::npos)
+            return false;
+        out = static_cast<double>(folded[g].first);
+        bool known = name == "completed";
+        for (const Fold &f : folded[g].second) {
+            if (f.name == name) {
+                out = f.sum / static_cast<double>(f.n);
+                known = true;
+            }
+        }
+        return known;
+    };
+    std::vector<TextTable> out;
+    for (const TableSpec &t : spec.tables()) {
+        std::vector<std::string> headers;
+        for (const Column &col : t.columns)
+            headers.push_back(col.header);
+        std::string error; // fromJson refused every ambiguous table
+        for (const TableLayout &lay : spec.layout(t, outcome.points, error)) {
+            TextTable &table = out.emplace_back(lay.caption, headers);
+            for (std::size_t row = 0; row < lay.text.size(); ++row) {
+                std::vector<std::string> cells = lay.text[row];
+                for (std::size_t c = 0; c < t.columns.size(); ++c) {
+                    const std::vector<MetricRef> &refs = t.columns[c].refs;
+                    double v[2] = {0.0, 1.0};
+                    bool known = !refs.empty();
+                    for (std::size_t k = 0; k < refs.size(); ++k)
+                        known = known && value(lay.cells[row][c][k],
+                                               refs[k].metric, v[k]);
+                    if (!refs.empty())
+                        cells[c] = known && v[1] != 0.0
+                                       ? TextTable::num(v[0] / v[1],
+                                                        t.columns[c].digits)
+                                       : "-";
+                }
+                table.addRow(std::move(cells));
+            }
+        }
+    }
+    return out;
 }
 
 } // namespace exp

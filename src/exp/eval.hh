@@ -16,7 +16,10 @@
  * runSweep() fans a spec's points across a Runner and aggregate()
  * merges the results into one obs::RunReport whose point array is in
  * grid order regardless of completion order, so the artifact is
- * byte-identical for every --jobs value.
+ * byte-identical for every --jobs value.  With replicas, aggregate()
+ * folds each grid point's runs into one entry (mean, min and max of
+ * every metric over the completed runs), and tables() lays the
+ * spec's tables out over those folds.
  */
 
 #pragma once
@@ -29,6 +32,7 @@
 #include <vector>
 
 #include "common/parallel.hh"
+#include "common/table.hh"
 #include "exp/spec.hh"
 #include "netbase/network.hh"
 #include "obs/run_report.hh"
@@ -163,12 +167,22 @@ SweepOutcome runSweep(const SweepSpec &spec, unsigned jobs,
 
 /**
  * Merge a sweep's per-point results into one RunReport: header
- * fields, the canonical spec (self-describing artifact), and a
- * "points" array in stable grid order.  Contains no wall-clock or
- * host information by design.
+ * fields, the canonical spec (self-describing artifact), the spec's
+ * tables, and a "points" array in stable grid order (one entry per
+ * grid point, its replicas folded).  Contains no wall-clock or host
+ * information by design.
  */
 obs::RunReport aggregate(const SweepSpec &spec,
                          const SweepOutcome &outcome);
+
+/**
+ * The spec's tables over a finished sweep.  A metric cell is the
+ * mean over its grid point's completed runs (`completed` counts
+ * them), a ratio the ratio of two such means, and "-" where no
+ * completed run reports the metric or a denominator is 0.
+ */
+std::vector<TextTable> tables(const SweepSpec &spec,
+                              const SweepOutcome &outcome);
 
 } // namespace exp
 } // namespace rmb

@@ -12,6 +12,7 @@
 #include <variant>
 
 #include "obs/json.hh"
+#include "obs/trace.hh"
 #include "sim/random.hh"
 
 namespace rmb {
@@ -321,6 +322,168 @@ helpLine(std::string &out, const std::string &flag, const char *doc)
            doc + "\n";
 }
 
+/** The metric names runPoint() (eval.cc) emits besides
+ *  trace.events.<kind>; exp_test checks a run's names against it. */
+const char *const kMetrics[] = {
+    "ticks", "completed", "makespan", "offered_load", "throughput",
+    "mean_latency", "p95_latency", "max_latency", "mean_setup",
+    "injected", "delivered", "failed", "nacks", "retries",
+    "mean_hops", "peak_circuits", "compaction_moves", "max_cycle_skew",
+    "faults_injected", "faults_repaired", "buses_severed",
+    "messages_recovered", "messages_lost", "watchdog_fires",
+    "mean_recovery_latency", "faults_permanent", "node_faults",
+    "bridge_faults", "dead_lettered", "dead_retries_exhausted",
+    "dead_unreachable", "dead_stalled", "dead_bridge_dead",
+    "effective_buses", "residual_bandwidth",
+};
+
+/** How an axis value reads in labels and table cells. */
+std::string
+display(const obs::JsonValue &v)
+{
+    return v.isString() ? v.string() : v.serialize();
+}
+
+/** Checks the "tables" array against the spec's axes. */
+struct TableParser
+{
+    const std::vector<Axis> &axes;
+    std::vector<std::string> &errors;
+
+    /** The axis @p field, or nullptr after an error at @p where. */
+    const Axis *
+    axis(const std::string &field, const std::string &where)
+    {
+        std::string names;
+        for (const Axis &a : axes) {
+            if (a.field == field)
+                return &a;
+            names += (names.empty() ? "" : ", ") + a.field;
+        }
+        errors.push_back(where + ": unknown axis '" + field +
+                         "' (axes: " + names + ")");
+        return nullptr;
+    }
+
+    /** "name" or {"metric": name, "at": {axis: value}}. */
+    MetricRef
+    ref(const obs::JsonValue &v, const TableSpec &t,
+        const std::string &where)
+    {
+        MetricRef ref;
+        const obs::JsonValue *name = v.isString() ? &v : v.find("metric");
+        const obs::JsonValue *at = v.find("at");
+        const std::string events = "trace.events.";
+        obs::EventKind kind;
+        ref.metric = name && name->isString() ? name->string() : "";
+        if (!std::count(std::begin(kMetrics), std::end(kMetrics),
+                        ref.metric) &&
+            !(ref.metric.rfind(events, 0) == 0 &&
+              obs::eventKindFromName(ref.metric.substr(events.size()),
+                                     kind)))
+            errors.push_back(where + (ref.metric.empty()
+                                          ? " needs a metric"
+                                          : ": unknown metric '" +
+                                                ref.metric + "'") +
+                             " (docs/SWEEPS.md lists the point metrics)");
+        if (at != nullptr && !at->isObject())
+            errors.push_back(where + ": 'at' expects {axis: value}");
+        for (const auto &[field, value] :
+             at ? at->members() : obs::JsonValue::Members{}) {
+            const Axis *a = axis(field, where + " at");
+            const std::string text = value.serialize();
+            if (a == nullptr)
+                continue;
+            if (field == t.split ||
+                std::count(t.rows.begin(), t.rows.end(), field))
+                errors.push_back(where + ": 'at' fixes '" + field +
+                                 "', a row or split axis of the table");
+            else if (std::none_of(a->values.begin(), a->values.end(),
+                                  [&](const obs::JsonValue &x) {
+                                      return x.serialize() == text;
+                                  }))
+                errors.push_back(where + ": 'at' value " + text +
+                                 " is not a value of axis '" + field + "'");
+            else
+                ref.at.emplace_back(field, text);
+        }
+        return ref;
+    }
+
+    /** {"axis"}, {"metric", "at"} or {"ratio": [numerator,
+     *  denominator]}, each with an optional "header" and "digits". */
+    Column
+    column(const obs::JsonValue &v, const TableSpec &t,
+           const std::string &where)
+    {
+        Column col;
+        const obs::JsonValue *axisName = v.find("axis");
+        const obs::JsonValue *ratio = v.find("ratio");
+        const obs::JsonValue *header = v.find("header");
+        const obs::JsonValue *digits = v.find("digits");
+        std::uint64_t n = 2;
+        if ((axisName != nullptr) + (ratio != nullptr) +
+                (v.find("metric") != nullptr) != 1)
+            errors.push_back(where + " needs exactly one of \"axis\","
+                                     " \"metric\" or \"ratio\"");
+        else if (ratio && (!ratio->isArray() || ratio->array().size() != 2))
+            errors.push_back(where + ": 'ratio' needs two metrics"
+                                     " [numerator, denominator]");
+        else if (axisName == nullptr)
+            for (const obs::JsonValue &term :
+                 ratio ? ratio->array() : std::vector<obs::JsonValue>{v})
+                col.refs.push_back(ref(term, t, where));
+        else
+            col.axis = axisName->isString() ? axisName->string() : "";
+        if (axisName && axis(col.axis, where) &&
+            !std::count(t.rows.begin(), t.rows.end(), col.axis))
+            errors.push_back(where + ": axis column '" + col.axis +
+                             "' must be a row axis");
+        if ((header && !header->isString()) ||
+            (digits && (!digits->asUint64(n) || n > 12)))
+            errors.push_back(where + ": 'header' is a string and"
+                                     " 'digits' an integer in [0, 12]");
+        col.digits = static_cast<int>(n);
+        col.header = header && header->isString() ? header->string()
+                     : col.refs.empty()           ? col.axis
+                                                  : col.refs[0].metric;
+        return col;
+    }
+
+    TableSpec
+    table(const obs::JsonValue &v, const std::string &where)
+    {
+        TableSpec t;
+        const obs::JsonValue *title = v.find("title");
+        const obs::JsonValue *split = v.find("split");
+        const obs::JsonValue *rows = v.find("rows");
+        const obs::JsonValue *columns = v.find("columns");
+        if ((title && !title->isString()) || (split && !split->isString()) ||
+            (rows && !rows->isArray()) || !columns || !columns->isArray()) {
+            errors.push_back(where + " needs a 'columns' array; 'title'"
+                                     " and 'split' are strings, 'rows'"
+                                     " an array of axes");
+            return t;
+        }
+        t.title = title ? title->string() : "";
+        t.split = split ? split->string() : "";
+        for (const obs::JsonValue &row :
+             rows ? rows->array() : std::vector<obs::JsonValue>{})
+            if (axis(row.isString() ? row.string() : "", where + " rows"))
+                t.rows.push_back(row.string());
+        if (split && axis(t.split, where + " split") &&
+            std::count(t.rows.begin(), t.rows.end(), t.split))
+            errors.push_back(where + ": split axis '" + t.split +
+                             "' is also a row axis; a split table holds"
+                             " one value of it");
+        for (std::size_t c = 0; c < columns->array().size(); ++c)
+            t.columns.push_back(
+                column(columns->array()[c], t,
+                       where + ".columns[" + std::to_string(c) + "]"));
+        return t;
+    }
+};
+
 } // namespace
 
 std::string
@@ -476,6 +639,7 @@ SweepSpec::fromJson(const std::string &text, SweepSpec &out,
         return false;
     }
 
+    const obs::JsonValue *tables = nullptr;
     for (const auto &[key, value] : doc.members()) {
         if (key == "name") {
             if (!value.isString()) {
@@ -499,6 +663,17 @@ SweepSpec::fromJson(const std::string &text, SweepSpec &out,
                 errors.push_back(typeError(
                     "seed", "a non-negative integer", value));
             }
+        } else if (key == "replicas") {
+            std::uint64_t replicas = 0;
+            if (!value.asUint64(replicas) || replicas == 0 ||
+                replicas > UINT32_MAX)
+                errors.push_back(typeError(
+                    "replicas", "an integer >= 1 (runs per grid point)",
+                    value));
+            else
+                out.replicas_ = static_cast<std::uint32_t>(replicas);
+        } else if (key == "tables") {
+            tables = &value; // parsed once the axes are known
         } else if (key == "base") {
             if (!value.isObject()) {
                 errors.push_back(
@@ -547,7 +722,8 @@ SweepSpec::fromJson(const std::string &text, SweepSpec &out,
         } else {
             errors.push_back(
                 "unknown spec key '" + key +
-                "' (known keys: name, mode, seed, base, axes)");
+                "' (known keys: name, mode, seed, replicas, base, axes,"
+                " tables)");
         }
     }
 
@@ -579,7 +755,36 @@ SweepSpec::fromJson(const std::string &text, SweepSpec &out,
             }
         }
     }
+    if (tables != nullptr && !tables->isArray())
+        errors.push_back(typeError("tables", "an array", *tables));
+    for (std::size_t i = 0; tables && i < tables->array().size(); ++i)
+        out.tables_.push_back(TableParser{out.axes_, errors}.table(
+            tables->array()[i], "tables[" + std::to_string(i) + "]"));
+    if (errors.empty() && !out.tables_.empty()) {
+        const std::vector<PointConfig> runs = out.points();
+        for (const TableSpec &t : out.tables_) {
+            std::string error;
+            out.layout(t, runs, error);
+            if (!error.empty())
+                errors.push_back(error);
+        }
+    }
     return errors.empty();
+}
+
+int
+SweepSpec::applyFlag(const std::string &arg, const char *next,
+                     std::string &error)
+{
+    for (const Axis &axis : axes_) {
+        if (arg.rfind("--", 0) == 0 &&
+            flagSpells(std::string_view(arg).substr(2), axis.field)) {
+            error = arg + " sets axis '" + axis.field +
+                    "' of this spec, whose values would replace it";
+            return 0;
+        }
+    }
+    return base_.applyFlag(arg, next, error);
 }
 
 bool
@@ -640,16 +845,93 @@ SweepSpec::points() const
             pt.params.emplace_back(axes_[a].field, v.serialize());
             if (!pt.label.empty())
                 pt.label += ',';
-            pt.label += axes_[a].field + '=' +
-                        (v.isString() ? v.string() : v.serialize());
+            pt.label += axes_[a].field + '=' + display(v);
         }
         // One SplitMix64-derived seed per grid index, a pure
         // function of (masterSeed, index) - independent of job
         // count, completion order and which subset of points runs.
-        pt.seed = root.split(i).next();
-        points.push_back(std::move(pt));
+        // Replica r of every grid point shares the seed split(r).
+        if (replicas_ == 0) {
+            pt.seed = root.split(i).next();
+            points.push_back(std::move(pt));
+        }
+        for (std::uint32_t r = 0; r < replicas_; ++r) {
+            pt.seed = root.split(r).next();
+            points.push_back(pt);
+        }
     }
     return points;
+}
+
+std::vector<TableLayout>
+SweepSpec::layout(const TableSpec &t, const std::vector<PointConfig> &runs,
+                  std::string &error) const
+{
+    using Fixed = std::vector<std::pair<std::string, std::string>>;
+    const std::size_t stride = std::max<std::uint32_t>(replicas_, 1);
+    const Axis *split = nullptr;
+    for (const Axis &a : axes_)
+        split = a.field == t.split ? &a : split;
+    std::vector<TableLayout> layouts;
+    for (std::size_t s = 0; s < (split ? split->values.size() : 1); ++s) {
+        TableLayout &lay = layouts.emplace_back();
+        lay.caption = t.title;
+        Fixed scope;
+        if (split != nullptr) {
+            lay.caption += ", " + t.split + "=" + display(split->values[s]);
+            scope.emplace_back(t.split, split->values[s].serialize());
+        }
+        std::vector<Fixed> keys; // each row's row-axis values
+        for (std::size_t g = 0; g * stride < runs.size(); ++g) {
+            const auto &params = runs[g * stride].params;
+            const auto holds = [&params](const Fixed &fixed) {
+                return std::all_of(fixed.begin(), fixed.end(), [&](auto &f) {
+                    return std::count(params.begin(), params.end(), f);
+                });
+            };
+            Fixed key;
+            for (const auto &p : params)
+                if (std::count(t.rows.begin(), t.rows.end(), p.first))
+                    key.push_back(p);
+            const std::size_t row =
+                std::find(keys.begin(), keys.end(), key) - keys.begin();
+            for (std::size_t c = 0; c < t.columns.size(); ++c) {
+                const std::vector<MetricRef> &refs = t.columns[c].refs;
+                for (std::size_t k = 0; k < refs.size(); ++k) {
+                    if (!holds(scope) || !holds(refs[k].at))
+                        continue;
+                    if (row == keys.size()) { // the row's first point
+                        keys.push_back(key);
+                        lay.text.emplace_back();
+                        lay.cells.emplace_back();
+                        for (const Column &col : t.columns) {
+                            // A param is JSON: a string loses its quotes.
+                            std::string v;
+                            for (const auto &[field, value] : key)
+                                v = field == col.axis ? value : v;
+                            lay.text.back().push_back(
+                                v.rfind('"', 0) == 0 ? v.substr(1, v.size() - 2)
+                                                     : v);
+                            lay.cells.back().emplace_back(col.refs.size(),
+                                                          std::string::npos);
+                        }
+                    }
+                    std::size_t &cell = lay.cells[row][c][k];
+                    if (cell != std::string::npos) {
+                        error = "table '" + t.title + "' column '" +
+                                t.columns[c].header + "' reads two points"
+                                " in one cell (" + runs[cell * stride].label +
+                                " and " + runs[g * stride].label +
+                                "): make the axes they differ in rows, or"
+                                " fix them with 'at'";
+                        return layouts;
+                    }
+                    cell = g;
+                }
+            }
+        }
+    }
+    return layouts;
 }
 
 std::string
@@ -662,6 +944,8 @@ SweepSpec::canonicalJson() const
                            ? std::string("zip")
                            : std::string("cartesian"));
     json.field("seed", masterSeed_);
+    if (replicas_ > 0)
+        json.field("replicas", std::uint64_t{replicas_});
     json.raw("base", base_.canonicalJson());
     json.beginArray("axes");
     for (const Axis &axis : axes_) {

@@ -19,7 +19,11 @@
  * Each materialised PointConfig carries its own seed, derived from
  * the spec's master seed with sim::Random::split(index), so any
  * subset of points can be re-run in any order - or on any number of
- * worker threads - without changing a single result.
+ * worker threads - without changing a single result.  A spec with
+ * `replicas: R` runs every grid point R times instead, replica r of
+ * every point seeded split(r), so the rows of a table compare the
+ * same workloads.  Its `tables` lay metrics of the grid out as
+ * TextTables (docs/SWEEPS.md).
  */
 
 #pragma once
@@ -144,6 +148,41 @@ struct Axis
     std::vector<obs::JsonValue> values;
 };
 
+/** A point metric, read where the axes also hold the @p at values
+ *  (axis field, serialised JSON value). */
+struct MetricRef
+{
+    std::string metric;
+    std::vector<std::pair<std::string, std::string>> at;
+};
+
+/** A table column: a row axis, one metric, or a ratio of two. */
+struct Column
+{
+    std::string header;
+    std::string axis;            //!< non-empty: an axis column
+    std::vector<MetricRef> refs; //!< one metric, or a ratio's two
+    int digits = 2;              //!< decimals of a metric or ratio
+};
+
+/** One row per value of the row axes, one table per split value. */
+struct TableSpec
+{
+    std::string title;
+    std::vector<std::string> rows;
+    std::string split;
+    std::vector<Column> columns;
+};
+
+/** One table laid out over the grid points. */
+struct TableLayout
+{
+    std::string caption;
+    std::vector<std::vector<std::string>> text; //!< [row][axis column]
+    /** [row][column][term]: grid index, or npos if none holds it. */
+    std::vector<std::vector<std::vector<std::size_t>>> cells;
+};
+
 /** How axes combine into grid points. */
 enum class SweepMode
 {
@@ -172,19 +211,42 @@ class SweepSpec
     std::uint64_t masterSeed() const { return masterSeed_; }
     const PointConfig &base() const { return base_; }
     const std::vector<Axis> &axes() const { return axes_; }
+    /** Runs per grid point; 0 when the spec sets no `replicas`. */
+    std::uint32_t replicas() const { return replicas_; }
+    const std::vector<TableSpec> &tables() const { return tables_; }
 
     /** Override the master seed (CLI --seed). */
     void setMasterSeed(std::uint64_t seed) { masterSeed_ = seed; }
 
-    /** Number of points the spec materialises to. */
+    /** Override the replica count (CLI --replicas). */
+    void setReplicas(std::uint32_t replicas) { replicas_ = replicas; }
+
+    /** PointConfig::applyFlag on the base; refuses an axis field,
+     *  whose axis values would replace the override. */
+    int applyFlag(const std::string &arg, const char *next,
+                  std::string &error);
+
+    /** Number of grid points (each runs max(1, replicas()) times). */
     std::size_t pointCount() const;
 
     /**
-     * Materialise the grid: apply each axis combination to a copy of
+     * Materialise the runs: apply each axis combination to a copy of
      * the base point, label it, and split its seed from the master
-     * seed.  Points come back in stable grid order.
+     * seed - by grid index, or with replicas by replica number, each
+     * grid point then appearing replicas() times in a row.  Runs come
+     * back in stable grid order.
      */
     std::vector<PointConfig> points() const;
+
+    /**
+     * Lay table @p t out over @p runs (as points() returns them), one
+     * layout per split value: a row holds the grid points sharing its
+     * row-axis values, a cell term the one of them holding its `at`
+     * values.  Sets @p error if a term holds two.
+     */
+    std::vector<TableLayout> layout(const TableSpec &t,
+                                    const std::vector<PointConfig> &runs,
+                                    std::string &error) const;
 
     /** Compact canonical serialisation (embedded in reports so a
      *  sweep artifact is self-describing). */
@@ -194,8 +256,10 @@ class SweepSpec
     std::string name_ = "sweep";
     SweepMode mode_ = SweepMode::Cartesian;
     std::uint64_t masterSeed_ = 1;
+    std::uint32_t replicas_ = 0;
     PointConfig base_;
     std::vector<Axis> axes_;
+    std::vector<TableSpec> tables_;
 };
 
 } // namespace exp

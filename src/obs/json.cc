@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstring>
 
+#include "common/table.hh"
+
 namespace rmb {
 namespace obs {
 
@@ -258,6 +260,28 @@ jsonArray(const std::vector<std::string> &elements)
         out += elements[i];
     }
     return out + ']';
+}
+
+std::string
+tableJson(const TextTable &table)
+{
+    JsonWriter json;
+    json.beginObject();
+    json.field("caption", table.caption());
+    json.beginArray("headers");
+    for (const auto &h : table.headers())
+        json.element(h);
+    json.endArray();
+    json.beginArray("rows");
+    for (const auto &row : table.rows()) {
+        json.beginArray();
+        for (const auto &cell : row)
+            json.element(cell);
+        json.endArray();
+    }
+    json.endArray();
+    json.endObject();
+    return json.str();
 }
 
 } // namespace obs

@@ -20,6 +20,9 @@
 #include <vector>
 
 namespace rmb {
+
+class TextTable;
+
 namespace obs {
 
 /** Escape @p raw for inclusion inside a JSON string literal. */
@@ -30,6 +33,10 @@ bool jsonValid(const std::string &text);
 
 /** Join pre-serialised JSON values into one array document. */
 std::string jsonArray(const std::vector<std::string> &elements);
+
+/** @p table as the {caption, headers, rows} object that bench and
+ *  sweep reports both carry in their "tables" array. */
+std::string tableJson(const TextTable &table);
 
 /**
  * Streaming JSON writer.  The caller is responsible for balanced

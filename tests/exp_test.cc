@@ -21,6 +21,7 @@
 #include "exp/eval.hh"
 #include "exp/gate.hh"
 #include "common/parallel.hh"
+#include "common/table.hh"
 #include "exp/spec.hh"
 #include "obs/json.hh"
 #include "obs/json_value.hh"
@@ -728,6 +729,168 @@ TEST(Sweep, RunPointIsDeterministic)
         const auto r2 = exp::runPoint(p);
         ASSERT_TRUE(r1.ok) << r1.error;
         EXPECT_EQ(r1.metrics, r2.metrics);
+    }
+}
+
+// ---------------------------------------------------------------
+// Replicas and tables
+// ---------------------------------------------------------------
+
+/** kSmallSpec's grid with @p extra keys spliced in. */
+std::string
+smallSpecWith(const std::string &extra)
+{
+    std::string text = kSmallSpec;
+    return text.insert(text.rfind('}'), "," + extra);
+}
+
+const char *kTable = R"("tables": [{"title": "t", "rows": ["nodes"],
+  "columns": [{"axis": "nodes"},
+              {"metric": "makespan", "at": {"buses": 2}},
+              {"header": "2 vs 4", "digits": 3,
+               "ratio": [{"metric": "makespan", "at": {"buses": 2}},
+                         {"metric": "makespan", "at": {"buses": 4}}]},
+              {"metric": "completed", "at": {"buses": 4}}]}])";
+
+TEST(SweepSpec, ReplicaRSharesOneSeedAcrossTheGrid)
+{
+    exp::SweepSpec plain;
+    exp::SweepSpec spec;
+    std::vector<std::string> errors;
+    ASSERT_TRUE(exp::SweepSpec::fromJson(kSmallSpec, plain, errors));
+    ASSERT_TRUE(exp::SweepSpec::fromJson(
+        smallSpecWith(R"("replicas": 3)"), spec, errors))
+        << joined(errors);
+    EXPECT_EQ(spec.pointCount(), 4u);
+    const auto runs = spec.points();
+    ASSERT_EQ(runs.size(), 12u);
+    const sim::Random root(42);
+    for (std::size_t j = 0; j < runs.size(); ++j) {
+        EXPECT_EQ(runs[j].index, j / 3);
+        EXPECT_EQ(runs[j].seed, root.split(j % 3).next());
+    }
+    // Without replicas every grid index keeps its own seed.
+    const auto points = plain.points();
+    for (std::size_t i = 0; i < points.size(); ++i)
+        EXPECT_EQ(points[i].seed, root.split(i).next());
+    EXPECT_EQ(plain.canonicalJson().find("replicas"), std::string::npos);
+    EXPECT_NE(spec.canonicalJson().find("\"replicas\":3"),
+              std::string::npos);
+}
+
+TEST(SweepSpec, TableMistakesAreRefusedWithTheFix)
+{
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {R"("replicas": 0)", "field 'replicas' expects an integer >= 1"},
+        {R"("tables": [{"rows": ["nodes"],
+            "columns": [{"metric": "latency"}]}])",
+         "tables[0].columns[0]: unknown metric 'latency'"},
+        {R"("tables": [{"rows": ["rate"], "columns": [{"axis": "rate"}]}])",
+         "tables[0] rows: unknown axis 'rate' (axes: nodes, buses)"},
+        {R"("tables": [{"rows": ["nodes"], "columns": [
+            {"metric": "makespan", "at": {"payload": 4}}]}])",
+         "tables[0].columns[0] at: unknown axis 'payload'"},
+        {R"("tables": [{"rows": ["nodes"], "split": "nodes",
+            "columns": [{"metric": "makespan"}]}])",
+         "split axis 'nodes' is also a row axis"},
+        {R"("tables": [{"rows": ["nodes"],
+            "columns": [{"ratio": ["delivered"]}]}])",
+         "'ratio' needs two metrics [numerator, denominator]"},
+        {R"("tables": [{"rows": ["nodes"],
+            "columns": [{"ratio": ["delivered", {"at": {"buses": 2}}]}]}])",
+         "tables[0].columns[0] needs a metric"},
+        {R"("tables": [{"rows": ["nodes"], "columns": [
+            {"metric": "makespan", "at": {"buses": 3}}]}])",
+         "'at' value 3 is not a value of axis 'buses'"},
+        {R"("tables": [{"rows": ["nodes"], "columns": [
+            {"metric": "makespan", "at": {"nodes": 8}}]}])",
+         "'at' fixes 'nodes', a row or split axis"},
+        {R"("tables": [{"title": "t", "rows": ["nodes"],
+            "columns": [{"metric": "makespan"}]}])",
+         "column 'makespan' reads two points in one cell"},
+    };
+    for (const auto &[extra, want] : cases) {
+        exp::SweepSpec spec;
+        std::vector<std::string> errors;
+        EXPECT_FALSE(exp::SweepSpec::fromJson(smallSpecWith(extra), spec,
+                                              errors))
+            << extra;
+        EXPECT_NE(joined(errors).find(want), std::string::npos)
+            << extra << " gave:\n" << joined(errors);
+    }
+}
+
+TEST(Sweep, ReplicasFoldIntoTheTables)
+{
+    exp::SweepSpec spec;
+    std::vector<std::string> errors;
+    ASSERT_TRUE(exp::SweepSpec::fromJson(
+        smallSpecWith(std::string(R"("replicas": 2,)") + kTable), spec,
+        errors))
+        << joined(errors);
+    const auto outcome = exp::runSweep(spec, 3);
+    ASSERT_EQ(outcome.results.size(), 8u);
+    const auto makespan = [&](std::size_t run) {
+        for (const auto &[name, value] : outcome.results[run].metrics)
+            if (name == "makespan")
+                return std::stod(value);
+        return -1.0;
+    };
+    // Grid points are (8,2) (8,4) (16,2) (16,4), two runs each.
+    const auto mean = [&](std::size_t g) {
+        return (makespan(2 * g) + makespan(2 * g + 1)) / 2;
+    };
+    const auto t = exp::tables(spec, outcome);
+    ASSERT_EQ(t.size(), 1u);
+    ASSERT_EQ(t[0].rows().size(), 2u);
+    EXPECT_EQ(t[0].headers()[2], "2 vs 4");
+    EXPECT_EQ(t[0].rows()[1],
+              (std::vector<std::string>{
+                  "16", TextTable::num(mean(2), 2),
+                  TextTable::num(mean(2) / mean(3), 3), "2.00"}));
+
+    const std::string report = exp::aggregate(spec, outcome).toJson();
+    EXPECT_TRUE(obs::jsonValid(report));
+    EXPECT_EQ(report, exp::aggregate(spec, exp::runSweep(spec, 1)).toJson());
+    const auto lo = std::min(makespan(6), makespan(7));
+    const auto hi = std::max(makespan(6), makespan(7));
+    std::ostringstream want;
+    want << "\"completed\":2,\"metrics\":{\"ticks\":";
+    EXPECT_NE(report.find(want.str()), std::string::npos);
+    std::ostringstream fold;
+    fold << "\"makespan\":{\"mean\":" << mean(3) << ",\"min\":" << lo
+         << ",\"max\":" << hi << "}";
+    EXPECT_NE(report.find(fold.str()), std::string::npos) << report;
+    EXPECT_NE(report.find("\"tables\":[{\"caption\":\"t\""),
+              std::string::npos);
+}
+
+TEST(Sweep, EveryEmittedMetricCanBeTabled)
+{
+    exp::SweepSpec spec;
+    std::vector<std::string> errors;
+    ASSERT_TRUE(exp::SweepSpec::fromJson(R"({
+      "base": { "nodes": 32, "buses": 2, "workload": "uniform",
+                "rate": 0.01, "duration": 20000, "payload": 16,
+                "max_retries": 2, "fault_mtbf": 800,
+                "fault_permanent_prob": 0.3, "fault_node_prob": 0.2,
+                "watchdog": 2000 },
+      "axes": [ { "field": "workload", "values": ["uniform", "bitrev"] } ]
+    })",
+                                         spec, errors))
+        << joined(errors);
+    std::set<std::string> names;
+    for (const auto &r : exp::runSweep(spec, 2).results)
+        for (const auto &[name, value] : r.metrics)
+            names.insert(name);
+    EXPECT_TRUE(names.count("dead_lettered") && names.count("makespan"));
+    for (const std::string &name : names) {
+        exp::SweepSpec tabled;
+        EXPECT_TRUE(exp::SweepSpec::fromJson(
+            smallSpecWith(R"("tables": [{"rows": ["nodes", "buses"],
+                "columns": [{"metric": ")" + name + "\"}]}]"),
+            tabled, errors))
+            << name << ": " << joined(errors);
     }
 }
 

@@ -4,12 +4,14 @@
  *
  * Modes:
  *   sweep run <spec.json> [--jobs N] [--json FILE] [--seed S]
- *             [--quiet]
+ *             [--replicas R] [--quiet] [--<field> V ...]
  *       Materialise the spec's grid, execute every point on a
  *       thread pool, and emit one aggregated RunReport (stdout, or
- *       FILE with --json).  The report is byte-identical for every
- *       --jobs value.  Exits 1 if any point failed, 2 on a bad
- *       spec.
+ *       FILE with --json).  A spec with tables prints them on
+ *       stdout instead, and its report goes to FILE only.  The
+ *       report is byte-identical for every --jobs value.  rmbsim's
+ *       recipe flags (--duration 30000, ...) override base fields.
+ *       Exits 1 if any point failed, 2 on a bad spec or flag.
  *
  *   sweep points <spec.json>
  *       List the materialised grid (index, seed, label) without
@@ -45,11 +47,24 @@ usage(int code)
 {
     std::cerr
         << "usage: sweep run <spec.json> [--jobs N] [--json FILE]"
-           " [--seed S] [--quiet]\n"
+           " [--seed S] [--replicas R] [--quiet]\n"
+           "                 [--<field> V ...]   (rmbsim's recipe"
+           " flags: base overrides)\n"
            "       sweep points <spec.json>\n"
            "       sweep compare <report.json> <baseline.json>"
            " [--rtol F] [--atol F]\n";
     std::exit(code);
+}
+
+/** The value of flag argv[i], stepping @p i past it. */
+std::string
+value(int argc, char **argv, int &i)
+{
+    if (i + 1 >= argc) {
+        std::cerr << "sweep: " << argv[i] << " needs an argument\n";
+        usage(2);
+    }
+    return argv[++i];
 }
 
 std::string
@@ -82,23 +97,22 @@ loadSpec(const std::string &path)
 int
 runMode(int argc, char **argv)
 {
-    std::string spec_path;
+    if (argc < 3 || argv[2][0] == '-') {
+        if (argc >= 3 && (std::strcmp(argv[2], "--help") == 0 ||
+                          std::strcmp(argv[2], "-h") == 0))
+            usage(0);
+        std::cerr << "sweep run: missing <spec.json>\n";
+        usage(2);
+    }
+    exp::SweepSpec spec = loadSpec(argv[2]);
     std::string json_path;
     unsigned jobs = common::Runner::defaultJobs();
     bool quiet = false;
-    bool seed_set = false;
-    std::uint64_t seed = 0;
 
-    for (int i = 2; i < argc; ++i) {
+    for (int i = 3; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto need = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << "sweep: " << arg
-                          << " needs an argument\n";
-                usage(2);
-            }
-            return argv[++i];
-        };
+        const auto need = [&] { return value(argc, argv, i); };
+        std::string error;
         if (arg == "--jobs") {
             jobs = common::flagUint<unsigned>("sweep", arg, need());
             if (jobs == 0)
@@ -106,27 +120,29 @@ runMode(int argc, char **argv)
         } else if (arg == "--json") {
             json_path = need();
         } else if (arg == "--seed") {
-            seed = common::flagUint<std::uint64_t>("sweep", arg, need());
-            seed_set = true;
+            spec.setMasterSeed(
+                common::flagUint<std::uint64_t>("sweep", arg, need()));
+        } else if (arg == "--replicas") {
+            spec.setReplicas(
+                common::flagUint<std::uint32_t>("sweep", arg, need()));
+            error = spec.replicas() == 0 ? "--replicas expects >= 1" : "";
         } else if (arg == "--quiet") {
             quiet = true;
         } else if (arg == "--help" || arg == "-h") {
             usage(0);
-        } else if (spec_path.empty() && arg[0] != '-') {
-            spec_path = arg;
+        } else if (const int used = spec.applyFlag(
+                       arg, i + 1 < argc ? argv[i + 1] : nullptr, error);
+                   used >= 0) {
+            i += used;
         } else {
             std::cerr << "sweep: unknown option '" << arg << "'\n";
             usage(2);
         }
+        if (!error.empty()) {
+            std::cerr << "sweep: " << error << "\n";
+            std::exit(2);
+        }
     }
-    if (spec_path.empty()) {
-        std::cerr << "sweep run: missing <spec.json>\n";
-        usage(2);
-    }
-
-    exp::SweepSpec spec = loadSpec(spec_path);
-    if (seed_set)
-        spec.setMasterSeed(seed);
 
     exp::ProgressFn progress;
     if (!quiet) {
@@ -143,10 +159,14 @@ runMode(int argc, char **argv)
     const exp::SweepOutcome outcome =
         exp::runSweep(spec, jobs, progress);
     const obs::RunReport report = exp::aggregate(spec, outcome);
-    if (json_path.empty())
-        std::cout << report.toJson() << "\n";
-    else
+    for (const TextTable &t : exp::tables(spec, outcome)) {
+        t.print(std::cout);
+        std::cout << '\n';
+    }
+    if (!json_path.empty())
         report.write(json_path);
+    else if (spec.tables().empty())
+        std::cout << report.toJson() << "\n";
 
     if (outcome.failures != 0) {
         std::cerr << "sweep: " << outcome.failures << " of "
@@ -190,14 +210,7 @@ compareMode(int argc, char **argv)
 
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto need = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << "sweep: " << arg
-                          << " needs an argument\n";
-                usage(2);
-            }
-            return argv[++i];
-        };
+        const auto need = [&] { return value(argc, argv, i); };
         if (arg == "--rtol") {
             options.rtol = std::stod(need());
         } else if (arg == "--atol") {
