@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.hh"
 #include "obs/json.hh"
 #include "rmb/engine.hh"
 #include "sim/random.hh"
@@ -416,7 +417,8 @@ main(int argc, char **argv)
         } else if (arg == "--report" && i + 1 < argc) {
             report_path = argv[++i];
         } else if (arg == "--min-speedup" && i + 1 < argc) {
-            min_availability = std::atof(argv[++i]);
+            min_availability =
+                common::flagDouble("bench_chaos", arg, argv[++i]);
         } else if (arg == "--help" || arg == "-h") {
             usage(0);
         } else {

@@ -43,6 +43,7 @@
 #endif
 
 #include "baselines/mesh.hh"
+#include "common/flags.hh"
 #include "obs/json.hh"
 #include "rmb/engine.hh"
 #include "sim/random.hh"
@@ -416,7 +417,8 @@ main(int argc, char **argv)
         } else if (arg == "--report" && i + 1 < argc) {
             report_path = argv[++i];
         } else if (arg == "--min-speedup" && i + 1 < argc) {
-            min_speedup = std::atof(argv[++i]);
+            min_speedup = common::flagDouble("bench_hierarchy", arg,
+                                              argv[++i]);
         } else if (arg == "--help" || arg == "-h") {
             usage(0);
         } else {

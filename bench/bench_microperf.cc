@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/env.hh"
+#include "common/flags.hh"
 #include "obs/json.hh"
 #include "obs/prof.hh"
 #include "obs/sinks.hh"
@@ -517,7 +518,8 @@ main(int argc, char **argv)
         else if (arg == "--report" && i + 1 < argc)
             report_path = argv[++i];
         else if (arg == "--min-speedup" && i + 1 < argc)
-            min_speedup = std::atof(argv[++i]);
+            min_speedup = common::flagDouble("bench_microperf", arg,
+                                              argv[++i]);
     }
     if (!report_path.empty())
         return runSpeedupReport(report_path, min_speedup, fast);

@@ -14,9 +14,6 @@
  *                  through common::Runner (0 = all cores); results are
  *                  identical for every value, so it is deliberately
  *                  not recorded in the JSON report
- *
- * The old RMB_BENCH_FAST environment variable still works as a
- * deprecated fallback for --fast (with a stderr warning).
  */
 
 #pragma once
@@ -25,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "common/env.hh"
 #include "common/flags.hh"
 #include "common/table.hh"
 #include "obs/json.hh"
@@ -72,11 +68,6 @@ class Harness
                 usage(argv[0], "unknown option: " + arg, 2);
             }
         }
-        if (!fast_ && common::envFlag("RMB_BENCH_FAST")) {
-            fast_ = true;
-            std::cerr << "warning: RMB_BENCH_FAST is deprecated;"
-                         " pass --fast instead\n";
-        }
         report_.set("experiment", expId_);
         report_.set("title", what_);
         report_.set("fast", fast_);
@@ -100,8 +91,7 @@ class Harness
         report_.write(jsonPath_);
     }
 
-    /** True under --fast (or legacy RMB_BENCH_FAST): smaller
-     *  sweeps, same shapes. */
+    /** True under --fast: smaller sweeps, same shapes. */
     bool fast() const { return fast_; }
 
     /** The --seed value, or @p fallback if none was given. */

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <limits>
@@ -35,6 +36,31 @@ flagUint(const char *tool, const std::string &flag,
     if (ec != std::errc() || end != last) {
         std::cerr << tool << ": " << flag << " expects an integer in [0, "
                   << +std::numeric_limits<T>::max() << "], got '" << text
+                  << "'\n";
+        std::exit(2);
+    }
+    return v;
+}
+
+/**
+ * Parse @p text, the value of @p flag, as a finite non-negative
+ * number: the whole string, in decimal or exponent form.  Anything
+ * else (empty, trailing text, a negative, inf or nan) is a usage
+ * error: "<tool>: <flag> expects a non-negative number, got
+ * '<text>'" on stderr and exit 2, so a malformed floor or tolerance
+ * never reads as 0.
+ */
+inline double
+flagDouble(const char *tool, const std::string &flag,
+           const std::string &text)
+{
+    double v = 0.0;
+    const char *last = text.data() + text.size();
+    const auto [end, ec] = std::from_chars(text.data(), last, v);
+    if (ec != std::errc() || end != last || !std::isfinite(v) ||
+        v < 0.0) {
+        std::cerr << tool << ": " << flag
+                  << " expects a non-negative number, got '" << text
                   << "'\n";
         std::exit(2);
     }

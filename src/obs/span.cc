@@ -273,6 +273,13 @@ SpanBuilder::onEvent(const TraceEvent &event)
       case EventKind::Dack:
         // Per-flit events stay inside the Streaming span.
         break;
+      case EventKind::DeadLetter:
+        // deadLetterMessage is always followed by noteFailed's Fail,
+        // which closes the message's phases and records the instant.
+      case EventKind::BridgeFail:
+      case EventKind::BridgeRepair:
+        // Bridge service changes belong to no message's phases.
+        break;
     }
 }
 

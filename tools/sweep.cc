@@ -212,9 +212,9 @@ compareMode(int argc, char **argv)
         const std::string arg = argv[i];
         const auto need = [&] { return value(argc, argv, i); };
         if (arg == "--rtol") {
-            options.rtol = std::stod(need());
+            options.rtol = common::flagDouble("sweep", arg, need());
         } else if (arg == "--atol") {
-            options.atol = std::stod(need());
+            options.atol = common::flagDouble("sweep", arg, need());
         } else if (arg == "--help" || arg == "-h") {
             usage(0);
         } else if (fresh_path.empty() && arg[0] != '-') {
