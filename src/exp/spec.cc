@@ -459,10 +459,11 @@ struct TableParser
         const obs::JsonValue *rows = v.find("rows");
         const obs::JsonValue *columns = v.find("columns");
         if ((title && !title->isString()) || (split && !split->isString()) ||
-            (rows && !rows->isArray()) || !columns || !columns->isArray()) {
-            errors.push_back(where + " needs a 'columns' array; 'title'"
-                                     " and 'split' are strings, 'rows'"
-                                     " an array of axes");
+            (rows && !rows->isArray()) || !columns || !columns->isArray() ||
+            columns->array().empty()) {
+            errors.push_back(where + " needs a non-empty 'columns' array;"
+                                     " 'title' and 'split' are strings,"
+                                     " 'rows' an array of axes");
             return t;
         }
         t.title = title ? title->string() : "";

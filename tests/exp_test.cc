@@ -782,6 +782,8 @@ TEST(SweepSpec, TableMistakesAreRefusedWithTheFix)
 {
     const std::vector<std::pair<std::string, std::string>> cases = {
         {R"("replicas": 0)", "field 'replicas' expects an integer >= 1"},
+        {R"("tables": [{"rows": ["nodes"], "columns": []}])",
+         "tables[0] needs a non-empty 'columns' array"},
         {R"("tables": [{"rows": ["nodes"],
             "columns": [{"metric": "latency"}]}])",
          "tables[0].columns[0]: unknown metric 'latency'"},
