@@ -114,9 +114,6 @@ class Harness
         tables_.push_back(obs::tableJson(t));
     }
 
-    /** Extra per-experiment report fields (parameters, notes). */
-    obs::RunReport &report() { return report_; }
-
   private:
     static std::string
     toolName(int argc, char **argv)

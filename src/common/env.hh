@@ -16,9 +16,9 @@
  *    prove the surrounding harness catches the breakage.  Names must
  *    be registered in kMutationHooks below; rmblint cross-checks the
  *    literal at every call site.
- *  - envFlag(name): bench/tools conveniences (RMB_BENCH_FAST,
- *    RMB_PROF_DUMP).  Forbidden under src/ - a library that changes
- *    behaviour on an env var would leak host state into results.
+ *  - envFlag(name): bench/tools conveniences (RMB_PROF_DUMP).
+ *    Forbidden under src/ - a library that changes behaviour on an
+ *    env var would leak host state into results.
  */
 
 #pragma once

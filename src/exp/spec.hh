@@ -178,7 +178,8 @@ struct TableSpec
 struct TableLayout
 {
     std::string caption;
-    std::vector<std::vector<std::string>> text; //!< [row][axis column]
+    /** [row][column]: the axis columns' cells, empty for metrics. */
+    std::vector<std::vector<std::string>> text;
     /** [row][column][term]: grid index, or npos if none holds it. */
     std::vector<std::vector<std::vector<std::size_t>>> cells;
 };
@@ -242,7 +243,7 @@ class SweepSpec
      * Lay table @p t out over @p runs (as points() returns them), one
      * layout per split value: a row holds the grid points sharing its
      * row-axis values, a cell term the one of them holding its `at`
-     * values.  Sets @p error if a term holds two.
+     * values.  Sets @p error if a term matches two points.
      */
     std::vector<TableLayout> layout(const TableSpec &t,
                                     const std::vector<PointConfig> &runs,

@@ -22,7 +22,7 @@ namespace obs {
 class RunReport
 {
   public:
-    /** @param tool binary name, e.g. "rmbsim" or "bench_saturation". */
+    /** @param tool binary name, e.g. "rmbsim" or "bench_compaction". */
     explicit RunReport(std::string tool);
 
     void set(const std::string &key, const std::string &value);
