@@ -118,9 +118,15 @@ INSTANTIATE_TEST_SUITE_P(
                       Params{16, 4, 2}, Params{16, 8, 3},
                       Params{32, 4, 1}, Params{13, 3, 5}),
     [](const ::testing::TestParamInfo<Params> &info) {
-        return "N" + std::to_string(std::get<0>(info.param)) + "k" +
-               std::to_string(std::get<1>(info.param)) + "s" +
-               std::to_string(std::get<2>(info.param));
+        // Appended piece by piece: "N" + std::to_string(...) makes
+        // GCC 12 warn (-Wrestrict, a false positive) in Release.
+        std::string name = "N";
+        name += std::to_string(std::get<0>(info.param));
+        name += 'k';
+        name += std::to_string(std::get<1>(info.param));
+        name += 's';
+        name += std::to_string(std::get<2>(info.param));
+        return name;
     });
 
 TEST(RmbProperty, MakeBeforeBreakDualCodesObservable)
