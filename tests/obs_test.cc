@@ -12,6 +12,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/json.hh"
@@ -292,6 +293,23 @@ TEST(JsonWriter, ConstCharFieldWritesEscapedString)
     json.endObject();
     EXPECT_EQ(json.str(), "{\"literal\":\"plain\","
                           "\"pointer\":\"quote\\\"and\\\\slash\"}");
+}
+
+TEST(JsonValid, RejectsMalformedDocuments)
+{
+    const std::string deep(300, '[');
+    const std::pair<const char *, std::string> bad[] = {
+        {"trailing comma", R"({"a": [1, 2,]})"},
+        {"raw control character", "[\"tab\there\"]"},
+        {"bad escape", R"(["\q"])"},
+        {"nesting past 256 levels", deep + std::string(300, ']')},
+        {"bare minus", "-"},
+        {"trailing bytes", R"({"a": 1} x)"},
+    };
+    for (const auto &[why, text] : bad)
+        EXPECT_FALSE(obs::jsonValid(text)) << why << ": " << text;
+    EXPECT_TRUE(obs::jsonValid(R"({"a": [1, -2.5e3, "é\n"], "b": null})"));
+    EXPECT_TRUE(obs::jsonValid(std::string(200, '[') + std::string(200, ']')));
 }
 
 TEST(TimelineSampler, PeriodMustBeAtLeastOneTick)
