@@ -1,11 +1,10 @@
 #include "obs/json.hh"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 
 #include "common/table.hh"
+#include "obs/json_value.hh"
 
 namespace rmb {
 namespace obs {
@@ -46,208 +45,12 @@ JsonWriter::field(const std::string &key, double v)
         out_ << v;
 }
 
-namespace {
-
-/** Recursive-descent JSON validator over @p s, cursor at @p i. */
-class Validator
-{
-  public:
-    explicit Validator(const std::string &s) : s_(s) {}
-
-    bool
-    run()
-    {
-        skipWs();
-        if (!value())
-            return false;
-        skipWs();
-        return i_ == s_.size();
-    }
-
-  private:
-    bool
-    value()
-    {
-        if (depth_ > 256 || i_ >= s_.size())
-            return false;
-        switch (s_[i_]) {
-          case '{': return object();
-          case '[': return array();
-          case '"': return string();
-          case 't': return literal("true");
-          case 'f': return literal("false");
-          case 'n': return literal("null");
-          default: return number();
-        }
-    }
-
-    bool
-    object()
-    {
-        ++depth_;
-        ++i_; // '{'
-        skipWs();
-        if (peek() == '}') {
-            ++i_;
-            --depth_;
-            return true;
-        }
-        while (true) {
-            skipWs();
-            if (peek() != '"' || !string())
-                return false;
-            skipWs();
-            if (peek() != ':')
-                return false;
-            ++i_;
-            skipWs();
-            if (!value())
-                return false;
-            skipWs();
-            if (peek() == ',') {
-                ++i_;
-                continue;
-            }
-            if (peek() == '}') {
-                ++i_;
-                --depth_;
-                return true;
-            }
-            return false;
-        }
-    }
-
-    bool
-    array()
-    {
-        ++depth_;
-        ++i_; // '['
-        skipWs();
-        if (peek() == ']') {
-            ++i_;
-            --depth_;
-            return true;
-        }
-        while (true) {
-            skipWs();
-            if (!value())
-                return false;
-            skipWs();
-            if (peek() == ',') {
-                ++i_;
-                continue;
-            }
-            if (peek() == ']') {
-                ++i_;
-                --depth_;
-                return true;
-            }
-            return false;
-        }
-    }
-
-    bool
-    string()
-    {
-        ++i_; // '"'
-        while (i_ < s_.size()) {
-            const char c = s_[i_];
-            if (c == '"') {
-                ++i_;
-                return true;
-            }
-            if (c == '\\') {
-                ++i_;
-                if (i_ >= s_.size())
-                    return false;
-                const char e = s_[i_];
-                if (e == 'u') {
-                    for (int d = 0; d < 4; ++d) {
-                        ++i_;
-                        if (i_ >= s_.size() ||
-                            !std::isxdigit(static_cast<unsigned char>(
-                                s_[i_]))) {
-                            return false;
-                        }
-                    }
-                } else if (!std::strchr("\"\\/bfnrt", e)) {
-                    return false;
-                }
-            } else if (static_cast<unsigned char>(c) < 0x20) {
-                return false;
-            }
-            ++i_;
-        }
-        return false;
-    }
-
-    bool
-    number()
-    {
-        const std::size_t start = i_;
-        if (peek() == '-')
-            ++i_;
-        if (!digits())
-            return false;
-        if (peek() == '.') {
-            ++i_;
-            if (!digits())
-                return false;
-        }
-        if (peek() == 'e' || peek() == 'E') {
-            ++i_;
-            if (peek() == '+' || peek() == '-')
-                ++i_;
-            if (!digits())
-                return false;
-        }
-        return i_ > start;
-    }
-
-    bool
-    digits()
-    {
-        const std::size_t start = i_;
-        while (i_ < s_.size() &&
-               std::isdigit(static_cast<unsigned char>(s_[i_]))) {
-            ++i_;
-        }
-        return i_ > start;
-    }
-
-    bool
-    literal(const char *word)
-    {
-        for (const char *p = word; *p; ++p, ++i_) {
-            if (i_ >= s_.size() || s_[i_] != *p)
-                return false;
-        }
-        return true;
-    }
-
-    char peek() const { return i_ < s_.size() ? s_[i_] : '\0'; }
-
-    void
-    skipWs()
-    {
-        while (i_ < s_.size() &&
-               (s_[i_] == ' ' || s_[i_] == '\t' || s_[i_] == '\n' ||
-                s_[i_] == '\r')) {
-            ++i_;
-        }
-    }
-
-    const std::string &s_;
-    std::size_t i_ = 0;
-    int depth_ = 0;
-};
-
-} // namespace
-
 bool
 jsonValid(const std::string &text)
 {
-    return Validator(text).run();
+    JsonValue v;
+    std::string error;
+    return jsonParse(text, v, error);
 }
 
 std::string

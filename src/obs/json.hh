@@ -8,8 +8,9 @@
  * stats reports, so every machine-readable output of the project
  * escapes strings and renders numbers the same way.
  *
- * jsonValid() is a dependency-free syntax checker used by the tests
- * and the json_check tool to keep the emitters honest.
+ * jsonValid() is jsonParse() (json_value.hh) with the tree and the
+ * reason dropped: the syntax check the tests and the json_check tool
+ * use to keep the emitters honest.
  */
 
 #pragma once
@@ -28,7 +29,8 @@ namespace obs {
 /** Escape @p raw for inclusion inside a JSON string literal. */
 std::string jsonEscape(const std::string &raw);
 
-/** True iff @p text is one syntactically valid JSON value. */
+/** True iff @p text is one syntactically valid JSON value:
+ *  whether jsonParse() accepts it. */
 bool jsonValid(const std::string &text);
 
 /** Join pre-serialised JSON values into one array document. */

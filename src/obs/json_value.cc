@@ -144,8 +144,8 @@ JsonValue::makeObject(Members v)
 namespace {
 
 /**
- * Recursive-descent parser; mirrors the Validator in json.cc but
- * builds the value tree and reports *why* a document is malformed.
+ * Recursive-descent parser: builds the value tree and reports *why*
+ * a document is malformed.  jsonValid() (json.cc) is this parser too.
  */
 class Parser
 {
