@@ -485,6 +485,52 @@ struct TableParser
     }
 };
 
+/** PointConfig::applyFlag; a @p sweep run also takes the sweep-only
+ *  rows (they mean there what they mean in a spec). */
+int
+applyFlagTo(PointConfig &pt, const std::string &arg, const char *next,
+            std::string &error, bool sweep)
+{
+    if (arg.rfind("--", 0) != 0)
+        return -1;
+    const std::string_view flag = std::string_view(arg).substr(2);
+    for (const Field &f : kFields) {
+        const bool alias =
+            f.aliasName != nullptr && flag == f.aliasName;
+        if (!alias && !flagSpells(flag, f.name))
+            continue;
+        if (f.sweepOnly != nullptr && !sweep) {
+            error = arg + " is a sweep field: " + f.sweepOnly;
+            return 0;
+        }
+        if (alias && f.alias == Alias::Negate) {
+            error = pt.set(f.name, obs::JsonValue::makeBool(false));
+            return 0;
+        }
+        if (next == nullptr) {
+            error = arg + " needs a value (" + f.syntax + ")";
+            return 0;
+        }
+        const std::string text = next;
+        if (alias && f.alias == Alias::Pair) {
+            const Field &second = (&f)[1]; // a Pair row is never last
+            const auto comma = text.find(',');
+            error = comma == std::string::npos
+                        ? "expects " + std::string(f.syntax) + "," +
+                              second.syntax
+                        : setText(pt, f, text.substr(0, comma));
+            if (error.empty())
+                error = setText(pt, second, text.substr(comma + 1));
+        } else {
+            error = setText(pt, f, text);
+        }
+        if (!error.empty())
+            error = arg + " " + text + ": " + error;
+        return 1;
+    }
+    return -1;
+}
+
 } // namespace
 
 std::string
@@ -510,44 +556,7 @@ int
 PointConfig::applyFlag(const std::string &arg, const char *next,
                        std::string &error)
 {
-    if (arg.rfind("--", 0) != 0)
-        return -1;
-    const std::string_view flag = std::string_view(arg).substr(2);
-    for (const Field &f : kFields) {
-        const bool alias =
-            f.aliasName != nullptr && flag == f.aliasName;
-        if (!alias && !flagSpells(flag, f.name))
-            continue;
-        if (f.sweepOnly != nullptr) {
-            error = arg + " is a sweep field: " + f.sweepOnly;
-            return 0;
-        }
-        if (alias && f.alias == Alias::Negate) {
-            error = set(f.name, obs::JsonValue::makeBool(false));
-            return 0;
-        }
-        if (next == nullptr) {
-            error = arg + " needs a value (" + f.syntax + ")";
-            return 0;
-        }
-        const std::string text = next;
-        if (alias && f.alias == Alias::Pair) {
-            const Field &second = (&f)[1]; // a Pair row is never last
-            const auto comma = text.find(',');
-            error = comma == std::string::npos
-                        ? "expects " + std::string(f.syntax) + "," +
-                              second.syntax
-                        : setText(*this, f, text.substr(0, comma));
-            if (error.empty())
-                error = setText(*this, second, text.substr(comma + 1));
-        } else {
-            error = setText(*this, f, text);
-        }
-        if (!error.empty())
-            error = arg + " " + text + ": " + error;
-        return 1;
-    }
-    return -1;
+    return applyFlagTo(*this, arg, next, error, false);
 }
 
 std::string
@@ -785,7 +794,7 @@ SweepSpec::applyFlag(const std::string &arg, const char *next,
             return 0;
         }
     }
-    return base_.applyFlag(arg, next, error);
+    return applyFlagTo(base_, arg, next, error, true);
 }
 
 bool

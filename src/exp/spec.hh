@@ -222,8 +222,9 @@ class SweepSpec
     /** Override the replica count (CLI --replicas). */
     void setReplicas(std::uint32_t replicas) { replicas_ = replicas; }
 
-    /** PointConfig::applyFlag on the base; refuses an axis field,
-     *  whose axis values would replace the override. */
+    /** PointConfig::applyFlag on the base, which here also takes
+     *  the sweep-only fields (--timeout, --timeline-period); refuses
+     *  an axis field, whose axis values would replace the override. */
     int applyFlag(const std::string &arg, const char *next,
                   std::string &error);
 

@@ -10,7 +10,8 @@
  *       FILE with --json).  A spec with tables prints them on
  *       stdout instead, and its report goes to FILE only.  The
  *       report is byte-identical for every --jobs value.  rmbsim's
- *       recipe flags (--duration 30000, ...) override base fields.
+ *       recipe flags (--duration 30000, ...) and the sweep-only
+ *       --timeout and --timeline-period override base fields.
  *       Exits 1 if any point failed, 2 on a bad spec or flag.
  *
  *   sweep points <spec.json>
@@ -49,7 +50,8 @@ usage(int code)
         << "usage: sweep run <spec.json> [--jobs N] [--json FILE]"
            " [--seed S] [--replicas R] [--quiet]\n"
            "                 [--<field> V ...]   (rmbsim's recipe"
-           " flags: base overrides)\n"
+           " flags, --timeout, --timeline-period:\n"
+           "                                     base overrides)\n"
            "       sweep points <spec.json>\n"
            "       sweep compare <report.json> <baseline.json>"
            " [--rtol F] [--atol F]\n";
