@@ -198,7 +198,8 @@ batchPairs(const PointConfig &pt, net::NodeId n, sim::Random &rng,
 {
     const std::string &w = pt.workload;
     const bool pow2 = isPowerOfTwo(n);
-    if ((w == "bitrev" || w == "shuffle" || w == "transpose") &&
+    if ((w == "bitrev" || w == "bitcomp" || w == "shuffle" ||
+         w == "transpose") &&
         !pow2) {
         error = "workload '" + w + "' needs nodes = 2^n, got " +
                 std::to_string(n);
@@ -215,16 +216,40 @@ batchPairs(const PointConfig &pt, net::NodeId n, sim::Random &rng,
             workload::randomFullTraffic(n, rng));
     if (w == "bitrev")
         return workload::toPairs(workload::bitReversal(n));
+    if (w == "bitcomp")
+        return workload::toPairs(workload::bitComplement(n));
     if (w == "shuffle")
         return workload::toPairs(workload::perfectShuffle(n));
     if (w == "transpose")
         return workload::toPairs(workload::transpose(n));
     if (w == "tornado")
         return workload::toPairs(workload::rotation(n, n / 2));
-    if (w.rfind("rot:", 0) == 0)
-        return workload::toPairs(workload::rotation(
-            n, static_cast<net::NodeId>(
-                   std::stoull(w.substr(4)) % n)));
+    if (w == "kperm") {
+        // Theorem 1's workload: min(N/2, 2k) pairs whose clockwise
+        // ring load fits the k buses, rejection-sampled.
+        const std::uint64_t k = pt.buses;
+        for (int draw = 0; draw < 500; ++draw) {
+            auto pairs = workload::randomPartialPermutation(
+                n, static_cast<net::NodeId>(std::min<std::uint64_t>(n / 2, 2 * k)),
+                rng);
+            if (workload::maxRingLoad(n, pairs) <= k)
+                return pairs;
+        }
+        error = "workload 'kperm' drew no permutation with ring load <= k = " +
+                std::to_string(k) + " in 500 draws";
+        return {};
+    }
+    if (w.rfind("rot:", 0) == 0) {
+        // rot:<s>[:<m>]: each source sends its m messages in a row.
+        const auto colon = w.find(':', 4);
+        const std::size_t m =
+            colon == std::string::npos ? 1 : std::stoul(w.substr(colon + 1));
+        workload::PairList pairs;
+        for (const auto &pair : workload::toPairs(workload::rotation(
+                 n, static_cast<net::NodeId>(std::stoull(w.substr(4)) % n))))
+            pairs.insert(pairs.end(), m, pair);
+        return pairs;
+    }
     if (w.rfind("hrel:", 0) == 0)
         return workload::randomHRelation(
             n, static_cast<std::uint32_t>(std::stoul(w.substr(5))),

@@ -97,8 +97,8 @@ const Field kFields[] = {
     {"dims", &P::dims, "AxBxC", "grid: extent per dimension", C::Dims,
      Echo::WhenSet},
     {"workload", &P::workload,
-     "randperm|bitrev|shuffle|transpose|tornado|rot:<s>|hrel:<h>|"
-     "uniform|local:<d>|hotspot:<f>",
+     "randperm|bitrev|bitcomp|shuffle|transpose|tornado|kperm|"
+     "rot:<s>[:<m>]|hrel:<h>|uniform|local:<d>|hotspot:<f>",
      "traffic; uniform, local and hotspot run open loop, the rest as"
      " one batch",
      C::Choice},
@@ -232,18 +232,30 @@ stringError(const Field &f, const std::string &v)
         const auto lt = word.find('<');
         if (lt == word.npos)
             return why;
-        const std::string_view param = std::string_view(v).substr(lt);
-        const std::string_view kind = word.substr(lt);
+        std::string_view param = std::string_view(v).substr(lt);
+        std::string_view kind = word.substr(lt);
+        // rot's optional ":<m>", messages per source: 32 bits, >= 1.
+        std::uint64_t m = 1;
+        if (kind == "<s>[:<m>]") {
+            const auto colon = std::min(param.find(':'), param.size());
+            if (colon < param.size() &&
+                !parseAll(param.substr(colon + 1), m))
+                m = 0;
+            param = param.substr(0, colon);
+            kind = "<s>";
+        }
         // <h> is hrel's per-node message count, a 32-bit value.
         std::uint64_t n = 0;
-        if (kind == "<f>" ? parseFraction(param)
-                          : parseAll(param, n) &&
-                                (kind != "<h>" || n <= UINT32_MAX))
+        const bool good = kind == "<f>" ? parseFraction(param)
+                                        : parseAll(param, n) &&
+                                              (kind != "<h>" || n <= UINT32_MAX);
+        if (good && m >= 1 && m <= UINT32_MAX)
             return why;
-        why = " (" + std::string(kind) + " must be " +
-              (kind == "<f>"   ? "a number in [0, 1])"
-               : kind == "<h>" ? "an integer in [0, 4294967295])"
-                               : "a non-negative integer)");
+        why = !good ? " (" + std::string(kind) + " must be " +
+                          (kind == "<f>"   ? "a number in [0, 1])"
+                           : kind == "<h>" ? "an integer in [0, 4294967295])"
+                                           : "a non-negative integer)")
+                    : " (<m> must be an integer in [1, 4294967295])";
     }
     return "field '" + std::string(f.name) + "' expects " + f.syntax +
            ", got '" + v + "'" + why;

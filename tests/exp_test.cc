@@ -26,6 +26,8 @@
 #include "obs/json.hh"
 #include "obs/json_value.hh"
 #include "sim/random.hh"
+#include "sim/simulator.hh"
+#include "workload/permutation.hh"
 
 namespace {
 
@@ -893,6 +895,81 @@ TEST(Sweep, EveryEmittedMetricCanBeTabled)
                 "columns": [{"metric": ")" + name + "\"}]}]"),
             tabled, errors))
             << name << ": " << joined(errors);
+    }
+}
+
+// ---------------------------------------------------------------
+// Batch workloads
+// ---------------------------------------------------------------
+
+/** The batch @p workload draws on an RMB(@p n, @p k) from a workload
+ *  stream seeded @p seed; @p error gets why it drew none. */
+workload::PairList
+batchOf(const std::string &workload, std::uint32_t n, std::uint32_t k,
+        std::uint64_t seed, std::string &error)
+{
+    exp::PointConfig pt;
+    pt.nodes = n;
+    pt.buses = k;
+    pt.payload = 4;
+    error = pt.set("workload", obs::JsonValue::makeString(workload));
+    if (!error.empty())
+        return {};
+    sim::Simulator simulator;
+    const auto network = exp::makeNetwork(
+        pt, exp::rmbConfig(pt, 1, core::VerifyLevel::Off), simulator, error);
+    if (!network)
+        return {};
+    sim::Random rng(seed);
+    const exp::WorkloadRun run =
+        exp::runWorkload(pt, *network, rng, 0, pt.timeout, 0, false);
+    error = run.error;
+    return run.pairs;
+}
+
+TEST(Workloads, BitcompNeedsAPowerOfTwo)
+{
+    std::string error;
+    EXPECT_EQ(batchOf("bitcomp", 16, 4, 1, error),
+              workload::toPairs(workload::bitComplement(16)));
+    EXPECT_EQ(error, "");
+    EXPECT_TRUE(batchOf("bitcomp", 12, 4, 1, error).empty());
+    EXPECT_EQ(error, "workload 'bitcomp' needs nodes = 2^n, got 12");
+}
+
+TEST(Workloads, RotSendsMMessagesPerSource)
+{
+    std::string error;
+    const workload::PairList one = batchOf("rot:1", 16, 4, 1, error);
+    EXPECT_EQ(one, workload::toPairs(workload::rotation(16, 1)));
+    const workload::PairList four = batchOf("rot:1:4", 16, 4, 1, error);
+    ASSERT_EQ(four.size(), 4u * 16);
+    for (std::size_t i = 0; i < four.size(); ++i)
+        EXPECT_EQ(four[i], one[i / 4]) << i;
+    EXPECT_EQ(batchOf("rot:1:1", 16, 4, 1, error), one);
+
+    // A malformed count is refused with the field's syntax.
+    for (const char *bad : {"rot:3:0", "rot:3:x", "rot:3:"}) {
+        EXPECT_TRUE(batchOf(bad, 16, 4, 1, error).empty());
+        EXPECT_NE(error.find("expects "), std::string::npos) << error;
+        EXPECT_NE(error.find("rot:<s>[:<m>]"), std::string::npos) << error;
+        EXPECT_NE(error.find(std::string("got '") + bad +
+                             "' (<m> must be an integer in [1, 4294967295])"),
+                  std::string::npos)
+            << error;
+    }
+}
+
+TEST(Workloads, KpermFitsTheBuses)
+{
+    for (const auto &[n, k] : {std::pair{32u, 4u}, {16u, 8u}, {64u, 2u}}) {
+        for (std::uint64_t seed = 0; seed < 20; ++seed) {
+            std::string error;
+            const auto pairs = batchOf("kperm", n, k, seed, error);
+            EXPECT_EQ(error, "");
+            EXPECT_EQ(pairs.size(), std::min(n / 2, 2 * k)) << n << "," << k;
+            EXPECT_LE(workload::maxRingLoad(n, pairs), k) << n << "," << k;
+        }
     }
 }
 
