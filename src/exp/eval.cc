@@ -490,6 +490,9 @@ runPoint(const PointConfig &pt)
             put(r, "mean_latency", b.meanLatency);
             put(r, "max_latency", b.maxLatency);
             put(r, "mean_setup", b.meanSetupLatency);
+            // Theorem 1's bound: k buses carry any batch of load <= k.
+            put(r, "ring_load", std::uint64_t{workload::maxRingLoad(
+                                    network->numNodes(), run.pairs)});
             // A timed-out batch is a captured failure, not a crash:
             // the metrics still describe how far it got.
             r.ok = b.completed;

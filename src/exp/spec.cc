@@ -339,7 +339,7 @@ helpLine(std::string &out, const std::string &flag, const char *doc)
 const char *const kMetrics[] = {
     "ticks", "completed", "makespan", "offered_load", "throughput",
     "mean_latency", "p95_latency", "max_latency", "mean_setup",
-    "injected", "delivered", "failed", "nacks", "retries",
+    "ring_load", "injected", "delivered", "failed", "nacks", "retries",
     "mean_hops", "peak_circuits", "compaction_moves", "max_cycle_skew",
     "faults_injected", "faults_repaired", "buses_severed",
     "messages_recovered", "messages_lost", "watchdog_fires",

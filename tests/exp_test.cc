@@ -973,6 +973,29 @@ TEST(Workloads, KpermFitsTheBuses)
     }
 }
 
+TEST(Workloads, RingLoadIsTheBatchsMaxClockwiseLoad)
+{
+    const auto ringLoad = [](const std::string &workload) {
+        exp::PointConfig pt;
+        pt.nodes = 16;
+        pt.payload = 4;
+        pt.duration = 2000;
+        EXPECT_EQ(pt.set("workload", obs::JsonValue::makeString(workload)),
+                  "");
+        const exp::PointResult r = exp::runPoint(pt);
+        EXPECT_TRUE(r.ok) << r.error;
+        for (const auto &[name, value] : r.metrics)
+            if (name == "ring_load")
+                return value;
+        return std::string("absent");
+    };
+    EXPECT_EQ(ringLoad("rot:1"), "1");
+    EXPECT_EQ(ringLoad("rot:1:4"), "4");
+    EXPECT_EQ(ringLoad("tornado"), "8");
+    // Only batch points have a batch to load the ring with.
+    EXPECT_EQ(ringLoad("uniform"), "absent");
+}
+
 // ---------------------------------------------------------------
 // Baseline gate
 // ---------------------------------------------------------------
