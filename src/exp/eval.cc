@@ -228,10 +228,10 @@ batchPairs(const PointConfig &pt, net::NodeId n, sim::Random &rng,
         // Theorem 1's workload: min(N/2, 2k) pairs whose clockwise
         // ring load fits the k buses, rejection-sampled.
         const std::uint64_t k = pt.buses;
+        const auto h = static_cast<net::NodeId>(
+            std::min<std::uint64_t>(n / 2, 2 * k));
         for (int draw = 0; draw < 500; ++draw) {
-            auto pairs = workload::randomPartialPermutation(
-                n, static_cast<net::NodeId>(std::min<std::uint64_t>(n / 2, 2 * k)),
-                rng);
+            auto pairs = workload::randomPartialPermutation(n, h, rng);
             if (workload::maxRingLoad(n, pairs) <= k)
                 return pairs;
         }

@@ -234,7 +234,7 @@ stringError(const Field &f, const std::string &v)
             return why;
         std::string_view param = std::string_view(v).substr(lt);
         std::string_view kind = word.substr(lt);
-        // rot's optional ":<m>", messages per source: 32 bits, >= 1.
+        // rot's optional ":<m>" is a message count per source.
         std::uint64_t m = 1;
         if (kind == "<s>[:<m>]") {
             const auto colon = std::min(param.find(':'), param.size());
@@ -246,16 +246,17 @@ stringError(const Field &f, const std::string &v)
         }
         // <h> is hrel's per-node message count, a 32-bit value.
         std::uint64_t n = 0;
-        const bool good = kind == "<f>" ? parseFraction(param)
-                                        : parseAll(param, n) &&
-                                              (kind != "<h>" || n <= UINT32_MAX);
-        if (good && m >= 1 && m <= UINT32_MAX)
+        if (!(kind == "<f>" ? parseFraction(param)
+                            : parseAll(param, n) &&
+                                  (kind != "<h>" || n <= UINT32_MAX)))
+            why = " (" + std::string(kind) + " must be " +
+                  (kind == "<f>"   ? "a number in [0, 1])"
+                   : kind == "<h>" ? "an integer in [0, 4294967295])"
+                                   : "a non-negative integer)");
+        else if (m < 1 || m > UINT32_MAX)
+            why = " (<m> must be an integer in [1, 4294967295])";
+        else
             return why;
-        why = !good ? " (" + std::string(kind) + " must be " +
-                          (kind == "<f>"   ? "a number in [0, 1])"
-                           : kind == "<h>" ? "an integer in [0, 4294967295])"
-                                           : "a non-negative integer)")
-                    : " (<m> must be an integer in [1, 4294967295])";
     }
     return "field '" + std::string(f.name) + "' expects " + f.syntax +
            ", got '" + v + "'" + why;
