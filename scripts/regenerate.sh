@@ -15,7 +15,7 @@ FAST=""
 [ "$1" = "--fast" ] && FAST="--fast"
 jobs="${NPROC:-$(nproc)}"
 ctest_jobs="${CTEST_PARALLEL_LEVEL:-$jobs}"
-cmake -B build -G Ninja
+cmake -B build
 cmake --build build -j "$jobs"
 ctest --test-dir build -j "$ctest_jobs" 2>&1 | tee test_output.txt
 (
