@@ -92,9 +92,10 @@ main()
     }
 
     table.print(std::cout);
-    std::printf("\nSee bench_permutation_compare for the full"
-                " experiment (more sizes, more patterns, averaged"
-                " trials) and bench_cost_* for the hardware-cost"
-                " side of the trade.\n");
+    std::printf("\nSee bench/specs/permutation_compare.json (run it"
+                " with tools/sweep) for the full experiment (more"
+                " sizes, more patterns, averaged replicas) and"
+                " bench_cost_* for the hardware-cost side of the"
+                " trade.\n");
     return 0;
 }
