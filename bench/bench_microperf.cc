@@ -259,33 +259,13 @@ runEngineStream(core::EngineKind kind, std::uint32_t n,
 }
 
 /**
- * Wall-clock seconds for one engine run, best of @p tries (the
- * minimum is the least noise-contaminated estimate).
- */
-template <typename RunFn>
-double
-bestOf(int tries, RunFn &&run)
-{
-    double best = 1e300;
-    for (int t = 0; t < tries; ++t) {
-        const auto t0 = std::chrono::steady_clock::now();
-        const std::uint64_t delivered = run();
-        const auto t1 = std::chrono::steady_clock::now();
-        benchmark::DoNotOptimize(delivered);
-        best = std::min(
-            best, std::chrono::duration<double>(t1 - t0).count());
-    }
-    return best;
-}
-
-/**
- * Thread-CPU seconds for one engine run, best of @p tries.  The
- * profiler-overhead gate divides two measurements of the *same*
- * workload, so any wall-clock noise (preemption by a neighbouring
- * process, timer jitter) on either side reads as overhead; thread
- * CPU time only advances while this thread runs, which makes the
- * ratio stable at the percent level on shared machines.  The bench
- * is single-threaded, so CPU time covers all the work.
+ * Thread-CPU seconds for one engine run, best of @p tries (the
+ * minimum is the least noise-contaminated estimate).  Both gates
+ * divide two measurements, so any wall-clock noise (preemption by a
+ * neighbouring process, timer jitter) on either side reads as a
+ * speedup or an overhead; thread CPU time only advances while this
+ * thread runs, which makes the ratios stable on shared machines.
+ * The bench is single-threaded, so CPU time covers all the work.
  */
 template <typename RunFn>
 double
@@ -323,7 +303,7 @@ bestOfCpu(int tries, RunFn &&run)
  * for humans; the *gated* leaves are the binary floor indicators,
  * which stay stable across machines (tests/data/BENCH_microperf.json
  * pins them with zero tolerance).  The report also carries the
- * self-profiler overhead regime: enabled-vs-disabled wall clock on
+ * self-profiler overhead regime: enabled-vs-disabled CPU time on
  * the sustained stream, bounded at 5% per engine.
  */
 int
@@ -362,12 +342,12 @@ runSpeedupReport(const std::string &path, double min_speedup,
     for (const Point &pt : grid) {
         auto time_engine = [&](core::EngineKind kind) {
             if (pt.stream) {
-                return bestOf(tries, [&] {
+                return bestOfCpu(tries, [&] {
                     return runEngineStream(kind, pt.n, pt.k, 512,
                                            stream_msgs, 250);
                 });
             }
-            return bestOf(tries, [&] {
+            return bestOfCpu(tries, [&] {
                 return runEngineBatch(kind, pt.n, pt.k, rounds);
             });
         };

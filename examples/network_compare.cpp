@@ -95,7 +95,7 @@ main()
     std::printf("\nSee bench/specs/permutation_compare.json (run it"
                 " with tools/sweep) for the full experiment (more"
                 " sizes, more patterns, averaged replicas) and"
-                " bench_cost_* for the hardware-cost side of the"
+                " bench_costs for the hardware-cost side of the"
                 " trade.\n");
     return 0;
 }

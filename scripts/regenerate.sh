@@ -1,9 +1,11 @@
 #!/bin/sh
-# Rebuild everything and regenerate the checked-in result files:
+# Rebuild everything and regenerate the result files (untracked, in
+# .gitignore):
 #   test_output.txt  - full ctest log
 #   bench_output.txt - every experiment's regenerated tables: each
-#                      bench binary, then each sweep spec under
-#                      bench/specs through tools/sweep
+#                      bench target bench/CMakeLists.txt defines (not
+#                      a stale binary left in build/bench), then each
+#                      sweep spec under bench/specs through tools/sweep
 # Usage: scripts/regenerate.sh [--fast]
 # --fast passes --fast to the benches and runs each spec at its
 # golden's sizes: the base overrides its spec_golden line in
@@ -19,7 +21,10 @@ cmake -B build
 cmake --build build -j "$jobs"
 ctest --test-dir build -j "$ctest_jobs" 2>&1 | tee test_output.txt
 (
-    for b in build/bench/*; do echo "### $b"; "$b" $FAST; echo; done
+    for b in $(sed -n 's/^\(rmb_add_bench\|add_executable\)(\(bench_[a-z_]*\) .*/\2/p' \
+        bench/CMakeLists.txt); do
+        echo "### build/bench/$b"; "build/bench/$b" $FAST; echo
+    done
     for s in bench/specs/*.json; do
         flags=""
         [ -n "$FAST" ] && flags=$(sed -n \

@@ -250,6 +250,21 @@ batchPairs(const PointConfig &pt, net::NodeId n, sim::Random &rng,
             pairs.insert(pairs.end(), m, pair);
         return pairs;
     }
+    if (w.rfind("burst:", 0) == 0) {
+        // burst:<m>: node 0 sends to m distinct destinations, evenly
+        // spread round the ring (i * n / (m + 1) steps up by >= 1).
+        const std::uint64_t m = std::stoull(w.substr(6));
+        if (m >= n) {
+            error = "workload '" + w + "' needs m in [1, " +
+                    std::to_string(n - 1) + "]: node 0 has only " +
+                    std::to_string(n - 1) + " distinct destinations";
+            return {};
+        }
+        workload::PairList pairs;
+        for (std::uint64_t i = 1; i <= m; ++i)
+            pairs.emplace_back(0, static_cast<net::NodeId>(i * n / (m + 1)));
+        return pairs;
+    }
     if (w.rfind("hrel:", 0) == 0)
         return workload::randomHRelation(
             n, static_cast<std::uint32_t>(std::stoul(w.substr(5))),
@@ -377,6 +392,42 @@ put(PointResult &r, const char *name, T v)
     r.metrics.emplace_back(name, num(v));
 }
 
+/**
+ * Network access delay (creation -> first injection) per source, from
+ * one pass over the delivered messages: the mean and the worst of the
+ * sources' means, and Jain's index over them (1 = every source waits
+ * alike).  null when nothing was delivered.
+ */
+void
+appendQueueDelay(PointResult &r, const net::Network &network)
+{
+    std::vector<std::pair<double, std::uint64_t>> per_src(network.numNodes());
+    for (net::MessageId id = 1; id <= network.numMessages(); ++id) {
+        const net::Message &m = network.message(id);
+        if (m.state == net::MessageState::Delivered) {
+            per_src[m.src].first +=
+                static_cast<double>(m.firstAttempt - m.created);
+            ++per_src[m.src].second;
+        }
+    }
+    double sum = 0.0, sum_sq = 0.0, worst = 0.0, sources = 0.0;
+    for (const auto &[total, count] : per_src) {
+        if (count == 0)
+            continue;
+        const double mean = total / static_cast<double>(count);
+        sum += mean;
+        sum_sq += mean * mean;
+        worst = std::max(worst, mean);
+        ++sources;
+    }
+    const double nan = std::nan("");
+    put(r, "mean_queue_delay", sources > 0 ? sum / sources : nan);
+    put(r, "worst_node_queue_delay", sources > 0 ? worst : nan);
+    put(r, "queue_delay_jain", sources == 0        ? nan
+                               : sum_sq > 0.0 ? sum * sum / (sources * sum_sq)
+                                              : 1.0);
+}
+
 void
 appendNetworkMetrics(PointResult &r, const net::Network &network)
 {
@@ -389,6 +440,9 @@ appendNetworkMetrics(PointResult &r, const net::Network &network)
     put(r, "mean_hops", s.pathLength.mean());
     put(r, "peak_circuits",
         static_cast<std::uint64_t>(s.activeCircuits.maximum()));
+    put(r, "mean_circuits",
+        s.activeCircuits.average(network.simulator().now()));
+    appendQueueDelay(r, network);
     const auto *rmb = dynamic_cast<const core::Engine *>(&network);
     if (rmb == nullptr)
         return;

@@ -98,7 +98,7 @@ const Field kFields[] = {
      Echo::WhenSet},
     {"workload", &P::workload,
      "randperm|bitrev|bitcomp|shuffle|transpose|tornado|kperm|"
-     "rot:<s>[:<m>]|hrel:<h>|uniform|local:<d>|hotspot:<f>",
+     "rot:<s>[:<m>]|hrel:<h>|burst:<m>|uniform|local:<d>|hotspot:<f>",
      "traffic; uniform, local and hotspot run open loop, the rest as"
      " one batch",
      C::Choice},
@@ -217,6 +217,24 @@ typeError(const std::string &field, const char *want,
            got.kindName() + " " + got.serialize();
 }
 
+/** Why @p param is no value of parameter @p kind ("<h>", ...), or
+ *  empty.  <f> is a fraction, <h> a per-node and <m> a message count;
+ *  every other parameter is a non-negative integer. */
+std::string
+paramError(std::string_view kind, std::string_view param)
+{
+    if (kind == "<f>")
+        return parseFraction(param) ? "" : " (<f> must be a number in [0, 1])";
+    const bool count = kind == "<h>" || kind == "<m>";
+    const std::uint64_t lo = kind == "<m>";
+    std::uint64_t n = 0;
+    if (parseAll(param, n) && n >= lo && (!count || n <= UINT32_MAX))
+        return "";
+    return " (" + std::string(kind) + " must be " +
+           (count ? "an integer in [" + std::to_string(lo) + ", 4294967295])"
+                  : std::string("a non-negative integer)"));
+}
+
 /** Empty if @p v is a valid value of string row @p f, else why not.
  *  Allocation-free on success: set() runs per sweep point. */
 std::string
@@ -232,30 +250,16 @@ stringError(const Field &f, const std::string &v)
         const auto lt = word.find('<');
         if (lt == word.npos)
             return why;
-        std::string_view param = std::string_view(v).substr(lt);
-        std::string_view kind = word.substr(lt);
+        const std::string_view param = std::string_view(v).substr(lt);
+        const std::string_view kind = word.substr(lt);
         // rot's optional ":<m>" is a message count per source.
-        std::uint64_t m = 1;
-        if (kind == "<s>[:<m>]") {
-            const auto colon = std::min(param.find(':'), param.size());
-            if (colon < param.size() &&
-                !parseAll(param.substr(colon + 1), m))
-                m = 0;
-            param = param.substr(0, colon);
-            kind = "<s>";
-        }
-        // <h> is hrel's per-node message count, a 32-bit value.
-        std::uint64_t n = 0;
-        if (!(kind == "<f>" ? parseFraction(param)
-                            : parseAll(param, n) &&
-                                  (kind != "<h>" || n <= UINT32_MAX)))
-            why = " (" + std::string(kind) + " must be " +
-                  (kind == "<f>"   ? "a number in [0, 1])"
-                   : kind == "<h>" ? "an integer in [0, 4294967295])"
-                                   : "a non-negative integer)");
-        else if (m < 1 || m > UINT32_MAX)
-            why = " (<m> must be an integer in [1, 4294967295])";
-        else
+        const auto colon = kind == "<s>[:<m>]"
+                               ? std::min(param.find(':'), param.size())
+                               : param.size();
+        why = paramError(kind.substr(0, 3), param.substr(0, colon));
+        if (why.empty() && colon < param.size())
+            why = paramError("<m>", param.substr(colon + 1));
+        if (why.empty())
             return why;
     }
     return "field '" + std::string(f.name) + "' expects " + f.syntax +
@@ -341,8 +345,9 @@ const char *const kMetrics[] = {
     "ticks", "completed", "makespan", "offered_load", "throughput",
     "mean_latency", "p95_latency", "max_latency", "mean_setup",
     "ring_load", "injected", "delivered", "failed", "nacks", "retries",
-    "mean_hops", "peak_circuits", "compaction_moves", "max_cycle_skew",
-    "faults_injected", "faults_repaired", "buses_severed",
+    "mean_hops", "peak_circuits", "mean_circuits", "mean_queue_delay",
+    "worst_node_queue_delay", "queue_delay_jain", "compaction_moves",
+    "max_cycle_skew", "faults_injected", "faults_repaired", "buses_severed",
     "messages_recovered", "messages_lost", "watchdog_fires",
     "mean_recovery_latency", "faults_permanent", "node_faults",
     "bridge_faults", "dead_lettered", "dead_retries_exhausted",

@@ -7,7 +7,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -238,7 +240,9 @@ TEST(SweepSpec, WrongValueTypeIsActionable)
         {"dims", "4x1x2"},          {"network", "token-ring"},
         {"workload", "hrel:4294967297"}, // past 2^32-1 per node
         {"workload", "rot:3:0"},    {"workload", "rot:3:x"},
-        {"workload", "rot:3:"},
+        {"workload", "rot:3:"},     {"workload", "burst:0"},
+        {"workload", "burst:x"},    {"workload", "burst:"},
+        {"workload", "burst:4294967296"}, // past 2^32-1 messages
     };
     for (const auto &[field, value] : bad) {
         exp::SweepSpec bad_spec;
@@ -959,6 +963,36 @@ TEST(Workloads, RotSendsMMessagesPerSource)
         << error;
 }
 
+TEST(Workloads, BurstSendsMFromNodeZeroToDistinctNodes)
+{
+    for (const std::uint32_t m : {1u, 4u, 7u, 15u}) {
+        std::string error;
+        const workload::PairList pairs = batchOf(
+            "burst:" + std::to_string(m), 16, 4, 1, error);
+        EXPECT_EQ(error, "");
+        ASSERT_EQ(pairs.size(), m);
+        std::set<net::NodeId> dsts;
+        for (const auto &[src, dst] : pairs) {
+            EXPECT_EQ(src, 0u);
+            EXPECT_NE(dst, 0u);
+            dsts.insert(dst);
+        }
+        EXPECT_EQ(dsts.size(), m) << "burst:" << m;
+    }
+    std::string error;
+    EXPECT_EQ(batchOf("burst:4", 16, 4, 1, error),
+              (workload::PairList{{0, 3}, {0, 6}, {0, 9}, {0, 12}}));
+
+    // Node 0 has N - 1 destinations: a larger m fails the point,
+    // saying why (the field table already refused m = 0).
+    for (const char *word : {"burst:16", "burst:17", "burst:4294967295"}) {
+        EXPECT_TRUE(batchOf(word, 16, 4, 1, error).empty());
+        EXPECT_EQ(error, std::string("workload '") + word +
+                             "' needs m in [1, 15]: node 0 has only 15"
+                             " distinct destinations");
+    }
+}
+
 TEST(Workloads, KpermFitsTheBuses)
 {
     for (const auto &[n, k] : {std::pair{32u, 4u}, {16u, 8u}, {64u, 2u}}) {
@@ -993,6 +1027,56 @@ TEST(Workloads, RingLoadIsTheBatchsMaxClockwiseLoad)
     EXPECT_EQ(ringLoad("tornado"), "8");
     // Only batch points have a batch to load the ring with.
     EXPECT_EQ(ringLoad("uniform"), "absent");
+}
+
+/** The metrics of one RMB(16, 4) point running @p workload (a
+ *  boolean or null reads 0). */
+std::map<std::string, double>
+metricsOf(const std::string &workload)
+{
+    exp::PointConfig pt;
+    pt.payload = 8;
+    pt.duration = 4000;
+    EXPECT_EQ(pt.set("workload", obs::JsonValue::makeString(workload)), "");
+    const exp::PointResult r = exp::runPoint(pt);
+    EXPECT_TRUE(r.ok) << r.error;
+    std::map<std::string, double> out;
+    for (const auto &[name, value] : r.metrics)
+        out[name] = std::strtod(value.c_str(), nullptr);
+    return out;
+}
+
+TEST(Metrics, QueueDelayAndMeanCircuitsByHand)
+{
+    // rot:1: every node injects its one message at tick 0, so no
+    // source waits (Jain's index of all-equal delays is 1), and each
+    // circuit is open from establishment to delivery: mean_latency -
+    // mean_setup ticks per message.
+    auto m = metricsOf("rot:1");
+    EXPECT_EQ(m["mean_queue_delay"], 0.0);
+    EXPECT_EQ(m["worst_node_queue_delay"], 0.0);
+    EXPECT_EQ(m["queue_delay_jain"], 1.0);
+    EXPECT_NEAR(m["mean_circuits"] * m["ticks"],
+                16 * (m["mean_latency"] - m["mean_setup"]), 1e-3);
+
+    // burst:2: one source; its first message goes at once, the second
+    // waits d for the send port, so the mean is d / 2, the worst
+    // source is that source, and one source is fair to itself.
+    m = metricsOf("burst:2");
+    EXPECT_GT(m["mean_queue_delay"], 0.0);
+    EXPECT_EQ(m["worst_node_queue_delay"], m["mean_queue_delay"]);
+    EXPECT_EQ(m["queue_delay_jain"], 1.0);
+    // Its two latencies are each queue delay plus setup plus data.
+    EXPECT_NEAR(m["mean_circuits"] * m["ticks"],
+                2 * (m["mean_latency"] - m["mean_setup"] -
+                     m["mean_queue_delay"]),
+                1e-3);
+
+    // Many sources wait unequally: 1/N <= Jain < 1, mean <= worst.
+    m = metricsOf("uniform");
+    EXPECT_GT(m["worst_node_queue_delay"], m["mean_queue_delay"]);
+    EXPECT_LT(m["queue_delay_jain"], 1.0);
+    EXPECT_GE(m["queue_delay_jain"], 1.0 / 16);
 }
 
 // ---------------------------------------------------------------
