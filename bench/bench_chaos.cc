@@ -20,24 +20,23 @@
  * outcome fingerprint, and for hier campaigns a "deterministic" flag
  * (1 iff shardJobs 1 and 3 produced byte-identical outcomes).
  *
- * tests/data/BENCH_chaos.json pins the machine-independent leaves
- * with zero tolerance for the --fast grid; the chaos_gate ctest runs
- * scripts/check_bench.sh against it with --min-speedup reused as the
- * availability floor (the worst campaign's delivered fraction must
- * stay above it).
+ * The report (--json) holds two sections, "campaigns" and
+ * "availability".  tests/data/BENCH_chaos.json pins the
+ * machine-independent leaves with zero tolerance for the --fast grid;
+ * the chaos_gate ctest runs scripts/check_bench.sh against it with
+ * --min-speedup reused as the availability floor (default 0.5: the
+ * worst campaign's delivered fraction must stay above it).
  */
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "common/flags.hh"
+#include "bench/bench_util.hh"
 #include "obs/json.hh"
 #include "rmb/engine.hh"
 #include "sim/random.hh"
@@ -46,13 +45,7 @@
 namespace {
 
 using namespace rmb;
-
-struct Send
-{
-    sim::Tick at;
-    net::NodeId src;
-    net::NodeId dst;
-};
+using bench::Send;
 
 std::string
 num(double v)
@@ -81,23 +74,6 @@ uniformWorkload(std::uint32_t nodes, std::uint64_t messages,
         sends.push_back(Send{rng.uniformRange(0, horizon), src, dst});
     }
     return sends;
-}
-
-/** FNV-1a over the outcome digest (every message's final state and
- *  path length): a compact platform-independent fingerprint. */
-std::string
-digestFingerprint(const net::Network &network)
-{
-    const std::string digest = core::outcomeDigest(network);
-    std::uint64_t h = 1469598103934665603ull;
-    for (const char c : digest) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ull;
-    }
-    char buf[19];
-    std::snprintf(buf, sizeof buf, "0x%016llx",
-                  static_cast<unsigned long long>(h));
-    return buf;
 }
 
 /** One engine x topology cell of the campaign grid. */
@@ -176,11 +152,7 @@ runCampaign(const Campaign &c, std::uint32_t jobs,
     auto network = core::makeEngine(
         simulator, campaignConfig(c, jobs, permanent_prob,
                                   node_prob, bridge_prob));
-    for (const Send &s : sends) {
-        simulator.scheduleAt(s.at, [&network, s] {
-            network->send(s.src, s.dst, 16);
-        });
-    }
+    bench::scheduleSends(simulator, *network, sends, 16);
 
     CampaignOut out;
     const sim::Tick epoch = 500;
@@ -242,14 +214,21 @@ runCampaign(const Campaign &c, std::uint32_t jobs,
                          : 1.0;
     out.residualBandwidth = network->residualBandwidth();
     out.effectiveBuses = network->effectiveBuses();
-    out.fingerprint = digestFingerprint(*network);
+    out.fingerprint = bench::digestFingerprint(*network);
     return out;
 }
 
+} // namespace
+
 int
-runReport(const std::string &path, double min_availability,
-          bool fast)
+main(int argc, char **argv)
 {
+    bench::Harness h(argc, argv, "E22",
+                     "chaos campaigns: fault storms over the engine x"
+                     " topology grid, invariants audited every epoch",
+                     {.minSpeedup = 0.5});
+    const bool fast = h.fast();
+    const double min_availability = h.minSpeedup();
     const std::vector<Campaign> grid = {
         {"event,flat", core::EngineKind::Event, false},
         {"kernel,flat", core::EngineKind::Kernel, false},
@@ -258,17 +237,13 @@ runReport(const std::string &path, double min_availability,
     };
     const sim::Tick horizon = fast ? 6'000 : 20'000;
 
-    obs::JsonWriter w;
-    w.beginObject();
-    w.field("tool", std::string("bench_chaos"));
-    w.field("experiment", std::string("E22"));
-    w.field("fast", fast);
-    w.field("min_availability", min_availability);
+    h.report().set("min_availability", min_availability);
 
     double worst_availability = 1.0;
     bool all_accounted = true;
     bool all_deterministic = true;
-    w.beginObject("campaigns");
+    obs::JsonWriter w;
+    w.beginObject();
     sim::Random prob_rng = sim::Random(42).split(0xca05);
     for (const Campaign &c : grid) {
         // Campaign-specific fault mix, drawn from the bench seed so
@@ -347,26 +322,18 @@ runReport(const std::string &path, double min_availability,
                   << "\n";
     }
     w.endObject();
+    h.report().setRaw("campaigns", w.str());
 
     const bool floor_holds = worst_availability >= min_availability;
-    w.beginObject("availability");
-    w.field("required", min_availability);
-    w.field("worst", worst_availability);
-    w.field("floor_holds", floor_holds ? 1.0 : 0.0);
-    w.field("all_accounted", all_accounted ? 1.0 : 0.0);
-    w.field("all_deterministic", all_deterministic ? 1.0 : 0.0);
-    w.endObject();
-    w.endObject();
-
-    if (!path.empty()) {
-        std::ofstream out(path);
-        if (!out) {
-            std::cerr << "bench_chaos: cannot write " << path
-                      << "\n";
-            return 1;
-        }
-        out << w.str() << "\n";
-    }
+    obs::JsonWriter a;
+    a.beginObject();
+    a.field("required", min_availability);
+    a.field("worst", worst_availability);
+    a.field("floor_holds", floor_holds ? 1.0 : 0.0);
+    a.field("all_accounted", all_accounted ? 1.0 : 0.0);
+    a.field("all_deterministic", all_deterministic ? 1.0 : 0.0);
+    a.endObject();
+    h.report().setRaw("availability", a.str());
 
     if (!all_accounted) {
         std::cerr << "bench_chaos: a campaign lost messages from"
@@ -385,46 +352,4 @@ runReport(const std::string &path, double min_availability,
         return 1;
     }
     return 0;
-}
-
-[[noreturn]] void
-usage(int code)
-{
-    (code == 0 ? std::cout : std::cerr)
-        << "usage: bench_chaos [--fast] [--report FILE]\n"
-           "                   [--min-speedup A]\n"
-           "Randomized transient+permanent+node+bridge fault\n"
-           "campaigns over the engine x topology grid, invariants\n"
-           "audited every epoch.  --min-speedup is reused as the\n"
-           "availability floor (worst campaign's delivered\n"
-           "fraction).  --report writes the JSON the chaos_gate\n"
-           "ctest compares against tests/data/BENCH_chaos.json.\n";
-    std::exit(code);
-}
-
-} // namespace
-
-int
-main(int argc, char **argv)
-{
-    bool fast = false;
-    std::string report_path;
-    double min_availability = 0.5;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--fast") {
-            fast = true;
-        } else if (arg == "--report" && i + 1 < argc) {
-            report_path = argv[++i];
-        } else if (arg == "--min-speedup" && i + 1 < argc) {
-            min_availability =
-                common::flagDouble("bench_chaos", arg, argv[++i]);
-        } else if (arg == "--help" || arg == "-h") {
-            usage(0);
-        } else {
-            std::cerr << "unknown option: " << arg << "\n";
-            usage(2);
-        }
-    }
-    return runReport(report_path, min_availability, fast);
 }

@@ -32,7 +32,9 @@ main(int argc, char **argv)
 {
     using namespace rmb;
 
-    bench::Harness h(argc, argv, "F4/F5/T2/L1", "compaction protocol dynamics");
+    bench::Harness h(argc, argv, "F4/F5/T2/L1",
+                     "compaction protocol dynamics",
+                     {.seed = true, .jobs = true});
 
     const sim::Random root(h.seed(7));
     const common::Runner runner(h.jobs());

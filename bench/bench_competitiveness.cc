@@ -28,7 +28,8 @@ main(int argc, char **argv)
     using namespace rmb;
 
     bench::Harness h(argc, argv, "E7", "on-line vs off-line schedule"
-                        " (competitiveness, section 4)");
+                        " (competitiveness, section 4)",
+                     {.seed = true});
 
     const int trials = h.fast() ? 3 : 10;
     const std::uint32_t payload = 32;

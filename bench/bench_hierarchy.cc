@@ -3,7 +3,7 @@
  * Experiment E21: hierarchical multi-ring scaling curves and the
  * hier-vs-flat-vs-mesh comparison (docs/HIERARCHY.md).
  *
- * Three sections, all in one JSON report:
+ * Three sections, all in one JSON report (--json):
  *
  *  - "scaling": one large hier run (kernel-engine local rings) per
  *    node count - up to 131072 nodes in 1024 rings - executed with
@@ -30,9 +30,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -43,7 +41,7 @@
 #endif
 
 #include "baselines/mesh.hh"
-#include "common/flags.hh"
+#include "bench/bench_util.hh"
 #include "obs/json.hh"
 #include "rmb/engine.hh"
 #include "sim/random.hh"
@@ -52,13 +50,7 @@
 namespace {
 
 using namespace rmb;
-
-struct Send
-{
-    sim::Tick at;
-    net::NodeId src;
-    net::NodeId dst;
-};
+using bench::Send;
 
 /**
  * A seed-derived mostly-local open-loop workload: 7/8 of messages
@@ -113,23 +105,6 @@ usableCpus()
     return std::thread::hardware_concurrency();
 }
 
-/** FNV-1a over the outcome digest: a compact, platform-independent
- *  fingerprint of every message's final state and path length. */
-std::string
-digestFingerprint(const net::Network &network)
-{
-    const std::string digest = core::outcomeDigest(network);
-    std::uint64_t h = 1469598103934665603ull;
-    for (const char c : digest) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ull;
-    }
-    char buf[19];
-    std::snprintf(buf, sizeof buf, "0x%016llx",
-                  static_cast<unsigned long long>(h));
-    return buf;
-}
-
 struct RunOut
 {
     double seconds = 0.0;
@@ -146,11 +121,7 @@ runToQuiescence(net::Network &network, sim::Simulator &simulator,
                 const std::vector<Send> &sends, sim::Tick horizon,
                 std::uint32_t payload)
 {
-    for (const Send &s : sends) {
-        simulator.scheduleAt(s.at, [&network, s, payload] {
-            network.send(s.src, s.dst, payload);
-        });
-    }
+    bench::scheduleSends(simulator, network, sends, payload);
     const auto t0 = std::chrono::steady_clock::now();
     // Past the injection horizon first: quiescent() is vacuously
     // true while scheduled sends are still pending.
@@ -173,7 +144,7 @@ runToQuiescence(net::Network &network, sim::Simulator &simulator,
     out.delivered = network.stats().delivered.value();
     out.injected = network.stats().injected.value();
     out.meanLatency = network.stats().totalLatency.mean();
-    out.fingerprint = digestFingerprint(network);
+    out.fingerprint = bench::digestFingerprint(network);
     return out;
 }
 
@@ -204,9 +175,17 @@ runHier(std::uint32_t nodes, std::uint32_t rings,
     return runToQuiescence(*net, simulator, sends, horizon, 16);
 }
 
+} // namespace
+
 int
-runReport(const std::string &path, double min_speedup, bool fast)
+main(int argc, char **argv)
 {
+    bench::Harness h(argc, argv, "E21",
+                     "hierarchical multi-ring scaling and the"
+                     " hier-vs-flat-vs-mesh comparison",
+                     {.minSpeedup = 1.5});
+    const bool fast = h.fast();
+    const double min_speedup = h.minSpeedup();
     struct Size
     {
         std::uint32_t nodes;
@@ -224,14 +203,9 @@ runReport(const std::string &path, double min_speedup, bool fast)
     const unsigned cpus = usableCpus();
     const bool enforce = cpus >= 4;
 
+    // --- scaling: nodes x threads ---
     obs::JsonWriter w;
     w.beginObject();
-    w.field("tool", std::string("bench_hierarchy"));
-    w.field("experiment", std::string("E21"));
-    w.field("fast", fast);
-
-    // --- scaling: nodes x threads ---
-    w.beginObject("scaling");
     double largest_j1 = 0.0;
     double largest_j4 = 0.0;
     bool all_deterministic = true;
@@ -282,18 +256,21 @@ runReport(const std::string &path, double min_speedup, bool fast)
                   << "\n";
     }
     w.endObject();
+    h.report().setRaw("scaling", w.str());
 
     // --- speedup: the 4-thread floor on the largest size ---
     const double speedup =
         largest_j4 > 0.0 ? largest_j1 / largest_j4 : 0.0;
     const bool floor_holds = !enforce || speedup >= min_speedup;
-    w.beginObject("speedup");
-    w.field("threads_available", std::uint64_t{cpus});
-    w.field("enforced", enforce ? 1.0 : 0.0);
-    w.field("required", min_speedup);
-    w.field("self_speedup_4t", speedup);
-    w.field("floor_holds", floor_holds ? 1.0 : 0.0);
-    w.endObject();
+    obs::JsonWriter sp;
+    sp.beginObject();
+    sp.field("threads_available", std::uint64_t{cpus});
+    sp.field("enforced", enforce ? 1.0 : 0.0);
+    sp.field("required", min_speedup);
+    sp.field("self_speedup_4t", speedup);
+    sp.field("floor_holds", floor_holds ? 1.0 : 0.0);
+    sp.endObject();
+    h.report().setRaw("speedup", sp.str());
     std::cout << "speedup: " << speedup << "x at 4 threads (floor "
               << min_speedup << "x "
               << (enforce ? (floor_holds ? "holds" : "VIOLATED")
@@ -301,7 +278,8 @@ runReport(const std::string &path, double min_speedup, bool fast)
               << ")\n";
 
     // --- comparison: hier vs flat vs mesh, identical workload ---
-    w.beginObject("comparison");
+    obs::JsonWriter cmp;
+    cmp.beginObject();
     {
         const std::uint32_t n = 1024;
         const std::uint64_t messages = fast ? 1'500 : 4'000;
@@ -327,13 +305,13 @@ runReport(const std::string &path, double min_speedup, bool fast)
             }
         }
         auto emit = [&](const std::string &key, const RunOut &o) {
-            w.beginObject(key);
-            w.field("delivered", o.delivered);
-            w.field("completed",
-                    o.delivered == o.injected ? 1.0 : 0.0);
-            w.field("seconds", o.seconds);
-            w.field("mean_latency", o.meanLatency);
-            w.endObject();
+            cmp.beginObject(key);
+            cmp.field("delivered", o.delivered);
+            cmp.field("completed",
+                      o.delivered == o.injected ? 1.0 : 0.0);
+            cmp.field("seconds", o.seconds);
+            cmp.field("mean_latency", o.meanLatency);
+            cmp.endObject();
             std::cout << "comparison " << key << ": " << o.delivered
                       << " delivered, mean latency "
                       << o.meanLatency << ", " << o.seconds
@@ -361,18 +339,8 @@ runReport(const std::string &path, double min_speedup, bool fast)
                  runToQuiescence(mesh, s, sends, 6'000, 16));
         }
     }
-    w.endObject();
-    w.endObject();
-
-    if (!path.empty()) {
-        std::ofstream out(path);
-        if (!out) {
-            std::cerr << "bench_hierarchy: cannot write " << path
-                      << "\n";
-            return 1;
-        }
-        out << w.str() << "\n";
-    }
+    cmp.endObject();
+    h.report().setRaw("comparison", cmp.str());
 
     if (!all_deterministic) {
         std::cerr << "bench_hierarchy: shard-parallel runs were NOT"
@@ -386,45 +354,4 @@ runReport(const std::string &path, double min_speedup, bool fast)
         return 1;
     }
     return 0;
-}
-
-[[noreturn]] void
-usage(int code)
-{
-    (code == 0 ? std::cout : std::cerr)
-        << "usage: bench_hierarchy [--fast] [--report FILE]\n"
-           "                       [--min-speedup X]\n"
-           "Scaling curves (nodes x threads, up to 131072 nodes),\n"
-           "the 4-thread self-speedup floor, and the\n"
-           "hier-vs-flat-vs-mesh comparison.  --report writes the\n"
-           "JSON the hier_gate ctest compares against\n"
-           "tests/data/BENCH_hierarchy.json.\n";
-    std::exit(code);
-}
-
-} // namespace
-
-int
-main(int argc, char **argv)
-{
-    bool fast = false;
-    std::string report_path;
-    double min_speedup = 1.5;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--fast") {
-            fast = true;
-        } else if (arg == "--report" && i + 1 < argc) {
-            report_path = argv[++i];
-        } else if (arg == "--min-speedup" && i + 1 < argc) {
-            min_speedup = common::flagDouble("bench_hierarchy", arg,
-                                              argv[++i]);
-        } else if (arg == "--help" || arg == "-h") {
-            usage(0);
-        } else {
-            std::cerr << "unknown option: " << arg << "\n";
-            usage(2);
-        }
-    }
-    return runReport(report_path, min_speedup, fast);
 }

@@ -4,19 +4,24 @@
  * substrate - event queue throughput, RNG, full RMB simulation rate
  * (protocol events per second) - so regressions in the kernel are
  * visible independently of the modelled results.
+ *
+ * Without --json the binary runs the google-benchmark suite (its own
+ * --benchmark_* flags pass through; --benchmark_out=FILE writes its
+ * JSON).  With --json FILE it runs the kernel-vs-event speedup gate
+ * instead and writes the gate report there (scripts/check_bench.sh
+ * and the bench_gate ctest use it).
  */
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <ctime>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.hh"
 #include "common/env.hh"
-#include "common/flags.hh"
 #include "obs/json.hh"
 #include "obs/prof.hh"
 #include "obs/sinks.hh"
@@ -110,8 +115,7 @@ BENCHMARK(BM_RmbPermutationBatch)
  * The engine-vs-engine heart of the bench: the same batch of random
  * full-traffic messages through either backend (selected by
  * range(0)), measured in delivered messages per second.  The
- * --report/--min-speedup machinery below reuses runEngineBatch for
- * the kernel-vs-event speedup gate.
+ * speedup gate below reuses runEngineBatch.
  */
 std::uint64_t
 runEngineBatch(core::EngineKind kind, std::uint32_t n,
@@ -296,10 +300,10 @@ bestOfCpu(int tries, RunFn &&run)
 }
 
 /**
- * The kernel-vs-event speedup gate behind --report/--min-speedup:
- * measures both engines on a small config grid, writes a sweep
- * compare-able JSON report, and enforces the hard floor on the
- * default (16, 4) configuration.  Raw speedups are in the report
+ * The kernel-vs-event speedup gate behind --json/--min-speedup:
+ * measures both engines on a small config grid, adds its sections to
+ * the sweep compare-able JSON report, and enforces the hard floor on
+ * the default (16, 4) configuration.  Raw speedups are in the report
  * for humans; the *gated* leaves are the binary floor indicators,
  * which stay stable across machines (tests/data/BENCH_microperf.json
  * pins them with zero tolerance).  The report also carries the
@@ -307,9 +311,10 @@ bestOfCpu(int tries, RunFn &&run)
  * the sustained stream, bounded at 5% per engine.
  */
 int
-runSpeedupReport(const std::string &path, double min_speedup,
-                 bool fast)
+runSpeedupReport(bench::Harness &h)
 {
+    const bool fast = h.fast();
+    const double min_speedup = h.minSpeedup();
     struct Point
     {
         std::uint32_t n;
@@ -327,16 +332,16 @@ runSpeedupReport(const std::string &path, double min_speedup,
         {64, 4, false, 5.0},
         {64, 8, false, 5.0},
     };
-    const std::uint32_t rounds = fast ? 2 : 8;
+    // Every batch sample runs the full round count, --fast too: with
+    // fewer rounds the kernel side of a batch ratio is a 3-5 ms
+    // sample, short enough for host noise to swing the ratio across
+    // its floor.
+    const std::uint32_t rounds = 8;
     const std::uint32_t stream_msgs = fast ? 300 : 800;
     const int tries = fast ? 3 : 5;
 
     obs::JsonWriter w;
     w.beginObject();
-    w.field("tool", std::string("bench_microperf"));
-    w.field("experiment", std::string("E11"));
-    w.field("fast", fast);
-    w.beginObject("engine_speedup");
     bool ok = true;
     double default_speedup = 0.0;
     for (const Point &pt : grid) {
@@ -375,6 +380,7 @@ runSpeedupReport(const std::string &path, double min_speedup,
                   << (holds ? "holds" : "VIOLATED") << ")\n";
     }
     w.endObject();
+    h.report().setRaw("engine_speedup", w.str());
 
     // Profiler-overhead gate: the same sustained-streaming workload
     // with the self-profiler disabled vs enabled, per engine.  The
@@ -384,7 +390,8 @@ runSpeedupReport(const std::string &path, double min_speedup,
     // enough to matter.  The gated leaves are the binary bound
     // indicators; the raw ratios ride along for humans.
     const double kProfilerBound = 1.05;
-    w.beginObject("profiler_overhead");
+    obs::JsonWriter p;
+    p.beginObject();
     for (const auto kind :
          {core::EngineKind::Event, core::EngineKind::Kernel}) {
         // The kernel clears the same stream ~15-20x faster than the
@@ -432,29 +439,21 @@ runSpeedupReport(const std::string &path, double min_speedup,
         obs::prof::reset();
         const bool within = ratio <= kProfilerBound;
         ok = ok && within;
-        w.beginObject(core::engineKindName(kind));
-        w.field("off_seconds", off);
-        w.field("on_seconds", on);
-        w.field("overhead_ratio", ratio);
-        w.field("bound", kProfilerBound);
-        w.field("within_bound", within ? 1.0 : 0.0);
-        w.endObject();
+        p.beginObject(core::engineKindName(kind));
+        p.field("off_seconds", off);
+        p.field("on_seconds", on);
+        p.field("overhead_ratio", ratio);
+        p.field("bound", kProfilerBound);
+        p.field("within_bound", within ? 1.0 : 0.0);
+        p.endObject();
         std::cout << "profiler_overhead "
                   << core::engineKindName(kind) << ": " << ratio
                   << "x (off " << off << "s, on " << on
                   << "s, bound " << kProfilerBound << "x "
                   << (within ? "holds" : "VIOLATED") << ")\n";
     }
-    w.endObject();
-    w.endObject();
-
-    std::ofstream out(path);
-    if (!out) {
-        std::cerr << "bench_microperf: cannot write " << path
-                  << "\n";
-        return 1;
-    }
-    out << w.str() << "\n";
+    p.endObject();
+    h.report().setRaw("profiler_overhead", p.str());
 
     if (!ok) {
         std::cerr << "bench_microperf: speedup floor or profiler"
@@ -468,60 +467,28 @@ runSpeedupReport(const std::string &path, double min_speedup,
 
 } // namespace
 
-/**
- * Custom main: accept the common bench flags (--fast, --json <path>,
- * --seed <n>) so every bench binary shares one command line, mapping
- * them onto google-benchmark's own options before Initialize() sees
- * the rest.  --report <file> [--min-speedup <x>] switches to the
- * kernel-vs-event speedup gate instead of the google-benchmark
- * suite (scripts/check_bench.sh and the bench_gate ctest use it).
- */
 int
 main(int argc, char **argv)
 {
-    // Own the storage for synthesised arguments; benchmark keeps
-    // pointers into them during Initialize, so reserve up front to
-    // pin the strings in place.
-    std::vector<std::string> storage;
-    storage.reserve(static_cast<std::size_t>(argc) + 3);
-    auto synth = [&storage](std::string s) {
-        storage.push_back(std::move(s));
-        return storage.back().data();
-    };
-    bool fast = false;
-    std::string report_path;
-    double min_speedup = 10.0;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--fast")
-            fast = true;
-        else if (arg == "--report" && i + 1 < argc)
-            report_path = argv[++i];
-        else if (arg == "--min-speedup" && i + 1 < argc)
-            min_speedup = common::flagDouble("bench_microperf", arg,
-                                              argv[++i]);
+    bench::Harness h(argc, argv, "E11",
+                     "simulator microbenchmarks and the kernel-vs-event"
+                     " speedup gate",
+                     {.minSpeedup = 10.0, .benchmarkFlags = true});
+    if (h.json())
+        return runSpeedupReport(h);
+    if (h.minSpeedupSet()) {
+        std::cerr << "bench_microperf: --min-speedup is read only with"
+                     " --json (the speedup gate)\n";
+        return 2;
     }
-    if (!report_path.empty())
-        return runSpeedupReport(report_path, min_speedup, fast);
-
-    std::vector<char *> args;
-    args.push_back(argv[0]);
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--fast") {
-            args.push_back(synth("--benchmark_min_time=0.05"));
-        } else if (arg == "--json" && i + 1 < argc) {
-            args.push_back(synth(std::string("--benchmark_out=") +
-                                 argv[++i]));
-            args.push_back(synth("--benchmark_out_format=json"));
-        } else if (arg == "--seed" && i + 1 < argc) {
-            ++i; // accepted for interface uniformity; unused here
-        } else if (arg == "--min-speedup" && i + 1 < argc) {
-            ++i; // only meaningful together with --report
-        } else {
-            args.push_back(argv[i]);
-        }
-    }
+    // google-benchmark keeps pointers into its arguments while it
+    // runs; every one here outlives main's use of them.
+    std::string min_time = "--benchmark_min_time=0.05";
+    std::vector<char *> args = {argv[0]};
+    if (h.fast())
+        args.push_back(min_time.data());
+    args.insert(args.end(), h.benchmarkFlags().begin(),
+                h.benchmarkFlags().end());
     int count = static_cast<int>(args.size());
     benchmark::Initialize(&count, args.data());
     if (benchmark::ReportUnrecognizedArguments(count, args.data()))

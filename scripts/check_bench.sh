@@ -1,8 +1,8 @@
 #!/bin/sh
-# Speedup-floor gate for the benches that time themselves: run a
-# bench's report (--fast --report --min-speedup) and compare it
-# against its checked-in baseline with tools/sweep compare.  Two
-# benches speak that interface:
+# Gate for the benches that check themselves: run a bench's report
+# (--fast --json FILE --min-speedup X) and compare it against its
+# checked-in baseline with tools/sweep compare.  Three benches are
+# gated this way:
 #   - bench_microperf (the bench_gate ctest): the kernel engine's
 #     throughput over the event engine, floor 10x on the default
 #     16-node, 4-bus config, plus the profiler-overhead bound;
@@ -11,7 +11,10 @@
 #     executor's 4-thread self-speedup at 131072 nodes, floor 1.5x
 #     where the process may run on >= 4 CPUs, plus the outcome
 #     digests and their determinism across shard job counts;
-#     baseline tests/data/BENCH_hierarchy.json.
+#     baseline tests/data/BENCH_hierarchy.json;
+#   - bench_chaos (the chaos_gate ctest): the fault campaigns'
+#     delivery accounts and digests, with --min-speedup reused as the
+#     0.5 availability floor; baseline tests/data/BENCH_chaos.json.
 # Two ways to fail, both load-bearing:
 #   - the bench exits non-zero when its measured speedup drops
 #     below the floor handed to it;
@@ -24,7 +27,7 @@
 # its CPUs says so next to the measured speedup.
 # Usage: scripts/check_bench.sh [bench sweep baseline.json [min-speedup]]
 # With no arguments, bench_microperf and sweep are taken from ./build
-# and the baseline from tests/data (the developer workflow; both
+# and the baseline from tests/data (the developer workflow; the
 # ctests pass explicit paths).  The optional 4th argument is the
 # floor handed to the bench (default 10, bench_microperf's).
 set -e
@@ -56,7 +59,7 @@ steal_jiffies() {
 
 steal_before=$(steal_jiffies || true)
 status=0
-"$bench" --fast --report "$fresh" --min-speedup "$min_speedup" ||
+"$bench" --fast --json "$fresh" --min-speedup "$min_speedup" ||
     status=$?
 steal_after=$(steal_jiffies || true)
 if [ -n "$steal_before" ] && [ -n "$steal_after" ]; then

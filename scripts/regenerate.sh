@@ -21,7 +21,7 @@ cmake -B build
 cmake --build build -j "$jobs"
 ctest --test-dir build -j "$ctest_jobs" 2>&1 | tee test_output.txt
 (
-    for b in $(sed -n 's/^\(rmb_add_bench\|add_executable\)(\(bench_[a-z_]*\) .*/\2/p' \
+    for b in $(sed -n 's/^rmb_add_bench(\(bench_[a-z_]*\) .*/\1/p' \
         bench/CMakeLists.txt); do
         echo "### build/bench/$b"; "build/bench/$b" $FAST; echo
     done

@@ -438,8 +438,9 @@ appendNetworkMetrics(PointResult &r, const net::Network &network)
     put(r, "nacks", s.nacks.value());
     put(r, "retries", s.retries.value());
     put(r, "mean_hops", s.pathLength.mean());
-    put(r, "peak_circuits",
-        static_cast<std::uint64_t>(s.activeCircuits.maximum()));
+    if (s.activeCircuits.peakKnown())
+        put(r, "peak_circuits",
+            static_cast<std::uint64_t>(s.activeCircuits.maximum()));
     put(r, "mean_circuits",
         s.activeCircuits.average(network.simulator().now()));
     appendQueueDelay(r, network);

@@ -5,7 +5,6 @@
 #include <map>
 
 #include "obs/json.hh"
-#include "obs/json_value.hh"
 
 namespace rmb {
 namespace lint {
@@ -703,8 +702,7 @@ checkDescription(const std::string &check)
 
 std::vector<Finding>
 runChecks(const std::vector<SourceFile> &files,
-          const std::set<std::string> &enabled,
-          const std::vector<AllowEntry> &allow)
+          const std::set<std::string> &enabled)
 {
     std::vector<Finding> findings;
     std::string current_check;
@@ -712,16 +710,6 @@ runChecks(const std::vector<SourceFile> &files,
                           const std::string &message) {
         if (suppressed(f.lex, line, current_check))
             return;
-        for (const AllowEntry &a : allow) {
-            const bool check_ok =
-                a.check == "*" || a.check == current_check;
-            const bool file_ok = a.file == "*" || a.file == f.path;
-            const bool token_ok =
-                a.token == "*" ||
-                message.find(a.token) != std::string::npos;
-            if (check_ok && file_ok && token_ok)
-                return;
-        }
         findings.push_back({current_check, f.path, line, message});
     };
 
@@ -762,55 +750,6 @@ runChecks(const std::vector<SourceFile> &files,
     return findings;
 }
 
-bool
-parseAllowFile(const std::string &content,
-               std::vector<AllowEntry> &out, std::string &error)
-{
-    std::size_t start = 0;
-    int lineno = 0;
-    while (start <= content.size()) {
-        std::size_t end = content.find('\n', start);
-        if (end == std::string::npos)
-            end = content.size();
-        std::string line = content.substr(start, end - start);
-        start = end + 1;
-        ++lineno;
-        const std::size_t hash = line.find('#');
-        std::string comment;
-        if (hash != std::string::npos) {
-            comment = line.substr(hash + 1);
-            line = line.substr(0, hash);
-        }
-        std::vector<std::string> fields;
-        std::string cur;
-        for (char c : line) {
-            if (c == ' ' || c == '\t') {
-                if (!cur.empty())
-                    fields.push_back(cur);
-                cur.clear();
-            } else {
-                cur += c;
-            }
-        }
-        if (!cur.empty())
-            fields.push_back(cur);
-        if (fields.empty())
-            continue; // blank or comment-only line
-        if (fields.size() != 3) {
-            error = "allowlist line " + std::to_string(lineno) +
-                    ": expected '<check> <file> <token>  # reason'";
-            return false;
-        }
-        if (comment.find_first_not_of(" \t") == std::string::npos) {
-            error = "allowlist line " + std::to_string(lineno) +
-                    ": entry needs a '# reason' justification";
-            return false;
-        }
-        out.push_back({fields[0], fields[1], fields[2]});
-    }
-    return true;
-}
-
 std::string
 findingsToJson(const std::vector<Finding> &findings)
 {
@@ -831,46 +770,6 @@ findingsToJson(const std::vector<Finding> &findings)
     json.endArray();
     json.endObject();
     return json.str();
-}
-
-bool
-loadBaseline(const std::string &content, std::set<std::string> &keys,
-             std::string &error)
-{
-    obs::JsonValue doc;
-    if (!obs::jsonParse(content, doc, error))
-        return false;
-    if (!doc.isObject()) {
-        error = "baseline must be a JSON object";
-        return false;
-    }
-    const obs::JsonValue *arr = doc.find("findings");
-    if (arr == nullptr || !arr->isArray()) {
-        error = "baseline lacks a \"findings\" array";
-        return false;
-    }
-    for (const obs::JsonValue &e : arr->array()) {
-        if (!e.isObject()) {
-            error = "baseline finding entries must be objects";
-            return false;
-        }
-        const obs::JsonValue *check = e.find("check");
-        const obs::JsonValue *file = e.find("file");
-        const obs::JsonValue *message = e.find("message");
-        if (check == nullptr || file == nullptr ||
-            message == nullptr || !check->isString() ||
-            !file->isString() || !message->isString()) {
-            error = "baseline finding entries need string "
-                    "check/file/message";
-            return false;
-        }
-        Finding f;
-        f.check = check->string();
-        f.file = file->string();
-        f.message = message->string();
-        keys.insert(f.key());
-    }
-    return true;
 }
 
 } // namespace lint

@@ -43,21 +43,6 @@ struct Finding
     std::string file;
     int line = 0;
     std::string message;
-
-    /** Baseline identity: stable across unrelated edits (no line
-     *  number; messages carry the offending token, not context). */
-    std::string key() const
-    {
-        return check + "|" + file + "|" + message;
-    }
-};
-
-/** One allowlist entry (see parseAllowFile for the file format). */
-struct AllowEntry
-{
-    std::string check; //!< check name, or "*"
-    std::string file;  //!< exact repo-relative path, or "*"
-    std::string token; //!< substring of the message, or "*"
 };
 
 /** All check names, in canonical (registration) order. */
@@ -68,30 +53,15 @@ std::string checkDescription(const std::string &check);
 
 /**
  * Run the @p enabled checks (empty = all) over @p files.  Findings
- * arrive sorted by (file, line, check) with inline suppressions and
- * @p allow entries already applied.
+ * arrive sorted by (file, line, check) with inline suppressions
+ * already applied.
  */
 std::vector<Finding>
 runChecks(const std::vector<SourceFile> &files,
-          const std::set<std::string> &enabled,
-          const std::vector<AllowEntry> &allow);
-
-/**
- * Parse an allowlist file: one `<check> <file> <token>` triple per
- * line ("*" wildcards each field), `#` starts a comment - and every
- * entry MUST carry one, so the allowlist stays self-justifying.
- * @return false with @p error naming the bad line.
- */
-bool parseAllowFile(const std::string &content,
-                    std::vector<AllowEntry> &out, std::string &error);
+          const std::set<std::string> &enabled);
 
 /** Serialise findings as the rmblint JSON document. */
 std::string findingsToJson(const std::vector<Finding> &findings);
-
-/** Load the baseline keys out of a findings JSON document.
- *  @return false with @p error on malformed input. */
-bool loadBaseline(const std::string &content,
-                  std::set<std::string> &keys, std::string &error);
 
 } // namespace lint
 } // namespace rmb

@@ -103,11 +103,21 @@ class Network
     }
 
     /** Aggregate statistics. */
-    const NetworkStats &stats() const { return stats_; }
+    const NetworkStats &
+    stats() const
+    {
+        foldStats();
+        return stats_;
+    }
 
     /** The registry every statistic of this network lives in. */
     obs::MetricsRegistry &metrics() { return metrics_; }
-    const obs::MetricsRegistry &metrics() const { return metrics_; }
+    const obs::MetricsRegistry &
+    metrics() const
+    {
+        foldStats();
+        return metrics_;
+    }
 
     /**
      * Attach @p sink to receive one TraceEvent per protocol action
@@ -141,6 +151,11 @@ class Network
     const sim::Simulator &simulator() const { return simulator_; }
 
   protected:
+    /** Refresh the statistics a network derives from elsewhere (a
+     *  composition folds its rings' in); the stats() and metrics()
+     *  readers call it first. */
+    virtual void foldStats() const {}
+
     /** Allocate and register a new message record. */
     Message &createMessage(NodeId src, NodeId dst,
                            std::uint32_t payload_flits);

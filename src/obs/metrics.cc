@@ -195,7 +195,8 @@ MetricsRegistry::snapshot(sim::Tick now) const
     for (const auto &[name, l] : levels_) {
         json.beginObject(name);
         json.field("current", static_cast<std::int64_t>(l.current()));
-        json.field("max", static_cast<std::int64_t>(l.maximum()));
+        if (l.peakKnown())
+            json.field("max", static_cast<std::int64_t>(l.maximum()));
         json.field("avg", l.average(now));
         json.endObject();
     }

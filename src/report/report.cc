@@ -43,9 +43,10 @@ statsToJson(const net::Network &network, sim::Tick now)
     sampleStat(json, "setupLatency", s.setupLatency);
     sampleStat(json, "totalLatency", s.totalLatency);
     sampleStat(json, "pathLength", s.pathLength);
-    json.field("peakCircuits",
-               static_cast<std::int64_t>(
-                   s.activeCircuits.maximum()));
+    if (s.activeCircuits.peakKnown())
+        json.field("peakCircuits",
+                   static_cast<std::int64_t>(
+                       s.activeCircuits.maximum()));
 
     if (const auto *rmb =
             dynamic_cast<const core::Engine *>(&network)) {

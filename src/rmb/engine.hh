@@ -325,10 +325,6 @@ class Engine : public net::Network
     }
 
   protected:
-    /** Refresh counters rmbStats() derives from elsewhere (a
-     *  composition folds its rings' counters in). */
-    virtual void foldStats() const {}
-
     /**
      * Start the MTBF/MTTR fault process when config().faultMtbf > 0.
      * It draws from its own split substream, so enabling it never

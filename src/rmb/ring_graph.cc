@@ -82,6 +82,12 @@ RingGraph::RingGraph(sim::Simulator &simulator, const RmbConfig &config,
         shard->sim = sharded() ? shard->ownSim.get() : &simulator;
         shard->engine =
             makeEngine(*shard->sim, subConfig(config_, spec));
+        if (!sharded()) {
+            shard->engine->stats().activeCircuits.sumInto(
+                &stats_.activeCircuits);
+            shard->engine->rmbStats().liveBuses.sumInto(
+                &rmbStats_.liveBuses);
+        }
         shard->engine->setDeliveryCallback(
             [this, r](const net::Message &pm) {
                 legDone(r, {pm.delivered, pm.id, false});
@@ -370,14 +376,14 @@ RingGraph::coordinate()
 {
     const sim::Tick cand = windowCandidate();
     if (cand == sim::kMaxTick) {
-        foldStats();
+        foldCounters();
         armed_ = false;
         return;
     }
     const sim::Tick until = std::max(cand, simulator().now());
     runWindow(until);
     drainBarrier(until);
-    foldStats();
+    foldCounters();
     called_.clear();
     // Re-fire at the window end; a same-tick target means pending
     // parent events at this tick run first (FIFO) and the next
@@ -492,6 +498,14 @@ RingGraph::drainBarrier(sim::Tick until)
 void
 RingGraph::foldStats() const
 {
+    foldCounters();
+    if (sharded())
+        foldLevels();
+}
+
+void
+RingGraph::foldCounters() const
+{
     // The counters live in the registry, so a const fold is a cache
     // refresh: the rings' totals are the network's totals.  Sharded,
     // runWindow folds what its shards moved and only the rings called
@@ -509,6 +523,37 @@ RingGraph::foldStats() const
     // faultsInjected / faultsRepaired are parent-owned (the mirror
     // increments them at injection time); per-leg samplers stay in
     // the ring registries (docs/HIERARCHY.md).
+}
+
+void
+RingGraph::foldLevels() const
+{
+    // The sums as of the parent's clock, or as of the latest ring
+    // change where a window ran a ring past it.
+    const auto circuits_of = [](const Shard &sh)
+        -> const sim::LevelTracker & {
+        return sh.engine->stats().activeCircuits;
+    };
+    const auto buses_of = [](const Shard &sh)
+        -> const sim::LevelTracker & {
+        return sh.engine->rmbStats().liveBuses;
+    };
+    sim::Tick at = simulator().now();
+    for (const auto &sh : shards_)
+        at = std::max({at, circuits_of(*sh).lastChange(),
+                       buses_of(*sh).lastChange()});
+    std::int64_t circuits = 0;
+    std::int64_t buses = 0;
+    double circuit_area = 0.0;
+    double bus_area = 0.0;
+    for (const auto &sh : shards_) {
+        circuits += circuits_of(*sh).current();
+        circuit_area += circuits_of(*sh).area(at);
+        buses += buses_of(*sh).current();
+        bus_area += buses_of(*sh).area(at);
+    }
+    stats_.activeCircuits.assignSum(at, circuits, circuit_area);
+    rmbStats_.liveBuses.assignSum(at, buses, bus_area);
 }
 
 void

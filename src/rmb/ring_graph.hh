@@ -291,8 +291,16 @@ class RingGraph : public Engine
     sim::Tick windowCandidate();
     void runWindow(sim::Tick until);
     void drainBarrier(sim::Tick until);
-    /** The rings' protocol counters are the network's. */
+    /** The rings' protocol counters are the network's, and so are
+     *  their circuit and live-bus levels. */
     void foldStats() const override;
+    /** The counter half of foldStats, which every window runs. */
+    void foldCounters() const;
+    /** Sharded, the levels half: each ring keeps its levels on its
+     *  own clock, so the network's are their sums, folded when read
+     *  (exact but for the peak, docs/OBSERVABILITY.md).  Rings on the
+     *  parent clock feed their changes in as they happen instead. */
+    void foldLevels() const;
     /** Add what @p sh's counters moved since its last fold to
      *  @p into (the running maximum for maxCycleSkew). */
     static void takeDelta(const Shard &sh, Tally &into);

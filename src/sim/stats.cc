@@ -120,6 +120,8 @@ void
 LevelTracker::set(Tick now, std::int64_t value)
 {
     rmb_assert(now >= lastChange_, "time ran backwards in LevelTracker");
+    if (sum_ != nullptr)
+        sum_->adjust(now, value - value_);
     weighted_ += static_cast<double>(value_) *
                  static_cast<double>(now - lastChange_);
     lastChange_ = now;
@@ -136,12 +138,27 @@ LevelTracker::adjust(Tick now, std::int64_t delta)
 double
 LevelTracker::average(Tick now) const
 {
-    if (now == 0)
+    const Tick t = std::max(now, lastChange_);
+    if (t == 0)
         return static_cast<double>(value_);
-    double weighted = weighted_ +
-        static_cast<double>(value_) *
-        static_cast<double>(now - lastChange_);
-    return weighted / static_cast<double>(now);
+    return area(t) / static_cast<double>(t);
+}
+
+double
+LevelTracker::area(Tick at) const
+{
+    return weighted_ + static_cast<double>(value_) *
+                           static_cast<double>(
+                               std::max(at, lastChange_) - lastChange_);
+}
+
+void
+LevelTracker::assignSum(Tick at, std::int64_t value, double area)
+{
+    value_ = value;
+    lastChange_ = at;
+    weighted_ = area;
+    peakKnown_ = false;
 }
 
 } // namespace sim

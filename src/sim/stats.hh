@@ -123,6 +123,13 @@ class BusyTracker
 /**
  * Integer-valued level that changes over time (e.g. number of live
  * virtual buses); tracks the time-weighted average and the maximum.
+ *
+ * A level summed over parts (a composite network's rings) is kept in
+ * one of two ways: parts on the sum's own clock feed every change
+ * into it (sumInto), so it is exact, peak included; parts that
+ * advance on clocks of their own are folded in when read
+ * (assignSum), which keeps the current level and the average exact
+ * but loses the peak.
  */
 class LevelTracker
 {
@@ -134,16 +141,40 @@ class LevelTracker
     void adjust(Tick now, std::int64_t delta);
 
     std::int64_t current() const { return value_; }
+
+    /** Tick of the last change. */
+    Tick lastChange() const { return lastChange_; }
+
+    /** The peak level; meaningful only while peakKnown(). */
     std::int64_t maximum() const { return max_; }
 
-    /** Time-weighted mean level over [0, now]. */
+    /** False once assignSum() replaced the history: the peak of a
+     *  sum is not the sum of its parts' peaks. */
+    bool peakKnown() const { return peakKnown_; }
+
+    /** Time-weighted mean level over [0, now] (over [0, last change]
+     *  when that is later). */
     double average(Tick now) const;
+
+    /** Area under the level over [0, @p at] (over [0, last change]
+     *  when that is later). */
+    double area(Tick at) const;
+
+    /** Also apply every later change to @p sum, which must share
+     *  this level's clock and outlive it. */
+    void sumInto(LevelTracker *sum) { sum_ = sum; }
+
+    /** Become a sum folded from parts: @p value since @p at, with
+     *  @p area under it over [0, at]. */
+    void assignSum(Tick at, std::int64_t value, double area);
 
   private:
     std::int64_t value_ = 0;
     std::int64_t max_ = 0;
     Tick lastChange_ = 0;
     double weighted_ = 0.0;
+    bool peakKnown_ = true;
+    LevelTracker *sum_ = nullptr;
 };
 
 } // namespace sim

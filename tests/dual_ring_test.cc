@@ -12,6 +12,7 @@
 
 #include "rmb/network.hh"
 #include "rmb/ring_graph.hh"
+#include "sim/random.hh"
 #include "sim/simulator.hh"
 #include "workload/driver.hh"
 #include "workload/permutation.hh"
@@ -66,6 +67,48 @@ TEST(DualRing, ShortPathsPickTheRightPlane)
     EXPECT_EQ(net->ringEngine(kCounterClockwise).numMessages(), 1u);
     runToQuiescence(s, *net);
     EXPECT_TRUE(net->quiescent());
+}
+
+/**
+ * The planes run on the network's clock and feed their circuit and
+ * live-bus levels into the network's, so its peak is the exact peak
+ * of the sum and its average the sum of the planes' averages.
+ */
+TEST(DualRing, CircuitLevelsSumThePlanes)
+{
+    sim::Simulator s;
+    const auto net = makeDualRing(s, cfg(16, 2));
+    sim::Random rng(3);
+    for (const auto &[src, dst] :
+         workload::toPairs(workload::randomFullTraffic(16, rng)))
+        net->send(src, dst, 32);
+    runToQuiescence(s, *net);
+    ASSERT_TRUE(net->quiescent());
+
+    const sim::Tick now = s.now();
+    const sim::LevelTracker &circuits = net->stats().activeCircuits;
+    const sim::LevelTracker &cw =
+        net->ringEngine(kClockwise).stats().activeCircuits;
+    const sim::LevelTracker &ccw =
+        net->ringEngine(kCounterClockwise).stats().activeCircuits;
+    EXPECT_TRUE(circuits.peakKnown());
+    EXPECT_GT(circuits.maximum(), 0);
+    EXPECT_GE(circuits.maximum(),
+              std::max(cw.maximum(), ccw.maximum()));
+    EXPECT_LE(circuits.maximum(), cw.maximum() + ccw.maximum());
+    EXPECT_EQ(circuits.current(), 0);
+    EXPECT_GT(circuits.average(now), 0.0);
+    EXPECT_DOUBLE_EQ(circuits.average(now),
+                     cw.average(now) + ccw.average(now));
+
+    const sim::LevelTracker &buses = net->rmbStats().liveBuses;
+    EXPECT_GT(buses.maximum(), 0);
+    EXPECT_DOUBLE_EQ(
+        buses.average(now),
+        net->ringEngine(kClockwise).rmbStats().liveBuses.average(now) +
+            net->ringEngine(kCounterClockwise)
+                .rmbStats()
+                .liveBuses.average(now));
 }
 
 TEST(DualRing, DeliveryMirrorsPlaneTimestamps)

@@ -206,6 +206,61 @@ TEST(HierNetwork, BridgeToBridgeSkipsTheLocalLegs)
     EXPECT_EQ(m.pathHops, 1u + 2u); // bridge + global 1 -> 3
 }
 
+/**
+ * Sharded rings keep their levels on their own clocks, so the
+ * network's circuit and live-bus levels are folded from theirs when
+ * read: the current level and the average are their sums, and the
+ * peak is unknown rather than a false 0.
+ */
+TEST(HierNetwork, CircuitLevelsFoldTheRings)
+{
+    const core::RmbConfig cfg = hierConfig(64, 4, 9);
+    sim::Simulator sim;
+    auto net = core::makeEngine(sim, cfg);
+    const auto *graph = dynamic_cast<const core::RingGraph *>(net.get());
+    ASSERT_NE(graph, nullptr);
+    for (const Send &s : makeWorkload(cfg, 200, 4'000)) {
+        sim.schedule(s.at, [&net, s] {
+            net->send(s.src, s.dst, s.payload);
+        });
+    }
+    const auto ring_sum = [&](auto level) {
+        std::int64_t current = 0;
+        for (std::uint32_t r = 0; r < graph->numRings(); ++r)
+            current += level(graph->ringEngine(r)).current();
+        return current;
+    };
+    const auto circuits_of = [](const core::Engine &e)
+        -> const sim::LevelTracker & {
+        return e.stats().activeCircuits;
+    };
+    const auto buses_of = [](const core::Engine &e)
+        -> const sim::LevelTracker & {
+        return e.rmbStats().liveBuses;
+    };
+    sim.runUntil(2'000);
+    EXPECT_GT(net->stats().activeCircuits.current(), 0);
+    EXPECT_EQ(net->stats().activeCircuits.current(),
+              ring_sum(circuits_of));
+    EXPECT_EQ(net->rmbStats().liveBuses.current(), ring_sum(buses_of));
+
+    sim::Tick t = 4'000;
+    while (!net->quiescent() || t == 4'000)
+        sim.runUntil(t += 5'000);
+    sim.runUntil(t += 5'000); // every ring clock behind the parent's
+    const sim::Tick now = sim.now();
+    double ring_average = 0.0;
+    for (std::uint32_t r = 0; r < graph->numRings(); ++r)
+        ring_average +=
+            graph->ringEngine(r).stats().activeCircuits.average(now);
+    const sim::LevelTracker &circuits = net->stats().activeCircuits;
+    EXPECT_GT(circuits.average(now), 0.0);
+    EXPECT_NEAR(circuits.average(now), ring_average,
+                1e-9 * ring_average);
+    EXPECT_FALSE(circuits.peakKnown());
+    EXPECT_GT(net->rmbStats().liveBuses.average(now), 0.0);
+}
+
 /** The seeded bridge mutation must change the digest; otherwise the
  *  differential surface above is vacuous. */
 TEST(HierNetwork, MutationIsDetected)

@@ -3,8 +3,8 @@
  * Tests of the rmblint static analyzer (src/lint): the tokenizer
  * (comments, strings, preprocessor capture, suppressions), the
  * source-tree model, each house check firing on a minimal violation
- * and staying quiet on the conforming variant, the allowlist parser
- * and the JSON findings / baseline round trip.  Everything runs on
+ * and staying quiet on the conforming variant, and the JSON findings
+ * document.  Everything runs on
  * in-memory sources through the same makeSource/runChecks path the
  * CLI uses on the real tree.
  */
@@ -18,6 +18,7 @@
 #include "lint/checks.hh"
 #include "lint/lexer.hh"
 #include "lint/source.hh"
+#include "obs/json_value.hh"
 
 namespace rmb {
 namespace lint {
@@ -26,7 +27,7 @@ namespace {
 std::vector<Finding>
 run(const std::vector<SourceFile> &files, const std::string &check)
 {
-    return runChecks(files, {check}, {});
+    return runChecks(files, {check});
 }
 
 // ---------------------------------------------------------------
@@ -378,36 +379,10 @@ TEST(LintChecks, FlagsIfndefGuardAndMissingPragmaOnce)
 }
 
 // ---------------------------------------------------------------
-// Allowlist, JSON, baseline
+// JSON
 // ---------------------------------------------------------------
 
-TEST(LintAllow, EntriesMatchAndRequireJustification)
-{
-    std::vector<AllowEntry> allow;
-    std::string error;
-    ASSERT_TRUE(parseAllowFile(
-        "# header comment\n"
-        "determinism-hazard src/rmb/t.cc perNode  # verified fold\n",
-        allow, error))
-        << error;
-    ASSERT_EQ(allow.size(), 1u);
-
-    const SourceFile f = makeSource(
-        "src/rmb/t.cc",
-        "#include <unordered_map>\n"
-        "std::unordered_map<int, int> perNode;\n"
-        "void f() { for (auto &kv : perNode) {} }\n");
-    EXPECT_TRUE(
-        runChecks({f}, {"determinism-hazard"}, allow).empty());
-    EXPECT_EQ(runChecks({f}, {"determinism-hazard"}, {}).size(), 1u);
-
-    // Unjustified or malformed entries are rejected.
-    EXPECT_FALSE(parseAllowFile("layering src/x.cc token\n", allow,
-                                error));
-    EXPECT_FALSE(parseAllowFile("too few  # fields\n", allow, error));
-}
-
-TEST(LintJson, FindingsRoundTripThroughBaseline)
+TEST(LintJson, FindingsSerialiseAsOneDocument)
 {
     const SourceFile f =
         makeSource("src/sim/bad.cc",
@@ -415,25 +390,17 @@ TEST(LintJson, FindingsRoundTripThroughBaseline)
     const auto findings = run({f}, "layering");
     ASSERT_EQ(findings.size(), 1u);
 
-    const std::string doc = findingsToJson(findings);
-    std::set<std::string> keys;
+    obs::JsonValue doc;
     std::string error;
-    ASSERT_TRUE(loadBaseline(doc, keys, error)) << error;
-    ASSERT_EQ(keys.size(), 1u);
-    EXPECT_EQ(*keys.begin(), findings[0].key());
-
-    // The key is line-independent: shifting the violation down a
-    // line still matches the baselined finding.
-    const SourceFile shifted =
-        makeSource("src/sim/bad.cc",
-                   "\n\n#include \"rmb/engine.hh\"\n");
-    const auto again = run({shifted}, "layering");
-    ASSERT_EQ(again.size(), 1u);
-    EXPECT_EQ(again[0].key(), findings[0].key());
-    EXPECT_NE(again[0].line, findings[0].line);
-
-    EXPECT_FALSE(loadBaseline("[]", keys, error));
-    EXPECT_FALSE(loadBaseline("{\"findings\": 3}", keys, error));
+    ASSERT_TRUE(obs::jsonParse(findingsToJson(findings), doc, error))
+        << error;
+    const obs::JsonValue *arr = doc.find("findings");
+    ASSERT_TRUE(arr != nullptr && arr->isArray());
+    ASSERT_EQ(arr->array().size(), 1u);
+    const obs::JsonValue &e = arr->array()[0];
+    EXPECT_EQ(e.find("check")->string(), "layering");
+    EXPECT_EQ(e.find("file")->string(), "src/sim/bad.cc");
+    EXPECT_EQ(e.find("message")->string(), findings[0].message);
 }
 
 TEST(LintRegistry, EveryCheckHasADescription)

@@ -215,6 +215,39 @@ TEST(LevelTracker, AverageAtZeroIsCurrent)
     EXPECT_DOUBLE_EQ(t.average(0), 7.0);
 }
 
+TEST(LevelTracker, SumIntoFeedsEveryChange)
+{
+    LevelTracker a, b, sum;
+    a.sumInto(&sum);
+    b.sumInto(&sum);
+    a.adjust(0, 2);  // sum 2 over [0,10)
+    b.adjust(10, 3); // sum 5 over [10,20)
+    a.adjust(20, -2);
+    b.adjust(30, -1); // sum 3 over [20,30), 2 from 30
+    EXPECT_EQ(sum.current(), 2);
+    EXPECT_EQ(sum.maximum(), 5); // not a.maximum() + b.maximum()
+    EXPECT_TRUE(sum.peakKnown());
+    EXPECT_DOUBLE_EQ(sum.average(40),
+                     a.average(40) + b.average(40));
+}
+
+TEST(LevelTracker, AssignSumKeepsAreaButNotPeak)
+{
+    LevelTracker a, b, sum;
+    a.adjust(0, 2);
+    b.adjust(10, 3);
+    a.adjust(20, -2);
+    sum.assignSum(30, a.current() + b.current(),
+                  a.area(30) + b.area(30));
+    EXPECT_EQ(sum.current(), 3);
+    EXPECT_DOUBLE_EQ(sum.area(30), 2.0 * 20 + 3.0 * 20);
+    EXPECT_DOUBLE_EQ(sum.average(40),
+                     a.average(40) + b.average(40));
+    // A read before the fold's tick averages up to the fold.
+    EXPECT_DOUBLE_EQ(sum.average(25), sum.average(30));
+    EXPECT_FALSE(sum.peakKnown());
+}
+
 TEST(LevelTrackerDeathTest, TimeBackwardsPanics)
 {
     LevelTracker t;

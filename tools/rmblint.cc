@@ -9,18 +9,18 @@
  * the flags below - it runs in milliseconds from CTest and CI.
  *
  * Usage: rmblint --all | --check NAME [--check NAME ...]
- *                [--root DIR] [--json [FILE]] [--allow FILE]
- *                [--baseline FILE] [--write-baseline FILE]
- *                [--list] [--help]
+ *                [--root DIR] [--json [FILE]] [--list] [--help]
  *
- * Exit 0: clean (or all findings baselined).  Exit 1: findings.
- * Exit 2: usage / IO error.  Same convention as rmbcheck.
+ * A finding is suppressed only inline, by a justified
+ * `// rmblint:allow(<check>): reason` comment at its site.
+ *
+ * Exit 0: clean.  Exit 1: findings.  Exit 2: usage / IO error.
+ * Same convention as rmbcheck.
  */
 
 #include <fstream>
 #include <iostream>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -34,22 +34,13 @@ void
 usageText(std::ostream &os)
 {
     os << "usage: rmblint --all | --check NAME [--check NAME ...]\n"
-           "               [--root DIR] [--json [FILE]]\n"
-           "               [--allow FILE] [--baseline FILE]\n"
-           "               [--write-baseline FILE] [--list]\n"
+           "               [--root DIR] [--json [FILE]] [--list]\n"
            "\n"
            "  --all                run every check\n"
            "  --check NAME         run one check (repeatable)\n"
            "  --root DIR           tree to scan (default: .)\n"
            "  --json [FILE]        machine-readable findings\n"
-           "  --allow FILE         allowlist (check file token  # "
-           "reason)\n"
-           "  --baseline FILE      ignore findings recorded in a\n"
-           "                       previous --json document\n"
-           "  --write-baseline FILE\n"
-           "                       write current findings as the new\n"
-           "                       baseline (exit 0)\n"
-          "  --list               list available checks\n";
+           "  --list               list available checks\n";
 }
 
 int
@@ -57,18 +48,6 @@ usage()
 {
     usageText(std::cerr);
     return 2;
-}
-
-bool
-readFile(const std::string &path, std::string &out)
-{
-    std::ifstream in(path);
-    if (!in)
-        return false;
-    std::ostringstream all;
-    all << in.rdbuf();
-    out = all.str();
-    return true;
 }
 
 } // namespace
@@ -83,9 +62,6 @@ main(int argc, char **argv)
     bool json = false;
     std::string json_path;
     std::string root = ".";
-    std::string allow_path;
-    std::string baseline_path;
-    std::string write_baseline_path;
     std::set<std::string> enabled;
 
     for (int i = 1; i < argc; ++i) {
@@ -121,15 +97,6 @@ main(int argc, char **argv)
             // Optional FILE operand: anything not flag-shaped.
             if (i + 1 < argc && argv[i + 1][0] != '-')
                 json_path = argv[++i];
-        } else if (arg == "--allow") {
-            if (!value(allow_path))
-                return usage();
-        } else if (arg == "--baseline") {
-            if (!value(baseline_path))
-                return usage();
-        } else if (arg == "--write-baseline") {
-            if (!value(write_baseline_path))
-                return usage();
         } else {
             return usage();
         }
@@ -146,34 +113,6 @@ main(int argc, char **argv)
     if (all)
         enabled.clear(); // empty set = every check
 
-    std::vector<lint::AllowEntry> allow;
-    if (!allow_path.empty()) {
-        std::string content, error;
-        if (!readFile(allow_path, content)) {
-            std::cerr << "rmblint: cannot open allowlist '"
-                      << allow_path << "'\n";
-            return 2;
-        }
-        if (!lint::parseAllowFile(content, allow, error)) {
-            std::cerr << "rmblint: " << error << "\n";
-            return 2;
-        }
-    }
-
-    std::set<std::string> baseline;
-    if (!baseline_path.empty()) {
-        std::string content, error;
-        if (!readFile(baseline_path, content)) {
-            std::cerr << "rmblint: cannot open baseline '"
-                      << baseline_path << "'\n";
-            return 2;
-        }
-        if (!lint::loadBaseline(content, baseline, error)) {
-            std::cerr << "rmblint: baseline: " << error << "\n";
-            return 2;
-        }
-    }
-
     const std::vector<lint::SourceFile> files = lint::loadTree(root);
     if (files.empty()) {
         std::cerr << "rmblint: no sources under '" << root
@@ -181,34 +120,8 @@ main(int argc, char **argv)
         return 2;
     }
 
-    std::vector<lint::Finding> findings =
-        lint::runChecks(files, enabled, allow);
-
-    if (!write_baseline_path.empty()) {
-        std::ofstream out(write_baseline_path);
-        if (!out) {
-            std::cerr << "rmblint: cannot write baseline '"
-                      << write_baseline_path << "'\n";
-            return 2;
-        }
-        out << lint::findingsToJson(findings) << "\n";
-        std::cout << "rmblint: wrote " << findings.size()
-                  << " finding(s) to " << write_baseline_path
-                  << "\n";
-        return 0;
-    }
-
-    std::size_t baselined = 0;
-    if (!baseline.empty()) {
-        std::vector<lint::Finding> fresh;
-        for (lint::Finding &f : findings) {
-            if (baseline.count(f.key()) != 0)
-                ++baselined;
-            else
-                fresh.push_back(std::move(f));
-        }
-        findings = std::move(fresh);
-    }
+    const std::vector<lint::Finding> findings =
+        lint::runChecks(files, enabled);
 
     if (json) {
         const std::string doc = lint::findingsToJson(findings);
@@ -228,10 +141,7 @@ main(int argc, char **argv)
 
     if (findings.empty()) {
         std::cout << "rmblint: clean (" << files.size()
-                  << " files";
-        if (baselined != 0)
-            std::cout << ", " << baselined << " baselined";
-        std::cout << ")\n";
+                  << " files)\n";
         return 0;
     }
 
@@ -244,9 +154,6 @@ main(int argc, char **argv)
     }
     table.print(std::cout);
     std::cout << findings.size() << " finding(s) in " << files.size()
-              << " files";
-    if (baselined != 0)
-        std::cout << " (" << baselined << " baselined)";
-    std::cout << "\n";
+              << " files\n";
     return 1;
 }

@@ -280,9 +280,10 @@ printStats(const Options &o, const net::Network &network,
     t.addRow({"mean setup",
               TextTable::num(s.setupLatency.mean(), 1)});
     t.addRow({"mean hops", TextTable::num(s.pathLength.mean(), 2)});
-    t.addRow({"peak circuits",
-              TextTable::num(static_cast<std::uint64_t>(
-                  s.activeCircuits.maximum()))});
+    if (s.activeCircuits.peakKnown())
+        t.addRow({"peak circuits",
+                  TextTable::num(static_cast<std::uint64_t>(
+                      s.activeCircuits.maximum()))});
     if (const auto *rmb =
             dynamic_cast<const core::Engine *>(&network)) {
         t.addRow({"compaction moves",
