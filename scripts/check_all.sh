@@ -2,13 +2,14 @@
 # One-button pre-merge gate: run every check this repo ships, in
 # cheapest-first order so the fast failures fire before the slow
 # sanitizer rebuilds.
-#   1. default build + full tier-1 ctest suite
+#   1. default build + full tier-1 ctest suite (the perf floors and
+#      the profiler-overhead bound run there, as bench_gate and
+#      hier_gate)
 #   2. check_lint.sh     - rmblint over the whole tree
-#   3. check_bench.sh    - perf floors + profiler-overhead bound
-#   4. check_tidy.sh     - clang-tidy over the protocol core
+#   3. check_tidy.sh     - clang-tidy over the protocol core
 #                          (skips cleanly when no binary, exit 77)
-#   5. check_sanitizers.sh - ASan/UBSan suite + chaos soak
-#   6. check_tsan.sh     - TSan over the threaded surface
+#   4. check_sanitizers.sh - ASan/UBSan suite + chaos soak
+#   5. check_tsan.sh     - TSan over the threaded surface
 # Job counts honour the environment instead of hard-coding nproc:
 #   NPROC                - build parallelism   (default: nproc)
 #   CTEST_PARALLEL_LEVEL - test parallelism    (default: NPROC)
@@ -25,9 +26,6 @@ cmake --build build -j "$jobs"
 
 echo "== check_all: rmblint =="
 scripts/check_lint.sh
-
-echo "== check_all: bench gate =="
-scripts/check_bench.sh
 
 echo "== check_all: clang-tidy =="
 if scripts/check_tidy.sh; then

@@ -47,8 +47,8 @@ flagUint(const char *tool, const std::string &flag,
  * number: the whole string, in decimal or exponent form.  Anything
  * else (empty, trailing text, a negative, inf or nan) is a usage
  * error: "<tool>: <flag> expects a non-negative number, got
- * '<text>'" on stderr and exit 2, so a malformed floor or tolerance
- * never reads as 0.
+ * '<text>'" on stderr and exit 2, so a malformed floor never reads
+ * as 0.
  */
 inline double
 flagDouble(const char *tool, const std::string &flag,

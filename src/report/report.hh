@@ -2,9 +2,9 @@
  * @file
  * Machine-readable and visual run reports.
  *
- * - statsToJson(): serialize a network's aggregate statistics (plus
- *   RMB-specific counters when applicable) as a JSON object, for
- *   scripting around rmbsim and the benches.
+ * - statsToJson(): the run facts a metrics snapshot lacks (the
+ *   network's name, an RMB's bus count, segment utilization and
+ *   faulted segments), as the "stats" block of rmbsim's report.
  * - utilizationHeatmap(): render the RMB's per-segment
  *   time-weighted utilization as an ASCII heatmap (gaps across,
  *   levels down) - the static counterpart of the
@@ -23,11 +23,12 @@ namespace rmb {
 namespace report {
 
 /**
- * Serialize @p network's statistics as a single JSON object.
- * Always includes the common counters; adds a "rmb" sub-object for
- * RMB engines (any core::Engine backend).  NaNs (empty stats) are
- * emitted as null.  The metrics registry is not repeated here: run
- * reports carry its snapshot once, under "metrics".
+ * Serialize what @p network's metrics snapshot does not carry, as
+ * one JSON object: the network's name, plus an "rmb" sub-object for
+ * RMB engines (any core::Engine backend) with the bus count, the
+ * average segment utilization at @p now and the faulted-segment
+ * count.  Every counter, sampler and level is left to the snapshot,
+ * which run reports carry once, under "metrics".
  */
 std::string statsToJson(const net::Network &network, sim::Tick now);
 

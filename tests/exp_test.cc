@@ -21,7 +21,6 @@
 #include <gtest/gtest.h>
 
 #include "exp/eval.hh"
-#include "exp/gate.hh"
 #include "common/parallel.hh"
 #include "common/table.hh"
 #include "exp/spec.hh"
@@ -1077,89 +1076,6 @@ TEST(Metrics, QueueDelayAndMeanCircuitsByHand)
     EXPECT_GT(m["worst_node_queue_delay"], m["mean_queue_delay"]);
     EXPECT_LT(m["queue_delay_jain"], 1.0);
     EXPECT_GE(m["queue_delay_jain"], 1.0 / 16);
-}
-
-// ---------------------------------------------------------------
-// Baseline gate
-// ---------------------------------------------------------------
-
-TEST(Gate, IdenticalReportsPass)
-{
-    const std::string doc =
-        R"({"a": 1.5, "b": {"c": 2, "s": "hi"}, "arr": [1, 2]})";
-    const auto outcome = exp::compareReportTexts(doc, doc);
-    EXPECT_TRUE(outcome.pass) << joined(outcome.problems);
-    EXPECT_EQ(outcome.compared, 5u);
-}
-
-TEST(Gate, NumericDriftFailsWithPath)
-{
-    const auto outcome = exp::compareReportTexts(
-        R"({"b": {"c": 2}})", R"({"b": {"c": 3}})");
-    EXPECT_FALSE(outcome.pass);
-    ASSERT_EQ(outcome.problems.size(), 1u);
-    EXPECT_NE(outcome.problems[0].find("b.c"), std::string::npos)
-        << outcome.problems[0];
-}
-
-TEST(Gate, ToleranceFromBaselineAllowsDrift)
-{
-    // |2 - 3| <= rtol * |baseline| with rtol = 0.6 -> within budget.
-    const auto outcome = exp::compareReportTexts(
-        R"({"b": {"c": 2}})",
-        R"({"b": {"c": 3}, "tolerances": {"c": 0.6}})");
-    EXPECT_TRUE(outcome.pass) << joined(outcome.problems);
-}
-
-TEST(Gate, ExactPathBeatsBareLeafName)
-{
-    // The bare name would allow the drift; the exact path (more
-    // specific) forbids it.
-    const auto outcome = exp::compareReportTexts(
-        R"({"b": {"c": 2}})",
-        R"({"b": {"c": 3},
-            "tolerances": {"c": 0.6, "b.c": 0.0}})");
-    EXPECT_FALSE(outcome.pass);
-}
-
-TEST(Gate, StarAndCliDefaultsApply)
-{
-    EXPECT_TRUE(exp::compareReportTexts(
-                    R"({"x": 10})",
-                    R"({"x": 11, "tolerances": {"*": 0.2}})")
-                    .pass);
-    exp::GateOptions opt;
-    opt.rtol = 0.2;
-    EXPECT_TRUE(
-        exp::compareReportTexts(R"({"x": 10})", R"({"x": 11})", opt)
-            .pass);
-    EXPECT_FALSE(
-        exp::compareReportTexts(R"({"x": 10})", R"({"x": 11})")
-            .pass);
-}
-
-TEST(Gate, MissingLeafAndTypeMismatchFail)
-{
-    EXPECT_FALSE(
-        exp::compareReportTexts(R"({})", R"({"gone": 1})").pass);
-    EXPECT_FALSE(exp::compareReportTexts(R"({"x": "1"})",
-                                         R"({"x": 1})")
-                     .pass);
-    // Fresh-only leaves are fine: adding metrics never breaks a
-    // stored baseline.
-    EXPECT_TRUE(exp::compareReportTexts(R"({"x": 1, "new": 2})",
-                                        R"({"x": 1})")
-                    .pass);
-}
-
-TEST(Gate, BrokenDocumentsAreReportedNotThrown)
-{
-    const auto outcome =
-        exp::compareReportTexts("{ nope", R"({"x": 1})");
-    EXPECT_FALSE(outcome.pass);
-    ASSERT_FALSE(outcome.problems.empty());
-    EXPECT_NE(outcome.problems[0].find("fresh"), std::string::npos)
-        << outcome.problems[0];
 }
 
 } // namespace

@@ -58,9 +58,9 @@ struct Options
     std::string record;
     std::string replay;
     bool csv = false;
+    /** --json [FILE]: write an obs::RunReport to FILE, or to stdout
+     *  when no FILE follows. */
     bool json = false;
-    /** --json FILE: write an obs::RunReport there instead of
-     *  printing the stats JSON to stdout. */
     std::string jsonPath;
     /** --trace FILE: stream every protocol event there as JSONL. */
     std::string tracePath;
@@ -70,8 +70,8 @@ struct Options
     sim::Tick timeline = 0;
     bool heatmap = false;
     /** --profile: record host-time phases; adds a "profile" report
-     *  section (excluded from digests/baseline comparison — host
-     *  time is nondeterministic) and a stdout phase table. */
+     *  section (excluded from digests and goldens — host time is
+     *  nondeterministic) and a stdout phase table. */
     bool profile = false;
 };
 
@@ -143,8 +143,8 @@ parse(int argc, char **argv)
             o.csv = true;
         } else if (arg == "--json") {
             o.json = true;
-            // Optional argument: a bare --json keeps the legacy
-            // stats-JSON-to-stdout behaviour.
+            // Optional argument: a bare --json writes the report
+            // to stdout.
             if (i + 1 < argc && argv[i + 1][0] != '-')
                 o.jsonPath = argv[++i];
         } else if (arg == "--trace") {
@@ -233,12 +233,14 @@ writeReport(const Options &o, const net::Network &network,
         report.setRaw("timeline", timeline->toJson());
     // Host wall-clock is nondeterministic by nature, so "profile"
     // must stay the report's only nondeterministic section: digests
-    // ignore it and `sweep compare` never baselines it (the ctest
-    // strip-compare pair proves the rest of the report is
-    // byte-identical across runs).
+    // and goldens ignore it (the ctest strip-compare pair proves the
+    // rest of the report is byte-identical across runs).
     if (o.profile)
         report.setRaw("profile", obs::prof::reportJson());
-    report.write(o.jsonPath);
+    if (o.jsonPath.empty())
+        std::cout << report.toJson() << "\n";
+    else
+        report.write(o.jsonPath);
 }
 
 void
@@ -247,21 +249,18 @@ printStats(const Options &o, const net::Network &network,
            const obs::CountingSink &counts,
            const obs::TimelineSampler *timeline)
 {
-    if (!o.jsonPath.empty())
+    if (o.json)
         writeReport(o, network, now, counts, timeline);
-    if (o.json && o.jsonPath.empty()) {
-        std::cout << report::statsToJson(network, now) << "\n";
-        if (!o.heatmap)
-            return;
-    }
     if (o.heatmap) {
         if (const auto *rmb =
                 dynamic_cast<const core::Engine *>(&network)) {
             report::utilizationHeatmap(std::cout, *rmb, now);
         }
-        if (o.json)
-            return;
     }
+    // A report on stdout, or a heatmap next to a report file,
+    // replaces the table.
+    if (o.json && (o.heatmap || o.jsonPath.empty()))
+        return;
     const auto &s = network.stats();
     TextTable t("rmbsim results: " + network.name(),
                 {"metric", "value"});
@@ -361,15 +360,14 @@ main(int argc, char **argv)
     std::unique_ptr<obs::JsonlFileSink> fileSink;
     if (!o.tracePath.empty())
         fileSink = std::make_unique<obs::JsonlFileSink>(o.tracePath);
-    obs::TeeSink tee(o.jsonPath.empty() ? nullptr : &counts,
-                     fileSink.get());
-    if (!o.jsonPath.empty() || fileSink)
+    obs::TeeSink tee(o.json ? &counts : nullptr, fileSink.get());
+    if (o.json || fileSink)
         network->setTraceSink(&tee);
 
     // The report's timeline: every duration/100 ticks unless
     // --timeline sets the period, which also adds per-shard series.
     sim::Tick period = 0;
-    if (!o.jsonPath.empty())
+    if (o.json)
         period = o.timeline ? o.timeline
                             : std::max<sim::Tick>(pt.duration / 100, 1);
     const bool shard_series = o.timeline > 0;
@@ -393,6 +391,10 @@ main(int argc, char **argv)
             fatal("cannot write trace '", o.record, "'");
         workload::writeTrace(out, trace);
     }
+    // A report on stdout keeps stdout one JSON document: the run
+    // summary lines go to stderr then.
+    std::ostream &note =
+        o.json && o.jsonPath.empty() ? std::cerr : std::cout;
     std::unique_ptr<obs::TimelineSampler> timeline;
     if (!o.replay.empty() || pattern) {
         timeline = exp::startTimeline(
@@ -400,14 +402,14 @@ main(int argc, char **argv)
             shard_series);
         const auto r = workload::replayTrace(*network, trace);
         if (pattern)
-            std::cout << "recorded " << trace.size() << " events to "
-                      << o.record << "; replayed locally: "
-                      << r.delivered << " delivered\n";
+            note << "recorded " << trace.size() << " events to "
+                 << o.record << "; replayed locally: " << r.delivered
+                 << " delivered\n";
         else
-            std::cout << "replayed " << r.injected << " events: "
-                      << r.delivered << " delivered, " << r.failed
-                      << " failed, makespan " << r.makespan
-                      << ", mean latency " << r.meanLatency << "\n";
+            note << "replayed " << r.injected << " events: "
+                 << r.delivered << " delivered, " << r.failed
+                 << " failed, makespan " << r.makespan
+                 << ", mean latency " << r.meanLatency << "\n";
     } else {
         exp::WorkloadRun run =
             exp::runWorkload(pt, *network, rng, pt.duration / 10,
@@ -415,15 +417,14 @@ main(int argc, char **argv)
         if (!run.error.empty())
             fatal(run.error);
         if (!run.pairs.empty()) {
-            std::cout << (run.batch.completed ? "batch completed"
-                                              : "batch TIMED OUT")
-                      << ": makespan " << run.batch.makespan << "\n";
+            note << (run.batch.completed ? "batch completed"
+                                         : "batch TIMED OUT")
+                 << ": makespan " << run.batch.makespan << "\n";
         } else {
-            std::cout << "open loop: offered "
-                      << run.openLoop.offeredLoad
-                      << " msgs/node/tick, throughput "
-                      << run.openLoop.throughput << ", mean latency "
-                      << run.openLoop.meanLatency << "\n";
+            note << "open loop: offered " << run.openLoop.offeredLoad
+                 << " msgs/node/tick, throughput "
+                 << run.openLoop.throughput << ", mean latency "
+                 << run.openLoop.meanLatency << "\n";
         }
         if (!o.record.empty()) { // a batch: every pair at tick 0
             for (const auto &[src, dst] : run.pairs)

@@ -1,6 +1,6 @@
 /**
  * @file
- * sweep - run declarative experiment sweeps and gate regressions.
+ * sweep - run declarative experiment sweeps.
  *
  * Modes:
  *   sweep run <spec.json> [--jobs N] [--json FILE] [--seed S]
@@ -17,25 +17,15 @@
  *   sweep points <spec.json>
  *       List the materialised grid (index, seed, label) without
  *       running anything - for checking what a spec expands to.
- *
- *   sweep compare <report.json> <baseline.json> [--rtol F]
- *                 [--atol F]
- *       Diff a fresh report against a stored baseline with
- *       per-metric tolerances (see docs/SWEEPS.md).  Exits 0 when
- *       every baseline leaf matches, 1 on regression, 2 on bad
- *       input.
  */
 
 #include <cstring>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/flags.hh"
 #include "exp/eval.hh"
-#include "exp/gate.hh"
 #include "common/parallel.hh"
 #include "exp/spec.hh"
 
@@ -52,9 +42,7 @@ usage(int code)
            "                 [--<field> V ...]   (rmbsim's recipe"
            " flags, --timeout, --timeline-period:\n"
            "                                     base overrides)\n"
-           "       sweep points <spec.json>\n"
-           "       sweep compare <report.json> <baseline.json>"
-           " [--rtol F] [--atol F]\n";
+           "       sweep points <spec.json>\n";
     std::exit(code);
 }
 
@@ -67,19 +55,6 @@ value(int argc, char **argv, int &i)
         usage(2);
     }
     return argv[++i];
-}
-
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in) {
-        std::cerr << "sweep: cannot open '" << path << "'\n";
-        std::exit(2);
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    return text.str();
 }
 
 exp::SweepSpec
@@ -203,52 +178,6 @@ pointsMode(int argc, char **argv)
     return 0;
 }
 
-int
-compareMode(int argc, char **argv)
-{
-    std::string fresh_path;
-    std::string baseline_path;
-    exp::GateOptions options;
-
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto need = [&] { return value(argc, argv, i); };
-        if (arg == "--rtol") {
-            options.rtol = common::flagDouble("sweep", arg, need());
-        } else if (arg == "--atol") {
-            options.atol = common::flagDouble("sweep", arg, need());
-        } else if (arg == "--help" || arg == "-h") {
-            usage(0);
-        } else if (fresh_path.empty() && arg[0] != '-') {
-            fresh_path = arg;
-        } else if (baseline_path.empty() && arg[0] != '-') {
-            baseline_path = arg;
-        } else {
-            std::cerr << "sweep: unknown option '" << arg << "'\n";
-            usage(2);
-        }
-    }
-    if (fresh_path.empty() || baseline_path.empty()) {
-        std::cerr << "sweep compare: needs <report.json> and"
-                     " <baseline.json>\n";
-        usage(2);
-    }
-
-    const exp::GateOutcome outcome = exp::compareReportTexts(
-        slurp(fresh_path), slurp(baseline_path), options);
-    if (outcome.pass) {
-        std::cout << "PASS: " << outcome.compared
-                  << " baseline values within tolerance\n";
-        return 0;
-    }
-    std::cerr << "FAIL: " << outcome.problems.size()
-              << " regression(s) against '" << baseline_path
-              << "':\n";
-    for (const auto &p : outcome.problems)
-        std::cerr << "  - " << p << "\n";
-    return 1;
-}
-
 } // namespace
 
 int
@@ -261,11 +190,9 @@ main(int argc, char **argv)
         return runMode(argc, argv);
     if (mode == "points")
         return pointsMode(argc, argv);
-    if (mode == "compare")
-        return compareMode(argc, argv);
     if (mode == "--help" || mode == "-h")
         usage(0);
     std::cerr << "sweep: unknown mode '" << mode
-              << "' (expected run, points or compare)\n";
+              << "' (expected run or points)\n";
     usage(2);
 }
