@@ -36,17 +36,24 @@ namespace {
 
 using namespace rmb;
 
+/**
+ * Far-tier case: batches spread over 1024 ticks from the last fired
+ * tick, so most events wait in the heap and move into the wheel as
+ * the base nears them.
+ */
 void
 BM_EventQueueScheduleRun(benchmark::State &state)
 {
     const auto batch = static_cast<std::uint64_t>(state.range(0));
     sim::EventQueue q;
+    sim::Tick now = 0;
     std::uint64_t sink = 0;
     for (auto _ : state) {
         for (std::uint64_t i = 0; i < batch; ++i)
-            q.schedule((i * 2654435761u) % 1024, [&sink] { ++sink; });
+            q.schedule(now + (i * 2654435761u) % 1024,
+                       [&sink] { ++sink; });
         while (!q.empty())
-            q.runOne();
+            now = q.runOne();
     }
     benchmark::DoNotOptimize(sink);
     state.SetItemsProcessed(
@@ -54,6 +61,31 @@ BM_EventQueueScheduleRun(benchmark::State &state)
         static_cast<std::int64_t>(batch));
 }
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(256)->Arg(4096);
+
+/**
+ * Near-tier steady state, the shape of the event engine's INC ticks:
+ * range(0) events pending, and each one fired is rescheduled 1-10
+ * ticks on, within the wheel's span.
+ */
+void
+BM_EventQueueSteadyNear(benchmark::State &state)
+{
+    const auto pending = static_cast<std::uint64_t>(state.range(0));
+    sim::EventQueue q;
+    std::uint64_t sink = 0;
+    for (std::uint64_t i = 0; i < pending; ++i)
+        q.schedule(1 + i % 10, [&sink] { ++sink; });
+    std::uint64_t i = 0;
+    for (auto _ : state) {
+        const sim::Tick now = q.runOne();
+        q.schedule(now + 1 + (++i * 2654435761u) % 10,
+                   [&sink] { ++sink; });
+    }
+    benchmark::DoNotOptimize(sink);
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EventQueueSteadyNear)->Arg(256)->Arg(4096);
 
 void
 BM_RandomNext(benchmark::State &state)
@@ -322,15 +354,19 @@ runSpeedupReport(bench::Harness &h)
         bool stream;  //!< sustained streaming vs saturated batch
         double floor; //!< required speedup for the floor leaf
     };
-    // The default config carries the 10x claim on the sustained
+    // The default config carries the main claim on the sustained
     // streaming regime; the saturated setup-storm batches (tiny
     // payloads, every node injecting at once) are the kernel's
-    // worst case and hold conservative floors alongside.
+    // worst case and hold conservative floors alongside.  Each floor
+    // is a bound on kernel CPU time relative to the event engine's:
+    // when the event engine gets faster, a floor is re-based as
+    // old floor x (new / old median event seconds), rounded down to
+    // 0.1, which admits the same absolute kernel time as before.
     const std::vector<Point> grid = {
         {16, 4, true, min_speedup},
-        {16, 4, false, 2.0},
-        {64, 4, false, 5.0},
-        {64, 8, false, 5.0},
+        {16, 4, false, 1.0},
+        {64, 4, false, 2.0},
+        {64, 8, false, 2.2},
     };
     // Every batch sample runs the full round count, --fast too: with
     // fewer rounds the kernel side of a batch ratio is a 3-5 ms
@@ -401,7 +437,7 @@ runSpeedupReport(bench::Harness &h)
     host.beginObject("profiler_overhead");
     for (const auto kind :
          {core::EngineKind::Event, core::EngineKind::Kernel}) {
-        // The kernel clears the same stream ~15-20x faster than the
+        // The kernel clears the same stream ~6x faster than the
         // event engine, so with a shared message count its timing
         // window would be sub-millisecond and the 5% bound would
         // gate on scheduler noise.  Scale its workload so both
@@ -485,7 +521,7 @@ main(int argc, char **argv)
     bench::Harness h(argc, argv, "E11",
                      "simulator microbenchmarks and the kernel-vs-event"
                      " speedup gate",
-                     {.minSpeedup = 10.0, .benchmarkFlags = true});
+                     {.minSpeedup = 4.6, .benchmarkFlags = true});
     if (h.json())
         return runSpeedupReport(h);
     if (h.minSpeedupSet()) {

@@ -9,8 +9,8 @@
  * (ring_engine.hh):
  *
  *  - `RmbNetwork` (network.hh): the reference discrete-event engine;
- *    every header hop, INC cycle tick and teardown step is a
- *    heap-scheduled `sim::EventQueue` event with per-INC clock skew.
+ *    every header hop, INC cycle tick and teardown step is one
+ *    `sim::EventQueue` event, with per-INC clock skew.
  *  - `CycleKernelEngine` (kernel/kernel_engine.hh): a time-stepped
  *    structure-of-arrays kernel; segment occupancy and fault state
  *    live in uint64_t bitplanes, compaction candidates are filtered

@@ -129,9 +129,9 @@ CycleKernelEngine::onWake()
     processTick(simulator().now());
     // Self-clocked fast path: while the simulator has nothing due
     // before our next action tick, step the clock ourselves instead
-    // of bouncing every tick through the event heap.  Outcomes are
+    // of bouncing every tick through the event queue.  Outcomes are
     // identical — the same actions run at the same ticks — but a
-    // kernel-only stretch costs zero heap operations.
+    // kernel-only stretch costs no event-queue operations.
     sim::Tick due;
     while ((due = nextDue()) != kNever && simulator().advanceIfIdle(due))
         processTick(due);

@@ -83,7 +83,7 @@ enum class EngineKind : std::uint8_t
 {
     /**
      * The original discrete-event path (`RmbNetwork`): every header
-     * hop, INC cycle tick and teardown step is a heap-scheduled
+     * hop, INC cycle tick and teardown step is one
      * `sim::EventQueue` event.  Most faithful to per-INC clock skew;
      * the reference implementation.
      */
@@ -93,7 +93,8 @@ enum class EngineKind : std::uint8_t
      * (`CycleKernelEngine`): segment occupancy and fault state live
      * in uint64_t bitplanes, compaction runs as a synchronous global
      * cycle with word-parallel candidate filtering, and the protocol
-     * agenda is a bucket timing wheel.  ~10x+ faster; refuses
+     * agenda is a bucket timing wheel.  Several times faster (the
+     * bench_gate floors in bench_microperf.cc); refuses
      * configurations it cannot model (see RmbConfig::validate()).
      */
     Kernel,

@@ -31,8 +31,11 @@ Simulator::runUntil(Tick until)
     const Tick saved_horizon = horizon_;
     horizon_ = until;
     std::uint64_t executed = 0;
-    while (!events_.empty() && events_.nextTick() <= until) {
-        now_ = events_.nextTick();
+    while (!events_.empty()) {
+        const Tick next = events_.nextTick();
+        if (next > until)
+            break;
+        now_ = next;
         events_.runOne();
         ++executed;
     }

@@ -72,7 +72,7 @@ class Simulator
      *
      * This is the fast path for self-clocked components: inside an
      * event callback they may consume their own future work directly
-     * instead of bouncing every tick through the event heap.  The
+     * instead of bouncing every tick through the event queue.  The
      * horizon guard keeps runUntil() exact — a component can never
      * advance time past the caller's stopping point.
      *
