@@ -26,12 +26,6 @@ RingBufferSink::onEvent(const TraceEvent &event)
     ++seen_;
 }
 
-std::size_t
-RingBufferSink::size() const
-{
-    return buffer_.size();
-}
-
 std::vector<TraceEvent>
 RingBufferSink::events() const
 {

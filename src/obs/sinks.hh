@@ -74,9 +74,6 @@ class RingBufferSink final : public TraceSink
 
     void onEvent(const TraceEvent &event) override;
 
-    /** Events currently retained (<= capacity). */
-    std::size_t size() const;
-
     /** Total events ever seen (retained + overwritten). */
     std::uint64_t seen() const { return seen_; }
 

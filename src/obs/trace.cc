@@ -43,19 +43,6 @@ eventKindName(EventKind kind)
     panic("unknown EventKind ", static_cast<int>(kind));
 }
 
-const char *
-deadLetterReasonName(DeadLetterReason reason)
-{
-    switch (reason) {
-      case kDeadRetriesExhausted: return "retries_exhausted";
-      case kDeadUnreachable: return "unreachable";
-      case kDeadStalled: return "stalled";
-      case kDeadBridgeDead: return "bridge_dead";
-    }
-    panic("unknown DeadLetterReason ",
-          static_cast<std::uint64_t>(reason));
-}
-
 bool
 eventKindFromName(const std::string &name, EventKind &out)
 {

@@ -112,9 +112,6 @@ enum DeadLetterReason : std::uint64_t
 /** Number of DeadLetterReason values (for per-reason counters). */
 constexpr std::size_t kNumDeadLetterReasons = 4;
 
-/** Stable lower_snake name of @p reason (metric suffixes, docs). */
-const char *deadLetterReasonName(DeadLetterReason reason);
-
 /** Stable lower_snake name of @p kind (used in the JSONL output). */
 const char *eventKindName(EventKind kind);
 

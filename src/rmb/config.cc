@@ -225,17 +225,5 @@ engineKindName(EngineKind kind)
     return "?";
 }
 
-const char *
-topologyKindName(TopologyKind kind)
-{
-    switch (kind) {
-    case TopologyKind::Flat:
-        return "flat";
-    case TopologyKind::Hier:
-        return "hier";
-    }
-    return "?";
-}
-
 } // namespace core
 } // namespace rmb

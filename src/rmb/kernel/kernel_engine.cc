@@ -25,13 +25,20 @@ kernelConfig(RmbConfig config)
     return config;
 }
 
+/** Wheel span: past every common delay (header and ack walks, one
+ *  cycle period, capped backoff).  Rarer, longer ones - streams,
+ *  MTTR repairs - wait on the far list. */
 sim::Tick
-nextPow2(sim::Tick v)
+wheelSpan(const RmbConfig &config, sim::Tick period)
 {
-    sim::Tick p = 1;
-    while (p < v)
-        p <<= 1;
-    return p;
+    const sim::Tick ack_walk = config.ackHopDelay * config.numNodes;
+    sim::Tick span = 256;
+    span = std::max(span, 2 * config.headerHopDelay);
+    span = std::max(span, 2 * ack_walk);
+    span = std::max(span, 2 * period);
+    span = std::max(span, config.retryBackoffMax + 1);
+    span = std::max(span, config.retryBackoffCap + 1);
+    return std::bit_ceil(std::min(span, sim::Tick{1} << 16));
 }
 
 } // namespace
@@ -40,34 +47,16 @@ CycleKernelEngine::CycleKernelEngine(sim::Simulator &simulator,
                                      const RmbConfig &config)
     : RingEngine(simulator, "RMB(kernel)", kernelConfig(config),
                  nullptr),
-      planes_(config.numNodes, config.numBuses)
+      planes_(config.numNodes, config.numBuses),
+      // One fixed global compaction period, drawn from the same
+      // range the event engine draws each INC's period from.  The
+      // kernel's cycle is synchronous (skew 0): Lemma 1 bounds the
+      // event engine's skew to <= 1, and the zero-skew schedule is
+      // one of the legal executions of the same pure rules.
+      period_(static_cast<sim::Tick>(rng_.uniformRange(
+          config_.cyclePeriodMin, config_.cyclePeriodMax))),
+      wheel_(wheelSpan(config_, period_))
 {
-    // One fixed global compaction period, drawn from the same range
-    // the event engine draws each INC's period from.  The kernel's
-    // cycle is synchronous (skew 0): Lemma 1 bounds the event
-    // engine's skew to <= 1, and the zero-skew schedule is one of
-    // the legal executions of the same pure rules.
-    period_ = static_cast<sim::Tick>(rng_.uniformRange(
-        config_.cyclePeriodMin, config_.cyclePeriodMax));
-
-    // Wheel span: comfortably past every common delay (header and
-    // ack walks, one cycle period, capped backoff).  Anything rarer
-    // and further out - long streams, MTTR repairs - overflows to
-    // the unsorted far list, which is scanned only when its minimum
-    // comes into range.
-    const sim::Tick ack_walk =
-        config_.ackHopDelay * config_.numNodes;
-    sim::Tick span = 256;
-    span = std::max(span, 2 * config_.headerHopDelay);
-    span = std::max(span, 2 * ack_walk);
-    span = std::max(span, 2 * period_);
-    span = std::max(span, config_.retryBackoffMax + 1);
-    span = std::max(span, config_.retryBackoffCap + 1);
-    span = std::min(nextPow2(span), sim::Tick{1} << 16);
-    wheel_.assign(static_cast<std::size_t>(span),
-                  std::vector<Action>{});
-    wheelMask_ = span - 1;
-
     if (config_.numNodes % 2 != 0) {
         warn("odd node count: the odd/even gap parity of section"
              " 2.4 is imperfect on an odd ring (two adjacent gaps"
@@ -93,9 +82,8 @@ CycleKernelEngine::scheduleAction(sim::Tick delay,
     const sim::Tick now = simulator().now();
     const sim::Tick due = now + delay;
     const Action a{kind, slot, gen, due};
-    if (delay <= wheelMask_) {
-        wheel_[due & wheelMask_].push_back(a);
-        ++wheelPending_;
+    if (delay < wheel_.span()) {
+        wheel_.push(due, a);
     } else {
         farActions_.push_back(a);
         farMinDue_ = std::min(farMinDue_, due);
@@ -156,28 +144,16 @@ CycleKernelEngine::rearm()
 sim::Tick
 CycleKernelEngine::nextDue() const
 {
-    // Known dues outside the wheel bound the scan: a wheel hit past
-    // them cannot be the minimum, so stop early instead of walking
-    // the full wheel span on sparse ticks.
+    // Known dues outside the wheel bound its query (a hit past them
+    // cannot be the minimum), which starts at the next tick.
     sim::Tick best = farMinDue_;
     if (cycleArmed_ && !cycleQuiet_)
         best = std::min(best, nextMakeAt_);
     best = std::min(best, nextBreakAt_);
-    if (wheelPending_ > 0) {
-        const sim::Tick now = simulator().now();
-        const sim::Tick last =
-            std::min(now + wheelMask_ + 1, best - 1);
-        for (sim::Tick t = now + 1; t <= last; ++t) {
-            const auto &bucket = wheel_[t & wheelMask_];
-            if (bucket.empty())
-                continue;
-            for (const Action &a : bucket) {
-                if (a.due == t)
-                    return t;
-            }
-        }
-    }
-    return best;
+    if (wheel_.empty())
+        return best;
+    const sim::Tick now = simulator().now();
+    return std::min(wheel_.first(now + 1, best - 1), best);
 }
 
 void
@@ -186,14 +162,14 @@ CycleKernelEngine::processTick(sim::Tick now)
     processing_ = now;
 
     // Pull far actions into the wheel once their minimum is in
-    // range; the scan re-establishes the minimum of what stays.
-    if (farMinDue_ != kNever && farMinDue_ - now <= wheelMask_) {
+    // range, behind the near actions already on their tick; the scan
+    // re-establishes the minimum of what stays.
+    if (farMinDue_ != kNever && farMinDue_ - now < wheel_.span()) {
         std::size_t keep = 0;
         sim::Tick new_min = kNever;
         for (const Action &a : farActions_) {
-            if (a.due - now <= wheelMask_) {
-                wheel_[a.due & wheelMask_].push_back(a);
-                ++wheelPending_;
+            if (a.due - now < wheel_.span()) {
+                wheel_.push(a.due, a);
             } else {
                 farActions_[keep++] = a;
                 new_min = std::min(new_min, a.due);
@@ -203,21 +179,15 @@ CycleKernelEngine::processTick(sim::Tick now)
         farMinDue_ = new_min;
     }
 
-    // Drain this tick's bucket.  Entries whose due tick is a wheel
-    // wrap ahead are kept in place; the index loop tolerates pushes
-    // from same-tick dispatches.
-    auto &bucket = wheel_[now & wheelMask_];
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-        const Action a = bucket[i];
-        if (a.due != now) {
-            bucket[keep++] = a;
-            continue;
-        }
-        --wheelPending_;
+    // Drain this tick's FIFO, same-tick pushes included.  Each action
+    // is pushed less than a span ahead and every due tick is
+    // processed, so the list holds this tick's actions only.
+    while (wheel_.has(now)) {
+        const Action a = wheel_.pop(now);
+        rmb_assert(a.due == now, "kernel action due at tick ", a.due,
+                   " found in the wheel at tick ", now);
         dispatch(a);
     }
-    bucket.resize(keep);
 
     // A dispatched action may have changed the grid while the
     // cycle clock slept; settle the slept cycles before the make

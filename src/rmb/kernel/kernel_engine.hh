@@ -19,11 +19,11 @@
  *    (hopMovableRule), re-evaluated per candidate, so any
  *    serialization the event engine could produce is also legal
  *    here.
- *  - Protocol steps live on a bucket timing wheel, not the event
- *    heap: the engine keeps at most one pending simulator event (its
- *    next due tick), and drains every wheel action for that tick in
- *    one wake.  simulator().now() therefore stays the single time
- *    source, and all message timestamps are exact.
+ *  - Protocol steps live on a pooled sim::TickWheel and a far list,
+ *    not the event queue: the engine keeps at most one pending
+ *    simulator event (its next due tick), and drains every action
+ *    for that tick in one wake.  simulator().now() therefore stays
+ *    the single time source, and all message timestamps are exact.
  *  - Virtual buses live in a recycled slot pool with generation
  *    counters; a sever or teardown bumps the generation, which
  *    lazily invalidates every in-flight wheel action of the old
@@ -48,6 +48,7 @@
 #include "rmb/ring_engine.hh"
 #include "rmb/types.hh"
 #include "rmb/virtual_bus.hh"
+#include "sim/tick_wheel.hh"
 
 namespace rmb {
 namespace core {
@@ -131,7 +132,7 @@ class CycleKernelEngine final : public RingEngine
         std::uint32_t gen = 0;
     };
 
-    /** One deferred protocol step on the timing wheel. */
+    /** One deferred protocol step, on the wheel or the far list. */
     struct Action
     {
         enum Kind : std::uint8_t
@@ -223,11 +224,12 @@ class CycleKernelEngine final : public RingEngine
     std::vector<std::uint32_t> freeSlots_;
     std::uint64_t liveBuses_ = 0;
 
-    // Timing wheel: power-of-two buckets over absolute tick & mask;
-    // actions with delay >= wheel span overflow to farActions_.
-    std::vector<std::vector<Action>> wheel_;
-    sim::Tick wheelMask_ = 0;
-    std::uint64_t wheelPending_ = 0;
+    /** Global compaction period, drawn once; it sizes the wheel. */
+    sim::Tick period_ = 0;
+    /** Actions due from now to now + span - 1, FIFO per tick. */
+    sim::TickWheel<Action> wheel_;
+    /** Actions due a span or more ahead, unsorted; they move to the
+     *  wheel, in this order, once in range (processTick()). */
     std::vector<Action> farActions_;
     sim::Tick farMinDue_ = kNever;
     /** Earliest armed simulator wake; kNever when idle. */
@@ -235,8 +237,7 @@ class CycleKernelEngine final : public RingEngine
     /** The tick currently being processed (reentrancy guard). */
     sim::Tick processing_ = kNever;
 
-    // Synchronous compaction clock.
-    sim::Tick period_ = 0;
+    // Synchronous compaction clock (period_ above).
     bool cycleArmed_ = false;
     sim::Tick nextMakeAt_ = kNever;
     sim::Tick nextBreakAt_ = kNever;

@@ -54,12 +54,6 @@ statusName(std::uint8_t bits)
     }
 }
 
-bool
-StatusRegister::receivesFrom(SourceDir d) const
-{
-    return (bits_ & dirBit(d)) != 0;
-}
-
 int
 StatusRegister::numSources() const
 {

@@ -70,9 +70,6 @@ class StatusRegister
 
     bool unused() const { return bits_ == 0; }
 
-    /** @return true if the given direction currently drives us. */
-    bool receivesFrom(SourceDir d) const;
-
     /** Number of sources currently connected (0, 1 or 2). */
     int numSources() const;
 

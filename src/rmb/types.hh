@@ -122,9 +122,6 @@ enum class TopologyKind : std::uint8_t
     Hier,
 };
 
-/** Stable lowercase name of @p kind ("flat" / "hier"). */
-const char *topologyKindName(TopologyKind kind);
-
 /** How much invariant checking the network performs while running. */
 enum class VerifyLevel : std::uint8_t
 {

@@ -11,20 +11,20 @@
  * event runs.
  *
  * Two tiers: events due within kSpan ticks of the base (the tick of
- * the last event run) sit in a bucket wheel, one FIFO list per tick
- * found through an occupancy bitmap; later ones wait in a (when, seq)
- * min-heap.  When the base advances, heap entries now within the span
- * move to their buckets in heap order before any callback at the new
- * base runs, so the firing order is exactly (when, scheduling order).
+ * the last event run) sit in a sim::TickWheel, one FIFO list per tick;
+ * later ones wait in a (when, seq) min-heap.  When the base advances,
+ * heap entries now within the span move to the wheel in heap order
+ * before any callback at the new base runs, so the firing order is
+ * exactly (when, scheduling order).
  */
 
 #pragma once
 
-#include <bit>
 #include <cstdint>
 #include <functional>
 #include <vector>
 
+#include "sim/tick_wheel.hh"
 #include "sim/types.hh"
 
 namespace rmb {
@@ -47,17 +47,15 @@ class EventQueue
     bool empty() const { return size() == 0; }
 
     /** Number of pending events. */
-    std::uint64_t size() const { return nearCount_ + heap_.size(); }
+    std::uint64_t size() const { return wheel_.size() + heap_.size(); }
 
     /** Tick of the earliest pending event; kMaxTick when empty. */
     Tick
     nextTick() const
     {
-        if (occupied_ == 0)
+        if (wheel_.empty())
             return heap_.empty() ? kMaxTick : heap_.front().when;
-        const int shift = static_cast<int>(base_ & kMask);
-        return base_ + static_cast<Tick>(
-                           std::countr_zero(std::rotr(occupied_, shift)));
+        return wheel_.first(base_, kMaxTick);
     }
 
     /**
@@ -70,13 +68,11 @@ class EventQueue
     /** Total number of events executed so far. */
     std::uint64_t numExecuted() const { return numExecuted_; }
 
-    /** Wheel span in ticks, one occupied_ bit per bucket: it covers
-     *  INC periods, header and ack hops and a 32-flit stream. */
+    /** Wheel span in ticks, one bitmap word: it covers INC periods,
+     *  header and ack hops and a 32-flit stream. */
     static constexpr Tick kSpan = 64;
 
   private:
-    static constexpr Tick kMask = kSpan - 1;
-
     struct Entry
     {
         Tick when;
@@ -97,27 +93,8 @@ class EventQueue
         }
     };
 
-    static constexpr std::uint32_t kNone = UINT32_MAX;
-
-    /** The events of one tick: a FIFO list of slots, linked by next_;
-     *  meaningful only while the tick's occupied_ bit is set. */
-    struct Bucket
-    {
-        std::uint32_t head = 0;
-        std::uint32_t tail = 0;
-    };
-
-    void pushNear(Tick when, Callback cb);
-
-    //! Near tier: wheel_[t & kMask] holds tick t, base_ <= t < base_ + kSpan.
-    Bucket wheel_[kSpan];
-    /** Slots shared by all buckets, so the near tier's memory is its
-     *  peak number of pending events, as a heap's would be. */
-    std::vector<Callback> cbs_;
-    std::vector<std::uint32_t> next_;  //!< next slot in its list
-    std::uint32_t free_ = kNone;       //!< list of unused slots
-    std::uint64_t occupied_ = 0;  //!< bit b: wheel_[b] has events
-    std::uint64_t nearCount_ = 0;
+    //! Near tier: ticks base_ <= t < base_ + kSpan.
+    TickWheel<Callback> wheel_{kSpan};
     Tick base_ = 0;
     //! Far tier: min-heap under Later of the ticks from base_ + kSpan on.
     std::vector<Entry> heap_;

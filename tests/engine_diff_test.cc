@@ -35,6 +35,7 @@
 #include "rmb/kernel/bitplane.hh"
 #include "rmb/kernel/kernel_engine.hh"
 #include "rmb/network.hh"
+#include "obs/sinks.hh"
 #include "rmb/ring_graph.hh"
 #include "sim/random.hh"
 #include "sim/simulator.hh"
@@ -484,6 +485,54 @@ TEST(KernelEngine, TeardownWakeupGrowsThePool)
         EXPECT_EQ(mb.firstAttempt, ma.delivered + cfg.ackHopDelay)
             << core::engineKindName(kind);
     }
+}
+
+/**
+ * The kernel's order at a tick where a far action meets a near one.
+ * A's final flit is due more than a wheel span (256 ticks, with the
+ * backoff cap at 128) after A starts streaming, so it waits on the far list, and with
+ * compaction off nothing wakes the kernel before that tick.  B's send,
+ * scheduled first, runs at that tick ahead of the kernel's wake and
+ * pushes B's injection onto it; A's final flit then migrates onto the
+ * tick behind B's injection.
+ */
+TEST(KernelEngine, FarActionJoinsItsTickBehindNearActions)
+{
+    core::RmbConfig cfg = baseConfig(8, 2, 1);
+    cfg.engine = core::EngineKind::Kernel;
+    cfg.enableCompaction = false;
+    cfg.retryBackoffCap = 128;
+    const std::uint32_t payload = 1000;
+    sim::Tick due = 0;
+    {
+        sim::Simulator sim;
+        auto net = core::makeEngine(sim, cfg);
+        const auto a = net->send(0, 3, payload);
+        while (!net->quiescent())
+            sim.run(1024);
+        due = net->message(a).delivered;
+    }
+    sim::Simulator sim;
+    auto net = core::makeEngine(sim, cfg);
+    obs::RingBufferSink sink(4096);
+    net->setTraceSink(&sink);
+    net::MessageId b = 0;
+    sim.scheduleAt(due, [&] { b = net->send(4, 6, 8); });
+    const auto a = net->send(0, 3, payload);
+    while (!(b != 0 && net->quiescent()))
+        sim.run(64);
+    ASSERT_EQ(net->message(a).delivered, due);
+    ASSERT_GT(due, 512u);
+    std::vector<obs::EventKind> at_due;
+    for (const obs::TraceEvent &e : sink.events()) {
+        if (e.at == due &&
+            ((e.kind == obs::EventKind::Inject && e.message == b) ||
+             (e.kind == obs::EventKind::Deliver && e.message == a)))
+            at_due.push_back(e.kind);
+    }
+    EXPECT_EQ(at_due, (std::vector<obs::EventKind>{
+                          obs::EventKind::Inject,
+                          obs::EventKind::Deliver}));
 }
 
 /** The kernel compacts: a bus parked below a finished one sinks. */
