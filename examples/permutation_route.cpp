@@ -45,8 +45,8 @@ drawFrame(const core::RmbNetwork &network, sim::Tick now)
         std::printf("  L%d %s|", l, l == static_cast<int>(k) - 1
                                        ? "(top)" : "     ");
         for (core::GapId g = 0; g < n; ++g) {
-            const auto id = segments.occupant(g, l);
-            if (id == core::kNoBus) {
+            const auto id = segments.owner(g, l);
+            if (id == core::kNoKey) {
                 std::printf(" .");
                 continue;
             }

@@ -32,13 +32,6 @@ CircuitNetwork::addLink(std::uint32_t capacity)
 }
 
 std::uint32_t
-CircuitNetwork::linkInUse(LinkId link) const
-{
-    rmb_assert(link < inUse_.size(), "bad link id");
-    return inUse_[link];
-}
-
-std::uint32_t
 CircuitNetwork::linkCapacity(LinkId link) const
 {
     rmb_assert(link < capacity_.size(), "bad link id");

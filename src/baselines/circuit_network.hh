@@ -57,9 +57,6 @@ class CircuitNetwork : public net::Network
     net::MessageId send(net::NodeId src, net::NodeId dst,
                         std::uint32_t payload_flits) override;
 
-    /** Channels of @p link currently in use. */
-    std::uint32_t linkInUse(LinkId link) const;
-
     /** Capacity of @p link. */
     std::uint32_t linkCapacity(LinkId link) const;
 

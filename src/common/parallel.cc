@@ -178,8 +178,6 @@ Runner::Runner(unsigned jobs)
 }
 
 Runner::~Runner() = default;
-Runner::Runner(Runner &&) noexcept = default;
-Runner &Runner::operator=(Runner &&) noexcept = default;
 
 unsigned
 Runner::defaultJobs()

@@ -64,8 +64,6 @@ class Runner
     explicit Runner(unsigned jobs = 1);
     ~Runner();
 
-    Runner(Runner &&) noexcept;
-    Runner &operator=(Runner &&) noexcept;
     Runner(const Runner &) = delete;
     Runner &operator=(const Runner &) = delete;
 

@@ -1,5 +1,6 @@
 #include "report/report.hh"
 
+#include <algorithm>
 #include <ostream>
 
 #include "obs/json.hh"
@@ -33,15 +34,23 @@ utilizationHeatmap(std::ostream &os, const core::Engine &engine,
                    sim::Tick now)
 {
     static const char kScale[] = " .:-=+*#%@";
-    const auto n = static_cast<core::GapId>(engine.numNodes());
-    const auto k = static_cast<int>(engine.config().numBuses);
+    // The whole fault domain: a composed shape's gaps past N belong
+    // to its column or global rings, which may have fewer levels.
+    const core::GapId n = engine.faultDomainGaps();
+    core::Level k = 0;
+    for (core::GapId g = 0; g < n; ++g)
+        k = std::max(k, engine.faultDomainLevels(g));
 
     os << "segment utilization heatmap (columns = gaps 0.."
        << n - 1 << ", X = faulted)\n";
-    for (int l = k - 1; l >= 0; --l) {
+    for (core::Level l = k - 1; l >= 0; --l) {
         os << "  L" << l
            << (l == k - 1 ? " (top)|" : "      |");
         for (core::GapId g = 0; g < n; ++g) {
+            if (l >= engine.faultDomainLevels(g)) {
+                os << ' ';
+                continue;
+            }
             if (engine.segmentFaulty(g, l)) {
                 os << 'X';
                 continue;

@@ -33,8 +33,10 @@ namespace report {
 std::string statsToJson(const net::Network &network, sim::Tick now);
 
 /**
- * Render the N x k utilization heatmap of an RMB to @p os, via the
- * backend-generic segment census (works for any engine).
+ * Render the utilization heatmap of an RMB to @p os, one column per
+ * fault-domain gap (a composed shape's every ring), via the
+ * backend-generic segment census (works for any engine).  A gap with
+ * fewer levels than the tallest is blank above its top.
  */
 void utilizationHeatmap(std::ostream &os,
                         const core::Engine &engine, sim::Tick now);

@@ -47,7 +47,6 @@ CycleKernelEngine::CycleKernelEngine(sim::Simulator &simulator,
                                      const RmbConfig &config)
     : RingEngine(simulator, "RMB(kernel)", kernelConfig(config),
                  nullptr),
-      planes_(config.numNodes, config.numBuses),
       // One fixed global compaction period, drawn from the same
       // range the event engine draws each INC's period from.  The
       // kernel's cycle is synchronous (skew 0): Lemma 1 bounds the
@@ -192,7 +191,7 @@ CycleKernelEngine::processTick(sim::Tick now)
     // A dispatched action may have changed the grid while the
     // cycle clock slept; settle the slept cycles before the make
     // check so a make due this very tick rescans.
-    if (cycleQuiet_ && planes_.epoch() != quietEpoch_)
+    if (cycleQuiet_ && segments_.epoch() != quietEpoch_)
         exitQuietCycles(now);
 
     // Cycle steps after the tick's protocol actions: break (armed
@@ -315,9 +314,9 @@ CycleKernelEngine::scheduleTeardownStep(BusKey key, bool started)
     if (started) {
         ++bus.gen;
         for (const Hop &hop : bus.hops) {
-            planes_.pin(hop.gap, hop.level);
+            segments_.pin(hop.gap, hop.level);
             if (hop.inMove())
-                planes_.pin(hop.gap, hop.dualLevel);
+                segments_.pin(hop.gap, hop.dualLevel);
         }
     }
     scheduleAction(config_.ackHopDelay, Action::TeardownStep,
@@ -367,37 +366,6 @@ CycleKernelEngine::carrierOf(net::MessageId id)
     return nullptr;
 }
 
-RingEngine::BusKey
-CycleKernelEngine::occupantKey(GapId gap, Level level) const
-{
-    const std::uint32_t slot = planes_.ownerSlot(gap, level);
-    return slot == kernel::kNoSlot ? kNoKey : slot;
-}
-
-void
-CycleKernelEngine::claimSegment(GapId gap, Level level, BusKey key)
-{
-    planes_.occupy(gap, level, static_cast<std::uint32_t>(key),
-                   simulator().now());
-}
-
-bool
-CycleKernelEngine::freeSegment(GapId gap, Level level, BusKey key)
-{
-    planes_.release(gap, level, static_cast<std::uint32_t>(key),
-                    simulator().now());
-    return !planes_.faulted(gap, level);
-}
-
-void
-CycleKernelEngine::setSegmentFault(GapId gap, Level level, bool faulty)
-{
-    if (faulty)
-        planes_.markFaulty(gap, level, simulator().now());
-    else
-        planes_.clearFault(gap, level, simulator().now());
-}
-
 void
 CycleKernelEngine::afterFaultChange()
 {
@@ -425,7 +393,7 @@ CycleKernelEngine::headerArrive(std::uint32_t slot)
             // pins an advancing head); this is the one movability
             // change with no plane mutation, so note it for the
             // no-move make-skip.
-            planes_.bumpEpoch();
+            segments_.bumpEpoch();
             scheduleAction(hack, Action::HackArrive, slot, bus.gen);
         } else {
             noteNack(messageRef(bus.message));
@@ -445,12 +413,10 @@ CycleKernelEngine::tryAdvance(std::uint32_t slot)
                static_cast<int>(bus.state));
     const net::NodeId here = bus.headNode;
     const GapId gap = here;
-    const Level chosen = chooseOutputLevel(
-        bus.hops.back(), gap, effectiveDst(bus), planes_.faultyCount() > 0,
-        [this](GapId g, Level l) { return planes_.isFree(g, l); },
-        [this](GapId g, Level l) { return planes_.faulted(g, l); });
+    const Level chosen =
+        chooseOutputLevel(bus.hops.back(), gap, effectiveDst(bus));
     if (chosen != kNoLevel) {
-        planes_.occupy(gap, chosen, slot, simulator().now());
+        segments_.occupy(gap, chosen, slot, simulator().now());
         bus.hops.push_back(Hop{gap, chosen, kNoLevel, 0});
         bus.headNode = (here + 1) % config_.numNodes;
         if (tracing())
@@ -534,7 +500,7 @@ CycleKernelEngine::makeStep(sim::Tick now)
 {
     rmb_assert(moveRecords_.empty(),
                "make step with pending break records");
-    if (planes_.occupiedCount() == 0) {
+    if (segments_.occupiedCount() == 0) {
         // Idle ring: pause the cycle clock; the next injection
         // re-arms it.  (Compaction over an empty grid is a no-op,
         // so skipping cycles is outcome-neutral.)
@@ -544,7 +510,7 @@ CycleKernelEngine::makeStep(sim::Tick now)
     }
 
     const int c = static_cast<int>(cycleIndex_ % 2);
-    if (!tracing() && noMoveEpoch_[c] == planes_.epoch()) {
+    if (!tracing() && noMoveEpoch_[c] == segments_.epoch()) {
         // The grid is bit-identical to a same-parity cycle that
         // found nothing to move, so this pass would too.  Keep the
         // cycle accounting and skip the scan.  (Disabled while
@@ -552,10 +518,10 @@ CycleKernelEngine::makeStep(sim::Tick now)
         ++cycleIndex_;
         rmbStats_.cycleFlips += config_.numNodes;
         nextMakeAt_ = now + period_;
-        if (noMoveEpoch_[0] == planes_.epoch() &&
-            noMoveEpoch_[1] == planes_.epoch()) {
+        if (noMoveEpoch_[0] == segments_.epoch() &&
+            noMoveEpoch_[1] == segments_.epoch()) {
             cycleQuiet_ = true;
-            quietEpoch_ = planes_.epoch();
+            quietEpoch_ = segments_.epoch();
         }
         return;
     }
@@ -566,25 +532,25 @@ CycleKernelEngine::makeStep(sim::Tick now)
     // enforces this).
     RMB_PROF_SCOPE_SAMPLED("kernel.make_pass");
     const auto k = static_cast<Level>(config_.numBuses);
-    const std::uint32_t words = planes_.wordsPerLevel();
+    const std::uint32_t words = segments_.wordsPerLevel();
     const auto is_free = [this](GapId g, Level l) {
-        return planes_.isFree(g, l);
+        return segments_.isFree(g, l);
     };
     for (Level l = 1; l < k; ++l) {
-        if (planes_.occupiedAt(l) == 0)
+        if (segments_.occupiedAt(l) == 0)
             continue; // no cell to move down
         // Gap g considers its levels of parity (g + c) mod 2 this
         // cycle (the per-INC FSM schedule), so level l is in play
         // exactly at gaps of parity (l + c) mod 2.
         const int gap_parity = static_cast<int>(
             (static_cast<std::uint64_t>(l) + c) % 2);
-        // Row pointers stay valid across the moves below: the planes
-        // never resize.
-        const std::uint64_t *occ = planes_.occRow(l);
-        const std::uint64_t *pinned = planes_.pinnedRow(l);
-        const std::uint64_t *parity = planes_.parityRow(gap_parity);
-        const std::uint64_t *occ_below = planes_.occRow(l - 1);
-        const std::uint64_t *faulty_below = planes_.faultyRow(l - 1);
+        // Row pointers stay valid across the moves below: the grid
+        // never resizes.
+        const std::uint64_t *occ = segments_.occRow(l);
+        const std::uint64_t *pinned = segments_.pinnedRow(l);
+        const std::uint64_t *parity = segments_.parityRow(gap_parity);
+        const std::uint64_t *occ_below = segments_.occRow(l - 1);
+        const std::uint64_t *faulty_below = segments_.faultyRow(l - 1);
         for (std::uint32_t w = 0; w < words; ++w) {
             std::uint64_t cand = occ[w] & parity[w] & ~pinned[w] &
                                  ~(occ_below[w] | faulty_below[w]);
@@ -593,9 +559,9 @@ CycleKernelEngine::makeStep(sim::Tick now)
                 cand &= cand - 1;
                 const GapId g = w * 64 +
                                 static_cast<std::uint32_t>(b);
-                const std::uint32_t slot = planes_.ownerSlot(g, l);
-                rmb_assert(slot != kernel::kNoSlot,
-                           "occupancy bit with no owner");
+                const BusKey key = segments_.owner(g, l);
+                rmb_assert(key != kNoKey, "occupancy bit with no owner");
+                const auto slot = static_cast<std::uint32_t>(key);
                 KBus &bus = pool_[slot];
                 const std::size_t idx = hopIndexAt(bus, g);
                 rmb_assert(idx < bus.hops.size(),
@@ -607,7 +573,7 @@ CycleKernelEngine::makeStep(sim::Tick now)
                     continue; // l is a mid-move dual target
                 if (!hopMovableRule(bus, idx, is_free))
                     continue;
-                planes_.occupy(g, l - 1, slot, now);
+                segments_.occupy(g, l - 1, slot, now);
                 hop.dualLevel = l - 1;
                 ++hop.moveSeq;
                 if (tracing()) {
@@ -626,10 +592,10 @@ CycleKernelEngine::makeStep(sim::Tick now)
     }
 
     if (moveRecords_.empty()) {
-        noMoveEpoch_[c] = planes_.epoch();
-        if (!tracing() && noMoveEpoch_[1 - c] == planes_.epoch()) {
+        noMoveEpoch_[c] = segments_.epoch();
+        if (!tracing() && noMoveEpoch_[1 - c] == segments_.epoch()) {
             cycleQuiet_ = true;
-            quietEpoch_ = planes_.epoch();
+            quietEpoch_ = segments_.epoch();
         }
     }
     ++cycleIndex_;
@@ -666,7 +632,7 @@ CycleKernelEngine::breakStep(sim::Tick)
             hop.level != r.fromLevel) {
             continue; // stale record (move cancelled by a sever)
         }
-        if (planes_.faulted(r.gap, r.toLevel))
+        if (segments_.faulted(r.gap, r.toLevel))
             continue; // target faulted between make and break
         hop.level = r.toLevel;
         hop.dualLevel = kNoLevel;
@@ -727,27 +693,27 @@ CycleKernelEngine::auditInvariants() const
     std::vector<std::uint32_t> held_at(config_.numBuses, 0);
     for (GapId g = 0; g < config_.numNodes; ++g) {
         for (Level l = 0; l < k; ++l) {
-            const std::uint32_t slot = planes_.ownerSlot(g, l);
-            const bool held = slot != kernel::kNoSlot;
+            const BusKey key = segments_.owner(g, l);
+            const bool held = key != kNoKey;
             held_at[static_cast<std::size_t>(l)] += held ? 1 : 0;
-            rmb_assert(planes_.occupied(g, l) == held,
+            rmb_assert(segments_.occupied(g, l) == held,
                        "occupancy plane out of sync with the owner"
                        " grid at (", g, ",", l, ")");
             // The make pass skips pinned cells unseen, so a stale pin
             // would silently drop moves: pinned exactly when held by
             // a tearing-down bus.
             const bool tearing_down =
-                held && isTeardown(pool_[slot].state);
-            rmb_assert(planes_.pinned(g, l) == tearing_down,
+                held && isTeardown(pool_[key].state);
+            rmb_assert(segments_.pinned(g, l) == tearing_down,
                        "pin plane out of sync at (", g, ",", l,
-                       "): pinned ", planes_.pinned(g, l),
+                       "): pinned ", segments_.pinned(g, l),
                        ", held by a tearing-down bus ", tearing_down);
         }
     }
     for (Level l = 0; l < k; ++l) {
-        rmb_assert(planes_.occupiedAt(l) ==
+        rmb_assert(segments_.occupiedAt(l) ==
                        held_at[static_cast<std::size_t>(l)],
-                   "level ", l, " counts ", planes_.occupiedAt(l),
+                   "level ", l, " counts ", segments_.occupiedAt(l),
                    " held cells but the owner grid shows ",
                    held_at[static_cast<std::size_t>(l)]);
     }

@@ -7,10 +7,10 @@
  * the same source side through RingEngine (top-bus injection, retry,
  * teardown, fault sever/recovery), on a different execution model:
  *
- *  - Segment occupancy, fault and pin state are uint64_t
- *    bitplanes (kernel/bitplane.hh); the compaction make step
- *    filters its candidates word-parallel per level instead of
- *    per-INC events.
+ *  - The compaction make step filters its candidates word-parallel
+ *    per level over the segment grid's uint64_t bitplanes
+ *    (rmb/segment_planes.hh) instead of per-INC events; the kernel
+ *    pins the cells of tearing-down buses so the filter drops them.
  *  - Compaction is one synchronous global cycle of fixed period P
  *    (drawn once from [cyclePeriodMin, cyclePeriodMax]): gap g moves
  *    its levels of parity (g + c) mod 2 at cycle c - the same
@@ -44,7 +44,6 @@
 
 #include "obs/trace.hh"
 #include "rmb/config.hh"
-#include "rmb/kernel/bitplane.hh"
 #include "rmb/ring_engine.hh"
 #include "rmb/types.hh"
 #include "rmb/virtual_bus.hh"
@@ -61,45 +60,6 @@ class CycleKernelEngine final : public RingEngine
     ~CycleKernelEngine() override;
 
     void auditInvariants() const override;
-
-    bool
-    segmentOccupied(GapId gap, Level level) const override
-    {
-        return planes_.occupied(gap, level);
-    }
-    bool
-    segmentFaulty(GapId gap, Level level) const override
-    {
-        return planes_.faulted(gap, level);
-    }
-    std::uint32_t
-    faultySegments() const override
-    {
-        return planes_.faultyCount();
-    }
-    std::uint64_t
-    occupiedSegments() const override
-    {
-        return planes_.occupiedCount();
-    }
-    double
-    segmentUtilization(GapId gap, Level level,
-                       sim::Tick now) const override
-    {
-        return planes_.utilization(gap, level, now);
-    }
-    double
-    averageSegmentUtilization(sim::Tick now) const override
-    {
-        return planes_.averageUtilization(now);
-    }
-
-    /** Held by a tearing-down bus, so no make pass examines it. */
-    bool
-    segmentPinned(GapId gap, Level level) const
-    {
-        return planes_.pinned(gap, level);
-    }
 
     /** Completed global compaction cycles (make steps). */
     std::uint64_t cycles() const { return cycleIndex_; }
@@ -193,15 +153,6 @@ class CycleKernelEngine final : public RingEngine
     /** The wheel cannot lose actions and closed-form streaming is
      *  one pre-scheduled action: no bus ever goes silent. */
     bool canStall(const BusRecord &) const override { return false; }
-    bool
-    segmentFree(GapId gap, Level level) const override
-    {
-        return planes_.isFree(gap, level);
-    }
-    BusKey occupantKey(GapId gap, Level level) const override;
-    void claimSegment(GapId gap, Level level, BusKey key) override;
-    bool freeSegment(GapId gap, Level level, BusKey key) override;
-    void setSegmentFault(GapId gap, Level level, bool faulty) override;
     /** A fault change may wake the sleeping cycle clock. */
     void afterFaultChange() override;
 
@@ -217,8 +168,6 @@ class CycleKernelEngine final : public RingEngine
     net::NodeId effectiveDst(const KBus &bus) const;
     std::uint32_t pathLength(const KBus &bus) const;
     std::size_t hopIndexAt(const KBus &bus, GapId gap) const;
-
-    kernel::SegmentPlanes planes_;
 
     std::vector<KBus> pool_;
     std::vector<std::uint32_t> freeSlots_;

@@ -12,7 +12,6 @@ namespace core {
 RmbNetwork::RmbNetwork(sim::Simulator &simulator,
                        const RmbConfig &config)
     : RingEngine(simulator, "RMB(ring)", config, "event.inject"),
-      segments_(config.numNodes, config.numBuses),
       waiters_(config.numNodes)
 {
     if (config_.numNodes % 2 != 0) {
@@ -141,35 +140,6 @@ RmbNetwork::canStall(const BusRecord &bus) const
 {
     return !isTeardown(bus.state) &&
            !(bus.state == BusState::Streaming && !config_.detailedFlits);
-}
-
-RingEngine::BusKey
-RmbNetwork::occupantKey(GapId gap, Level level) const
-{
-    const VirtualBusId bid = segments_.occupant(gap, level);
-    return bid == kNoBus ? kNoKey : bid;
-}
-
-void
-RmbNetwork::claimSegment(GapId gap, Level level, BusKey key)
-{
-    segments_.occupy(gap, level, key, simulator().now());
-}
-
-bool
-RmbNetwork::freeSegment(GapId gap, Level level, BusKey key)
-{
-    segments_.release(gap, level, key, simulator().now());
-    return !segments_.isFaulty(gap, level);
-}
-
-void
-RmbNetwork::setSegmentFault(GapId gap, Level level, bool faulty)
-{
-    if (faulty)
-        segments_.markFaulty(gap, level, simulator().now());
-    else
-        segments_.clearFault(gap, level, simulator().now());
 }
 
 void
@@ -331,10 +301,7 @@ RmbNetwork::tryAdvance(VirtualBusId bus_id)
     const net::NodeId here = bus.headNode;
     const GapId gap = here;
 
-    const Level chosen = chooseOutputLevel(
-        bus.hops.back(), gap, bus.dst, segments_.faultyCount() > 0,
-        [this](GapId g, Level l) { return segments_.isFree(g, l); },
-        [this](GapId g, Level l) { return segments_.isFaulty(g, l); });
+    const Level chosen = chooseOutputLevel(bus.hops.back(), gap, bus.dst);
     if (chosen != kNoLevel) {
         if (bus.state == BusState::Blocked) {
             unblock(bus);
@@ -595,8 +562,8 @@ RmbNetwork::makeEligibleMoves(GapId gap, int parity)
     for (Level l = 1; l < k; ++l) {
         if ((l % 2) != parity)
             continue;
-        const VirtualBusId bid = segments_.occupant(gap, l);
-        if (bid == kNoBus)
+        const VirtualBusId bid = segments_.owner(gap, l);
+        if (bid == kNoKey)
             continue;
         auto it = buses_.find(bid);
         rmb_assert(it != buses_.end(),
@@ -652,7 +619,7 @@ RmbNetwork::breakMoves(const std::vector<MoveRecord> &records)
             hop.level != r.fromLevel) {
             continue; // stale record
         }
-        if (segments_.isFaulty(r.gap, r.toLevel)) {
+        if (segments_.faulted(r.gap, r.toLevel)) {
             // The target faulted between make and break; the sever
             // path cancels such moves at injection time, but refuse
             // here too so a break can never commit onto a dead
@@ -745,8 +712,8 @@ RmbNetwork::outputStatus(net::NodeId node, Level level,
 {
     if (pe_driven)
         *pe_driven = false;
-    const VirtualBusId bid = segments_.occupant(node, level);
-    if (bid == kNoBus)
+    const VirtualBusId bid = segments_.owner(node, level);
+    if (bid == kNoKey)
         return 0b000;
     const VirtualBus *b = bus(bid);
     rmb_assert(b, "segment held by a dead bus");

@@ -25,7 +25,6 @@
 #include "rmb/inc.hh"
 #include "rmb/pe.hh"
 #include "rmb/ring_engine.hh"
-#include "rmb/segment_table.hh"
 #include "rmb/status_register.hh"
 #include "rmb/types.hh"
 #include "rmb/virtual_bus.hh"
@@ -90,41 +89,6 @@ class RmbNetwork final : public RingEngine
      * id if no such group was ever created.
      */
     const MulticastRecord &multicastRecord(MulticastId id) const;
-
-    const SegmentTable &segments() const { return segments_; }
-
-    // --- Engine segment census (delegates to the SegmentTable) ---
-    bool
-    segmentOccupied(GapId gap, Level level) const override
-    {
-        return !segments_.isFree(gap, level);
-    }
-    bool
-    segmentFaulty(GapId gap, Level level) const override
-    {
-        return segments_.isFaulty(gap, level);
-    }
-    std::uint32_t
-    faultySegments() const override
-    {
-        return segments_.faultyCount();
-    }
-    std::uint64_t
-    occupiedSegments() const override
-    {
-        return segments_.occupiedCount();
-    }
-    double
-    segmentUtilization(GapId gap, Level level,
-                       sim::Tick now) const override
-    {
-        return segments_.utilization(gap, level, now);
-    }
-    double
-    averageSegmentUtilization(sim::Tick now) const override
-    {
-        return segments_.averageUtilization(now);
-    }
 
     /** INC @p i; panics with the offending index if out of range. */
     const Inc &
@@ -227,20 +191,10 @@ class RmbNetwork final : public RingEngine
     /** Teardowns are self-driving and closed-form streaming is one
      *  pre-scheduled event: neither can go silent. */
     bool canStall(const BusRecord &bus) const override;
-    bool
-    segmentFree(GapId gap, Level level) const override
-    {
-        return segments_.isFree(gap, level);
-    }
-    BusKey occupantKey(GapId gap, Level level) const override;
-    void claimSegment(GapId gap, Level level, BusKey key) override;
-    bool freeSegment(GapId gap, Level level, BusKey key) override;
-    void setSegmentFault(GapId gap, Level level, bool faulty) override;
     void unblock(BusRecord &bus) override;
     void wakeBlocked(GapId gap, Level level) override;
     void afterStep() override { auditIfFull(); }
 
-    SegmentTable segments_;
     std::vector<std::unique_ptr<Inc>> incs_;
     std::unordered_map<VirtualBusId, VirtualBus> buses_;
 

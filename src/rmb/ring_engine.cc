@@ -12,9 +12,17 @@ namespace core {
 
 RingEngine::RingEngine(sim::Simulator &simulator, std::string name,
                        const RmbConfig &config, const char *inject_scope)
-    : Engine(simulator, std::move(name), config), rng_(config_.seed),
+    : Engine(simulator, std::move(name), config),
+      segments_(config_.numNodes, config_.numBuses), rng_(config_.seed),
       pes_(config_.numNodes), injectScope_(inject_scope)
 {
+}
+
+bool
+RingEngine::freeSegment(GapId gap, Level level, BusKey key)
+{
+    segments_.release(gap, level, key, simulator().now());
+    return !segments_.faulted(gap, level);
 }
 
 obs::TraceEvent
@@ -69,7 +77,7 @@ RingEngine::tryInject(net::NodeId node)
     // output port; if it is busy the header flit stays buffered.
     const Level top = topLevel();
     const GapId gap = node;
-    if (!segmentFree(gap, top))
+    if (!segments_.isFree(gap, top))
         return;
 
     const net::MessageId mid = pe.sendQueue.front();
@@ -94,7 +102,7 @@ RingEngine::tryInject(net::NodeId node)
     bus.hopsFreed = 0;
     bus.topReleased = false;
 
-    claimSegment(gap, top, bus.key);
+    segments_.occupy(gap, top, bus.key, simulator().now());
     bus.hops.push_back(Hop{gap, top, kNoLevel, 0});
     rmbStats_.liveBuses.adjust(simulator().now(), +1);
     if (tracing())
@@ -333,7 +341,7 @@ RingEngine::segmentFreed(GapId gap, Level level)
 void
 RingEngine::failSegment(GapId gap, Level level)
 {
-    const BusKey occupant = occupantKey(gap, level);
+    const BusKey occupant = segments_.owner(gap, level);
     const VirtualBusId occupant_id =
         occupant == kNoKey ? kNoBus : busAt(occupant).id;
     if (occupant != kNoKey && !config_.transientFaults) {
@@ -344,7 +352,7 @@ RingEngine::failSegment(GapId gap, Level level)
               "; set RmbConfig::transientFaults to sever live"
               " buses");
     }
-    setSegmentFault(gap, level, true);
+    segments_.markFaulty(gap, level, simulator().now());
     ++rmbStats_.faultsInjected;
     if (tracing()) {
         obs::TraceEvent e;
@@ -364,7 +372,7 @@ RingEngine::failSegment(GapId gap, Level level)
 void
 RingEngine::repairSegment(GapId gap, Level level)
 {
-    setSegmentFault(gap, level, false);
+    segments_.clearFault(gap, level, simulator().now());
     ++rmbStats_.faultsRepaired;
     if (tracing()) {
         obs::TraceEvent e;
@@ -377,7 +385,7 @@ RingEngine::repairSegment(GapId gap, Level level)
     }
     // A severed occupant may still be walking its teardown across
     // this segment; then the wakeups happen at its release instead.
-    if (segmentFree(gap, level))
+    if (segments_.isFree(gap, level))
         segmentFreed(gap, level);
     afterFaultChange();
 }
@@ -530,14 +538,14 @@ RingEngine::auditHops(const BusRecord &bus,
                    " hop ", i, " at wrong gap");
         rmb_assert(hop.level >= 0 && hop.level < k, "bus ", id,
                    " level out of range");
-        rmb_assert(occupantKey(hop.gap, hop.level) == key,
+        rmb_assert(segments_.owner(hop.gap, hop.level) == key,
                    "grid does not record bus ", id, " at (", hop.gap,
                    ",", hop.level, ")");
         ++claimed;
         if (hop.inMove()) {
             rmb_assert(hop.dualLevel == hop.level - 1,
                        "moves must go exactly one level down");
-            rmb_assert(occupantKey(hop.gap, hop.dualLevel) == key,
+            rmb_assert(segments_.owner(hop.gap, hop.dualLevel) == key,
                        "dual segment not recorded");
             ++claimed;
         }
@@ -590,12 +598,12 @@ RingEngine::auditSegments(std::uint64_t claimed) const
     std::uint32_t faulted_seen = 0;
     for (GapId g = 0; g < config_.numNodes; ++g) {
         for (Level l = 0; l < k; ++l) {
-            if (!segmentFaulty(g, l))
+            if (!segments_.faulted(g, l))
                 continue;
             ++faulted_seen;
-            rmb_assert(!segmentFree(g, l), "faulted segment (", g, ",",
-                       l, ") reads as free");
-            const BusKey key = occupantKey(g, l);
+            rmb_assert(!segments_.isFree(g, l), "faulted segment (", g,
+                       ",", l, ") reads as free");
+            const BusKey key = segments_.owner(g, l);
             if (key == kNoKey)
                 continue;
             const BusRecord &owner = busRecord(key);

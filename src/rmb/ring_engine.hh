@@ -13,12 +13,14 @@
  * fault path (sever, make-before-break cancel) and the recovery and
  * dead-letter account.
  *
- * A backend supplies its execution model through the private hooks
- * below: how a step or an injection is scheduled, how its segment
- * store is queried and updated, how a bus record is opened, found and
- * retired, and how a header is launched.  RmbNetwork keeps INC FSMs,
- * Wait mode, detailed flits and multicast; CycleKernelEngine keeps
- * its timing wheel, slot pool, bitplanes and synchronous compaction.
+ * RingEngine also owns the N x k segment grid both backends claim
+ * and free (SegmentPlanes), so the segment census is written here
+ * once.  A backend supplies its execution model through the private
+ * hooks below: how a step or an injection is scheduled, how a bus
+ * record is opened, found and retired, and how a header is launched.
+ * RmbNetwork keeps INC FSMs, Wait mode, detailed flits and multicast;
+ * CycleKernelEngine keeps its timing wheel, slot pool, pins and
+ * synchronous compaction.
  */
 
 #pragma once
@@ -31,6 +33,7 @@
 #include "rmb/compaction_rules.hh"
 #include "rmb/engine.hh"
 #include "rmb/pe.hh"
+#include "rmb/segment_planes.hh"
 #include "rmb/virtual_bus.hh"
 
 namespace rmb {
@@ -55,12 +58,43 @@ class RingEngine : public Engine
      */
     bool rescueStalled(net::MessageId id) override;
 
-  protected:
-    /** A backend's handle on a bus record: the bus id (event engine)
-     *  or the pool slot (kernel). */
-    using BusKey = std::uint64_t;
-    static constexpr BusKey kNoKey = ~BusKey{0};
+    /** The N x k segment grid. */
+    const SegmentPlanes &segments() const { return segments_; }
 
+    // --- Engine segment census (read from the grid) ---
+    bool
+    segmentOccupied(GapId gap, Level level) const override
+    {
+        return segments_.occupied(gap, level);
+    }
+    bool
+    segmentFaulty(GapId gap, Level level) const override
+    {
+        return segments_.faulted(gap, level);
+    }
+    std::uint32_t
+    faultySegments() const override
+    {
+        return segments_.faultyCount();
+    }
+    std::uint64_t
+    occupiedSegments() const override
+    {
+        return segments_.occupiedCount();
+    }
+    double
+    segmentUtilization(GapId gap, Level level,
+                       sim::Tick now) const override
+    {
+        return segments_.utilization(gap, level, now);
+    }
+    double
+    averageSegmentUtilization(sim::Tick now) const override
+    {
+        return segments_.averageUtilization(now);
+    }
+
+  protected:
     /** @p inject_scope names the profiler layer injections are timed
      *  under; nullptr leaves them untimed. */
     RingEngine(sim::Simulator &simulator, std::string name,
@@ -92,21 +126,19 @@ class RingEngine : public Engine
      * lookahead prefers levels from which the next gap still has a
      * live onward level (eager descent otherwise walks into gaps whose
      * low levels are all faulted); a dead end is taken only when
-     * nothing else is free.  A per-hop rule, so the backend passes its
-     * store's inline @p is_free / @p is_faulty predicates.
+     * nothing else is free.
      */
-    template <typename IsFree, typename IsFaulty>
     Level
-    chooseOutputLevel(const Hop &in, GapId gap, net::NodeId dst,
-                      bool any_faults, IsFree &&is_free,
-                      IsFaulty &&is_faulty) const
+    chooseOutputLevel(const Hop &in, GapId gap, net::NodeId dst) const
     {
         const auto k = static_cast<Level>(config_.numBuses);
         const GapId next_gap = (gap + 1) % config_.numNodes;
-        const bool lookahead = any_faults && next_gap != dst;
+        const bool lookahead =
+            segments_.faultyCount() > 0 && next_gap != dst;
         const auto dead_end = [&](Level lin) {
             for (Level lout : {lin - 1, lin, lin + 1}) {
-                if (lout >= 0 && lout < k && !is_faulty(next_gap, lout))
+                if (lout >= 0 && lout < k &&
+                    !segments_.faulted(next_gap, lout))
                     return false;
             }
             return true;
@@ -117,7 +149,7 @@ class RingEngine : public Engine
         Level fallback = kNoLevel;
         for (int i = 0; i < count; ++i) {
             const Level l = reachable[i];
-            if (!is_free(gap, l))
+            if (!segments_.isFree(gap, l))
                 continue;
             if (fallback == kNoLevel)
                 fallback = l;
@@ -171,12 +203,12 @@ class RingEngine : public Engine
                              net::NodeId node, GapId gap = 0,
                              Level level = kNoLevel) const;
 
-    /** Audit one live bus's hops against the segment store; returns
+    /** Audit one live bus's hops against the segment grid; returns
      *  the segments it claims. */
     std::uint64_t auditHops(const BusRecord &bus,
                             std::uint32_t path_length) const;
 
-    /** Audit the store: @p claimed cells, and faulted segments held
+    /** Audit the grid: @p claimed cells, and faulted segments held
      *  only by tearing-down buses. */
     void auditSegments(std::uint64_t claimed) const;
 
@@ -187,6 +219,8 @@ class RingEngine : public Engine
         return const_cast<BusRecord &>(busRecord(key));
     }
 
+    /** The N x k grid (claims, faults, the kernel's pins). */
+    SegmentPlanes segments_;
     /** RNG stream (backoff jitter; INC phases or the kernel period). */
     sim::Random rng_;
     std::vector<Pe> pes_;
@@ -213,18 +247,6 @@ class RingEngine : public Engine
     /** Can @p bus lose a step, so the watchdog may sever it? */
     virtual bool canStall(const BusRecord &bus) const = 0;
 
-    // --- hooks: segment store ---
-    virtual bool segmentFree(GapId gap, Level level) const = 0;
-    /** The bus holding the segment, or kNoKey. */
-    virtual BusKey occupantKey(GapId gap, Level level) const = 0;
-    virtual void claimSegment(GapId gap, Level level, BusKey key) = 0;
-    /** Release the cell; returns whether it is claimable again.  A
-     *  faulted cell is released by its severed owner but not freed:
-     *  nobody may claim it until repair. */
-    virtual bool freeSegment(GapId gap, Level level, BusKey key) = 0;
-    virtual void setSegmentFault(GapId gap, Level level,
-                                 bool faulty) = 0;
-
     // --- hooks with defaults ---
     /** Take a Blocked header off its wait list (Wait mode only). */
     virtual void unblock(BusRecord &bus) { (void)bus; }
@@ -240,6 +262,10 @@ class RingEngine : public Engine
     /** After a fault or repair. */
     virtual void afterFaultChange() { auditIfFull(); }
 
+    /** Release the cell; returns whether it is claimable again.  A
+     *  faulted cell is released by its severed owner but not freed:
+     *  nobody may claim it until repair. */
+    bool freeSegment(GapId gap, Level level, BusKey key);
     void traceSegmentFree(const BusRecord &bus, GapId gap, Level level,
                           obs::SegmentFreeReason reason);
     void busFinished(BusRecord &bus, const Hop &last_hop);

@@ -1,18 +1,22 @@
 /**
  * @file
- * Structure-of-arrays segment state for the cycle kernel.
+ * The N x k grid of physical bus segments (paper section 2: k
+ * parallel segments between adjacent INCs), shared by both flat
+ * engines through RingEngine.
  *
- * The event engine's SegmentTable is an array-of-cells keyed by
- * (gap, level).  The kernel instead keeps one *bitplane* per level:
- * a row of ceil(N/64) uint64_t words in which bit g is gap g's
- * segment.  Occupancy, fault and pin state are separate plane sets,
- * so per-cycle compaction candidate filtering collapses to a handful
- * of word-parallel AND/OR/NOT ops per level:
+ * Pure bookkeeping with checked invariants: the protocol decides
+ * *what* to claim or free; this class makes double claims and double
+ * frees impossible and tracks per-segment utilization.  The grid is
+ * one *bitplane* per level: a row of ceil(N/64) uint64_t words in
+ * which bit g is gap g's segment.  Occupancy, fault and pin state are
+ * separate plane sets, so the cycle kernel's compaction candidate
+ * filter collapses to a handful of word-parallel AND/OR/NOT ops per
+ * level:
  *
  *   candidates(l) = occ(l) & parity(l, c) & ~pinned(l)
  *                   & ~(occ(l-1) | faulty(l-1))
  *
- * A *pinned* cell is held by a bus that is tearing down: the engine
+ * A *pinned* cell is held by a bus that is tearing down: the kernel
  * pins every cell of a bus (both levels of a mid-move hop) when its
  * teardown starts, and release() unpins.  Figure 7 never moves a hop
  * of a tearing-down bus, and under a closed loop those cells are most
@@ -21,15 +25,17 @@
  * other Figure-7 clauses (a neighbour hop one level up or mid-move,
  * an advancing head) reject only a few percent of the survivors, so
  * they stay per-bit checks in hopMovableRule rather than more planes
- * that every hop change would have to keep in sync.
+ * that every hop change would have to keep in sync.  The event engine
+ * never pins.
  *
- * Ownership (which bus holds a claimed segment) cannot be a bitplane
- * - it is a dense level-major array of pool-slot indices consulted
- * only for the bits that survive the filter.  Busy tracking for
- * utilization reports rides along per cell with SegmentTable's
- * semantics (a cell is busy while occupied or faulted): the planes
- * hold that state, and each cell's BusyTracker keeps only the time
- * of its last busy edge and the ticks accumulated before it.
+ * Ownership (which bus holds a claimed segment) cannot be a bitplane:
+ * it is a dense level-major array of BusKeys, kNoKey when unclaimed.
+ * Faults are orthogonal to ownership: a faulted segment keeps its
+ * owner while the severed bus is torn down hop by hop, and nobody may
+ * claim it until repair.  A segment is busy while it is not free
+ * (occupied or faulted); the planes hold that state, and each cell's
+ * BusyTracker keeps only the time of its last busy edge and the ticks
+ * accumulated before it.
  */
 
 #pragma once
@@ -43,10 +49,6 @@
 
 namespace rmb {
 namespace core {
-namespace kernel {
-
-/** Slot sentinel: "no bus holds this segment". */
-constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
 /**
  * The N x k segment grid as level-major bitplanes plus an owner
@@ -63,7 +65,7 @@ class SegmentPlanes
           pinned_(static_cast<std::size_t>(num_levels) * words_, 0),
           levelOccupied_(num_levels, 0),
           owner_(static_cast<std::size_t>(num_levels) * num_gaps,
-                 kNoSlot),
+                 kNoKey),
           busy_(static_cast<std::size_t>(num_levels) * num_gaps),
           evenGaps_(words_, 0), oddGaps_(words_, 0)
     {
@@ -107,6 +109,7 @@ class SegmentPlanes
         return parity == 0 ? evenGaps_.data() : oddGaps_.data();
     }
 
+    /** Claimed by a bus (faulted or not). */
     bool
     occupied(GapId gap, Level level) const
     {
@@ -126,8 +129,7 @@ class SegmentPlanes
         return testBit(pinned_, gap, level);
     }
 
-    /** Claimable: neither occupied nor faulted (SegmentTable's
-     *  isFree). */
+    /** Claimable: neither occupied nor faulted. */
     bool
     isFree(GapId gap, Level level) const
     {
@@ -135,9 +137,9 @@ class SegmentPlanes
         return (((occ_[w] | faulty_[w]) >> (gap % 64)) & 1) == 0;
     }
 
-    /** Pool slot holding (gap, level); kNoSlot when unclaimed. */
-    std::uint32_t
-    ownerSlot(GapId gap, Level level) const
+    /** The bus holding (gap, level); kNoKey when unclaimed. */
+    BusKey
+    owner(GapId gap, Level level) const
     {
         return owner_[cellIndex(gap, level)];
     }
@@ -164,18 +166,20 @@ class SegmentPlanes
     std::uint64_t epoch() const { return epoch_; }
     void bumpEpoch() { ++epoch_; }
 
+    /** Claim a free segment for @p key at time @p now. */
     void
-    occupy(GapId gap, Level level, std::uint32_t slot, sim::Tick now)
+    occupy(GapId gap, Level level, BusKey key, sim::Tick now)
     {
-        rmb_assert(slot != kNoSlot, "occupy by the slot sentinel");
+        rmb_assert(key != kNoKey, "occupy by the sentinel key");
         const std::size_t cell = cellIndex(gap, level);
         const std::size_t w = planeIndex(level, gap / 64);
-        rmb_assert(owner_[cell] == kNoSlot, "segment (", gap, ",",
-                   level, ") already held by slot ", owner_[cell]);
+        rmb_assert(owner_[cell] == kNoKey, "segment (", gap, ",",
+                   level, ") already held by bus ", owner_[cell],
+                   "; bus ", key, " tried to claim it");
         rmb_assert((faulty_[w] & bit(gap)) == 0, "segment (", gap,
-                   ",", level, ") is faulted; slot ", slot,
+                   ",", level, ") is faulted; bus ", key,
                    " tried to claim it");
-        owner_[cell] = slot;
+        owner_[cell] = key;
         occ_[w] |= bit(gap);
         ++occupied_;
         ++levelOccupied_[static_cast<std::size_t>(level)];
@@ -183,15 +187,16 @@ class SegmentPlanes
         busy_[cell].setBusy(now);
     }
 
+    /** Release a segment held by @p key at time @p now; a faulted
+     *  segment stays busy until repair. */
     void
-    release(GapId gap, Level level, std::uint32_t slot,
-            sim::Tick now)
+    release(GapId gap, Level level, BusKey key, sim::Tick now)
     {
         const std::size_t cell = cellIndex(gap, level);
-        rmb_assert(owner_[cell] == slot, "segment (", gap, ",",
-                   level, ") held by slot ", owner_[cell],
-                   ", not by releasing slot ", slot);
-        owner_[cell] = kNoSlot;
+        rmb_assert(owner_[cell] == key, "segment (", gap, ",", level,
+                   ") held by bus ", owner_[cell],
+                   ", not by releasing bus ", key);
+        owner_[cell] = kNoKey;
         const std::size_t w = planeIndex(level, gap / 64);
         occ_[w] &= ~bit(gap);
         pinned_[w] &= ~bit(gap);
@@ -207,11 +212,16 @@ class SegmentPlanes
     void
     pin(GapId gap, Level level)
     {
-        rmb_assert(owner_[cellIndex(gap, level)] != kNoSlot,
+        rmb_assert(owner_[cellIndex(gap, level)] != kNoKey,
                    "pin of unheld segment (", gap, ",", level, ")");
         pinned_[planeIndex(level, gap / 64)] |= bit(gap);
     }
 
+    /**
+     * Disable a segment.  An occupant keeps ownership until the
+     * protocol tears it down, but no new bus can claim the segment
+     * until clearFault.
+     */
     void
     markFaulty(GapId gap, Level level, sim::Tick now)
     {
@@ -220,10 +230,12 @@ class SegmentPlanes
         faulty_[planeIndex(level, gap / 64)] |= bit(gap);
         ++faulty_n_;
         ++epoch_;
-        if (owner_[cellIndex(gap, level)] == kNoSlot)
+        // An occupied segment is busy already.
+        if (owner_[cellIndex(gap, level)] == kNoKey)
             busy_[cellIndex(gap, level)].setBusy(now);
     }
 
+    /** Repair a faulted segment; any occupant keeps ownership. */
     void
     clearFault(GapId gap, Level level, sim::Tick now)
     {
@@ -232,10 +244,13 @@ class SegmentPlanes
         faulty_[planeIndex(level, gap / 64)] &= ~bit(gap);
         --faulty_n_;
         ++epoch_;
-        if (owner_[cellIndex(gap, level)] == kNoSlot)
+        // A severed bus mid-teardown may still hold the segment; it
+        // only becomes idle once that release happens.
+        if (owner_[cellIndex(gap, level)] == kNoKey)
             busy_[cellIndex(gap, level)].setFree(now);
     }
 
+    /** Time-weighted busy fraction of one segment over [0, now]. */
     double
     utilization(GapId gap, Level level, sim::Tick now) const
     {
@@ -243,6 +258,7 @@ class SegmentPlanes
             now, !isFree(gap, level));
     }
 
+    /** Mean busy fraction over all N x k segments. */
     double
     averageUtilization(sim::Tick now) const
     {
@@ -271,12 +287,18 @@ class SegmentPlanes
         return (plane[planeIndex(level, gap / 64)] >> (gap % 64)) & 1;
     }
 
+    void
+    checkLevel(Level level) const
+    {
+        rmb_assert(level >= 0 &&
+                       static_cast<std::uint32_t>(level) < numLevels_,
+                   "level ", level, " out of range");
+    }
+
     std::size_t
     planeIndex(Level level, std::uint32_t w) const
     {
-        rmb_assert(level >= 0 && static_cast<std::uint32_t>(level) <
-                       numLevels_,
-                   "level ", level, " out of range");
+        checkLevel(level);
         return static_cast<std::size_t>(level) * words_ + w;
     }
 
@@ -284,6 +306,7 @@ class SegmentPlanes
     cellIndex(GapId gap, Level level) const
     {
         rmb_assert(gap < numGaps_, "gap ", gap, " out of range");
+        checkLevel(level);
         return static_cast<std::size_t>(level) * numGaps_ + gap;
     }
 
@@ -294,7 +317,7 @@ class SegmentPlanes
     std::vector<std::uint64_t> faulty_;
     std::vector<std::uint64_t> pinned_;
     std::vector<std::uint32_t> levelOccupied_;
-    std::vector<std::uint32_t> owner_;
+    std::vector<BusKey> owner_;
     std::vector<sim::BusyTracker> busy_;
     std::vector<std::uint64_t> evenGaps_;
     std::vector<std::uint64_t> oddGaps_;
@@ -303,6 +326,5 @@ class SegmentPlanes
     std::uint32_t faulty_n_ = 0;
 };
 
-} // namespace kernel
 } // namespace core
 } // namespace rmb

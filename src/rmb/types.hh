@@ -33,6 +33,14 @@ using VirtualBusId = std::uint64_t;
 /** Sentinel for "no virtual bus". */
 constexpr VirtualBusId kNoBus = 0;
 
+/** A flat engine's handle on a bus record, and the owner of a
+ *  claimed segment: the bus id (event engine) or the pool slot
+ *  (kernel). */
+using BusKey = std::uint64_t;
+
+/** Sentinel for "no bus record" (and "unclaimed segment"). */
+constexpr BusKey kNoKey = ~BusKey{0};
+
 /**
  * What a blocked header flit does when no reachable output segment is
  * free at an intermediate INC.

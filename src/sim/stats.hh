@@ -89,7 +89,7 @@ class SampleStat
 /**
  * Tracks the busy fraction of a binary resource over simulated time
  * (e.g. one physical bus segment).  The tracker does not store whether
- * the resource is busy: its owner already does (a segment store reads
+ * the resource is busy: its owner already does (the segment grid reads
  * it from occupancy and fault state), calls setBusy()/setFree() on
  * exact free->busy and busy->free edges only, and passes the current
  * state to the readers.

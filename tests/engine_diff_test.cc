@@ -32,7 +32,6 @@
 #include "common/env.hh"
 
 #include "rmb/engine.hh"
-#include "rmb/kernel/bitplane.hh"
 #include "rmb/kernel/kernel_engine.hh"
 #include "rmb/network.hh"
 #include "obs/sinks.hh"
@@ -628,7 +627,7 @@ struct MidMoveBus
         for (core::GapId g = 0; g < cfg.numNodes; ++g)
             for (core::Level l = 0;
                  l < static_cast<core::Level>(cfg.numBuses); ++l)
-                n += net.segmentPinned(g, l) ? 1 : 0;
+                n += net.segments().pinned(g, l) ? 1 : 0;
         return n;
     }
 
@@ -654,10 +653,10 @@ TEST(KernelEngine, TeardownBetweenMakeAndBreakPinsBothLevels)
     }
     // Fack teardown started: every held cell is pinned.
     ASSERT_TRUE(t.midMove());
-    EXPECT_TRUE(t.net.segmentPinned(0, 1));
-    EXPECT_TRUE(t.net.segmentPinned(0, 0));
-    EXPECT_TRUE(t.net.segmentPinned(1, 0));
-    EXPECT_TRUE(t.net.segmentPinned(2, 0));
+    EXPECT_TRUE(t.net.segments().pinned(0, 1));
+    EXPECT_TRUE(t.net.segments().pinned(0, 0));
+    EXPECT_TRUE(t.net.segments().pinned(1, 0));
+    EXPECT_TRUE(t.net.segments().pinned(2, 0));
     EXPECT_EQ(t.pinnedCells(), 4u);
     EXPECT_EQ(t.net.rmbStats().compactionMoves.value(), 0u);
 
@@ -666,10 +665,10 @@ TEST(KernelEngine, TeardownBetweenMakeAndBreakPinsBothLevels)
     while (t.net.segmentOccupied(0, 1))
         ASSERT_TRUE(t.step());
     EXPECT_EQ(t.net.rmbStats().compactionMoves.value(), 1u);
-    EXPECT_FALSE(t.net.segmentPinned(0, 1));
+    EXPECT_FALSE(t.net.segments().pinned(0, 1));
     ASSERT_TRUE(t.net.segmentOccupied(0, 0))
         << "the Fack reached the source before the break";
-    EXPECT_TRUE(t.net.segmentPinned(0, 0));
+    EXPECT_TRUE(t.net.segments().pinned(0, 0));
 
     while (t.net.segmentOccupied(0, 0))
         ASSERT_TRUE(t.step());
@@ -696,17 +695,17 @@ TEST(KernelEngine, DualTargetFaultThenSeverPinsWhatTheBusHolds)
 
     t.net.failSegment(2, 0);
     EXPECT_EQ(t.net.rmbStats().busesSevered.value(), 1u);
-    EXPECT_TRUE(t.net.segmentPinned(0, 1));
-    EXPECT_TRUE(t.net.segmentPinned(1, 0));
-    EXPECT_TRUE(t.net.segmentPinned(2, 0));
-    EXPECT_FALSE(t.net.segmentPinned(0, 0));
+    EXPECT_TRUE(t.net.segments().pinned(0, 1));
+    EXPECT_TRUE(t.net.segments().pinned(1, 0));
+    EXPECT_TRUE(t.net.segments().pinned(2, 0));
+    EXPECT_FALSE(t.net.segments().pinned(0, 0));
     EXPECT_EQ(t.pinnedCells(), 3u);
 
     // Past the break tick: the cancelled move stays cancelled and
     // the source cell stays pinned until the teardown reaches it.
     const sim::Tick break_by = t.sim.now() + t.cfg.cyclePeriodMax;
     while (t.sim.now() < break_by && t.net.segmentOccupied(0, 1)) {
-        EXPECT_TRUE(t.net.segmentPinned(0, 1));
+        EXPECT_TRUE(t.net.segments().pinned(0, 1));
         ASSERT_TRUE(t.step());
     }
     EXPECT_EQ(t.net.rmbStats().compactionMoves.value(), 0u);
@@ -753,30 +752,36 @@ TEST(KernelEngine, ClosedKPermutationLoopCountersArePinned)
     net.auditInvariants();
 }
 
-/** validate() refuses kernel-incompatible options by name. */
-/** SegmentPlanes reads a cell's busy state from its planes: the walk
- *  of SegmentTable.FaultedCellStaysBusyAcrossRelease (occupy 8, fault
- *  16, release while faulted 24, repair 40, fault while free 64,
- *  repair 80) gives the same exact utilizations. */
-TEST(KernelEngine, SegmentPlanesFaultedCellStaysBusyAcrossRelease)
+/**
+ * A fault on a free cell reads the same through both engines' census:
+ * faulted, not occupied ("claimed by a bus"), and busy from the fault
+ * on.
+ */
+TEST(EngineDiff, FaultedFreeCellCensusMatches)
 {
-    core::kernel::SegmentPlanes p(2, 2);
-    p.occupy(1, 1, 3, 8);
-    p.markFaulty(1, 1, 16);
-    p.release(1, 1, 3, 24);
-    EXPECT_EQ(p.utilization(1, 1, 32), 0.75);
-    EXPECT_EQ(p.averageUtilization(32), 0.1875);
-    p.clearFault(1, 1, 40);
-    EXPECT_EQ(p.utilization(1, 1, 64), 0.5);
-    p.markFaulty(1, 1, 64);
-    EXPECT_EQ(p.utilization(1, 1, 80), 0.6);
-    p.clearFault(1, 1, 80);
-    EXPECT_TRUE(p.isFree(1, 1));
-    EXPECT_EQ(p.utilization(1, 1, 128), 0.375);
-    EXPECT_EQ(p.utilization(0, 1, 128), 0.0);
-    EXPECT_EQ(p.averageUtilization(128), 0.09375);
+    for (const auto kind :
+         {core::EngineKind::Event, core::EngineKind::Kernel}) {
+        SCOPED_TRACE(core::engineKindName(kind));
+        core::RmbConfig cfg = baseConfig(8, 2, 1);
+        cfg.engine = kind;
+        sim::Simulator sim;
+        auto net = core::makeEngine(sim, cfg);
+        sim.runUntil(100);
+        net->failSegment(3, 1);
+        sim.runUntil(400);
+        EXPECT_FALSE(net->segmentOccupied(3, 1));
+        EXPECT_TRUE(net->segmentFaulty(3, 1));
+        EXPECT_EQ(net->faultySegments(), 1u);
+        EXPECT_EQ(net->occupiedSegments(), 0u);
+        EXPECT_EQ(net->segmentUtilization(3, 1, sim.now()), 0.75);
+        EXPECT_EQ(net->segmentUtilization(3, 0, sim.now()), 0.0);
+        EXPECT_EQ(net->averageSegmentUtilization(sim.now()),
+                  0.75 / 16);
+        net->auditInvariants();
+    }
 }
 
+/** validate() refuses kernel-incompatible options by name. */
 TEST(KernelEngine, ValidateRefusesUnsupportedOptions)
 {
     core::RmbConfig cfg = baseConfig(8, 2, 1);

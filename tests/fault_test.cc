@@ -39,13 +39,13 @@ TEST(Fault, SingleFaultedSegmentIsAvoided)
     sim::Simulator s;
     RmbNetwork net(s, cfg(16, 4));
     net.failSegment(5, 1);
-    EXPECT_TRUE(net.segments().isFaulty(5, 1));
+    EXPECT_TRUE(net.segments().faulted(5, 1));
     EXPECT_EQ(net.segments().faultyCount(), 1u);
     const auto id = net.send(2, 9, 64); // crosses gap 5
     runToQuiescence(s, net);
     EXPECT_EQ(net.message(id).state, net::MessageState::Delivered);
     // The faulted cell never carried the bus.
-    EXPECT_TRUE(net.segments().isFaulty(5, 1));
+    EXPECT_TRUE(net.segments().faulted(5, 1));
 }
 
 TEST(Fault, CompactionNeverMovesIntoAFault)
@@ -61,7 +61,7 @@ TEST(Fault, CompactionNeverMovesIntoAFault)
     ASSERT_EQ(ids.size(), 1u);
     for (const Hop &h : net.bus(ids[0])->hops) {
         EXPECT_GE(h.level, 1) << "gap " << h.gap;
-        EXPECT_FALSE(net.segments().isFaulty(h.gap, h.level));
+        EXPECT_FALSE(net.segments().faulted(h.gap, h.level));
     }
     runToQuiescence(s, net);
     EXPECT_TRUE(net.quiescent());
@@ -148,7 +148,7 @@ TEST(Fault, ThroughputDegradesGracefullyWithFaults)
                     frng.uniformInt(16));
                 const auto l = static_cast<Level>(
                     frng.uniformInt(3)); // never the top
-                if (!net.segments().isFaulty(g, l)) {
+                if (!net.segments().faulted(g, l)) {
                     net.failSegment(g, l);
                     ++injected;
                 }
@@ -257,7 +257,7 @@ TEST(Fault, RepairRestoresInjectionAtThatNode)
     s.runFor(5'000);
     EXPECT_EQ(net.message(id).state, net::MessageState::Queued);
     net.repairSegment(3, 1);
-    EXPECT_FALSE(net.segments().isFaulty(3, 1));
+    EXPECT_FALSE(net.segments().faulted(3, 1));
     runToQuiescence(s, net, 500'000);
     EXPECT_EQ(net.message(id).state, net::MessageState::Delivered);
     EXPECT_EQ(net.rmbStats().faultsInjected, 1u);

@@ -77,7 +77,7 @@ TEST(RmbNetwork, InjectionUsesTopBusOnly)
     net.send(2, 6, 64);
     s.run(2); // process the zero-delay injection event only
     // The source hop must sit on level k-1 of gap 2.
-    EXPECT_EQ(net.segments().occupant(2, 3), 1u);
+    EXPECT_EQ(net.segments().owner(2, 3), 1u);
     EXPECT_TRUE(net.segments().isFree(2, 0));
     EXPECT_TRUE(net.segments().isFree(2, 1));
     EXPECT_TRUE(net.segments().isFree(2, 2));
