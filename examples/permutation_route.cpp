@@ -32,11 +32,16 @@ drawFrame(const core::RmbNetwork &network, sim::Tick now)
     const auto n = segments.numGaps();
     const auto k = segments.numLevels();
 
-    // Stable letters per live bus id.
-    std::map<core::VirtualBusId, char> letter;
-    for (const auto id : network.liveBusIds())
-        letter[id] = static_cast<char>(
+    // Stable letters per live bus id, looked up by the pool slot
+    // that owns the bus's segments.
+    std::map<core::BusKey, char> letter;
+    std::map<core::BusKey, const core::VirtualBus *> bus_of;
+    for (const auto id : network.liveBusIds()) {
+        const core::VirtualBus *bus = network.bus(id);
+        letter[bus->key] = static_cast<char>(
             'A' + static_cast<char>(letter.size() % 26));
+        bus_of[bus->key] = bus;
+    }
 
     std::printf("t=%-6llu  live buses: %zu\n",
                 static_cast<unsigned long long>(now),
@@ -45,17 +50,16 @@ drawFrame(const core::RmbNetwork &network, sim::Tick now)
         std::printf("  L%d %s|", l, l == static_cast<int>(k) - 1
                                        ? "(top)" : "     ");
         for (core::GapId g = 0; g < n; ++g) {
-            const auto id = segments.owner(g, l);
-            if (id == core::kNoKey) {
+            const auto key = segments.owner(g, l);
+            if (key == core::kNoKey) {
                 std::printf(" .");
                 continue;
             }
-            const core::VirtualBus *bus = network.bus(id);
             bool dual = false;
-            for (const auto &h : bus->hops)
+            for (const auto &h : bus_of.at(key)->hops)
                 if (h.gap == g && h.dualLevel == l)
                     dual = true;
-            std::printf(" %c", dual ? '*' : letter[id]);
+            std::printf(" %c", dual ? '*' : letter[key]);
         }
         std::printf("\n");
     }

@@ -75,12 +75,11 @@ CycleKernelEngine::~CycleKernelEngine() = default;
 void
 CycleKernelEngine::scheduleAction(sim::Tick delay,
                                   Action::Kind kind,
-                                  std::uint32_t slot,
-                                  std::uint32_t gen)
+                                  std::uint64_t target)
 {
     const sim::Tick now = simulator().now();
     const sim::Tick due = now + delay;
-    const Action a{kind, slot, gen, due};
+    const Action a{kind, target, due};
     if (delay < wheel_.span()) {
         wheel_.push(due, a);
     } else {
@@ -197,7 +196,7 @@ CycleKernelEngine::processTick(sim::Tick now)
     // Cycle steps after the tick's protocol actions: break (armed
     // half a period before) strictly precedes the next make.
     if (nextBreakAt_ == now)
-        breakStep(now);
+        breakStep();
     if (cycleArmed_ && nextMakeAt_ == now)
         makeStep(now);
 
@@ -213,24 +212,32 @@ void
 CycleKernelEngine::dispatch(const Action &a)
 {
     if (a.kind == Action::TryInject) {
-        tryInject(a.slot);
+        tryInject(static_cast<net::NodeId>(a.target));
         return;
     }
-    KBus &bus = pool_[a.slot];
-    if (!bus.live || bus.gen != a.gen)
+    VirtualBus *bus = liveBus(a.target);
+    if (!bus)
         return; // the bus this action was aimed at is gone
     switch (a.kind) {
     case Action::HeaderArrive:
-        headerArrive(a.slot);
+        headerArrive(*bus);
         break;
     case Action::HackArrive:
-        hackArriveAtSource(a.slot);
+        rmb_assert(bus->state == BusState::AwaitHack,
+                   "Hack arrived on a bus in state ",
+                   static_cast<int>(bus->state));
+        // Closed-form streaming only: validate() refuses
+        // detailedFlits for this engine.
+        scheduleAction(establish(*bus), Action::FinalFlit,
+                       handleOf(*bus));
         break;
     case Action::FinalFlit:
-        finalFlitArrive(a.slot);
+        rmb_assert(bus->state == BusState::Streaming,
+                   "FF arrived on a non-streaming bus");
+        deliver(*bus);
         break;
     case Action::TeardownStep:
-        teardownStep(bus);
+        teardownStep(*bus);
         break;
     case Action::TryInject:
         break; // handled above
@@ -241,31 +248,8 @@ CycleKernelEngine::dispatch(const Action &a)
 // Helpers
 // ----------------------------------------------------------------
 
-std::uint32_t
-CycleKernelEngine::allocSlot()
-{
-    if (!freeSlots_.empty()) {
-        const std::uint32_t slot = freeSlots_.back();
-        freeSlots_.pop_back();
-        return slot;
-    }
-    pool_.emplace_back();
-    pool_.back().key = pool_.size() - 1;
-    return static_cast<std::uint32_t>(pool_.back().key);
-}
-
-void
-CycleKernelEngine::retireSlot(std::uint32_t slot)
-{
-    KBus &bus = pool_[slot];
-    bus.live = false;
-    ++bus.gen;
-    bus.hops.clear(); // keeps capacity for the next life
-    freeSlots_.push_back(slot);
-}
-
 net::NodeId
-CycleKernelEngine::effectiveDst(const KBus &bus) const
+CycleKernelEngine::effectiveDst(const VirtualBus &bus) const
 {
     if (mutation_ != TestMutation::ShortCircuit)
         return bus.dst;
@@ -277,20 +261,10 @@ CycleKernelEngine::effectiveDst(const KBus &bus) const
 }
 
 std::uint32_t
-CycleKernelEngine::pathLength(const KBus &bus) const
+CycleKernelEngine::pathLength(const VirtualBus &bus) const
 {
     const std::uint32_t n = config_.numNodes;
     return (effectiveDst(bus) + n - bus.src) % n;
-}
-
-std::size_t
-CycleKernelEngine::hopIndexAt(const KBus &bus, GapId gap) const
-{
-    // (gap - srcGap) mod N with both in [0, N): one conditional add
-    // instead of a division on the make pass's per-candidate path.
-    const GapId src = bus.srcGap();
-    return static_cast<std::size_t>(
-        gap >= src ? gap - src : gap + config_.numNodes - src);
 }
 
 // ----------------------------------------------------------------
@@ -300,13 +274,12 @@ CycleKernelEngine::hopIndexAt(const KBus &bus, GapId gap) const
 void
 CycleKernelEngine::scheduleInject(net::NodeId node, sim::Tick delay)
 {
-    scheduleAction(delay, Action::TryInject, node, 0);
+    scheduleAction(delay, Action::TryInject, node);
 }
 
 void
-CycleKernelEngine::scheduleTeardownStep(BusKey key, bool started)
+CycleKernelEngine::scheduleTeardownStep(VirtualBus &bus, bool started)
 {
-    KBus &bus = pool_[key];
     // A fresh teardown invalidates every in-flight header/Hack/FF
     // action of this life; the walk runs on the new generation.  It
     // also pins every cell the bus holds (Figure 7 moves no hop of
@@ -320,50 +293,15 @@ CycleKernelEngine::scheduleTeardownStep(BusKey key, bool started)
         }
     }
     scheduleAction(config_.ackHopDelay, Action::TeardownStep,
-                   static_cast<std::uint32_t>(key), bus.gen);
+                   handleOf(bus));
 }
 
 void
-CycleKernelEngine::launchHeader(BusRecord &bus)
+CycleKernelEngine::launchHeader(VirtualBus &bus)
 {
     scheduleAction(config_.headerHopDelay, Action::HeaderArrive,
-                   static_cast<std::uint32_t>(bus.key),
-                   static_cast<const KBus &>(bus).gen);
+                   handleOf(bus));
     armCycle();
-}
-
-BusRecord &
-CycleKernelEngine::openBus(VirtualBusId)
-{
-    KBus &bus = pool_[allocSlot()];
-    bus.live = true;
-    ++liveBuses_;
-    return bus;
-}
-
-void
-CycleKernelEngine::retireBus(BusKey key)
-{
-    --liveBuses_;
-    retireSlot(static_cast<std::uint32_t>(key));
-}
-
-const BusRecord &
-CycleKernelEngine::busRecord(BusKey key) const
-{
-    rmb_assert(key < pool_.size() && pool_[key].live,
-               "no live bus in slot ", key);
-    return pool_[key];
-}
-
-BusRecord *
-CycleKernelEngine::carrierOf(net::MessageId id)
-{
-    for (KBus &b : pool_) {
-        if (b.live && b.message == id)
-            return &b;
-    }
-    return nullptr;
 }
 
 void
@@ -379,9 +317,8 @@ CycleKernelEngine::afterFaultChange()
 // ----------------------------------------------------------------
 
 void
-CycleKernelEngine::headerArrive(std::uint32_t slot)
+CycleKernelEngine::headerArrive(VirtualBus &bus)
 {
-    KBus &bus = pool_[slot];
     rmb_assert(bus.state == BusState::Advancing,
                "header arrival on a non-advancing bus");
     const net::NodeId here = bus.headNode;
@@ -394,20 +331,19 @@ CycleKernelEngine::headerArrive(std::uint32_t slot)
             // change with no plane mutation, so note it for the
             // no-move make-skip.
             segments_.bumpEpoch();
-            scheduleAction(hack, Action::HackArrive, slot, bus.gen);
+            scheduleAction(hack, Action::HackArrive, handleOf(bus));
         } else {
             noteNack(messageRef(bus.message));
             startTeardown(bus, BusState::NackTeardown);
         }
         return;
     }
-    tryAdvance(slot);
+    tryAdvance(bus);
 }
 
 void
-CycleKernelEngine::tryAdvance(std::uint32_t slot)
+CycleKernelEngine::tryAdvance(VirtualBus &bus)
 {
-    KBus &bus = pool_[slot];
     rmb_assert(bus.state == BusState::Advancing,
                "tryAdvance on a bus in state ",
                static_cast<int>(bus.state));
@@ -416,14 +352,14 @@ CycleKernelEngine::tryAdvance(std::uint32_t slot)
     const Level chosen =
         chooseOutputLevel(bus.hops.back(), gap, effectiveDst(bus));
     if (chosen != kNoLevel) {
-        segments_.occupy(gap, chosen, slot, simulator().now());
+        segments_.occupy(gap, chosen, bus.key, simulator().now());
         bus.hops.push_back(Hop{gap, chosen, kNoLevel, 0});
         bus.headNode = (here + 1) % config_.numNodes;
         if (tracing())
             emitTrace(busEvent(obs::EventKind::HeaderHop, bus,
                                here, gap, chosen));
-        scheduleAction(config_.headerHopDelay,
-                       Action::HeaderArrive, slot, bus.gen);
+        scheduleAction(config_.headerHopDelay, Action::HeaderArrive,
+                       handleOf(bus));
         return;
     }
 
@@ -437,27 +373,6 @@ CycleKernelEngine::tryAdvance(std::uint32_t slot)
         emitTrace(e);
     }
     startTeardown(bus, BusState::NackTeardown);
-}
-
-void
-CycleKernelEngine::hackArriveAtSource(std::uint32_t slot)
-{
-    KBus &bus = pool_[slot];
-    rmb_assert(bus.state == BusState::AwaitHack,
-               "Hack arrived on a bus in state ",
-               static_cast<int>(bus.state));
-    // Closed-form streaming only: validate() refuses detailedFlits
-    // for this engine.
-    scheduleAction(establish(bus), Action::FinalFlit, slot, bus.gen);
-}
-
-void
-CycleKernelEngine::finalFlitArrive(std::uint32_t slot)
-{
-    KBus &bus = pool_[slot];
-    rmb_assert(bus.state == BusState::Streaming,
-               "FF arrived on a non-streaming bus");
-    deliver(bus);
 }
 
 // ----------------------------------------------------------------
@@ -533,9 +448,6 @@ CycleKernelEngine::makeStep(sim::Tick now)
     RMB_PROF_SCOPE_SAMPLED("kernel.make_pass");
     const auto k = static_cast<Level>(config_.numBuses);
     const std::uint32_t words = segments_.wordsPerLevel();
-    const auto is_free = [this](GapId g, Level l) {
-        return segments_.isFree(g, l);
-    };
     for (Level l = 1; l < k; ++l) {
         if (segments_.occupiedAt(l) == 0)
             continue; // no cell to move down
@@ -559,34 +471,7 @@ CycleKernelEngine::makeStep(sim::Tick now)
                 cand &= cand - 1;
                 const GapId g = w * 64 +
                                 static_cast<std::uint32_t>(b);
-                const BusKey key = segments_.owner(g, l);
-                rmb_assert(key != kNoKey, "occupancy bit with no owner");
-                const auto slot = static_cast<std::uint32_t>(key);
-                KBus &bus = pool_[slot];
-                const std::size_t idx = hopIndexAt(bus, g);
-                rmb_assert(idx < bus.hops.size(),
-                           "unpinned cell beyond its bus's hops");
-                Hop &hop = bus.hops[idx];
-                rmb_assert(hop.gap == g,
-                           "hop/gap bookkeeping mismatch");
-                if (hop.level != l)
-                    continue; // l is a mid-move dual target
-                if (!hopMovableRule(bus, idx, is_free))
-                    continue;
-                segments_.occupy(g, l - 1, slot, now);
-                hop.dualLevel = l - 1;
-                ++hop.moveSeq;
-                if (tracing()) {
-                    obs::TraceEvent e =
-                        busEvent(obs::EventKind::CompactionMake,
-                                 bus, g, g, l);
-                    e.a = static_cast<std::uint64_t>(l - 1);
-                    e.b = hop.moveSeq;
-                    emitTrace(e);
-                }
-                moveRecords_.push_back(
-                    MoveRecord{slot, static_cast<std::uint32_t>(idx),
-                               bus.id, g, l, l - 1});
+                makeMove(g, l, moveRecords_);
             }
         }
     }
@@ -618,56 +503,13 @@ CycleKernelEngine::makeStep(sim::Tick now)
 }
 
 void
-CycleKernelEngine::breakStep(sim::Tick)
+CycleKernelEngine::breakStep()
 {
     RMB_PROF_SCOPE_SAMPLED("kernel.compaction_break");
-    for (const MoveRecord &r : moveRecords_) {
-        KBus &bus = pool_[r.slot];
-        if (!bus.live || bus.id != r.bus)
-            continue; // fully torn down since the make step
-        if (r.hopIndex >= bus.hops.size())
-            continue; // hop already freed by a travelling ack
-        Hop &hop = bus.hops[r.hopIndex];
-        if (!hop.inMove() || hop.dualLevel != r.toLevel ||
-            hop.level != r.fromLevel) {
-            continue; // stale record (move cancelled by a sever)
-        }
-        if (segments_.faulted(r.gap, r.toLevel))
-            continue; // target faulted between make and break
-        hop.level = r.toLevel;
-        hop.dualLevel = kNoLevel;
-        ++rmbStats_.compactionMoves;
-        if (tracing()) {
-            obs::TraceEvent e =
-                busEvent(obs::EventKind::CompactionBreak, bus,
-                         r.gap, r.gap, r.toLevel);
-            e.a = static_cast<std::uint64_t>(r.fromLevel);
-            emitTrace(e);
-        }
-        releaseSegment(bus, r.gap, r.fromLevel,
-                       obs::kFreeCompaction);
-    }
+    for (const MoveRecord &r : moveRecords_)
+        breakMove(r);
     moveRecords_.clear();
     nextBreakAt_ = kNever;
-}
-
-std::uint64_t
-CycleKernelEngine::progressStamp(net::MessageId id) const
-{
-    std::uint64_t h = Engine::progressStamp(id);
-    const auto mix = [&h](std::uint64_t v) {
-        h = (h ^ v) * 1099511628211ull;
-    };
-    for (const KBus &b : pool_) {
-        if (!b.live || b.message != id)
-            continue;
-        mix(b.id);
-        mix(static_cast<std::uint64_t>(b.state));
-        mix(b.gen);
-        mix(b.hops.size());
-        mix(b.headNode);
-    }
-    return h;
 }
 
 // ----------------------------------------------------------------
@@ -678,17 +520,13 @@ void
 CycleKernelEngine::auditInvariants() const
 {
     std::uint64_t claimed = 0;
-    std::uint64_t live_seen = 0;
-    for (const KBus &bus : pool_) {
+    for (const VirtualBus &bus : pool_) {
         if (!bus.live)
             continue;
-        ++live_seen;
         claimed += auditHops(bus, pathLength(bus));
         rmb_assert(bus.state != BusState::Blocked,
                    "kernel engine cannot produce Blocked buses");
     }
-    rmb_assert(live_seen == liveBuses_, "pool shows ", live_seen,
-               " live buses but the census counts ", liveBuses_);
     const auto k = static_cast<Level>(config_.numBuses);
     std::vector<std::uint32_t> held_at(config_.numBuses, 0);
     for (GapId g = 0; g < config_.numNodes; ++g) {
@@ -703,7 +541,7 @@ CycleKernelEngine::auditInvariants() const
             // would silently drop moves: pinned exactly when held by
             // a tearing-down bus.
             const bool tearing_down =
-                held && isTeardown(pool_[key].state);
+                held && isTeardown(busAt(key).state);
             rmb_assert(segments_.pinned(g, l) == tearing_down,
                        "pin plane out of sync at (", g, ",", l,
                        "): pinned ", segments_.pinned(g, l),

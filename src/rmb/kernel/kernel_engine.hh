@@ -24,10 +24,14 @@
  *    simulator event (its next due tick), and drains every action
  *    for that tick in one wake.  simulator().now() therefore stays
  *    the single time source, and all message timestamps are exact.
- *  - Virtual buses live in a recycled slot pool with generation
- *    counters; a sever or teardown bumps the generation, which
- *    lazily invalidates every in-flight wheel action of the old
- *    life - the kernel never cancels.
+ *  - Every wheel action names its bus by a BusHandle (pool slot and
+ *    generation, RingEngine's pool).  Besides the retirement bump
+ *    both engines make, the kernel bumps the generation when a
+ *    teardown starts, which lazily invalidates every in-flight
+ *    header, Hack and final-flit action of the bus - the kernel
+ *    never cancels.  The make and break bodies of a move are
+ *    RingEngine's; the kernel runs the make body for the candidates
+ *    its word-parallel scan leaves.
  *
  * Configurations the kernel cannot model (detailedFlits, Wait-mode
  * blocking) are refused by RmbConfig::validate() with the exact
@@ -64,11 +68,6 @@ class CycleKernelEngine final : public RingEngine
     /** Completed global compaction cycles (make steps). */
     std::uint64_t cycles() const { return cycleIndex_; }
 
-    // --- delivery supervisor hooks (docs/ENGINE.md) ---
-
-    /** Base stamp + the carrying pooled bus's id/state/gen/extent. */
-    std::uint64_t progressStamp(net::MessageId id) const override;
-
     /**
      * Testing-only seeded divergence (tests/engine_diff_test.cc's
      * WILL_FAIL probe): ShortCircuit delivers every message one node
@@ -83,52 +82,28 @@ class CycleKernelEngine final : public RingEngine
     void setTestMutation(TestMutation m) { mutation_ = m; }
 
   private:
-    /** One pooled virtual bus (its key is its slot). */
-    struct KBus : BusRecord
-    {
-        bool live = false;
-        /** Bumped on teardown start and retirement; stale wheel
-         *  actions compare and drop. */
-        std::uint32_t gen = 0;
-    };
-
     /** One deferred protocol step, on the wheel or the far list. */
     struct Action
     {
         enum Kind : std::uint8_t
         {
-            HeaderArrive,  //!< slot+gen
-            HackArrive,    //!< slot+gen
-            FinalFlit,     //!< slot+gen
-            TeardownStep,  //!< slot+gen
-            TryInject,     //!< slot = node id, gen unused
+            HeaderArrive,
+            HackArrive,
+            FinalFlit,
+            TeardownStep,
+            TryInject,
         };
         Kind kind;
-        std::uint32_t slot;
-        std::uint32_t gen;
+        /** The bus's handle, or the node for TryInject. */
+        std::uint64_t target;
         sim::Tick due;
-    };
-
-    /** One make-step record awaiting its break step.  Matched by
-     *  bus *id* (unique per life), exactly like the event engine's
-     *  MoveRecord, so slot recycling cannot confuse a break.  The
-     *  hop index is fixed for the bus's life (gap minus source
-     *  gap), so the break reuses the make's. */
-    struct MoveRecord
-    {
-        std::uint32_t slot;
-        std::uint32_t hopIndex;
-        VirtualBusId bus;
-        GapId gap;
-        Level fromLevel;
-        Level toLevel;
     };
 
     static constexpr sim::Tick kNever = ~sim::Tick{0};
 
     // --- agenda (wheel + far list + cycle clock) ---
     void scheduleAction(sim::Tick delay, Action::Kind kind,
-                        std::uint32_t slot, std::uint32_t gen);
+                        std::uint64_t target);
     void ensureWake(sim::Tick due);
     void onWake();
     void processTick(sim::Tick now);
@@ -137,41 +112,28 @@ class CycleKernelEngine final : public RingEngine
     void rearm();
 
     // --- header and stream steps (the rest is RingEngine's) ---
-    void headerArrive(std::uint32_t slot);
-    void tryAdvance(std::uint32_t slot);
-    void hackArriveAtSource(std::uint32_t slot);
-    void finalFlitArrive(std::uint32_t slot);
+    void headerArrive(VirtualBus &bus);
+    void tryAdvance(VirtualBus &bus);
 
     // --- RingEngine hooks ---
     void scheduleInject(net::NodeId node, sim::Tick delay) override;
-    void scheduleTeardownStep(BusKey key, bool started) override;
-    void launchHeader(BusRecord &bus) override;
-    BusRecord &openBus(VirtualBusId id) override;
-    void retireBus(BusKey key) override;
-    const BusRecord &busRecord(BusKey key) const override;
-    BusRecord *carrierOf(net::MessageId id) override;
+    void scheduleTeardownStep(VirtualBus &bus, bool started) override;
+    void launchHeader(VirtualBus &bus) override;
     /** The wheel cannot lose actions and closed-form streaming is
      *  one pre-scheduled action: no bus ever goes silent. */
-    bool canStall(const BusRecord &) const override { return false; }
+    bool canStall(const VirtualBus &) const override { return false; }
     /** A fault change may wake the sleeping cycle clock. */
     void afterFaultChange() override;
 
     // --- compaction cycle ---
     void armCycle();
     void makeStep(sim::Tick now);
-    void breakStep(sim::Tick now);
+    void breakStep();
     void exitQuietCycles(sim::Tick now);
 
     // --- helpers ---
-    std::uint32_t allocSlot();
-    void retireSlot(std::uint32_t slot);
-    net::NodeId effectiveDst(const KBus &bus) const;
-    std::uint32_t pathLength(const KBus &bus) const;
-    std::size_t hopIndexAt(const KBus &bus, GapId gap) const;
-
-    std::vector<KBus> pool_;
-    std::vector<std::uint32_t> freeSlots_;
-    std::uint64_t liveBuses_ = 0;
+    net::NodeId effectiveDst(const VirtualBus &bus) const;
+    std::uint32_t pathLength(const VirtualBus &bus) const;
 
     /** Global compaction period, drawn once; it sizes the wheel. */
     sim::Tick period_ = 0;

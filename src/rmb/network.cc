@@ -46,29 +46,6 @@ RmbNetwork::rightOf(std::uint32_t i) const
     return *incs_[(i + 1) % config_.numNodes];
 }
 
-const VirtualBus *
-RmbNetwork::bus(VirtualBusId id) const
-{
-    rmb_assert(id != kNoBus && id < nextBusId_,
-               "virtual bus id ", id, " was never allocated",
-               " (ids run 1..", nextBusId_ - 1, ")");
-    auto it = buses_.find(id);
-    return it == buses_.end() ? nullptr : &it->second;
-}
-
-std::vector<VirtualBusId>
-RmbNetwork::liveBusIds() const
-{
-    std::vector<VirtualBusId> ids;
-    ids.reserve(buses_.size());
-    // rmblint:allow(determinism-hazard): drained into a vector and
-    // std::sort'ed below, so visit order never escapes.
-    for (const auto &[id, bus] : buses_)
-        ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    return ids;
-}
-
 // ----------------------------------------------------------------
 // RingEngine hooks
 // ----------------------------------------------------------------
@@ -80,76 +57,39 @@ RmbNetwork::scheduleInject(net::NodeId node, sim::Tick delay)
 }
 
 void
-RmbNetwork::scheduleTeardownStep(BusKey key, bool started)
+RmbNetwork::scheduleTeardownStep(VirtualBus &bus, bool started)
 {
     (void)started; // stale steps die against their bus's state
-    simulator().schedule(config_.ackHopDelay,
-                         [this, key] { teardownStep(busRef(key)); });
+    const BusHandle h = handleOf(bus);
+    simulator().schedule(config_.ackHopDelay, [this, h] {
+        VirtualBus *b = liveBus(h);
+        rmb_assert(b, "teardown step of a retired bus");
+        teardownStep(*b);
+    });
 }
 
 void
-RmbNetwork::launchHeader(BusRecord &bus)
+RmbNetwork::launchHeader(VirtualBus &bus)
 {
-    const VirtualBusId bid = bus.id;
+    const BusHandle h = handleOf(bus);
     simulator().schedule(config_.headerHopDelay,
-                         [this, bid] { headerArrive(bid); });
-}
-
-BusRecord &
-RmbNetwork::openBus(VirtualBusId id)
-{
-    VirtualBus &bus = buses_[id];
-    bus.key = id;
-    return bus;
-}
-
-void
-RmbNetwork::retireBus(BusKey key)
-{
-    buses_.erase(key);
-}
-
-const BusRecord &
-RmbNetwork::busRecord(BusKey key) const
-{
-    auto it = buses_.find(key);
-    rmb_assert(it != buses_.end(), "no live bus with id ", key);
-    return it->second;
-}
-
-VirtualBus &
-RmbNetwork::busRef(VirtualBusId id)
-{
-    return static_cast<VirtualBus &>(busAt(id));
-}
-
-BusRecord *
-RmbNetwork::carrierOf(net::MessageId id)
-{
-    // rmblint:allow(determinism-hazard): unique-match search - at most
-    // one bus carries the message, order-insensitive.
-    for (auto &kv : buses_) {
-        if (kv.second.message == id)
-            return &kv.second;
-    }
-    return nullptr;
+                         [this, h] { headerArrive(h); });
 }
 
 bool
-RmbNetwork::canStall(const BusRecord &bus) const
+RmbNetwork::canStall(const VirtualBus &bus) const
 {
     return !isTeardown(bus.state) &&
            !(bus.state == BusState::Streaming && !config_.detailedFlits);
 }
 
 void
-RmbNetwork::unblock(BusRecord &record)
+RmbNetwork::unblock(VirtualBus &bus)
 {
-    auto &bus = static_cast<VirtualBus &>(record);
     rmbStats_.blockedTime.add(
         static_cast<double>(simulator().now() - bus.blockedSince));
     auto &q = waiters_[bus.headNode];
-    q.erase(std::remove(q.begin(), q.end(), bus.id), q.end());
+    q.erase(std::remove(q.begin(), q.end(), handleOf(bus)), q.end());
 }
 
 void
@@ -159,17 +99,15 @@ RmbNetwork::wakeBlocked(GapId gap, Level level)
     // snapshot is used because tryAdvance edits the deque.
     if (waiters_[gap].empty())
         return;
-    std::vector<VirtualBusId> snapshot(waiters_[gap].begin(),
-                                       waiters_[gap].end());
-    for (VirtualBusId bid : snapshot) {
-        auto it = buses_.find(bid);
-        if (it == buses_.end())
-            continue;
-        if (it->second.state != BusState::Blocked)
+    const std::vector<BusHandle> snapshot(waiters_[gap].begin(),
+                                          waiters_[gap].end());
+    for (BusHandle h : snapshot) {
+        VirtualBus *bus = liveBus(h);
+        if (!bus || bus->state != BusState::Blocked)
             continue;
         if (!segments_.isFree(gap, level))
             break; // the freed segment was taken
-        tryAdvance(bid);
+        tryAdvance(*bus);
     }
 }
 
@@ -257,49 +195,47 @@ RmbNetwork::finishMulticast(net::MessageId carrier)
 }
 
 void
-RmbNetwork::headerArrive(VirtualBusId bus_id)
+RmbNetwork::headerArrive(BusHandle h)
 {
     // A fault or watchdog sever may beat an in-flight header event:
-    // the bus is then gone (short teardown) or in FaultTeardown.
-    // Any other state mismatch is still a protocol bug.
-    auto it = buses_.find(bus_id);
-    if (it == buses_.end() ||
-        it->second.state == BusState::FaultTeardown) {
+    // the bus is then gone (short teardown, its slot perhaps reused)
+    // or in FaultTeardown.  Any other state mismatch is still a
+    // protocol bug.
+    VirtualBus *bus = liveBus(h);
+    if (!bus || bus->state == BusState::FaultTeardown)
         return;
-    }
-    VirtualBus &bus = it->second;
-    rmb_assert(bus.state == BusState::Advancing,
+    rmb_assert(bus->state == BusState::Advancing,
                "header arrival on a non-advancing bus");
-    const net::NodeId here = bus.headNode;
-    if (here == bus.dst) {
+    const net::NodeId here = bus->headNode;
+    if (here == bus->dst) {
         Pe &pe = pes_[here];
         if (pe.receivePortFree(config_.receivePorts)) {
             const sim::Tick hack = acceptAtDestination(
-                bus, bus.pathLength(config_.numNodes));
+                *bus, bus->pathLength(config_.numNodes));
             simulator().schedule(
-                hack, [this, bus_id] { hackArriveAtSource(bus_id); });
+                hack, [this, h] { hackArriveAtSource(h); });
         } else {
             // Destination busy: Nack travels back tearing the
             // virtual bus down; the source retries later.
-            noteNack(messageRef(bus.message));
-            startTeardown(bus, BusState::NackTeardown);
+            noteNack(messageRef(bus->message));
+            startTeardown(*bus, BusState::NackTeardown);
         }
         return;
     }
-    tryAdvance(bus_id);
+    tryAdvance(*bus);
 }
 
 void
-RmbNetwork::tryAdvance(VirtualBusId bus_id)
+RmbNetwork::tryAdvance(VirtualBus &bus)
 {
     RMB_PROF_SCOPE_SAMPLED("event.advance");
-    VirtualBus &bus = busRef(bus_id);
     rmb_assert(bus.state == BusState::Advancing ||
                    bus.state == BusState::Blocked,
                "tryAdvance on a bus in state ",
                static_cast<int>(bus.state));
     const net::NodeId here = bus.headNode;
     const GapId gap = here;
+    const BusHandle h = handleOf(bus);
 
     const Level chosen = chooseOutputLevel(bus.hops.back(), gap, bus.dst);
     if (chosen != kNoLevel) {
@@ -310,16 +246,15 @@ RmbNetwork::tryAdvance(VirtualBusId bus_id)
                 emitTrace(busEvent(obs::EventKind::Unblock, bus,
                                    here, gap));
         }
-        segments_.occupy(gap, chosen, bus_id, simulator().now());
+        segments_.occupy(gap, chosen, bus.key, simulator().now());
         bus.hops.push_back(Hop{gap, chosen, kNoLevel, 0});
         bus.headNode = (here + 1) % config_.numNodes;
         ++bus.epoch;
         if (tracing())
             emitTrace(busEvent(obs::EventKind::HeaderHop, bus, here,
                                gap, chosen));
-        simulator().schedule(
-            config_.headerHopDelay,
-            [this, bus_id] { headerArrive(bus_id); });
+        simulator().schedule(config_.headerHopDelay,
+                             [this, h] { headerArrive(h); });
         auditIfFull();
         return;
     }
@@ -344,85 +279,75 @@ RmbNetwork::tryAdvance(VirtualBusId bus_id)
         if (tracing())
             emitTrace(busEvent(obs::EventKind::Block, bus, here,
                                gap));
-        waiters_[gap].push_back(bus_id);
+        waiters_[gap].push_back(h);
         if (config_.headerTimeout > 0) {
             const sim::Tick since = bus.blockedSince;
-            simulator().schedule(
-                config_.headerTimeout, [this, bus_id, since] {
-                    onHeaderTimeout(bus_id, since);
-                });
+            simulator().schedule(config_.headerTimeout,
+                                 [this, h, since] {
+                                     onHeaderTimeout(h, since);
+                                 });
         }
         auditIfFull();
     }
 }
 
 void
-RmbNetwork::onHeaderTimeout(VirtualBusId bus_id, sim::Tick since)
+RmbNetwork::onHeaderTimeout(BusHandle h, sim::Tick since)
 {
-    auto it = buses_.find(bus_id);
-    if (it == buses_.end())
-        return;
-    VirtualBus &bus = it->second;
-    if (bus.state != BusState::Blocked || bus.blockedSince != since)
+    VirtualBus *bus = liveBus(h);
+    if (!bus || bus->state != BusState::Blocked ||
+        bus->blockedSince != since)
         return;
     ++rmbStats_.timeoutAborts;
-    unblock(bus);
+    unblock(*bus);
     if (tracing()) {
-        obs::TraceEvent e = busEvent(obs::EventKind::Nack, bus,
-                                     bus.headNode, bus.headNode);
+        obs::TraceEvent e = busEvent(obs::EventKind::Nack, *bus,
+                                     bus->headNode, bus->headNode);
         e.a = obs::kNackTimeout;
         emitTrace(e);
     }
-    startTeardown(bus, BusState::NackTeardown);
+    startTeardown(*bus, BusState::NackTeardown);
 }
 
 void
-RmbNetwork::hackArriveAtSource(VirtualBusId bus_id)
+RmbNetwork::hackArriveAtSource(BusHandle h)
 {
-    auto it = buses_.find(bus_id);
-    if (it == buses_.end() ||
-        it->second.state == BusState::FaultTeardown) {
+    VirtualBus *bus = liveBus(h);
+    if (!bus || bus->state == BusState::FaultTeardown)
         return; // severed while the Hack travelled back
-    }
-    VirtualBus &bus = it->second;
-    rmb_assert(bus.state == BusState::AwaitHack,
+    rmb_assert(bus->state == BusState::AwaitHack,
                "Hack arrived on a bus in state ",
-               static_cast<int>(bus.state));
-    const sim::Tick stream = establish(bus);
+               static_cast<int>(bus->state));
+    const sim::Tick stream = establish(*bus);
     if (config_.detailedFlits) {
         // Flit-by-flit with Dack window flow control; the first
         // flit leaves one flitDelay after the Hack.
-        simulator().schedule(config_.flitDelay, [this, bus_id] {
-            departFlit(bus_id, 0);
-        });
+        simulator().schedule(config_.flitDelay,
+                             [this, h] { departFlit(h, 0); });
         return;
     }
 
-    simulator().schedule(stream,
-                         [this, bus_id] { finalFlitArrive(bus_id); });
+    simulator().schedule(stream, [this, h] { finalFlitArrive(h); });
 }
 
 void
-RmbNetwork::departFlit(VirtualBusId bus_id, std::uint32_t seq)
+RmbNetwork::departFlit(BusHandle h, std::uint32_t seq)
 {
-    auto it = buses_.find(bus_id);
-    if (it == buses_.end() ||
-        it->second.state == BusState::FaultTeardown) {
+    VirtualBus *bus = liveBus(h);
+    if (!bus || bus->state == BusState::FaultTeardown)
         return; // severed; the pump died with the bus
-    }
-    VirtualBus &bus = it->second;
-    rmb_assert(bus.state == BusState::Streaming,
+    rmb_assert(bus->state == BusState::Streaming,
                "flit departure on a non-streaming bus");
-    rmb_assert(seq == bus.flitsSent, "flits must depart in order");
-    const net::Message &m = message(bus.message);
+    rmb_assert(seq == bus->flitsSent, "flits must depart in order");
+    const net::Message &m = message(bus->message);
     rmb_assert(seq <= m.payloadFlits, "flit sequence overrun");
 
-    ++bus.flitsSent;
-    ++bus.epoch;
-    bus.lastFlitDepart = simulator().now();
+    ++bus->flitsSent;
+    ++bus->epoch;
+    bus->lastFlitDepart = simulator().now();
     if (tracing()) {
         obs::TraceEvent e =
-            busEvent(obs::EventKind::DataFlit, bus, bus.src);
+            busEvent(obs::EventKind::DataFlit, *bus, bus->src);
         e.a = seq;
         emitTrace(e);
     }
@@ -430,110 +355,99 @@ RmbNetwork::departFlit(VirtualBusId bus_id, std::uint32_t seq)
     // The circuit is dedicated, so the flit pipelines across the
     // hops at one gap per flitDelay, undisturbed by compaction
     // (flits ride the virtual bus, not a fixed physical level).
-    const auto path = static_cast<sim::Tick>(bus.hops.size());
-    simulator().schedule(path * config_.flitDelay,
-                         [this, bus_id, seq] {
-                             flitArriveAtDst(bus_id, seq);
-                         });
+    const auto path = static_cast<sim::Tick>(bus->hops.size());
+    simulator().schedule(path * config_.flitDelay, [this, h, seq] {
+        flitArriveAtDst(h, seq);
+    });
 
     if (seq == m.payloadFlits)
         return; // FF sent; the pump is done.
 
     // Send the next flit one flitDelay later if the Dack window
     // allows; otherwise stall until a Dack reopens it.
-    if (bus.flitsSent - bus.flitsAcked < config_.dackWindow) {
-        simulator().schedule(config_.flitDelay,
-                             [this, bus_id, seq] {
-                                 departFlit(bus_id, seq + 1);
-                             });
+    if (bus->flitsSent - bus->flitsAcked < config_.dackWindow) {
+        simulator().schedule(config_.flitDelay, [this, h, seq] {
+            departFlit(h, seq + 1);
+        });
     } else {
-        bus.pumpStalled = true;
+        bus->pumpStalled = true;
     }
 }
 
 void
-RmbNetwork::flitArriveAtDst(VirtualBusId bus_id, std::uint32_t seq)
+RmbNetwork::flitArriveAtDst(BusHandle h, std::uint32_t seq)
 {
-    auto it = buses_.find(bus_id);
-    if (it == buses_.end() ||
-        it->second.state == BusState::FaultTeardown) {
+    VirtualBus *bus = liveBus(h);
+    if (!bus || bus->state == BusState::FaultTeardown)
         return; // severed; in-flight flits are lost with the bus
-    }
-    VirtualBus &bus = it->second;
-    rmb_assert(bus.state == BusState::Streaming,
+    rmb_assert(bus->state == BusState::Streaming,
                "flit arrival on a non-streaming bus");
     // The paper's contiguity guarantee: flits arrive in order and
     // gap-free.
-    rmb_assert(seq == bus.flitsAtDst,
+    rmb_assert(seq == bus->flitsAtDst,
                "flit ", seq, " arrived out of order (expected ",
-               bus.flitsAtDst, ")");
-    rmb_assert(bus.flitsAtDst == 0 ||
+               bus->flitsAtDst, ")");
+    rmb_assert(bus->flitsAtDst == 0 ||
                    simulator().now() >=
-                       bus.lastFlitArrive + config_.flitDelay,
+                       bus->lastFlitArrive + config_.flitDelay,
                "flits bunched closer than the pipeline rate");
-    ++bus.flitsAtDst;
-    ++bus.epoch;
-    bus.lastFlitArrive = simulator().now();
+    ++bus->flitsAtDst;
+    ++bus->epoch;
+    bus->lastFlitArrive = simulator().now();
 
-    const net::Message &m = message(bus.message);
+    const net::Message &m = message(bus->message);
     if (seq == m.payloadFlits) {
-        finalFlitArrive(bus_id);
+        finalFlitArrive(h);
         return;
     }
     // Dack returns along the virtual bus.
-    const auto path = static_cast<sim::Tick>(bus.hops.size());
+    const auto path = static_cast<sim::Tick>(bus->hops.size());
     simulator().schedule(path * config_.ackHopDelay,
-                         [this, bus_id] {
-                             dackArriveAtSource(bus_id);
-                         });
+                         [this, h] { dackArriveAtSource(h); });
 }
 
 void
-RmbNetwork::dackArriveAtSource(VirtualBusId bus_id)
+RmbNetwork::dackArriveAtSource(BusHandle h)
 {
-    auto it = buses_.find(bus_id);
-    if (it == buses_.end())
+    VirtualBus *bus = liveBus(h);
+    if (!bus)
         return; // bus already torn down (Dacks may trail the FF)
-    VirtualBus &bus = it->second;
-    if (bus.state == BusState::FaultTeardown)
+    if (bus->state == BusState::FaultTeardown)
         return; // severed mid-stream; the trailing Dack is void
-    ++bus.flitsAcked;
-    ++bus.epoch;
+    ++bus->flitsAcked;
+    ++bus->epoch;
     ++rmbStats_.dacks;
     if (tracing()) {
         obs::TraceEvent e =
-            busEvent(obs::EventKind::Dack, bus, bus.src);
-        e.a = bus.flitsAcked;
+            busEvent(obs::EventKind::Dack, *bus, bus->src);
+        e.a = bus->flitsAcked;
         emitTrace(e);
     }
-    if (bus.pumpStalled &&
-        bus.flitsSent - bus.flitsAcked < config_.dackWindow) {
-        bus.pumpStalled = false;
+    if (bus->pumpStalled &&
+        bus->flitsSent - bus->flitsAcked < config_.dackWindow) {
+        bus->pumpStalled = false;
         const sim::Tick next_depart =
-            bus.lastFlitDepart + config_.flitDelay;
+            bus->lastFlitDepart + config_.flitDelay;
         const sim::Tick now = simulator().now();
         const sim::Tick delay =
             next_depart > now ? next_depart - now : 0;
-        const std::uint32_t seq = bus.flitsSent;
-        simulator().schedule(delay, [this, bus_id, seq] {
-            departFlit(bus_id, seq);
+        const std::uint32_t seq = bus->flitsSent;
+        simulator().schedule(delay, [this, h, seq] {
+            departFlit(h, seq);
         });
     }
 }
 
 void
-RmbNetwork::finalFlitArrive(VirtualBusId bus_id)
+RmbNetwork::finalFlitArrive(BusHandle h)
 {
-    auto it = buses_.find(bus_id);
-    if (it == buses_.end() ||
-        it->second.state == BusState::FaultTeardown) {
+    VirtualBus *bus = liveBus(h);
+    if (!bus || bus->state == BusState::FaultTeardown)
         return; // severed before the final flit could land
-    }
-    VirtualBus &bus = it->second;
-    rmb_assert(bus.state == BusState::Streaming,
+    rmb_assert(bus->state == BusState::Streaming,
                "FF arrived on a non-streaming bus");
-    const net::MessageId carrier = bus.message;
-    deliver(bus);
+    const net::MessageId carrier = bus->message;
+    deliver(*bus);
     finishMulticast(carrier);
 }
 
@@ -541,59 +455,15 @@ RmbNetwork::finalFlitArrive(VirtualBusId bus_id)
 // Compaction (called from Inc)
 // ----------------------------------------------------------------
 
-bool
-RmbNetwork::hopMovable(const VirtualBus &bus,
-                       std::size_t hop_index) const
-{
-    // Figure 7, via the shared pure rule the model checker also
-    // drives (rmb/compaction_rules.hh).
-    return hopMovableRule(bus, hop_index,
-                          [this](GapId gap, Level level) {
-                              return segments_.isFree(gap, level);
-                          });
-}
-
-std::vector<RmbNetwork::MoveRecord>
+std::vector<MoveRecord>
 RmbNetwork::makeEligibleMoves(GapId gap, int parity)
 {
     RMB_PROF_SCOPE_SAMPLED("event.compaction_make");
     std::vector<MoveRecord> out;
     const auto k = static_cast<Level>(config_.numBuses);
     for (Level l = 1; l < k; ++l) {
-        if ((l % 2) != parity)
-            continue;
-        const VirtualBusId bid = segments_.owner(gap, l);
-        if (bid == kNoKey)
-            continue;
-        auto it = buses_.find(bid);
-        rmb_assert(it != buses_.end(),
-                   "segment held by a dead bus");
-        VirtualBus &bus = it->second;
-        // Locate the hop crossing this gap.
-        const auto idx = static_cast<std::size_t>(
-            (gap + config_.numNodes - bus.srcGap()) %
-            config_.numNodes);
-        if (idx >= bus.hops.size())
-            continue; // freed region of a tearing-down bus
-        Hop &hop = bus.hops[idx];
-        rmb_assert(hop.gap == gap, "hop/gap bookkeeping mismatch");
-        if (hop.level != l)
-            continue; // l is the dual target of a move in progress
-        if (!hopMovable(bus, idx))
-            continue;
-        // Make step: claim the lower segment; both segments carry
-        // the signal until the break step.
-        segments_.occupy(gap, l - 1, bid, simulator().now());
-        hop.dualLevel = l - 1;
-        ++hop.moveSeq;
-        if (tracing()) {
-            obs::TraceEvent e = busEvent(
-                obs::EventKind::CompactionMake, bus, gap, gap, l);
-            e.a = static_cast<std::uint64_t>(l - 1);
-            e.b = hop.moveSeq;
-            emitTrace(e);
-        }
-        out.push_back(MoveRecord{bid, gap, l, l - 1});
+        if ((l % 2) == parity)
+            makeMove(gap, l, out);
     }
     if (!out.empty())
         auditIfFull();
@@ -605,73 +475,18 @@ RmbNetwork::breakMoves(const std::vector<MoveRecord> &records)
 {
     RMB_PROF_SCOPE_SAMPLED("event.compaction_break");
     for (const MoveRecord &r : records) {
-        auto it = buses_.find(r.bus);
-        if (it == buses_.end())
-            continue; // torn down since the make step
-        VirtualBus &bus = it->second;
-        const auto idx = static_cast<std::size_t>(
-            (r.gap + config_.numNodes - bus.srcGap()) %
-            config_.numNodes);
-        if (idx >= bus.hops.size())
-            continue; // hop already freed by a travelling ack
-        Hop &hop = bus.hops[idx];
-        if (!hop.inMove() || hop.dualLevel != r.toLevel ||
-            hop.level != r.fromLevel) {
-            continue; // stale record
-        }
-        if (segments_.faulted(r.gap, r.toLevel)) {
-            // The target faulted between make and break; the sever
-            // path cancels such moves at injection time, but refuse
-            // here too so a break can never commit onto a dead
-            // segment.
+        if (!breakMove(r))
             continue;
-        }
-        hop.level = r.toLevel;
-        hop.dualLevel = kNoLevel;
-        ++rmbStats_.compactionMoves;
-        if (tracing()) {
-            obs::TraceEvent e =
-                busEvent(obs::EventKind::CompactionBreak, bus,
-                         r.gap, r.gap, r.toLevel);
-            e.a = static_cast<std::uint64_t>(r.fromLevel);
-            emitTrace(e);
-        }
-        releaseSegment(bus, r.gap, r.fromLevel,
-                       obs::kFreeCompaction);
-
         // A blocked header whose input hop just moved down may now
         // reach a lower (free) output level.
-        auto it2 = buses_.find(r.bus);
-        if (it2 != buses_.end() &&
-            it2->second.state == BusState::Blocked &&
-            idx + 1 == it2->second.hops.size()) {
-            tryAdvance(r.bus);
+        VirtualBus &bus = pool_[r.slot];
+        if (bus.live && bus.id == r.bus &&
+            bus.state == BusState::Blocked &&
+            r.hopIndex + 1 == bus.hops.size()) {
+            tryAdvance(bus);
         }
     }
     auditIfFull();
-}
-
-std::uint64_t
-RmbNetwork::progressStamp(net::MessageId id) const
-{
-    std::uint64_t h = Engine::progressStamp(id);
-    const auto mix = [&h](std::uint64_t v) {
-        h = (h ^ v) * 1099511628211ull;
-    };
-    // Fold in the carrying bus (live or tearing down): every protocol
-    // step bumps its epoch, so a frozen stamp means lost events.
-    // rmblint:allow(determinism-hazard): at most one bus carries this
-    // message, so visit order cannot change the fold.
-    for (const auto &kv : buses_) {
-        const VirtualBus &b = kv.second;
-        if (b.message != id)
-            continue;
-        mix(b.id);
-        mix(static_cast<std::uint64_t>(b.state));
-        mix(b.epoch);
-        mix(b.hops.size());
-    }
-    return h;
 }
 
 void
@@ -712,13 +527,11 @@ RmbNetwork::outputStatus(net::NodeId node, Level level,
 {
     if (pe_driven)
         *pe_driven = false;
-    const VirtualBusId bid = segments_.owner(node, level);
-    if (bid == kNoKey)
+    const BusKey key = segments_.owner(node, level);
+    if (key == kNoKey)
         return 0b000;
-    const VirtualBus *b = bus(bid);
-    rmb_assert(b, "segment held by a dead bus");
-    const auto idx = static_cast<std::size_t>(
-        (node + config_.numNodes - b->srcGap()) % config_.numNodes);
+    const VirtualBus *b = &busAt(key);
+    const std::size_t idx = hopIndexAt(*b, node);
     rmb_assert(idx < b->hops.size(), "occupant hop out of range");
 
     if (idx == 0) {
@@ -747,14 +560,15 @@ RmbNetwork::auditInvariants() const
 {
     // Every hop's claim must match the grid, and vice versa.
     std::uint64_t claimed = 0;
-    // rmblint:allow(determinism-hazard): order-insensitive audit; the
-    // loop only accumulates counts and fires asserts.
-    for (const auto &[id, bus] : buses_) {
+    for (const VirtualBus &bus : pool_) {
+        if (!bus.live)
+            continue;
         claimed += auditHops(bus, bus.pathLength(config_.numNodes));
         if (bus.state == BusState::Blocked) {
             const auto &q = waiters_[bus.headNode];
-            rmb_assert(std::find(q.begin(), q.end(), id) != q.end(),
-                       "blocked bus ", id, " missing from waiter"
+            rmb_assert(std::find(q.begin(), q.end(), handleOf(bus)) !=
+                           q.end(),
+                       "blocked bus ", bus.id, " missing from waiter"
                        " list");
         }
     }

@@ -7,7 +7,13 @@
  * full protocol of paper section 2: top-bus injection, header
  * propagation with Hack/Nack, pipelined data streaming, Fack
  * teardown, and the systolic compaction that continuously moves
- * virtual buses to the lowest free segments.
+ * virtual buses to the lowest free segments.  The buses, the grid and
+ * the make and break bodies of a move are core::RingEngine's; this
+ * engine adds the per-INC clocks that decide when moves run, Wait-mode
+ * waiter lists, detailed flits and multicast.  Every scheduled step
+ * names its bus by a BusHandle, so a step that outlives its bus (a
+ * header in flight when the bus is severed) finds the slot reused or
+ * empty and does nothing.
  */
 
 #pragma once
@@ -100,16 +106,6 @@ class RmbNetwork final : public RingEngine
     }
 
     /**
-     * Live virtual bus by id; nullptr if the bus existed but has
-     * been retired.  Panics with the offending id if no bus with
-     * that id was ever allocated (a caller bug, not a race).
-     */
-    const VirtualBus *bus(VirtualBusId id) const;
-
-    /** Ids of all live virtual buses (ascending). */
-    std::vector<VirtualBusId> liveBusIds() const;
-
-    /**
      * Derived Table-1 status code of INC @p node's output port at
      * @p level, reconstructed from the virtual-bus structures (the
      * simulator's source of truth); panics if the electrical state
@@ -123,9 +119,6 @@ class RmbNetwork final : public RingEngine
     /** Run every structural invariant check now (any VerifyLevel). */
     void auditInvariants() const override;
 
-    /** Base stamp + the carrying bus's id/state/epoch/extent. */
-    std::uint64_t progressStamp(net::MessageId id) const override;
-
   private:
     // ------------------------------------------------------------
     // Interface reserved for Inc (the compaction engine): the INCs
@@ -133,15 +126,6 @@ class RmbNetwork final : public RingEngine
     // bookkeeping and the neighbour/RNG accessors below.
     // ------------------------------------------------------------
     friend class Inc;
-
-    /** A make-step record handed back to the break step. */
-    struct MoveRecord
-    {
-        VirtualBusId bus;
-        GapId gap;
-        Level fromLevel;
-        Level toLevel;
-    };
 
     /**
      * Execute the make step of every eligible move at @p gap for bus
@@ -162,44 +146,35 @@ class RmbNetwork final : public RingEngine
 
     /** RNG stream (backoff jitter, INC clock phase). */
     sim::Random &rng() { return rng_; }
-    /** The live bus @p id (panics if none). */
-    VirtualBus &busRef(VirtualBusId id);
-    // --- protocol steps (all take the bus id; the bus may die) ---
-    void headerArrive(VirtualBusId bus_id);
-    void tryAdvance(VirtualBusId bus_id);
-    void hackArriveAtSource(VirtualBusId bus_id);
-    void finalFlitArrive(VirtualBusId bus_id);
+    // --- scheduled protocol steps (the bus may be gone by then) ---
+    void headerArrive(BusHandle h);
+    void hackArriveAtSource(BusHandle h);
+    void finalFlitArrive(BusHandle h);
     // Detailed flit-level streaming (Dack flow control).
-    void departFlit(VirtualBusId bus_id, std::uint32_t seq);
-    void flitArriveAtDst(VirtualBusId bus_id, std::uint32_t seq);
-    void dackArriveAtSource(VirtualBusId bus_id);
+    void departFlit(BusHandle h, std::uint32_t seq);
+    void flitArriveAtDst(BusHandle h, std::uint32_t seq);
+    void dackArriveAtSource(BusHandle h);
+    void onHeaderTimeout(BusHandle h, sim::Tick since);
+    /** Claim the head's next segment, or Nack or block.  May not
+     *  inject, so @p bus stays valid for the caller. */
+    void tryAdvance(VirtualBus &bus);
     void finishMulticast(net::MessageId carrier);
-    void onHeaderTimeout(VirtualBusId bus_id, sim::Tick since);
-
-    /** Eligibility of one hop for a downward move (Figure 7). */
-    bool hopMovable(const VirtualBus &bus, std::size_t hop_index)
-        const;
 
     // --- RingEngine hooks ---
     void scheduleInject(net::NodeId node, sim::Tick delay) override;
-    void scheduleTeardownStep(BusKey key, bool started) override;
-    void launchHeader(BusRecord &bus) override;
-    BusRecord &openBus(VirtualBusId id) override;
-    void retireBus(BusKey key) override;
-    const BusRecord &busRecord(BusKey key) const override;
-    BusRecord *carrierOf(net::MessageId id) override;
+    void scheduleTeardownStep(VirtualBus &bus, bool started) override;
+    void launchHeader(VirtualBus &bus) override;
     /** Teardowns are self-driving and closed-form streaming is one
      *  pre-scheduled event: neither can go silent. */
-    bool canStall(const BusRecord &bus) const override;
-    void unblock(BusRecord &bus) override;
+    bool canStall(const VirtualBus &bus) const override;
+    void unblock(VirtualBus &bus) override;
     void wakeBlocked(GapId gap, Level level) override;
     void afterStep() override { auditIfFull(); }
 
     std::vector<std::unique_ptr<Inc>> incs_;
-    std::unordered_map<VirtualBusId, VirtualBus> buses_;
 
     /** Blocked buses waiting for a segment per gap, FIFO. */
-    std::vector<std::deque<VirtualBusId>> waiters_;
+    std::vector<std::deque<BusHandle>> waiters_;
 
     std::vector<MulticastRecord> multicasts_;
     std::unordered_map<net::MessageId, MulticastId>

@@ -25,8 +25,99 @@ RingEngine::freeSegment(GapId gap, Level level, BusKey key)
     return !segments_.faulted(gap, level);
 }
 
+VirtualBus &
+RingEngine::openBus()
+{
+    std::uint32_t slot;
+    if (freeSlots_.empty()) {
+        rmb_assert(pool_.size() < (BusKey{1} << 32),
+                   "bus pool outgrew 32-bit slots");
+        slot = static_cast<std::uint32_t>(pool_.size());
+        pool_.emplace_back();
+    } else {
+        slot = freeSlots_.back();
+        freeSlots_.pop_back();
+    }
+    // A blank record: only the generation and the hops' capacity
+    // carry over from the slot's last life.
+    VirtualBus &bus = pool_[slot];
+    std::vector<Hop> hops = std::move(bus.hops);
+    const std::uint32_t gen = bus.gen;
+    bus = VirtualBus{};
+    bus.hops = std::move(hops);
+    bus.key = slot;
+    bus.live = true;
+    bus.gen = gen;
+    return bus;
+}
+
+void
+RingEngine::retireBus(VirtualBus &bus)
+{
+    bus.live = false;
+    ++bus.gen;
+    bus.hops.clear(); // keeps capacity for the next life
+    freeSlots_.push_back(static_cast<std::uint32_t>(bus.key));
+}
+
+VirtualBus *
+RingEngine::carrierOf(net::MessageId id)
+{
+    for (VirtualBus &b : pool_) {
+        if (b.live && b.message == id)
+            return &b;
+    }
+    return nullptr;
+}
+
+const VirtualBus *
+RingEngine::bus(VirtualBusId id) const
+{
+    rmb_assert(id != kNoBus && id < nextBusId_,
+               "virtual bus id ", id, " was never allocated",
+               " (ids run 1..", nextBusId_ - 1, ")");
+    for (const VirtualBus &b : pool_) {
+        if (b.live && b.id == id)
+            return &b;
+    }
+    return nullptr;
+}
+
+std::vector<VirtualBusId>
+RingEngine::liveBusIds() const
+{
+    std::vector<VirtualBusId> ids;
+    for (const VirtualBus &b : pool_) {
+        if (b.live)
+            ids.push_back(b.id);
+    }
+    std::sort(ids.begin(), ids.end());
+    return ids;
+}
+
+std::uint64_t
+RingEngine::progressStamp(net::MessageId id) const
+{
+    std::uint64_t h = Engine::progressStamp(id);
+    const auto mix = [&h](std::uint64_t v) {
+        h = (h ^ v) * 1099511628211ull;
+    };
+    // Fold in the carrying bus (live or tearing down): every protocol
+    // step changes its state, epoch or extent, so a frozen stamp
+    // means lost events.
+    for (const VirtualBus &b : pool_) {
+        if (!b.live || b.message != id)
+            continue;
+        mix(b.id);
+        mix(static_cast<std::uint64_t>(b.state));
+        mix(b.epoch);
+        mix(b.hops.size());
+    }
+    return h;
+}
+
 obs::TraceEvent
-RingEngine::busEvent(obs::EventKind kind, const BusRecord &bus,
+RingEngine::busEvent(obs::EventKind kind, const VirtualBus &bus,
                      net::NodeId node, GapId gap, Level level) const
 {
     obs::TraceEvent e;
@@ -90,17 +181,13 @@ RingEngine::tryInject(net::NodeId node)
     else
         noteRetry(m);
 
-    const VirtualBusId bid = nextBusId_++;
-    BusRecord &bus = openBus(bid);
-    bus.id = bid;
+    VirtualBus &bus = openBus();
+    bus.id = nextBusId_++;
     bus.message = mid;
     bus.src = m.src;
     bus.dst = m.dst;
-    bus.state = BusState::Advancing;
     bus.headNode = (node + 1) % config_.numNodes;
     bus.injectedAt = simulator().now();
-    bus.hopsFreed = 0;
-    bus.topReleased = false;
 
     segments_.occupy(gap, top, bus.key, simulator().now());
     bus.hops.push_back(Hop{gap, top, kNoLevel, 0});
@@ -113,7 +200,7 @@ RingEngine::tryInject(net::NodeId node)
 }
 
 sim::Tick
-RingEngine::acceptAtDestination(BusRecord &bus,
+RingEngine::acceptAtDestination(VirtualBus &bus,
                                 std::uint32_t path_length)
 {
     pes_[bus.dst].activeReceives.push_back(bus.message);
@@ -125,7 +212,7 @@ RingEngine::acceptAtDestination(BusRecord &bus,
 }
 
 sim::Tick
-RingEngine::establish(BusRecord &bus)
+RingEngine::establish(VirtualBus &bus)
 {
     bus.state = BusState::Streaming;
     ++bus.epoch;
@@ -141,7 +228,7 @@ RingEngine::establish(BusRecord &bus)
 }
 
 void
-RingEngine::deliver(BusRecord &bus)
+RingEngine::deliver(VirtualBus &bus)
 {
     noteDelivered(messageRef(bus.message),
                   static_cast<std::uint32_t>(bus.hops.size()));
@@ -167,7 +254,7 @@ RingEngine::deliver(BusRecord &bus)
 }
 
 void
-RingEngine::startTeardown(BusRecord &bus, BusState kind)
+RingEngine::startTeardown(VirtualBus &bus, BusState kind)
 {
     rmb_assert(isTeardown(kind), "bad teardown kind");
     bus.state = kind;
@@ -180,11 +267,11 @@ RingEngine::startTeardown(BusRecord &bus, BusState kind)
                                                : obs::kTeardownFault;
         emitTrace(e);
     }
-    scheduleTeardownStep(bus.key, true);
+    scheduleTeardownStep(bus, true);
 }
 
 void
-RingEngine::teardownStep(BusRecord &bus)
+RingEngine::teardownStep(VirtualBus &bus)
 {
     rmb_assert(isTeardown(bus.state), "teardown step on a live bus");
     rmb_assert(!bus.hops.empty(), "teardown of an empty bus");
@@ -199,8 +286,8 @@ RingEngine::teardownStep(BusRecord &bus)
         busFinished(bus, hop);
         return;
     }
-    // A release may wake an injection that moves the backend's bus
-    // records, so the bus is named by its key from here on.
+    // A release may wake an injection that grows the pool, so the
+    // bus is named by its key from here on.
     const BusKey key = bus.key;
     if (hop.inMove()) {
         releaseSegment(bus, hop.gap, hop.dualLevel, obs::kFreeTeardown);
@@ -209,12 +296,12 @@ RingEngine::teardownStep(BusRecord &bus)
     } else {
         releaseSegment(bus, hop.gap, hop.level, obs::kFreeTeardown);
     }
-    scheduleTeardownStep(key, false);
+    scheduleTeardownStep(busAt(key), false);
     afterStep();
 }
 
 void
-RingEngine::busFinished(BusRecord &bus, const Hop &last_hop)
+RingEngine::busFinished(VirtualBus &bus, const Hop &last_hop)
 {
     // Retire the bus *before* releasing its final (source-gap)
     // segments: the release wakeups (blocked headers, pending
@@ -230,7 +317,7 @@ RingEngine::busFinished(BusRecord &bus, const Hop &last_hop)
     rmb_assert(last_hop.gap == bus.srcGap(),
                "teardown must end at the source gap");
     rmbStats_.liveBuses.adjust(now, -1);
-    retireBus(key);
+    retireBus(bus);
 
     Pe &pe = pes_[src];
     pe.releaseSend(mid);
@@ -299,7 +386,7 @@ RingEngine::scheduleRetry(net::NodeId node, net::MessageId msg)
 }
 
 void
-RingEngine::traceSegmentFree(const BusRecord &bus, GapId gap,
+RingEngine::traceSegmentFree(const VirtualBus &bus, GapId gap,
                              Level level, obs::SegmentFreeReason reason)
 {
     obs::TraceEvent e =
@@ -309,7 +396,7 @@ RingEngine::traceSegmentFree(const BusRecord &bus, GapId gap,
 }
 
 void
-RingEngine::releaseSegment(BusRecord &bus, GapId gap, Level level,
+RingEngine::releaseSegment(VirtualBus &bus, GapId gap, Level level,
                            obs::SegmentFreeReason reason)
 {
     const bool claimable = freeSegment(gap, level, bus.key);
@@ -321,6 +408,37 @@ RingEngine::releaseSegment(BusRecord &bus, GapId gap, Level level,
     }
     if (claimable)
         segmentFreed(gap, level);
+}
+
+bool
+RingEngine::breakMove(const MoveRecord &r)
+{
+    VirtualBus &bus = pool_[r.slot];
+    if (!bus.live || bus.id != r.bus)
+        return false; // torn down since the make step
+    if (r.hopIndex >= bus.hops.size())
+        return false; // hop already freed by a travelling ack
+    Hop &hop = bus.hops[r.hopIndex];
+    const Level to = r.fromLevel - 1;
+    if (!hop.inMove() || hop.dualLevel != to || hop.level != r.fromLevel)
+        return false; // stale record (move cancelled by a sever)
+    if (segments_.faulted(r.gap, to)) {
+        // The target faulted between make and break; the sever path
+        // cancels such moves at fault time, but refuse here too so a
+        // break can never commit onto a dead segment.
+        return false;
+    }
+    hop.level = to;
+    hop.dualLevel = kNoLevel;
+    ++rmbStats_.compactionMoves;
+    if (tracing()) {
+        obs::TraceEvent e = busEvent(obs::EventKind::CompactionBreak,
+                                     bus, r.gap, r.gap, to);
+        e.a = static_cast<std::uint64_t>(r.fromLevel);
+        emitTrace(e);
+    }
+    releaseSegment(bus, r.gap, r.fromLevel, obs::kFreeCompaction);
+    return true;
 }
 
 void
@@ -391,13 +509,12 @@ RingEngine::repairSegment(GapId gap, Level level)
 }
 
 void
-RingEngine::severOccupant(GapId gap, Level level, BusRecord &bus)
+RingEngine::severOccupant(GapId gap, Level level, VirtualBus &bus)
 {
     if (isTeardown(bus.state))
         return; // the walking Fack/Nack will release it anyway
 
-    const auto idx = static_cast<std::size_t>(
-        (gap + config_.numNodes - bus.srcGap()) % config_.numNodes);
+    const std::size_t idx = hopIndexAt(bus, gap);
     rmb_assert(idx < bus.hops.size(),
                "faulted segment held by a hop out of range");
     Hop &hop = bus.hops[idx];
@@ -423,7 +540,7 @@ RingEngine::severOccupant(GapId gap, Level level, BusRecord &bus)
 }
 
 void
-RingEngine::severBus(BusRecord &bus, std::uint64_t reason)
+RingEngine::severBus(VirtualBus &bus, std::uint64_t reason)
 {
     rmb_assert(!isTeardown(bus.state),
                "sever of a bus already tearing down");
@@ -477,7 +594,7 @@ RingEngine::rescueStalled(net::MessageId id)
         return false;
     }
 
-    if (BusRecord *carrier = carrierOf(id)) {
+    if (VirtualBus *carrier = carrierOf(id)) {
         if (!canStall(*carrier))
             return false;
         ++rmbStats_.watchdogFires;
@@ -521,7 +638,7 @@ RingEngine::rescueStalled(net::MessageId id)
 // ----------------------------------------------------------------
 
 std::uint64_t
-RingEngine::auditHops(const BusRecord &bus,
+RingEngine::auditHops(const VirtualBus &bus,
                       std::uint32_t path_length) const
 {
     const std::uint32_t n = config_.numNodes;
@@ -606,7 +723,7 @@ RingEngine::auditSegments(std::uint64_t claimed) const
             const BusKey key = segments_.owner(g, l);
             if (key == kNoKey)
                 continue;
-            const BusRecord &owner = busRecord(key);
+            const VirtualBus &owner = busAt(key);
             rmb_assert(isTeardown(owner.state), "bus ", owner.id,
                        " holds faulted segment (", g, ",", l,
                        ") but is not tearing down (state ",
@@ -616,6 +733,13 @@ RingEngine::auditSegments(std::uint64_t claimed) const
     rmb_assert(faulted_seen == faultySegments(), "fault mask shows ",
                faulted_seen, " faulted segments but the store counts ",
                faultySegments());
+
+    const auto live = static_cast<std::size_t>(std::count_if(
+        pool_.begin(), pool_.end(),
+        [](const VirtualBus &b) { return b.live; }));
+    rmb_assert(live + freeSlots_.size() == pool_.size(), "pool of ",
+               pool_.size(), " slots holds ", live, " live buses but ",
+               freeSlots_.size(), " free slots");
 }
 
 } // namespace core

@@ -1,35 +1,40 @@
 /**
  * @file
- * RingEngine: the source side of the RMB protocol, written once for
- * both flat backends.
+ * RingEngine: the source side of the RMB protocol, the bus pool and
+ * the compaction move, written once for both flat backends.
  *
  * The PE side of the paper's protocol does not depend on how time
  * advances.  A header is injected only on the top bus (section 2.3);
  * a Nack or a fault tears the path down hop by hop and the source
  * retries after a jittered backoff; a Fack frees the hops back to the
- * source.  RingEngine defines those steps over the BusRecord both
- * backends keep: the PE send queue and its injection gate, the
- * teardown walk and the end of a bus (requeue or write-off), the
- * fault path (sever, make-before-break cancel) and the recovery and
- * dead-letter account.
+ * source.  RingEngine defines those steps over the VirtualBus records
+ * it keeps: the PE send queue and its injection gate, the teardown
+ * walk and the end of a bus (requeue or write-off), the fault path
+ * (sever, make-before-break cancel) and the recovery and dead-letter
+ * account.
  *
- * RingEngine also owns the N x k segment grid both backends claim
- * and free (SegmentPlanes), so the segment census is written here
- * once.  A backend supplies its execution model through the private
- * hooks below: how a step or an injection is scheduled, how a bus
- * record is opened, found and retired, and how a header is launched.
- * RmbNetwork keeps INC FSMs, Wait mode, detailed flits and multicast;
- * CycleKernelEngine keeps its timing wheel, slot pool, pins and
- * synchronous compaction.
+ * RingEngine owns the N x k segment grid both backends claim and free
+ * (SegmentPlanes), so the segment census is written here once, and
+ * the one bus pool: recycled slots with a live flag and a generation,
+ * whose slot is the owner key of every cell a bus claims.  The make
+ * and break bodies of a compaction move (section 2.5) are written
+ * here too; a backend decides only when they run.  A backend supplies
+ * its execution model through the private hooks below: how a step or
+ * an injection is scheduled and how a header is launched.  RmbNetwork
+ * keeps INC FSMs, Wait mode, detailed flits and multicast;
+ * CycleKernelEngine keeps its timing wheel, pins and synchronous
+ * compaction cycle.
  */
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "common/logging.hh"
 #include "rmb/compaction_rules.hh"
 #include "rmb/engine.hh"
 #include "rmb/pe.hh"
@@ -57,6 +62,19 @@ class RingEngine : public Engine
      * route permanent damage has cut.
      */
     bool rescueStalled(net::MessageId id) override;
+
+    /** Base stamp + the carrying bus's id, state, epoch and extent. */
+    std::uint64_t progressStamp(net::MessageId id) const override;
+
+    /**
+     * Live virtual bus by id; nullptr if the bus existed but has
+     * been retired.  Panics with the offending id if no bus with
+     * that id was ever allocated (a caller bug, not a race).
+     */
+    const VirtualBus *bus(VirtualBusId id) const;
+
+    /** Ids of all live virtual buses (ascending). */
+    std::vector<VirtualBusId> liveBusIds() const;
 
     /** The N x k segment grid. */
     const SegmentPlanes &segments() const { return segments_; }
@@ -161,37 +179,37 @@ class RingEngine : public Engine
 
     /** The header reached a free receive port: hold it and await the
      *  Hack.  @return the Hack's travel time back to the source. */
-    sim::Tick acceptAtDestination(BusRecord &bus,
+    sim::Tick acceptAtDestination(VirtualBus &bus,
                                   std::uint32_t path_length);
 
     /** The Hack reached the source: the circuit is up.  @return the
      *  closed-form time until the final flit lands. */
-    sim::Tick establish(BusRecord &bus);
+    sim::Tick establish(VirtualBus &bus);
 
     /** The final flit landed: deliver, close any recovery, and start
      *  the Fack teardown. */
-    void deliver(BusRecord &bus);
+    void deliver(VirtualBus &bus);
 
-    void startTeardown(BusRecord &bus, BusState kind);
+    void startTeardown(VirtualBus &bus, BusState kind);
 
     /** One hop of the walking Fack/Nack; the source hop ends the bus
      *  (requeue or write-off on a Nack or fault). */
-    void teardownStep(BusRecord &bus);
+    void teardownStep(VirtualBus &bus);
 
     /** Cut @p bus (fault or watchdog); its message retries. */
-    void severBus(BusRecord &bus, std::uint64_t reason);
+    void severBus(VirtualBus &bus, std::uint64_t reason);
 
     /**
      * Free one segment of @p bus and dispatch the wakeups.  A wakeup
-     * may inject a new bus, which can move the backend's records:
-     * @p bus must not be used after this returns.
+     * may inject a new bus, which can grow the pool and move every
+     * record: @p bus must not be used after this returns.
      */
-    void releaseSegment(BusRecord &bus, GapId gap, Level level,
+    void releaseSegment(VirtualBus &bus, GapId gap, Level level,
                         obs::SegmentFreeReason reason);
 
     /** Emit a SegmentFree trace event (no-op when not tracing). */
     void
-    noteSegmentFree(const BusRecord &bus, GapId gap, Level level,
+    noteSegmentFree(const VirtualBus &bus, GapId gap, Level level,
                     obs::SegmentFreeReason reason)
     {
         if (tracing())
@@ -199,24 +217,108 @@ class RingEngine : public Engine
     }
 
     /** Assemble a trace event carrying @p bus's identity. */
-    obs::TraceEvent busEvent(obs::EventKind kind, const BusRecord &bus,
+    obs::TraceEvent busEvent(obs::EventKind kind, const VirtualBus &bus,
                              net::NodeId node, GapId gap = 0,
                              Level level = kNoLevel) const;
 
+    /** Index of @p bus's hop crossing @p gap: (gap - source gap) mod N
+     *  with one conditional add, as it runs per make candidate. */
+    std::size_t
+    hopIndexAt(const VirtualBus &bus, GapId gap) const
+    {
+        const GapId src = bus.srcGap();
+        return static_cast<std::size_t>(
+            gap >= src ? gap - src : gap + config_.numNodes - src);
+    }
+
+    /**
+     * The make step of one move candidate, the cell (@p gap,
+     * @p level) (paper section 2.5, Figure 4): when its owner's hop
+     * there sits at @p level and Figure 7 lets it move, claim the
+     * segment one level down, so both carry the signal until the
+     * break, and append the record the break takes to @p out.
+     */
+    void
+    makeMove(GapId gap, Level level, std::vector<MoveRecord> &out)
+    {
+        const BusKey key = segments_.owner(gap, level);
+        if (key == kNoKey)
+            return;
+        VirtualBus &bus = busAt(key);
+        const std::size_t idx = hopIndexAt(bus, gap);
+        rmb_assert(idx < bus.hops.size(), "bus ", bus.id,
+                   " holds a cell beyond its hops at (", gap, ",",
+                   level, ")");
+        Hop &hop = bus.hops[idx];
+        rmb_assert(hop.gap == gap, "hop/gap bookkeeping mismatch");
+        if (hop.level != level)
+            return; // level is the dual target of a move in progress
+        const auto is_free = [this](GapId g, Level l) {
+            return segments_.isFree(g, l);
+        };
+        if (!hopMovableRule(bus, idx, is_free))
+            return;
+        segments_.occupy(gap, level - 1, key, simulator().now());
+        hop.dualLevel = level - 1;
+        ++hop.moveSeq;
+        if (tracing()) {
+            obs::TraceEvent e = busEvent(obs::EventKind::CompactionMake,
+                                         bus, gap, gap, level);
+            e.a = static_cast<std::uint64_t>(level - 1);
+            e.b = hop.moveSeq;
+            emitTrace(e);
+        }
+        out.push_back(MoveRecord{static_cast<std::uint32_t>(key),
+                                 static_cast<std::uint32_t>(idx),
+                                 bus.id, gap, level});
+    }
+
+    /**
+     * The break step of @p r: settle the hop one level down and
+     * release the upper segment, unless the record went stale (the
+     * bus retired, the hop was freed or the move cancelled) or the
+     * target faulted since the make.  @return whether the move
+     * committed; the release may grow the pool, so no record
+     * reference survives the call.
+     */
+    bool breakMove(const MoveRecord &r);
+
     /** Audit one live bus's hops against the segment grid; returns
      *  the segments it claims. */
-    std::uint64_t auditHops(const BusRecord &bus,
+    std::uint64_t auditHops(const VirtualBus &bus,
                             std::uint32_t path_length) const;
 
-    /** Audit the grid: @p claimed cells, and faulted segments held
-     *  only by tearing-down buses. */
+    /** Audit the grid: @p claimed cells, faulted segments held only
+     *  by tearing-down buses, and the pool's free list. */
     void auditSegments(std::uint64_t claimed) const;
 
-    /** The live bus record behind @p key (panics if none). */
-    BusRecord &
+    /** The live bus in slot @p key (panics if none). */
+    VirtualBus &
     busAt(BusKey key)
     {
-        return const_cast<BusRecord &>(busRecord(key));
+        rmb_assert(key < pool_.size() && pool_[key].live,
+                   "no live bus in slot ", key);
+        return pool_[key];
+    }
+    const VirtualBus &
+    busAt(BusKey key) const
+    {
+        return const_cast<RingEngine *>(this)->busAt(key);
+    }
+
+    /** The handle naming @p bus's current life. */
+    static BusHandle
+    handleOf(const VirtualBus &bus)
+    {
+        return BusHandle{bus.gen} << 32 | bus.key;
+    }
+
+    /** The live bus @p h names, or nullptr once that life ended. */
+    VirtualBus *
+    liveBus(BusHandle h)
+    {
+        VirtualBus &bus = pool_[static_cast<std::uint32_t>(h)];
+        return bus.live && bus.gen == h >> 32 ? &bus : nullptr;
     }
 
     /** The N x k grid (claims, faults, the kernel's pins). */
@@ -224,32 +326,28 @@ class RingEngine : public Engine
     /** RNG stream (backoff jitter; INC phases or the kernel period). */
     sim::Random rng_;
     std::vector<Pe> pes_;
-    VirtualBusId nextBusId_ = 1;
+    /**
+     * The bus pool, indexed by BusKey.  Opening a bus may grow it and
+     * move every record, so a record is named by its key or handle,
+     * never held by reference, across anything that can inject:
+     * releaseSegment, tryInject, and the event engine's tryAdvance.
+     */
+    std::vector<VirtualBus> pool_;
 
   private:
     // --- hooks: scheduling ---
     virtual void scheduleInject(net::NodeId node, sim::Tick delay) = 0;
-    /** Schedule bus @p key's next teardownStep one ack hop from now;
-     *  @p started marks a fresh teardown, whose other pending steps
-     *  are void. */
-    virtual void scheduleTeardownStep(BusKey key, bool started) = 0;
+    /** Schedule @p bus's next teardownStep one ack hop from now;
+     *  @p started marks a fresh teardown. */
+    virtual void scheduleTeardownStep(VirtualBus &bus, bool started) = 0;
     /** Send the just-injected header toward its first INC. */
-    virtual void launchHeader(BusRecord &bus) = 0;
-
-    // --- hooks: bus records ---
-    /** A record for new bus @p id with its key set; the caller
-     *  fills the rest. */
-    virtual BusRecord &openBus(VirtualBusId id) = 0;
-    virtual void retireBus(BusKey key) = 0;
-    virtual const BusRecord &busRecord(BusKey key) const = 0;
-    /** The live bus carrying @p id, or nullptr. */
-    virtual BusRecord *carrierOf(net::MessageId id) = 0;
+    virtual void launchHeader(VirtualBus &bus) = 0;
     /** Can @p bus lose a step, so the watchdog may sever it? */
-    virtual bool canStall(const BusRecord &bus) const = 0;
+    virtual bool canStall(const VirtualBus &bus) const = 0;
 
     // --- hooks with defaults ---
     /** Take a Blocked header off its wait list (Wait mode only). */
-    virtual void unblock(BusRecord &bus) { (void)bus; }
+    virtual void unblock(VirtualBus &bus) { (void)bus; }
     /** A free segment may let a waiting header advance (Wait mode). */
     virtual void
     wakeBlocked(GapId gap, Level level)
@@ -262,19 +360,30 @@ class RingEngine : public Engine
     /** After a fault or repair. */
     virtual void afterFaultChange() { auditIfFull(); }
 
+    /** A blank live record in a free slot (the pool grows when none
+     *  is free); the caller fills it. */
+    VirtualBus &openBus();
+    /** Return @p bus's slot to the pool and end its generation. */
+    void retireBus(VirtualBus &bus);
+    /** The live bus carrying @p id, or nullptr. */
+    VirtualBus *carrierOf(net::MessageId id);
+
     /** Release the cell; returns whether it is claimable again.  A
      *  faulted cell is released by its severed owner but not freed:
      *  nobody may claim it until repair. */
     bool freeSegment(GapId gap, Level level, BusKey key);
-    void traceSegmentFree(const BusRecord &bus, GapId gap, Level level,
+    void traceSegmentFree(const VirtualBus &bus, GapId gap, Level level,
                           obs::SegmentFreeReason reason);
-    void busFinished(BusRecord &bus, const Hop &last_hop);
+    void busFinished(VirtualBus &bus, const Hop &last_hop);
     void scheduleRetry(net::NodeId node, net::MessageId msg);
     void segmentFreed(GapId gap, Level level);
-    void severOccupant(GapId gap, Level level, BusRecord &bus);
+    void severOccupant(GapId gap, Level level, VirtualBus &bus);
     /** Dead-letter @p m (severedAt_ lost accounting included). */
     void writeOff(net::Message &m, obs::DeadLetterReason reason);
 
+    /** Free pool slots, reused last-in first-out. */
+    std::vector<std::uint32_t> freeSlots_;
+    VirtualBusId nextBusId_ = 1;
     /**
      * First-sever tick of every message whose virtual bus was cut by
      * a fault or the watchdog and that has not yet been delivered

@@ -33,13 +33,21 @@ using VirtualBusId = std::uint64_t;
 /** Sentinel for "no virtual bus". */
 constexpr VirtualBusId kNoBus = 0;
 
-/** A flat engine's handle on a bus record, and the owner of a
- *  claimed segment: the bus id (event engine) or the pool slot
- *  (kernel). */
+/** A bus record's slot in the flat engines' bus pool, and the owner
+ *  of a claimed segment. */
 using BusKey = std::uint64_t;
 
 /** Sentinel for "no bus record" (and "unclaimed segment"). */
 constexpr BusKey kNoKey = ~BusKey{0};
+
+/**
+ * A bus named across a scheduled step: its pool slot in the low 32
+ * bits, the slot's generation in the high 32.  A slot is reused once
+ * its bus retires, so a handle of an earlier life no longer resolves.
+ * One word keeps a `[this, handle]` capture inside std::function's
+ * inline buffer.
+ */
+using BusHandle = std::uint64_t;
 
 /**
  * What a blocked header flit does when no reachable output segment is

@@ -1,7 +1,9 @@
 /**
  * @file
  * A virtual bus: the chain of physical bus segments carrying one
- * message (paper section 2.2, Figure 2).
+ * message (paper section 2.2, Figure 2), and the make-before-break
+ * move that sinks one of its hops a level (section 2.5).  Both flat
+ * backends keep the same record in one pool (core::RingEngine).
  */
 
 #pragma once
@@ -64,16 +66,24 @@ isTeardown(BusState s)
 }
 
 /**
- * The record of one live virtual bus that both flat backends keep and
- * core::RingEngine's shared steps work on.  The hops are ordered from
- * the source gap to the head gap.
+ * One virtual bus, as both flat backends keep it: one slot of
+ * core::RingEngine's bus pool.  The hops are ordered from the source
+ * gap to the head gap.  A slot outlives its bus: when the bus
+ * retires the slot goes back to the pool with `live` cleared and its
+ * generation bumped, and the next bus opened there starts from a
+ * blank record (only the hops' capacity carries over).
  */
-struct BusRecord
+struct VirtualBus
 {
     VirtualBusId id = kNoBus;
-    /** The backend's handle on this record: the bus id (event
-     *  engine) or the pool slot (kernel). */
-    std::uint64_t key = 0;
+    /** The pool slot: the owner key of every segment the bus
+     *  claims. */
+    BusKey key = kNoKey;
+    /** True from open to retirement. */
+    bool live = false;
+    /** Bumped on retirement (and, on the kernel, when the teardown
+     *  starts); a BusHandle of another generation is stale. */
+    std::uint32_t gen = 0;
     net::MessageId message = net::kNoMessage;
     net::NodeId src = 0;
     net::NodeId dst = 0;
@@ -98,21 +108,8 @@ struct BusRecord
     /** True once the (source gap, top) segment released (stats). */
     bool topReleased = false;
 
-    /** The gap the source PE injects on. */
-    GapId srcGap() const { return src; }
+    // --- event engine only: Wait mode and detailed flits ---
 
-    /** Whole clockwise path length in gaps. */
-    std::uint32_t
-    pathLength(net::NodeId n) const
-    {
-        return (dst + n - src) % n;
-    }
-};
-
-/** A virtual bus of the event engine: the shared record plus the
- *  Wait-mode and detailed-flit state. */
-struct VirtualBus : BusRecord
-{
     /** Tick the header became blocked (for the optional timeout). */
     sim::Tick blockedSince = 0;
 
@@ -127,6 +124,32 @@ struct VirtualBus : BusRecord
     sim::Tick lastFlitDepart = 0;    //!< tick of the last departure
     sim::Tick lastFlitArrive = 0;    //!< tick of the last dst arrival
     bool pumpStalled = false;        //!< window closed, pump paused
+
+    /** The gap the source PE injects on. */
+    GapId srcGap() const { return src; }
+
+    /** Whole clockwise path length in gaps. */
+    std::uint32_t
+    pathLength(net::NodeId n) const
+    {
+        return (dst + n - src) % n;
+    }
+};
+
+/**
+ * A make step awaiting its break (paper section 2.5, Figure 4): the
+ * hop at @p hopIndex of bus @p bus, in pool slot @p slot, holds both
+ * @p fromLevel and the level below it.  The bus id is unique per
+ * life, so a break whose slot has been reused finds another id and
+ * drops the record; the hop index is fixed for a bus's life.
+ */
+struct MoveRecord
+{
+    std::uint32_t slot;
+    std::uint32_t hopIndex;
+    VirtualBusId bus;
+    GapId gap;
+    Level fromLevel;
 };
 
 } // namespace core

@@ -781,6 +781,67 @@ TEST(EngineDiff, FaultedFreeCellCensusMatches)
     }
 }
 
+/**
+ * A stale header step meets a reused pool slot.  Bus 1 (0 -> 3) is
+ * severed by a fault on its only segment while its header is in
+ * flight; its one-hop teardown retires it at tick 3, and bus 2
+ * (4 -> 6), injected at tick 5, takes its slot.  Bus 1's header step
+ * falls due at tick 8 and names bus 1's generation, so it must do
+ * nothing: bus 2 makes its own two hops at the uncontended latency,
+ * and both engines reach the same outcome.
+ */
+TEST(EngineDiff, StaleHeaderStepSkipsAReusedSlot)
+{
+    core::RmbConfig cfg = baseConfig(8, 2, 1);
+    cfg.enableCompaction = false;
+    cfg.transientFaults = true;
+    cfg.headerHopDelay = 8;
+    cfg.verify = core::VerifyLevel::Full;
+    std::vector<std::string> digests;
+    for (const auto kind :
+         {core::EngineKind::Event, core::EngineKind::Kernel}) {
+        SCOPED_TRACE(core::engineKindName(kind));
+        cfg.engine = kind;
+        sim::Simulator sim;
+        auto net = core::makeEngine(sim, cfg);
+        auto *ring = dynamic_cast<core::RingEngine *>(net.get());
+        ASSERT_NE(ring, nullptr);
+        net::MessageId a = 0;
+        net::MessageId b = 0;
+        core::BusKey a_slot = core::kNoKey;
+        core::BusKey b_slot = core::kNoKey;
+        sim.scheduleAt(0, [&] { a = net->send(0, 3, 4); });
+        sim.scheduleAt(1, [&] {
+            a_slot = ring->bus(1)->key;
+            net->failSegment(0, 1); // bus 1's top segment
+        });
+        sim.scheduleAt(5, [&] {
+            ASSERT_EQ(ring->bus(1), nullptr) << "bus 1 not retired";
+            b = net->send(4, 6, 4);
+        });
+        sim.scheduleAt(6, [&] { b_slot = ring->bus(2)->key; });
+        sim.scheduleAt(100, [&] { net->repairSegment(0, 1); });
+        while (sim.now() < 10'000 &&
+               !(sim.now() > 100 && net->quiescent()))
+            sim.run(64);
+        net->auditInvariants();
+        EXPECT_EQ(b_slot, a_slot) << "bus 2 did not reuse the slot";
+
+        const net::Message &ma = net->message(a);
+        const net::Message &mb = net->message(b);
+        ASSERT_EQ(ma.state, net::MessageState::Delivered);
+        ASSERT_EQ(mb.state, net::MessageState::Delivered);
+        EXPECT_EQ(ma.retries, 1u);
+        EXPECT_EQ(mb.pathHops, 2u);
+        EXPECT_EQ(mb.delivered - mb.firstAttempt,
+                  2 * cfg.headerHopDelay + 2 * cfg.ackHopDelay +
+                      (4 + 1) * cfg.flitDelay + 2 * cfg.flitDelay);
+        digests.push_back(core::outcomeDigest(*net));
+    }
+    ASSERT_EQ(digests.size(), 2u);
+    EXPECT_EQ(digests[0], digests[1]);
+}
+
 /** validate() refuses kernel-incompatible options by name. */
 TEST(KernelEngine, ValidateRefusesUnsupportedOptions)
 {

@@ -76,8 +76,11 @@ TEST(RmbNetwork, InjectionUsesTopBusOnly)
     RmbNetwork net(s, cfg);
     net.send(2, 6, 64);
     s.run(2); // process the zero-delay injection event only
-    // The source hop must sit on level k-1 of gap 2.
-    EXPECT_EQ(net.segments().owner(2, 3), 1u);
+    // The source hop of bus 1 must sit on level k-1 of gap 2 (the
+    // grid records the bus's pool slot).
+    const VirtualBus *bus = net.bus(1);
+    ASSERT_NE(bus, nullptr);
+    EXPECT_EQ(net.segments().owner(2, 3), bus->key);
     EXPECT_TRUE(net.segments().isFree(2, 0));
     EXPECT_TRUE(net.segments().isFree(2, 1));
     EXPECT_TRUE(net.segments().isFree(2, 2));
