@@ -318,11 +318,7 @@ class Engine : public net::Network
      * take over, or dead-letter it when no route remains) or declare
      * it exempt.  @return true when the engine acted.
      */
-    virtual bool rescueStalled(net::MessageId id)
-    {
-        (void)id;
-        return false;
-    }
+    virtual bool rescueStalled(net::MessageId id) = 0;
 
   protected:
     /**

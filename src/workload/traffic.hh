@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "netbase/message.hh"
 #include "sim/random.hh"
@@ -28,9 +27,6 @@ class TrafficPattern
     /** Pick a destination for a message from @p src. */
     virtual net::NodeId pick(net::NodeId src, sim::Random &rng) = 0;
 
-    /** Pattern name for bench tables. */
-    virtual std::string name() const = 0;
-
     net::NodeId numNodes() const { return numNodes_; }
 
   protected:
@@ -43,7 +39,6 @@ class UniformTraffic : public TrafficPattern
   public:
     using TrafficPattern::TrafficPattern;
     net::NodeId pick(net::NodeId src, sim::Random &rng) override;
-    std::string name() const override { return "uniform"; }
 };
 
 /**
@@ -55,7 +50,6 @@ class HotSpotTraffic : public TrafficPattern
   public:
     HotSpotTraffic(net::NodeId n, net::NodeId hot, double fraction);
     net::NodeId pick(net::NodeId src, sim::Random &rng) override;
-    std::string name() const override { return "hotspot"; }
 
   private:
     net::NodeId hot_;
@@ -71,7 +65,6 @@ class LocalRingTraffic : public TrafficPattern
   public:
     LocalRingTraffic(net::NodeId n, net::NodeId max_distance);
     net::NodeId pick(net::NodeId src, sim::Random &rng) override;
-    std::string name() const override { return "ring-local"; }
 
   private:
     net::NodeId maxDistance_;
@@ -83,7 +76,6 @@ class TornadoTraffic : public TrafficPattern
   public:
     using TrafficPattern::TrafficPattern;
     net::NodeId pick(net::NodeId src, sim::Random &rng) override;
-    std::string name() const override { return "tornado"; }
 };
 
 /** Bit-complement destinations (N = 2^m). */
@@ -92,7 +84,6 @@ class BitComplementTraffic : public TrafficPattern
   public:
     explicit BitComplementTraffic(net::NodeId n);
     net::NodeId pick(net::NodeId src, sim::Random &rng) override;
-    std::string name() const override { return "bit-complement"; }
 };
 
 } // namespace workload
