@@ -419,10 +419,11 @@ RingEngine::breakMove(const MoveRecord &r)
     if (r.hopIndex >= bus.hops.size())
         return false; // hop already freed by a travelling ack
     Hop &hop = bus.hops[r.hopIndex];
+    const GapId gap = hop.gap;
     const Level to = r.fromLevel - 1;
     if (!hop.inMove() || hop.dualLevel != to || hop.level != r.fromLevel)
         return false; // stale record (move cancelled by a sever)
-    if (segments_.faulted(r.gap, to)) {
+    if (segments_.faulted(gap, to)) {
         // The target faulted between make and break; the sever path
         // cancels such moves at fault time, but refuse here too so a
         // break can never commit onto a dead segment.
@@ -433,11 +434,11 @@ RingEngine::breakMove(const MoveRecord &r)
     ++rmbStats_.compactionMoves;
     if (tracing()) {
         obs::TraceEvent e = busEvent(obs::EventKind::CompactionBreak,
-                                     bus, r.gap, r.gap, to);
+                                     bus, gap, gap, to);
         e.a = static_cast<std::uint64_t>(r.fromLevel);
         emitTrace(e);
     }
-    releaseSegment(bus, r.gap, r.fromLevel, obs::kFreeCompaction);
+    releaseSegment(bus, gap, r.fromLevel, obs::kFreeCompaction);
     return true;
 }
 

@@ -270,7 +270,7 @@ class RingEngine : public Engine
         }
         out.push_back(MoveRecord{static_cast<std::uint32_t>(key),
                                  static_cast<std::uint32_t>(idx),
-                                 bus.id, gap, level});
+                                 bus.id, level});
     }
 
     /**
@@ -330,7 +330,7 @@ class RingEngine : public Engine
      * The bus pool, indexed by BusKey.  Opening a bus may grow it and
      * move every record, so a record is named by its key or handle,
      * never held by reference, across anything that can inject:
-     * releaseSegment, tryInject, and the event engine's tryAdvance.
+     * tryInject and releaseSegment (through its wakeups).
      */
     std::vector<VirtualBus> pool_;
 

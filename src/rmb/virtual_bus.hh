@@ -148,7 +148,6 @@ struct MoveRecord
     std::uint32_t slot;
     std::uint32_t hopIndex;
     VirtualBusId bus;
-    GapId gap;
     Level fromLevel;
 };
 
