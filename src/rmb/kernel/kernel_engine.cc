@@ -5,7 +5,6 @@
 
 #include "common/logging.hh"
 #include "obs/prof.hh"
-#include "rmb/compaction_rules.hh"
 #include "sim/simulator.hh"
 
 namespace rmb {
