@@ -5,8 +5,7 @@
  * Everything outside `src/rmb` that drives an RMB simulation -
  * benches, sweeps, fault injection, trace sinks, reports - depends
  * only on this interface.  Two flat backends implement it, on the
- * source-side protocol they share through `RingEngine`
- * (ring_engine.hh):
+ * protocol steps they share through `RingEngine` (ring_engine.hh):
  *
  *  - `RmbNetwork` (network.hh): the reference discrete-event engine;
  *    every header hop, INC cycle tick and teardown step is one
@@ -138,7 +137,7 @@ class FaultSchedule;
  * Scheduling internals - watchdog arming, INC clocks or timing
  * wheels - are deliberately *absent*: they are implementation details
  * behind this interface.  The two flat backends share their
- * source-side protocol through core::RingEngine (ring_engine.hh).
+ * protocol steps through core::RingEngine (ring_engine.hh).
  */
 class Engine : public net::Network
 {

@@ -45,7 +45,7 @@ wheelSpan(const RmbConfig &config, sim::Tick period)
 CycleKernelEngine::CycleKernelEngine(sim::Simulator &simulator,
                                      const RmbConfig &config)
     : RingEngine(simulator, "RMB(kernel)", kernelConfig(config),
-                 nullptr),
+                 nullptr, nullptr),
       // One fixed global compaction period, drawn from the same
       // range the event engine draws each INC's period from.  The
       // kernel's cycle is synchronous (skew 0): Lemma 1 bounds the
@@ -72,13 +72,12 @@ CycleKernelEngine::~CycleKernelEngine() = default;
 // ----------------------------------------------------------------
 
 void
-CycleKernelEngine::scheduleAction(sim::Tick delay,
-                                  Action::Kind kind,
-                                  std::uint64_t target)
+CycleKernelEngine::scheduleAction(sim::Tick delay, std::uint64_t target,
+                                  StepKind kind, bool inject)
 {
     const sim::Tick now = simulator().now();
     const sim::Tick due = now + delay;
-    const Action a{kind, target, due};
+    const Action a{target, due, kind, inject};
     if (delay < wheel_.span()) {
         wheel_.push(due, a);
     } else {
@@ -183,7 +182,10 @@ CycleKernelEngine::processTick(sim::Tick now)
         const Action a = wheel_.pop(now);
         rmb_assert(a.due == now, "kernel action due at tick ", a.due,
                    " found in the wheel at tick ", now);
-        dispatch(a);
+        if (a.inject)
+            tryInject(static_cast<net::NodeId>(a.target));
+        else
+            runStep(a.kind, a.target);
     }
 
     // A dispatched action may have changed the grid while the
@@ -207,65 +209,6 @@ CycleKernelEngine::processTick(sim::Tick now)
     auditIfFull();
 }
 
-void
-CycleKernelEngine::dispatch(const Action &a)
-{
-    if (a.kind == Action::TryInject) {
-        tryInject(static_cast<net::NodeId>(a.target));
-        return;
-    }
-    VirtualBus *bus = liveBus(a.target);
-    if (!bus)
-        return; // the bus this action was aimed at is gone
-    switch (a.kind) {
-    case Action::HeaderArrive:
-        headerArrive(*bus);
-        break;
-    case Action::HackArrive:
-        rmb_assert(bus->state == BusState::AwaitHack,
-                   "Hack arrived on a bus in state ",
-                   static_cast<int>(bus->state));
-        // Closed-form streaming only: validate() refuses
-        // detailedFlits for this engine.
-        scheduleAction(establish(*bus), Action::FinalFlit,
-                       handleOf(*bus));
-        break;
-    case Action::FinalFlit:
-        rmb_assert(bus->state == BusState::Streaming,
-                   "FF arrived on a non-streaming bus");
-        deliver(*bus);
-        break;
-    case Action::TeardownStep:
-        teardownStep(*bus);
-        break;
-    case Action::TryInject:
-        break; // handled above
-    }
-}
-
-// ----------------------------------------------------------------
-// Helpers
-// ----------------------------------------------------------------
-
-net::NodeId
-CycleKernelEngine::effectiveDst(const VirtualBus &bus) const
-{
-    if (mutation_ != TestMutation::ShortCircuit)
-        return bus.dst;
-    const std::uint32_t n = config_.numNodes;
-    const std::uint32_t dist = (bus.dst + n - bus.src) % n;
-    if (dist <= 1)
-        return bus.dst; // a one-hop path cannot be shortened
-    return (bus.dst + n - 1) % n;
-}
-
-std::uint32_t
-CycleKernelEngine::pathLength(const VirtualBus &bus) const
-{
-    const std::uint32_t n = config_.numNodes;
-    return (effectiveDst(bus) + n - bus.src) % n;
-}
-
 // ----------------------------------------------------------------
 // RingEngine hooks
 // ----------------------------------------------------------------
@@ -273,34 +216,28 @@ CycleKernelEngine::pathLength(const VirtualBus &bus) const
 void
 CycleKernelEngine::scheduleInject(net::NodeId node, sim::Tick delay)
 {
-    scheduleAction(delay, Action::TryInject, node);
+    scheduleAction(delay, node, StepKind::Header, true);
 }
 
 void
-CycleKernelEngine::scheduleTeardownStep(VirtualBus &bus, bool started)
+CycleKernelEngine::scheduleStep(StepKind kind, sim::Tick delay,
+                                VirtualBus &bus)
 {
-    // A fresh teardown invalidates every in-flight header/Hack/FF
-    // action of this life; the walk runs on the new generation.  It
-    // also pins every cell the bus holds (Figure 7 moves no hop of
-    // a tearing-down bus) until the walk or a break releases it.
-    if (started) {
-        ++bus.gen;
+    // A fresh teardown pins every cell the bus holds (Figure 7 moves
+    // no hop of a tearing-down bus) until the walk or a break
+    // releases it.
+    if (kind == StepKind::Teardown && bus.hopsFreed == 0) {
         for (const Hop &hop : bus.hops) {
             segments_.pin(hop.gap, hop.level);
             if (hop.inMove())
                 segments_.pin(hop.gap, hop.dualLevel);
         }
     }
-    scheduleAction(config_.ackHopDelay, Action::TeardownStep,
-                   handleOf(bus));
-}
-
-void
-CycleKernelEngine::launchHeader(VirtualBus &bus)
-{
-    scheduleAction(config_.headerHopDelay, Action::HeaderArrive,
-                   handleOf(bus));
-    armCycle();
+    scheduleAction(delay, handleOf(bus), kind, false);
+    // A bus's first header step follows its injection: the ring is
+    // busy, so the cycle clock runs.
+    if (kind == StepKind::Header && bus.hops.size() == 1)
+        armCycle();
 }
 
 void
@@ -309,69 +246,6 @@ CycleKernelEngine::afterFaultChange()
     if (cycleQuiet_)
         exitQuietCycles(simulator().now());
     auditIfFull();
-}
-
-// ----------------------------------------------------------------
-// Header and stream steps
-// ----------------------------------------------------------------
-
-void
-CycleKernelEngine::headerArrive(VirtualBus &bus)
-{
-    rmb_assert(bus.state == BusState::Advancing,
-               "header arrival on a non-advancing bus");
-    const net::NodeId here = bus.headNode;
-    if (here == effectiveDst(bus)) {
-        if (pes_[bus.dst].receivePortFree(config_.receivePorts)) {
-            const sim::Tick hack =
-                acceptAtDestination(bus, pathLength(bus));
-            // Leaving Advancing frees the head hop to move (Figure 7
-            // pins an advancing head); this is the one movability
-            // change with no plane mutation, so note it for the
-            // no-move make-skip.
-            segments_.bumpEpoch();
-            scheduleAction(hack, Action::HackArrive, handleOf(bus));
-        } else {
-            noteNack(messageRef(bus.message));
-            startTeardown(bus, BusState::NackTeardown);
-        }
-        return;
-    }
-    tryAdvance(bus);
-}
-
-void
-CycleKernelEngine::tryAdvance(VirtualBus &bus)
-{
-    rmb_assert(bus.state == BusState::Advancing,
-               "tryAdvance on a bus in state ",
-               static_cast<int>(bus.state));
-    const net::NodeId here = bus.headNode;
-    const GapId gap = here;
-    const Level chosen =
-        chooseOutputLevel(bus.hops.back(), gap, effectiveDst(bus));
-    if (chosen != kNoLevel) {
-        segments_.occupy(gap, chosen, bus.key, simulator().now());
-        bus.hops.push_back(Hop{gap, chosen, kNoLevel, 0});
-        bus.headNode = (here + 1) % config_.numNodes;
-        if (tracing())
-            emitTrace(busEvent(obs::EventKind::HeaderHop, bus,
-                               here, gap, chosen));
-        scheduleAction(config_.headerHopDelay, Action::HeaderArrive,
-                       handleOf(bus));
-        return;
-    }
-
-    // No reachable free segment: the kernel only models NackRetry
-    // (validate() refuses Wait), so abort and retry from the source.
-    ++rmbStats_.blockedAborts;
-    if (tracing()) {
-        obs::TraceEvent e =
-            busEvent(obs::EventKind::Nack, bus, here, gap);
-        e.a = obs::kNackNoSegment;
-        emitTrace(e);
-    }
-    startTeardown(bus, BusState::NackTeardown);
 }
 
 // ----------------------------------------------------------------
@@ -518,43 +392,22 @@ CycleKernelEngine::breakStep()
 void
 CycleKernelEngine::auditInvariants() const
 {
-    std::uint64_t claimed = 0;
-    for (const VirtualBus &bus : pool_) {
-        if (!bus.live)
-            continue;
-        claimed += auditHops(bus, pathLength(bus));
-        rmb_assert(bus.state != BusState::Blocked,
-                   "kernel engine cannot produce Blocked buses");
-    }
+    auditSegments();
+    // The make pass skips pinned cells unseen, so a stale pin would
+    // silently drop moves: pinned exactly when held by a tearing-down
+    // bus.  (The kernel never blocks: validate() refuses Wait.)
     const auto k = static_cast<Level>(config_.numBuses);
-    std::vector<std::uint32_t> held_at(config_.numBuses, 0);
     for (GapId g = 0; g < config_.numNodes; ++g) {
         for (Level l = 0; l < k; ++l) {
             const BusKey key = segments_.owner(g, l);
-            const bool held = key != kNoKey;
-            held_at[static_cast<std::size_t>(l)] += held ? 1 : 0;
-            rmb_assert(segments_.occupied(g, l) == held,
-                       "occupancy plane out of sync with the owner"
-                       " grid at (", g, ",", l, ")");
-            // The make pass skips pinned cells unseen, so a stale pin
-            // would silently drop moves: pinned exactly when held by
-            // a tearing-down bus.
             const bool tearing_down =
-                held && isTeardown(busAt(key).state);
+                key != kNoKey && isTeardown(busAt(key).state);
             rmb_assert(segments_.pinned(g, l) == tearing_down,
                        "pin plane out of sync at (", g, ",", l,
                        "): pinned ", segments_.pinned(g, l),
                        ", held by a tearing-down bus ", tearing_down);
         }
     }
-    for (Level l = 0; l < k; ++l) {
-        rmb_assert(segments_.occupiedAt(l) ==
-                       held_at[static_cast<std::size_t>(l)],
-                   "level ", l, " counts ", segments_.occupiedAt(l),
-                   " held cells but the owner grid shows ",
-                   held_at[static_cast<std::size_t>(l)]);
-    }
-    auditSegments(claimed);
 }
 
 } // namespace core

@@ -2,10 +2,11 @@
  * @file
  * CycleKernelEngine: the time-stepped structure-of-arrays backend.
  *
- * Same protocol as RmbNetwork (header propagation with Hack/Nack,
- * closed-form pipelined streaming, make-before-break compaction), and
- * the same source side through RingEngine (top-bus injection, retry,
- * teardown, fault sever/recovery), on a different execution model:
+ * Same protocol as RmbNetwork, through the same RingEngine steps
+ * (top-bus injection, the header walk with Hack/Nack, closed-form
+ * pipelined streaming, teardown and retry, fault sever/recovery, the
+ * make and break bodies of a compaction move), on a different
+ * execution model:
  *
  *  - The compaction make step filters its candidates word-parallel
  *    per level over the segment grid's uint64_t bitplanes
@@ -24,14 +25,12 @@
  *    simulator event (its next due tick), and drains every action
  *    for that tick in one wake.  simulator().now() therefore stays
  *    the single time source, and all message timestamps are exact.
- *  - Every wheel action names its bus by a BusHandle (pool slot and
- *    generation, RingEngine's pool).  Besides the retirement bump
- *    both engines make, the kernel bumps the generation when a
- *    teardown starts, which lazily invalidates every in-flight
- *    header, Hack and final-flit action of the bus - the kernel
- *    never cancels.  The make and break bodies of a move are
- *    RingEngine's; the kernel runs the make body for the candidates
- *    its word-parallel scan leaves.
+ *  - Every wheel action is one RingEngine step kind and names its bus
+ *    by a BusHandle (pool slot and generation); retirement and a
+ *    sever start a new generation, which lazily invalidates every
+ *    in-flight action of the bus - the kernel never cancels.  The
+ *    kernel runs the make body for the candidates its word-parallel
+ *    scan leaves.
  *
  * Configurations the kernel cannot model (detailedFlits, Wait-mode
  * blocking) are refused by RmbConfig::validate() with the exact
@@ -68,57 +67,35 @@ class CycleKernelEngine final : public RingEngine
     /** Completed global compaction cycles (make steps). */
     std::uint64_t cycles() const { return cycleIndex_; }
 
-    /**
-     * Testing-only seeded divergence (tests/engine_diff_test.cc's
-     * WILL_FAIL probe): ShortCircuit delivers every message one node
-     * early, which the outcome digest must catch via pathHops.
-     * Never set outside tests.
-     */
-    enum class TestMutation : std::uint8_t
-    {
-        None,
-        ShortCircuit,
-    };
-    void setTestMutation(TestMutation m) { mutation_ = m; }
-
   private:
     /** One deferred protocol step, on the wheel or the far list. */
     struct Action
     {
-        enum Kind : std::uint8_t
-        {
-            HeaderArrive,
-            HackArrive,
-            FinalFlit,
-            TeardownStep,
-            TryInject,
-        };
-        Kind kind;
-        /** The bus's handle, or the node for TryInject. */
+        /** The bus's handle, or the node for an injection. */
         std::uint64_t target;
         sim::Tick due;
+        /** The bus step to run; unused for an injection. */
+        StepKind kind;
+        bool inject;
     };
 
     static constexpr sim::Tick kNever = ~sim::Tick{0};
 
     // --- agenda (wheel + far list + cycle clock) ---
-    void scheduleAction(sim::Tick delay, Action::Kind kind,
-                        std::uint64_t target);
+    void scheduleAction(sim::Tick delay, std::uint64_t target,
+                        StepKind kind, bool inject);
     void ensureWake(sim::Tick due);
     void onWake();
     void processTick(sim::Tick now);
-    void dispatch(const Action &a);
     sim::Tick nextDue() const;
     void rearm();
 
-    // --- header and stream steps (the rest is RingEngine's) ---
-    void headerArrive(VirtualBus &bus);
-    void tryAdvance(VirtualBus &bus);
-
     // --- RingEngine hooks ---
     void scheduleInject(net::NodeId node, sim::Tick delay) override;
-    void scheduleTeardownStep(VirtualBus &bus, bool started) override;
-    void launchHeader(VirtualBus &bus) override;
+    /** Also arms the cycle clock at a bus's first header step and
+     *  pins the bus's cells when its teardown starts. */
+    void scheduleStep(StepKind kind, sim::Tick delay,
+                      VirtualBus &bus) override;
     /** The wheel cannot lose actions and closed-form streaming is
      *  one pre-scheduled action: no bus ever goes silent. */
     bool canStall(const VirtualBus &) const override { return false; }
@@ -130,10 +107,6 @@ class CycleKernelEngine final : public RingEngine
     void makeStep(sim::Tick now);
     void breakStep();
     void exitQuietCycles(sim::Tick now);
-
-    // --- helpers ---
-    net::NodeId effectiveDst(const VirtualBus &bus) const;
-    std::uint32_t pathLength(const VirtualBus &bus) const;
 
     /** Global compaction period, drawn once; it sizes the wheel. */
     sim::Tick period_ = 0;
@@ -168,8 +141,6 @@ class CycleKernelEngine final : public RingEngine
      */
     bool cycleQuiet_ = false;
     std::uint64_t quietEpoch_ = 0;
-
-    TestMutation mutation_ = TestMutation::None;
 };
 
 } // namespace core

@@ -11,7 +11,8 @@ namespace core {
 
 RmbNetwork::RmbNetwork(sim::Simulator &simulator,
                        const RmbConfig &config)
-    : RingEngine(simulator, "RMB(ring)", config, "event.inject"),
+    : RingEngine(simulator, "RMB(ring)", config, "event.inject",
+                 "event.advance"),
       waiters_(config.numNodes)
 {
     if (config_.numNodes % 2 != 0) {
@@ -57,23 +58,35 @@ RmbNetwork::scheduleInject(net::NodeId node, sim::Tick delay)
 }
 
 void
-RmbNetwork::scheduleTeardownStep(VirtualBus &bus, bool started)
+RmbNetwork::scheduleStep(StepKind kind, sim::Tick delay, VirtualBus &bus)
 {
-    (void)started; // stale steps die against their bus's state
+    // One [this, h] closure per kind: it fits std::function's inline
+    // buffer, so scheduling a step does not allocate.
     const BusHandle h = handleOf(bus);
-    simulator().schedule(config_.ackHopDelay, [this, h] {
-        VirtualBus *b = liveBus(h);
-        rmb_assert(b, "teardown step of a retired bus");
-        teardownStep(*b);
-    });
-}
-
-void
-RmbNetwork::launchHeader(VirtualBus &bus)
-{
-    const BusHandle h = handleOf(bus);
-    simulator().schedule(config_.headerHopDelay,
-                         [this, h] { headerArrive(h); });
+    switch (kind) {
+    case StepKind::Header:
+        simulator().schedule(
+            delay, [this, h] { runStep(StepKind::Header, h); });
+        break;
+    case StepKind::Hack:
+        simulator().schedule(delay,
+                             [this, h] { runStep(StepKind::Hack, h); });
+        break;
+    case StepKind::FinalFlit:
+        if (config_.detailedFlits) {
+            // Flit-by-flit with Dack window flow control; the first
+            // flit leaves one flitDelay after the Hack.
+            simulator().schedule(config_.flitDelay,
+                                 [this, h] { departFlit(h, 0); });
+        } else {
+            simulator().schedule(delay, [this, h] { landFinalFlit(h); });
+        }
+        break;
+    case StepKind::Teardown:
+        simulator().schedule(
+            delay, [this, h] { runStep(StepKind::Teardown, h); });
+        break;
+    }
 }
 
 bool
@@ -81,6 +94,27 @@ RmbNetwork::canStall(const VirtualBus &bus) const
 {
     return !isTeardown(bus.state) &&
            !(bus.state == BusState::Streaming && !config_.detailedFlits);
+}
+
+void
+RmbNetwork::block(VirtualBus &bus)
+{
+    if (bus.state == BusState::Blocked)
+        return; // woken, but the freed segment was not reachable
+    const GapId gap = bus.headNode;
+    bus.state = BusState::Blocked;
+    bus.blockedSince = simulator().now();
+    ++bus.epoch;
+    ++rmbStats_.blockedHeaders;
+    if (tracing())
+        emitTrace(busEvent(obs::EventKind::Block, bus, gap, gap));
+    const BusHandle h = handleOf(bus);
+    waiters_[gap].push_back(h);
+    if (config_.headerTimeout > 0) {
+        simulator().schedule(config_.headerTimeout,
+                             [this, h] { onHeaderTimeout(h); });
+    }
+    auditIfFull();
 }
 
 void
@@ -195,108 +229,13 @@ RmbNetwork::finishMulticast(net::MessageId carrier)
 }
 
 void
-RmbNetwork::headerArrive(BusHandle h)
+RmbNetwork::onHeaderTimeout(BusHandle h)
 {
-    // A fault or watchdog sever may beat an in-flight header event:
-    // the bus is then gone (short teardown, its slot perhaps reused)
-    // or in FaultTeardown.  Any other state mismatch is still a
-    // protocol bug.
-    VirtualBus *bus = liveBus(h);
-    if (!bus || bus->state == BusState::FaultTeardown)
-        return;
-    rmb_assert(bus->state == BusState::Advancing,
-               "header arrival on a non-advancing bus");
-    const net::NodeId here = bus->headNode;
-    if (here == bus->dst) {
-        Pe &pe = pes_[here];
-        if (pe.receivePortFree(config_.receivePorts)) {
-            const sim::Tick hack = acceptAtDestination(
-                *bus, bus->pathLength(config_.numNodes));
-            simulator().schedule(
-                hack, [this, h] { hackArriveAtSource(h); });
-        } else {
-            // Destination busy: Nack travels back tearing the
-            // virtual bus down; the source retries later.
-            noteNack(messageRef(bus->message));
-            startTeardown(*bus, BusState::NackTeardown);
-        }
-        return;
-    }
-    tryAdvance(*bus);
-}
-
-void
-RmbNetwork::tryAdvance(VirtualBus &bus)
-{
-    RMB_PROF_SCOPE_SAMPLED("event.advance");
-    rmb_assert(bus.state == BusState::Advancing ||
-                   bus.state == BusState::Blocked,
-               "tryAdvance on a bus in state ",
-               static_cast<int>(bus.state));
-    const net::NodeId here = bus.headNode;
-    const GapId gap = here;
-    const BusHandle h = handleOf(bus);
-
-    const Level chosen = chooseOutputLevel(bus.hops.back(), gap, bus.dst);
-    if (chosen != kNoLevel) {
-        if (bus.state == BusState::Blocked) {
-            unblock(bus);
-            bus.state = BusState::Advancing;
-            if (tracing())
-                emitTrace(busEvent(obs::EventKind::Unblock, bus,
-                                   here, gap));
-        }
-        segments_.occupy(gap, chosen, bus.key, simulator().now());
-        bus.hops.push_back(Hop{gap, chosen, kNoLevel, 0});
-        bus.headNode = (here + 1) % config_.numNodes;
-        ++bus.epoch;
-        if (tracing())
-            emitTrace(busEvent(obs::EventKind::HeaderHop, bus, here,
-                               gap, chosen));
-        simulator().schedule(config_.headerHopDelay,
-                             [this, h] { headerArrive(h); });
-        auditIfFull();
-        return;
-    }
-
-    // No reachable free segment at this gap.
-    if (config_.blocking == BlockingPolicy::NackRetry) {
-        ++rmbStats_.blockedAborts;
-        if (tracing()) {
-            obs::TraceEvent e =
-                busEvent(obs::EventKind::Nack, bus, here, gap);
-            e.a = obs::kNackNoSegment;
-            emitTrace(e);
-        }
-        startTeardown(bus, BusState::NackTeardown);
-        return;
-    }
-    if (bus.state != BusState::Blocked) {
-        bus.state = BusState::Blocked;
-        bus.blockedSince = simulator().now();
-        ++bus.epoch;
-        ++rmbStats_.blockedHeaders;
-        if (tracing())
-            emitTrace(busEvent(obs::EventKind::Block, bus, here,
-                               gap));
-        waiters_[gap].push_back(h);
-        if (config_.headerTimeout > 0) {
-            const sim::Tick since = bus.blockedSince;
-            simulator().schedule(config_.headerTimeout,
-                                 [this, h, since] {
-                                     onHeaderTimeout(h, since);
-                                 });
-        }
-        auditIfFull();
-    }
-}
-
-void
-RmbNetwork::onHeaderTimeout(BusHandle h, sim::Tick since)
-{
+    // A header woken and blocked again since this timeout was set
+    // waits for the timeout of its latest block.
     VirtualBus *bus = liveBus(h);
     if (!bus || bus->state != BusState::Blocked ||
-        bus->blockedSince != since)
+        bus->blockedSince + config_.headerTimeout != simulator().now())
         return;
     ++rmbStats_.timeoutAborts;
     unblock(*bus);
@@ -310,31 +249,21 @@ RmbNetwork::onHeaderTimeout(BusHandle h, sim::Tick since)
 }
 
 void
-RmbNetwork::hackArriveAtSource(BusHandle h)
+RmbNetwork::landFinalFlit(BusHandle h)
 {
-    VirtualBus *bus = liveBus(h);
-    if (!bus || bus->state == BusState::FaultTeardown)
-        return; // severed while the Hack travelled back
-    rmb_assert(bus->state == BusState::AwaitHack,
-               "Hack arrived on a bus in state ",
-               static_cast<int>(bus->state));
-    const sim::Tick stream = establish(*bus);
-    if (config_.detailedFlits) {
-        // Flit-by-flit with Dack window flow control; the first
-        // flit leaves one flitDelay after the Hack.
-        simulator().schedule(config_.flitDelay,
-                             [this, h] { departFlit(h, 0); });
-        return;
-    }
-
-    simulator().schedule(stream, [this, h] { finalFlitArrive(h); });
+    const VirtualBus *bus = liveBus(h);
+    if (!bus)
+        return; // severed before the final flit could land
+    const net::MessageId carrier = bus->message;
+    runStep(StepKind::FinalFlit, h);
+    finishMulticast(carrier);
 }
 
 void
 RmbNetwork::departFlit(BusHandle h, std::uint32_t seq)
 {
     VirtualBus *bus = liveBus(h);
-    if (!bus || bus->state == BusState::FaultTeardown)
+    if (!bus)
         return; // severed; the pump died with the bus
     rmb_assert(bus->state == BusState::Streaming,
                "flit departure on a non-streaming bus");
@@ -378,7 +307,7 @@ void
 RmbNetwork::flitArriveAtDst(BusHandle h, std::uint32_t seq)
 {
     VirtualBus *bus = liveBus(h);
-    if (!bus || bus->state == BusState::FaultTeardown)
+    if (!bus)
         return; // severed; in-flight flits are lost with the bus
     rmb_assert(bus->state == BusState::Streaming,
                "flit arrival on a non-streaming bus");
@@ -397,7 +326,7 @@ RmbNetwork::flitArriveAtDst(BusHandle h, std::uint32_t seq)
 
     const net::Message &m = message(bus->message);
     if (seq == m.payloadFlits) {
-        finalFlitArrive(h);
+        landFinalFlit(h);
         return;
     }
     // Dack returns along the virtual bus.
@@ -411,9 +340,7 @@ RmbNetwork::dackArriveAtSource(BusHandle h)
 {
     VirtualBus *bus = liveBus(h);
     if (!bus)
-        return; // bus already torn down (Dacks may trail the FF)
-    if (bus->state == BusState::FaultTeardown)
-        return; // severed mid-stream; the trailing Dack is void
+        return; // severed, or retired (Dacks may trail the FF)
     ++bus->flitsAcked;
     ++bus->epoch;
     ++rmbStats_.dacks;
@@ -436,19 +363,6 @@ RmbNetwork::dackArriveAtSource(BusHandle h)
             departFlit(h, seq);
         });
     }
-}
-
-void
-RmbNetwork::finalFlitArrive(BusHandle h)
-{
-    VirtualBus *bus = liveBus(h);
-    if (!bus || bus->state == BusState::FaultTeardown)
-        return; // severed before the final flit could land
-    rmb_assert(bus->state == BusState::Streaming,
-               "FF arrived on a non-streaming bus");
-    const net::MessageId carrier = bus->message;
-    deliver(*bus);
-    finishMulticast(carrier);
 }
 
 // ----------------------------------------------------------------
@@ -558,21 +472,15 @@ RmbNetwork::outputStatus(net::NodeId node, Level level,
 void
 RmbNetwork::auditInvariants() const
 {
-    // Every hop's claim must match the grid, and vice versa.
-    std::uint64_t claimed = 0;
+    auditSegments();
     for (const VirtualBus &bus : pool_) {
-        if (!bus.live)
+        if (!bus.live || bus.state != BusState::Blocked)
             continue;
-        claimed += auditHops(bus, bus.pathLength(config_.numNodes));
-        if (bus.state == BusState::Blocked) {
-            const auto &q = waiters_[bus.headNode];
-            rmb_assert(std::find(q.begin(), q.end(), handleOf(bus)) !=
-                           q.end(),
-                       "blocked bus ", bus.id, " missing from waiter"
-                       " list");
-        }
+        const auto &q = waiters_[bus.headNode];
+        rmb_assert(std::find(q.begin(), q.end(), handleOf(bus)) !=
+                       q.end(),
+                   "blocked bus ", bus.id, " missing from waiter list");
     }
-    auditSegments(claimed);
 }
 
 } // namespace core

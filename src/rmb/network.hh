@@ -7,13 +7,15 @@
  * full protocol of paper section 2: top-bus injection, header
  * propagation with Hack/Nack, pipelined data streaming, Fack
  * teardown, and the systolic compaction that continuously moves
- * virtual buses to the lowest free segments.  The buses, the grid and
- * the make and break bodies of a move are core::RingEngine's; this
- * engine adds the per-INC clocks that decide when moves run, Wait-mode
- * waiter lists, detailed flits and multicast.  Every scheduled step
- * names its bus by a BusHandle, so a step that outlives its bus (a
- * header in flight when the bus is severed) finds the slot reused or
- * empty and does nothing.
+ * virtual buses to the lowest free segments.  The buses, the grid,
+ * the circuit steps and the make and break bodies of a move are
+ * core::RingEngine's; this engine runs each step as one simulator
+ * event and adds the per-INC clocks that decide when moves run,
+ * Wait mode (waiter lists and the header timeout), the detailed-flit
+ * pump and the multicast record.  Every scheduled event names its
+ * bus by a BusHandle, so an event that outlives its bus's generation
+ * (a flit in flight when the bus is severed) finds another
+ * generation in the slot and does nothing.
  */
 
 #pragma once
@@ -65,8 +67,8 @@ struct MulticastRecord
 
 /**
  * The RMB network: the reference discrete-event engine.  See
- * RmbConfig for tunables, core::RingEngine for the source side it
- * shares with the cycle kernel, core::Engine for the backend
+ * RmbConfig for tunables, core::RingEngine for the protocol steps
+ * it shares with the cycle kernel, core::Engine for the backend
  * contract, and net::Network for the send/stats interface shared
  * with the baselines.
  */
@@ -146,27 +148,27 @@ class RmbNetwork final : public RingEngine
 
     /** RNG stream (backoff jitter, INC clock phase). */
     sim::Random &rng() { return rng_; }
-    // --- scheduled protocol steps (the bus may be gone by then) ---
-    void headerArrive(BusHandle h);
-    void hackArriveAtSource(BusHandle h);
-    void finalFlitArrive(BusHandle h);
+    // --- scheduled events (the bus may be gone by then) ---
+    /** The final-flit step, then the multicast record. */
+    void landFinalFlit(BusHandle h);
     // Detailed flit-level streaming (Dack flow control).
     void departFlit(BusHandle h, std::uint32_t seq);
     void flitArriveAtDst(BusHandle h, std::uint32_t seq);
     void dackArriveAtSource(BusHandle h);
-    void onHeaderTimeout(BusHandle h, sim::Tick since);
-    /** Claim the head's next segment, or Nack or block.  May not
-     *  inject, so @p bus stays valid for the caller. */
-    void tryAdvance(VirtualBus &bus);
+    /** Nack a header still Blocked headerTimeout after its block. */
+    void onHeaderTimeout(BusHandle h);
     void finishMulticast(net::MessageId carrier);
 
     // --- RingEngine hooks ---
     void scheduleInject(net::NodeId node, sim::Tick delay) override;
-    void scheduleTeardownStep(VirtualBus &bus, bool started) override;
-    void launchHeader(VirtualBus &bus) override;
+    /** One event per step; with detailedFlits the FinalFlit step
+     *  starts the flit pump instead, whose last flit lands it. */
+    void scheduleStep(StepKind kind, sim::Tick delay,
+                      VirtualBus &bus) override;
     /** Teardowns are self-driving and closed-form streaming is one
      *  pre-scheduled event: neither can go silent. */
     bool canStall(const VirtualBus &bus) const override;
+    void block(VirtualBus &bus) override;
     void unblock(VirtualBus &bus) override;
     void wakeBlocked(GapId gap, Level level) override;
     void afterStep() override { auditIfFull(); }

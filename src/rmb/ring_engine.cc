@@ -11,10 +11,12 @@ namespace rmb {
 namespace core {
 
 RingEngine::RingEngine(sim::Simulator &simulator, std::string name,
-                       const RmbConfig &config, const char *inject_scope)
+                       const RmbConfig &config, const char *inject_scope,
+                       const char *advance_scope)
     : Engine(simulator, std::move(name), config),
       segments_(config_.numNodes, config_.numBuses), rng_(config_.seed),
-      pes_(config_.numNodes), injectScope_(inject_scope)
+      pes_(config_.numNodes), injectScope_(inject_scope),
+      advanceScope_(advance_scope)
 {
 }
 
@@ -195,25 +197,145 @@ RingEngine::tryInject(net::NodeId node)
     if (tracing())
         emitTrace(busEvent(obs::EventKind::HeaderHop, bus, node, gap,
                            top));
-    launchHeader(bus);
+    scheduleStep(StepKind::Header, config_.headerHopDelay, bus);
     afterStep();
 }
 
-sim::Tick
-RingEngine::acceptAtDestination(VirtualBus &bus,
-                                std::uint32_t path_length)
+// ----------------------------------------------------------------
+// The circuit steps (section 2.3, Figure 6)
+// ----------------------------------------------------------------
+
+net::NodeId
+RingEngine::effectiveDst(const VirtualBus &bus) const
 {
-    pes_[bus.dst].activeReceives.push_back(bus.message);
-    bus.state = BusState::AwaitHack;
-    ++bus.epoch;
-    rmb_assert(bus.hops.size() == path_length, "accepted bus spans ",
-               bus.hops.size(), " gaps, expected ", path_length);
-    return static_cast<sim::Tick>(path_length) * config_.ackHopDelay;
+    if (mutation_ != TestMutation::ShortCircuit)
+        return bus.dst;
+    const std::uint32_t n = config_.numNodes;
+    const std::uint32_t dist = (bus.dst + n - bus.src) % n;
+    if (dist <= 1)
+        return bus.dst; // a one-hop path cannot be shortened
+    return (bus.dst + n - 1) % n;
 }
 
-sim::Tick
+std::uint32_t
+RingEngine::pathLength(const VirtualBus &bus) const
+{
+    const std::uint32_t n = config_.numNodes;
+    return (effectiveDst(bus) + n - bus.src) % n;
+}
+
+void
+RingEngine::runStep(StepKind kind, BusHandle h)
+{
+    VirtualBus *bus = liveBus(h);
+    if (!bus) {
+        // Nothing severs a tearing-down bus, so only its last step
+        // retires it and no walk step goes stale.
+        rmb_assert(kind != StepKind::Teardown,
+                   "teardown step of a retired bus");
+        return; // the bus retired or was severed since
+    }
+    switch (kind) {
+    case StepKind::Header:
+        headerArrive(*bus);
+        break;
+    case StepKind::Hack:
+        establish(*bus);
+        break;
+    case StepKind::FinalFlit:
+        deliver(*bus);
+        break;
+    case StepKind::Teardown:
+        teardownStep(*bus);
+        break;
+    }
+}
+
+void
+RingEngine::headerArrive(VirtualBus &bus)
+{
+    rmb_assert(bus.state == BusState::Advancing,
+               "header arrival on a non-advancing bus");
+    if (bus.headNode != effectiveDst(bus)) {
+        tryAdvance(bus);
+        return;
+    }
+    Pe &pe = pes_[bus.dst];
+    if (!pe.receivePortFree(config_.receivePorts)) {
+        // Destination busy: the Nack travels back tearing the virtual
+        // bus down; the source retries later.
+        noteNack(messageRef(bus.message));
+        startTeardown(bus, BusState::NackTeardown);
+        return;
+    }
+    pe.activeReceives.push_back(bus.message);
+    bus.state = BusState::AwaitHack;
+    ++bus.epoch;
+    const std::uint32_t path = pathLength(bus);
+    rmb_assert(bus.hops.size() == path, "accepted bus spans ",
+               bus.hops.size(), " gaps, expected ", path);
+    // Leaving Advancing frees the head hop to move (Figure 7 pins an
+    // advancing head); this is the one movability change with no
+    // plane mutation, so note it for the kernel's no-move make skip.
+    segments_.bumpEpoch();
+    scheduleStep(StepKind::Hack,
+                 static_cast<sim::Tick>(path) * config_.ackHopDelay, bus);
+}
+
+void
+RingEngine::tryAdvance(VirtualBus &bus)
+{
+    std::optional<obs::prof::ProfScope> scope;
+    if (advanceScope_)
+        scope.emplace(advanceScope_, 15);
+    rmb_assert(bus.state == BusState::Advancing ||
+                   bus.state == BusState::Blocked,
+               "tryAdvance on a bus in state ",
+               static_cast<int>(bus.state));
+    const net::NodeId here = bus.headNode;
+    const GapId gap = here;
+    const Level chosen =
+        chooseOutputLevel(bus.hops.back(), gap, effectiveDst(bus));
+    if (chosen != kNoLevel) {
+        if (bus.state == BusState::Blocked) {
+            unblock(bus);
+            bus.state = BusState::Advancing;
+            if (tracing())
+                emitTrace(busEvent(obs::EventKind::Unblock, bus, here,
+                                   gap));
+        }
+        segments_.occupy(gap, chosen, bus.key, simulator().now());
+        bus.hops.push_back(Hop{gap, chosen, kNoLevel, 0});
+        bus.headNode = (here + 1) % config_.numNodes;
+        ++bus.epoch;
+        if (tracing())
+            emitTrace(busEvent(obs::EventKind::HeaderHop, bus, here, gap,
+                               chosen));
+        scheduleStep(StepKind::Header, config_.headerHopDelay, bus);
+        afterStep();
+        return;
+    }
+
+    // No reachable free segment at this gap.
+    if (config_.blocking == BlockingPolicy::Wait) {
+        block(bus);
+        return;
+    }
+    ++rmbStats_.blockedAborts;
+    if (tracing()) {
+        obs::TraceEvent e = busEvent(obs::EventKind::Nack, bus, here, gap);
+        e.a = obs::kNackNoSegment;
+        emitTrace(e);
+    }
+    startTeardown(bus, BusState::NackTeardown);
+}
+
+void
 RingEngine::establish(VirtualBus &bus)
 {
+    rmb_assert(bus.state == BusState::AwaitHack,
+               "Hack arrived on a bus in state ",
+               static_cast<int>(bus.state));
     bus.state = BusState::Streaming;
     ++bus.epoch;
     noteEstablished(messageRef(bus.message));
@@ -223,13 +345,17 @@ RingEngine::establish(VirtualBus &bus)
     // through hops.size() stages.
     const net::Message &m = message(bus.message);
     const auto path = static_cast<sim::Tick>(bus.hops.size());
-    return (static_cast<sim::Tick>(m.payloadFlits) + 1 + path) *
-           config_.flitDelay;
+    scheduleStep(StepKind::FinalFlit,
+                 (static_cast<sim::Tick>(m.payloadFlits) + 1 + path) *
+                     config_.flitDelay,
+                 bus);
 }
 
 void
 RingEngine::deliver(VirtualBus &bus)
 {
+    rmb_assert(bus.state == BusState::Streaming,
+               "FF arrived on a non-streaming bus");
     noteDelivered(messageRef(bus.message),
                   static_cast<std::uint32_t>(bus.hops.size()));
     noteCircuit(-1);
@@ -267,7 +393,7 @@ RingEngine::startTeardown(VirtualBus &bus, BusState kind)
                                                : obs::kTeardownFault;
         emitTrace(e);
     }
-    scheduleTeardownStep(bus, true);
+    scheduleStep(StepKind::Teardown, config_.ackHopDelay, bus);
 }
 
 void
@@ -296,7 +422,7 @@ RingEngine::teardownStep(VirtualBus &bus)
     } else {
         releaseSegment(bus, hop.gap, hop.level, obs::kFreeTeardown);
     }
-    scheduleTeardownStep(busAt(key), false);
+    scheduleStep(StepKind::Teardown, config_.ackHopDelay, busAt(key));
     afterStep();
 }
 
@@ -555,13 +681,17 @@ RingEngine::severBus(VirtualBus &bus, std::uint64_t reason)
     case BusState::Streaming:
         pes_[bus.dst].releaseReceive(bus.message);
         noteCircuit(-1);
-        // The re-injected header starts a fresh circuit; the stream's
-        // in-flight steps die against the teardown.
+        // The re-injected header starts a fresh circuit.
         messageRef(bus.message).state = net::MessageState::Setup;
         break;
     default:
-        break; // Advancing: the in-flight header step goes stale
+        break; // Advancing
     }
+    // A sever starts a new generation: every step scheduled for the
+    // old one (header, Hack, final flit, a detailed flit or Dack, a
+    // header timeout) then finds another generation and does nothing.
+    // After the switch: unblock names the waiter by the old handle.
+    ++bus.gen;
 
     ++rmbStats_.busesSevered;
     // emplace keeps the first sever
@@ -639,9 +769,9 @@ RingEngine::rescueStalled(net::MessageId id)
 // ----------------------------------------------------------------
 
 std::uint64_t
-RingEngine::auditHops(const VirtualBus &bus,
-                      std::uint32_t path_length) const
+RingEngine::auditHops(const VirtualBus &bus) const
 {
+    const std::uint32_t path_length = pathLength(bus);
     const std::uint32_t n = config_.numNodes;
     const auto k = static_cast<Level>(config_.numBuses);
     const BusKey key = bus.key;
@@ -700,29 +830,43 @@ RingEngine::auditHops(const VirtualBus &bus,
 }
 
 void
-RingEngine::auditSegments(std::uint64_t claimed) const
+RingEngine::auditSegments() const
 {
+    // Every hop's claim must match the grid, and vice versa.
     // occupiedSegments() counts bus-owned cells only; faulted cells
     // are tracked separately by faultySegments().
+    std::uint64_t claimed = 0;
+    for (const VirtualBus &bus : pool_) {
+        if (bus.live)
+            claimed += auditHops(bus);
+    }
     rmb_assert(claimed == occupiedSegments(), "grid claims ",
                occupiedSegments(), " segments but buses own ", claimed,
                " (plus ", faultySegments(), " faulted)");
 
-    // Fault/occupancy consistency: the fault count adds up, a faulted
-    // segment never reads as free, and any bus still holding one must
-    // be tearing down (failSegment severs the occupant synchronously;
-    // only the walking teardown may linger).
+    // The occupancy plane and the per-level counts (the kernel's make
+    // pass reads both) match the owner grid.  Fault/occupancy
+    // consistency: the fault count adds up, a faulted segment never
+    // reads as free, and any bus still holding one must be tearing
+    // down (failSegment severs the occupant synchronously; only the
+    // walking teardown may linger).
     const auto k = static_cast<Level>(config_.numBuses);
+    std::vector<std::uint32_t> held_at(config_.numBuses, 0);
     std::uint32_t faulted_seen = 0;
     for (GapId g = 0; g < config_.numNodes; ++g) {
         for (Level l = 0; l < k; ++l) {
+            const BusKey key = segments_.owner(g, l);
+            const bool held = key != kNoKey;
+            held_at[static_cast<std::size_t>(l)] += held ? 1 : 0;
+            rmb_assert(segments_.occupied(g, l) == held,
+                       "occupancy plane out of sync with the owner"
+                       " grid at (", g, ",", l, ")");
             if (!segments_.faulted(g, l))
                 continue;
             ++faulted_seen;
             rmb_assert(!segments_.isFree(g, l), "faulted segment (", g,
                        ",", l, ") reads as free");
-            const BusKey key = segments_.owner(g, l);
-            if (key == kNoKey)
+            if (!held)
                 continue;
             const VirtualBus &owner = busAt(key);
             rmb_assert(isTeardown(owner.state), "bus ", owner.id,
@@ -730,6 +874,13 @@ RingEngine::auditSegments(std::uint64_t claimed) const
                        ") but is not tearing down (state ",
                        static_cast<int>(owner.state), ")");
         }
+    }
+    for (Level l = 0; l < k; ++l) {
+        rmb_assert(segments_.occupiedAt(l) ==
+                       held_at[static_cast<std::size_t>(l)],
+                   "level ", l, " counts ", segments_.occupiedAt(l),
+                   " held cells but the owner grid shows ",
+                   held_at[static_cast<std::size_t>(l)]);
     }
     rmb_assert(faulted_seen == faultySegments(), "fault mask shows ",
                faulted_seen, " faulted segments but the store counts ",

@@ -1,29 +1,34 @@
 /**
  * @file
- * RingEngine: the source side of the RMB protocol, the bus pool and
- * the compaction move, written once for both flat backends.
+ * RingEngine: the RMB protocol's circuit steps, the bus pool and the
+ * compaction move, written once for both flat backends.
  *
- * The PE side of the paper's protocol does not depend on how time
- * advances.  A header is injected only on the top bus (section 2.3);
- * a Nack or a fault tears the path down hop by hop and the source
- * retries after a jittered backoff; a Fack frees the hops back to the
- * source.  RingEngine defines those steps over the VirtualBus records
- * it keeps: the PE send queue and its injection gate, the teardown
- * walk and the end of a bus (requeue or write-off), the fault path
- * (sever, make-before-break cancel) and the recovery and dead-letter
- * account.
+ * The paper's protocol does not depend on how time advances.  A
+ * header is injected only on the top bus (section 2.3); at each INC it
+ * takes a free output within one level of its input; at the
+ * destination it either gets a Hack back or a Nack that tears the
+ * path down, and the source retries after a jittered backoff; a Fack
+ * frees the hops back to the source (Figure 6).  RingEngine defines
+ * those steps over the VirtualBus records it keeps: the PE send queue
+ * and its injection gate, the header walk (headerArrive, tryAdvance),
+ * the Hack and the final flit, the teardown walk and the end of a bus
+ * (requeue or write-off), the fault path (sever, make-before-break
+ * cancel) and the recovery and dead-letter account.  Every step a
+ * backend schedules is one StepKind that runStep() runs on the bus a
+ * BusHandle names; a sever starts a new generation of the bus, so a
+ * step scheduled before it finds another generation and does nothing.
  *
  * RingEngine owns the N x k segment grid both backends claim and free
- * (SegmentPlanes), so the segment census is written here once, and
- * the one bus pool: recycled slots with a live flag and a generation,
- * whose slot is the owner key of every cell a bus claims.  The make
- * and break bodies of a compaction move (section 2.5) are written
- * here too; a backend decides only when they run.  A backend supplies
- * its execution model through the private hooks below: how a step or
- * an injection is scheduled and how a header is launched.  RmbNetwork
- * keeps INC FSMs, Wait mode, detailed flits and multicast;
- * CycleKernelEngine keeps its timing wheel, pins and synchronous
- * compaction cycle.
+ * (SegmentPlanes), so the segment census and its audit are written
+ * here once, and the one bus pool: recycled slots with a live flag and
+ * a generation, whose slot is the owner key of every cell a bus
+ * claims.  The make and break bodies of a compaction move (section
+ * 2.5) are written here too; a backend decides only when they run.  A
+ * backend supplies its execution model through the private hooks
+ * below: how a step or an injection is scheduled and, for Wait mode,
+ * how a header waits.  RmbNetwork keeps INC FSMs, Wait mode, detailed
+ * flits and multicast; CycleKernelEngine keeps its timing wheel, pins
+ * and synchronous compaction cycle.
  */
 
 #pragma once
@@ -112,11 +117,35 @@ class RingEngine : public Engine
         return segments_.averageUtilization(now);
     }
 
+    /**
+     * Testing-only seeded divergence (tests/engine_diff_test.cc's
+     * WILL_FAIL probe): ShortCircuit delivers every message one node
+     * early, which the outcome digest must catch via pathHops.
+     * Never set outside tests.
+     */
+    enum class TestMutation : std::uint8_t
+    {
+        None,
+        ShortCircuit,
+    };
+    void setTestMutation(TestMutation m) { mutation_ = m; }
+
   protected:
-    /** @p inject_scope names the profiler layer injections are timed
-     *  under; nullptr leaves them untimed. */
+    /** The protocol steps a backend schedules for a bus. */
+    enum class StepKind : std::uint8_t
+    {
+        Header,    //!< the header reaches its next INC
+        Hack,      //!< the Hack reaches the source
+        FinalFlit, //!< the final flit lands at the destination
+        Teardown,  //!< the Fack/Nack crosses the head-most hop
+    };
+
+    /** @p inject_scope and @p advance_scope name the profiler layers
+     *  injections and header advances are timed under; nullptr
+     *  leaves them untimed. */
     RingEngine(sim::Simulator &simulator, std::string name,
-               const RmbConfig &config, const char *inject_scope);
+               const RmbConfig &config, const char *inject_scope,
+               const char *advance_scope);
 
     Level topLevel() const
     {
@@ -139,65 +168,18 @@ class RingEngine : public Engine
     void tryInject(net::NodeId node);
 
     /**
-     * Output level a header entering gap @p gap over hop @p in takes,
-     * or kNoLevel when none is free.  With @p any_faults, fault
-     * lookahead prefers levels from which the next gap still has a
-     * live onward level (eager descent otherwise walks into gaps whose
-     * low levels are all faulted); a dead end is taken only when
-     * nothing else is free.
+     * Run the @p kind step of the bus @p h names, unless that bus
+     * retired or a sever started a new generation of it since the
+     * step was scheduled.
      */
-    Level
-    chooseOutputLevel(const Hop &in, GapId gap, net::NodeId dst) const
-    {
-        const auto k = static_cast<Level>(config_.numBuses);
-        const GapId next_gap = (gap + 1) % config_.numNodes;
-        const bool lookahead =
-            segments_.faultyCount() > 0 && next_gap != dst;
-        const auto dead_end = [&](Level lin) {
-            for (Level lout : {lin - 1, lin, lin + 1}) {
-                if (lout >= 0 && lout < k &&
-                    !segments_.faulted(next_gap, lout))
-                    return false;
-            }
-            return true;
-        };
-        Level reachable[3];
-        const int count = reachableOutputLevelsInto(
-            in, k, config_.headerPolicy, reachable);
-        Level fallback = kNoLevel;
-        for (int i = 0; i < count; ++i) {
-            const Level l = reachable[i];
-            if (!segments_.isFree(gap, l))
-                continue;
-            if (fallback == kNoLevel)
-                fallback = l;
-            if (!lookahead || !dead_end(l))
-                return l;
-        }
-        return fallback;
-    }
+    void runStep(StepKind kind, BusHandle h);
 
-    /** The header reached a free receive port: hold it and await the
-     *  Hack.  @return the Hack's travel time back to the source. */
-    sim::Tick acceptAtDestination(VirtualBus &bus,
-                                  std::uint32_t path_length);
-
-    /** The Hack reached the source: the circuit is up.  @return the
-     *  closed-form time until the final flit lands. */
-    sim::Tick establish(VirtualBus &bus);
-
-    /** The final flit landed: deliver, close any recovery, and start
-     *  the Fack teardown. */
-    void deliver(VirtualBus &bus);
+    /** Claim the head's next segment, or Nack (NackRetry) or block
+     *  (Wait).  May not inject, so @p bus stays valid for the
+     *  caller. */
+    void tryAdvance(VirtualBus &bus);
 
     void startTeardown(VirtualBus &bus, BusState kind);
-
-    /** One hop of the walking Fack/Nack; the source hop ends the bus
-     *  (requeue or write-off on a Nack or fault). */
-    void teardownStep(VirtualBus &bus);
-
-    /** Cut @p bus (fault or watchdog); its message retries. */
-    void severBus(VirtualBus &bus, std::uint64_t reason);
 
     /**
      * Free one segment of @p bus and dispatch the wakeups.  A wakeup
@@ -283,14 +265,11 @@ class RingEngine : public Engine
      */
     bool breakMove(const MoveRecord &r);
 
-    /** Audit one live bus's hops against the segment grid; returns
-     *  the segments it claims. */
-    std::uint64_t auditHops(const VirtualBus &bus,
-                            std::uint32_t path_length) const;
-
-    /** Audit the grid: @p claimed cells, faulted segments held only
-     *  by tearing-down buses, and the pool's free list. */
-    void auditSegments(std::uint64_t claimed) const;
+    /** Audit every live bus's hops against the grid, and the grid
+     *  itself: the occupancy plane and the per-level counts against
+     *  the owners, faulted segments held only by tearing-down buses,
+     *  and the pool's free list. */
+    void auditSegments() const;
 
     /** The live bus in slot @p key (panics if none). */
     VirtualBus &
@@ -337,15 +316,24 @@ class RingEngine : public Engine
   private:
     // --- hooks: scheduling ---
     virtual void scheduleInject(net::NodeId node, sim::Tick delay) = 0;
-    /** Schedule @p bus's next teardownStep one ack hop from now;
-     *  @p started marks a fresh teardown. */
-    virtual void scheduleTeardownStep(VirtualBus &bus, bool started) = 0;
-    /** Send the just-injected header toward its first INC. */
-    virtual void launchHeader(VirtualBus &bus) = 0;
+    /**
+     * Call runStep(@p kind) for @p bus @p delay from now.  A bus's
+     * first Header step follows its injection, and a Teardown step of
+     * a bus with no hop freed yet starts its teardown.
+     */
+    virtual void scheduleStep(StepKind kind, sim::Tick delay,
+                              VirtualBus &bus) = 0;
     /** Can @p bus lose a step, so the watchdog may sever it? */
     virtual bool canStall(const VirtualBus &bus) const = 0;
 
     // --- hooks with defaults ---
+    /** Hold an Advancing or Blocked header that found no free output
+     *  (Wait mode only). */
+    virtual void
+    block(VirtualBus &bus)
+    {
+        panic("bus ", bus.id, " blocked on a backend without Wait mode");
+    }
     /** Take a Blocked header off its wait list (Wait mode only). */
     virtual void unblock(VirtualBus &bus) { (void)bus; }
     /** A free segment may let a waiting header advance (Wait mode). */
@@ -359,6 +347,71 @@ class RingEngine : public Engine
     virtual void afterStep() {}
     /** After a fault or repair. */
     virtual void afterFaultChange() { auditIfFull(); }
+
+    /**
+     * Output level a header entering gap @p gap over hop @p in takes,
+     * or kNoLevel when none is free.  With faults on the grid, fault
+     * lookahead prefers levels from which the next gap still has a
+     * live onward level (eager descent otherwise walks into gaps whose
+     * low levels are all faulted); a dead end is taken only when
+     * nothing else is free.
+     */
+    Level
+    chooseOutputLevel(const Hop &in, GapId gap, net::NodeId dst) const
+    {
+        const auto k = static_cast<Level>(config_.numBuses);
+        const GapId next_gap = (gap + 1) % config_.numNodes;
+        const bool lookahead =
+            segments_.faultyCount() > 0 && next_gap != dst;
+        const auto dead_end = [&](Level lin) {
+            for (Level lout : {lin - 1, lin, lin + 1}) {
+                if (lout >= 0 && lout < k &&
+                    !segments_.faulted(next_gap, lout))
+                    return false;
+            }
+            return true;
+        };
+        Level reachable[3];
+        const int count = reachableOutputLevelsInto(
+            in, k, config_.headerPolicy, reachable);
+        Level fallback = kNoLevel;
+        for (int i = 0; i < count; ++i) {
+            const Level l = reachable[i];
+            if (!segments_.isFree(gap, l))
+                continue;
+            if (fallback == kNoLevel)
+                fallback = l;
+            if (!lookahead || !dead_end(l))
+                return l;
+        }
+        return fallback;
+    }
+
+    /** The node a header stops at: the destination, or one before it
+     *  under TestMutation::ShortCircuit. */
+    net::NodeId effectiveDst(const VirtualBus &bus) const;
+    /** Gaps from the source to effectiveDst(). */
+    std::uint32_t pathLength(const VirtualBus &bus) const;
+
+    // --- the steps runStep() runs ---
+    /** At the destination: hold a free receive port and send the
+     *  Hack, or Nack when none is free; elsewhere, tryAdvance. */
+    void headerArrive(VirtualBus &bus);
+    /** The Hack reached the source: the circuit is up; schedule the
+     *  final flit's closed-form landing. */
+    void establish(VirtualBus &bus);
+    /** The final flit landed: deliver, close any recovery, and start
+     *  the Fack teardown. */
+    void deliver(VirtualBus &bus);
+    /** One hop of the walking Fack/Nack; the source hop ends the bus
+     *  (requeue or write-off on a Nack or fault). */
+    void teardownStep(VirtualBus &bus);
+
+    /** Cut @p bus (fault or watchdog); its message retries. */
+    void severBus(VirtualBus &bus, std::uint64_t reason);
+    /** Audit one live bus's hops against the segment grid; returns
+     *  the segments it claims. */
+    std::uint64_t auditHops(const VirtualBus &bus) const;
 
     /** A blank live record in a free slot (the pool grows when none
      *  is free); the caller fills it. */
@@ -392,6 +445,8 @@ class RingEngine : public Engine
      */
     std::unordered_map<net::MessageId, sim::Tick> severedAt_;
     const char *injectScope_;
+    const char *advanceScope_;
+    TestMutation mutation_ = TestMutation::None;
 };
 
 } // namespace core

@@ -81,8 +81,8 @@ struct VirtualBus
     BusKey key = kNoKey;
     /** True from open to retirement. */
     bool live = false;
-    /** Bumped on retirement (and, on the kernel, when the teardown
-     *  starts); a BusHandle of another generation is stale. */
+    /** Bumped on retirement and on a sever; a BusHandle of another
+     *  generation is stale. */
     std::uint32_t gen = 0;
     net::MessageId message = net::kNoMessage;
     net::NodeId src = 0;
@@ -127,13 +127,6 @@ struct VirtualBus
 
     /** The gap the source PE injects on. */
     GapId srcGap() const { return src; }
-
-    /** Whole clockwise path length in gaps. */
-    std::uint32_t
-    pathLength(net::NodeId n) const
-    {
-        return (dst + n - src) % n;
-    }
 };
 
 /**

@@ -304,6 +304,40 @@ TEST(RmbNetwork, WaitPolicyWithTimeoutRecoversFromOverload)
     EXPECT_TRUE(r.completed);
 }
 
+TEST(RmbNetwork, HeaderTimeoutCountsFromTheLatestBlock)
+{
+    // One bus level; faults on gaps 1 and 2 block the header there.
+    // It blocks at node 1, is woken by a repair, advances, and blocks
+    // again at node 2 before its first timeout fires: that timeout
+    // must not abort it, the one of its second block must.
+    sim::Simulator s;
+    RmbConfig cfg = testConfig(8, 1);
+    cfg.blocking = BlockingPolicy::Wait;
+    cfg.headerTimeout = 100;
+    RmbNetwork net(s, cfg);
+    net.failSegment(1, 0);
+    net.failSegment(2, 0);
+    const auto id = net.send(0, 4, 8);
+    const sim::Tick hop = cfg.headerHopDelay;
+
+    s.runUntil(hop); // blocked at node 1; its timeout is due at hop+100
+    EXPECT_EQ(net.rmbStats().blockedHeaders, 1u);
+    s.runUntil(50);
+    net.repairSegment(1, 0); // advances; blocks at node 2 at 50+hop
+    s.runUntil(hop + 100);
+    EXPECT_EQ(net.rmbStats().blockedHeaders, 2u);
+    EXPECT_EQ(net.rmbStats().timeoutAborts, 0u);
+    s.runUntil(hop + 149);
+    EXPECT_EQ(net.rmbStats().timeoutAborts, 0u);
+    s.runUntil(hop + 150);
+    EXPECT_EQ(net.rmbStats().timeoutAborts, 1u);
+
+    net.repairSegment(2, 0);
+    runToQuiescence(s, net);
+    EXPECT_EQ(net.message(id).state, net::MessageState::Delivered);
+    EXPECT_EQ(net.rmbStats().timeoutAborts, 1u);
+}
+
 TEST(RmbNetwork, RandomPermutationsComplete)
 {
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
